@@ -154,15 +154,15 @@ JsonReport& JsonReport::run_fields(const Device::RunResult& run) {
   field("cycles", run.device_cycles);
   field("cycles_serial", run.device_cycles_serial);
   field("busiest_unit_cycles", run.busiest_unit_cycles);
-  field("pipelined_bound", run.device_cycles_pipelined);
   field("host_ns", run.host_ns);
   return *this;
 }
 
 JsonReport& JsonReport::traffic_fields(const Device::RunResult& run,
                                        const ArchConfig& arch) {
-  const Roofline roof = compute_roofline(run.aggregate, arch,
-                                         run.device_cycles, run.cores_used);
+  const Roofline roof = compute_roofline(run.aggregate.traffic, run.profile,
+                                         arch, run.device_cycles,
+                                         run.cores_used);
   field("gm_bytes", roof.gm_bytes);
   field("mte_bytes", roof.mte_bytes);
   field("roofline", std::string(roof.klass()));

@@ -69,7 +69,7 @@ class JsonReport {
   JsonReport& summary_fields(const std::string& prefix,
                              const stats::Summary& s);
   // The standard per-run fields: cycles (overlapped makespan),
-  // cycles_serial, busiest_unit_cycles, pipelined_bound, host_ns.
+  // cycles_serial, busiest_unit_cycles, host_ns.
   JsonReport& run_fields(const Device::RunResult& run);
   // Observability extras: GM/MTE traffic bytes and the roofline class
   // (docs/OBSERVABILITY.md), so the perf trajectory records *why* a row

@@ -26,8 +26,8 @@ void show(Device& dev, akg::PoolImpl impl, const TensorF16& in,
   std::printf("--- %s lowering: %lld cycles, %lld vector instructions, "
               "lane utilization %.0f%% ---\n",
               akg::to_string(impl), static_cast<long long>(r.cycles()),
-              static_cast<long long>(r.run.aggregate.vector_instrs),
-              100.0 * r.run.aggregate.lane_utilization());
+              static_cast<long long>(r.run.profile.vec.instrs),
+              100.0 * r.run.profile.vec_lane_utilization());
   std::printf("%s\n", dev.core(0).trace().to_string(28).c_str());
   dev.core(0).trace().disable();
 }

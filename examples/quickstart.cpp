@@ -57,10 +57,10 @@ int main() {
               direct.out.shape().to_string().c_str());
   std::printf("standard TVM lowering : %8lld cycles  (lane util %.0f%%)\n",
               static_cast<long long>(direct.cycles()),
-              100.0 * direct.run.aggregate.lane_utilization());
+              100.0 * direct.run.profile.vec_lane_utilization());
   std::printf("Im2col-based lowering : %8lld cycles  (lane util %.0f%%)\n",
               static_cast<long long>(im2col.cycles()),
-              100.0 * im2col.run.aggregate.lane_utilization());
+              100.0 * im2col.run.profile.vec_lane_utilization());
   std::printf("speedup               : %.2fx\n",
               static_cast<double>(direct.cycles()) /
                   static_cast<double>(im2col.cycles()));
@@ -68,7 +68,7 @@ int main() {
       "\nWhy: the Im2Col load rearranges the tile so the (Kh, Kw) reduction\n"
       "axes are outermost; one vmax with a saturated 128-lane mask then\n"
       "reduces a whole kernel-position plane (%lld issues instead of %lld).\n",
-      static_cast<long long>(im2col.run.aggregate.vector_instrs),
-      static_cast<long long>(direct.run.aggregate.vector_instrs));
+      static_cast<long long>(im2col.run.profile.vec.instrs),
+      static_cast<long long>(direct.run.profile.vec.instrs));
   return 0;
 }

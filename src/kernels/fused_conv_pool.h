@@ -43,7 +43,8 @@ TensorF32 compose_conv_avgpool_weights(const TensorF32& weights,
 Window2d fused_window(const Window2d& conv, const Window2d& pool);
 
 // Runs conv + avgpool as ONE Cube-Unit convolution over the composite
-// kernel. Output shape equals avgpool_forward(conv2d_cube(...)).
+// kernel. Output shape equals that of an AvgPool (PoolOpKind::kAvgFwd)
+// run_pool over conv2d_cube(...).
 Conv2dResult conv2d_avgpool_fused(Device& dev, const TensorF16& in,
                                   const TensorF32& weights,
                                   const Window2d& conv, const Window2d& pool);

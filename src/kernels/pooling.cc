@@ -1,11 +1,6 @@
-// The unified PoolOp entry point and the deprecated per-operator shims.
-//
-// run_pool is the only path into the pooling kernels: it validates the
-// descriptor/input combination once, then dispatches to the internal
-// implementation drivers (pool_fwd_driver.h). The historical free
-// functions are thin shims that build the equivalent PoolOp -- they prove
-// by construction that the API redesign changed no numerical or cycle
-// behavior (tests/test_pool_op.cc checks bit-identity both ways).
+// The PoolOp entry point. run_pool is the only path into the pooling
+// kernels: it validates the descriptor/input combination once, then
+// dispatches to the internal implementation drivers (pool_fwd_driver.h).
 #include "kernels/pooling.h"
 
 #include "common/check.h"
@@ -120,90 +115,6 @@ PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in) {
                               in.ih, in.iw, op.merge, plan_ptr(op));
   }
   throw Error("run_pool: unknown PoolOpKind");
-}
-
-// --- Deprecated shims ---------------------------------------------------
-
-PoolResult maxpool_forward(Device& dev, const TensorF16& in,
-                           const Window2d& w, akg::PoolImpl impl) {
-  PoolOp op;
-  op.kind = PoolOpKind::kMaxFwd;
-  op.window = w;
-  op.fwd = impl;
-  PoolInputs inputs;
-  inputs.in = &in;
-  return run_pool(dev, op, inputs);
-}
-
-PoolResult maxpool_forward_with_mask(Device& dev, const TensorF16& in,
-                                     const Window2d& w, akg::PoolImpl impl) {
-  PoolOp op;
-  op.kind = PoolOpKind::kMaxMaskFwd;
-  op.window = w;
-  op.fwd = impl;
-  PoolInputs inputs;
-  inputs.in = &in;
-  return run_pool(dev, op, inputs);
-}
-
-PoolResult maxpool_backward(Device& dev, const TensorF16& mask,
-                            const TensorF16& grad, const Window2d& w,
-                            std::int64_t ih, std::int64_t iw,
-                            MergeImpl merge) {
-  PoolOp op;
-  op.kind = PoolOpKind::kMaxBwd;
-  op.window = w;
-  op.merge = merge;
-  PoolInputs inputs;
-  inputs.mask = &mask;
-  inputs.grad = &grad;
-  inputs.ih = ih;
-  inputs.iw = iw;
-  return run_pool(dev, op, inputs);
-}
-
-PoolResult avgpool_forward(Device& dev, const TensorF16& in,
-                           const Window2d& w, akg::PoolImpl impl) {
-  PoolOp op;
-  op.kind = PoolOpKind::kAvgFwd;
-  op.window = w;
-  op.fwd = impl;
-  PoolInputs inputs;
-  inputs.in = &in;
-  return run_pool(dev, op, inputs);
-}
-
-PoolResult avgpool_backward(Device& dev, const TensorF16& grad,
-                            const Window2d& w, std::int64_t ih,
-                            std::int64_t iw, MergeImpl merge) {
-  PoolOp op;
-  op.kind = PoolOpKind::kAvgBwd;
-  op.window = w;
-  op.merge = merge;
-  PoolInputs inputs;
-  inputs.grad = &grad;
-  inputs.ih = ih;
-  inputs.iw = iw;
-  return run_pool(dev, op, inputs);
-}
-
-PoolResult minpool_forward(Device& dev, const TensorF16& in,
-                           const Window2d& w, akg::PoolImpl impl) {
-  PoolOp op;
-  op.kind = PoolOpKind::kMinFwd;
-  op.window = w;
-  op.fwd = impl;
-  PoolInputs inputs;
-  inputs.in = &in;
-  return run_pool(dev, op, inputs);
-}
-
-PoolResult global_avgpool(Device& dev, const TensorF16& in) {
-  PoolOp op;
-  op.kind = PoolOpKind::kGlobalAvg;
-  PoolInputs inputs;
-  inputs.in = &in;
-  return run_pool(dev, op, inputs);
 }
 
 }  // namespace davinci::kernels

@@ -41,10 +41,7 @@
 // A PoolOp is a plain descriptor (operator kind, window geometry, lowering
 // choices, optional precomputed tiling plan), which makes it hashable /
 // comparable -- the serving layer (src/serve/) batches requests by PoolOp
-// and caches tiling plans per descriptor. The historical per-operator free
-// functions below remain as thin shims over run_pool; new code (and
-// everything in-tree outside this module and the tests) should construct
-// a PoolOp instead. See docs/API.md for the migration note.
+// and caches tiling plans per descriptor. See docs/API.md.
 #pragma once
 
 #include <cstdint>
@@ -134,55 +131,9 @@ struct PoolResult {
   std::int64_t cycles() const { return run.device_cycles; }
 };
 
-// Deprecated aliases from before the result structs were collapsed
-// (docs/API.md); all three were layout-compatible prefixes of PoolResult.
-using PoolFwdResult = PoolResult;
-using PoolMaskFwdResult = PoolResult;
-using PoolBwdResult = PoolResult;
-
 // Runs one pooling operator on the device. Throws davinci::Error on
 // invalid descriptor/input combinations (unsupported impl for the kind,
 // padding on a non-im2col lowering, shape mismatches).
 PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in);
-
-// --- Deprecated per-operator shims (thin wrappers over run_pool) ---
-//
-// Kept so existing call sites and the shim-equivalence tests keep
-// compiling; each builds the corresponding PoolOp and forwards. In-tree
-// code outside this module and tests/ must call run_pool instead (CI
-// greps for violations).
-
-PoolResult maxpool_forward(Device& dev, const TensorF16& in,
-                           const Window2d& w, akg::PoolImpl impl);
-
-// Forward plus the Argmax mask needed for training (Figure 7b). Supported
-// for kDirect (baseline) and kIm2col (proposed).
-PoolResult maxpool_forward_with_mask(Device& dev, const TensorF16& in,
-                                     const Window2d& w, akg::PoolImpl impl);
-
-// Backward: mask (N, C1, Kh, Kw, PP, C0) and incoming gradients
-// (N, C1, Oh, Ow, C0) -> gradient w.r.t. the input (N, C1, Ih, Iw, C0).
-PoolResult maxpool_backward(Device& dev, const TensorF16& mask,
-                            const TensorF16& grad, const Window2d& w,
-                            std::int64_t ih, std::int64_t iw,
-                            MergeImpl merge);
-
-// AvgPool (Section V-C). Supported for kDirect and kIm2col.
-PoolResult avgpool_forward(Device& dev, const TensorF16& in,
-                           const Window2d& w, akg::PoolImpl impl);
-
-// AvgPool backward needs no mask: every position contributes, scaled by
-// 1 / (Kh * Kw).
-PoolResult avgpool_backward(Device& dev, const TensorF16& grad,
-                            const Window2d& w, std::int64_t ih,
-                            std::int64_t iw, MergeImpl merge);
-
-// MinPool: identical schedules with vmin and a +max-finite initializer.
-PoolResult minpool_forward(Device& dev, const TensorF16& in,
-                           const Window2d& w, akg::PoolImpl impl);
-
-// Global average pooling: (N, C1, H, W, C0) -> (N, C1, 1, 1, C0), the
-// mean over all spatial positions per channel.
-PoolResult global_avgpool(Device& dev, const TensorF16& in);
 
 }  // namespace davinci::kernels

@@ -62,11 +62,6 @@ const char* to_string(OverloadPolicy policy) {
   return "?";
 }
 
-Session::Session(SessionOptions opts) : Session(Cluster(), opts) {}
-
-Session::Session(ArchConfig arch, SessionOptions opts)
-    : Session(Cluster(ClusterOptions{.arch = arch}), opts) {}
-
 Session::Session(Cluster cluster, SessionOptions opts)
     : opts_(opts),
       cluster_(std::move(cluster)),

@@ -31,10 +31,10 @@
 //    DeadlineExceeded *without* a device launch and never delays or
 //    fails its batchmates;
 //  * under a resilience policy (SessionOptions::resilience) batches run
-//    through Device::run_resilient; a launch that still fails after
-//    retry/quarantine is bisected so a poisoned request fails alone
-//    instead of failing its batchmates, and observed core quarantine
-//    shrinks the cores x ub_waves batch cap;
+//    with retry and quarantine (Device::set_resilience); a launch that
+//    still fails after retry/quarantine is bisected so a poisoned request
+//    fails alone instead of failing its batchmates, and observed core
+//    quarantine shrinks the cores x ub_waves batch cap;
 //  * input tensors are borrowed: they must stay alive and unmodified
 //    until the request's future resolves.
 //
@@ -120,8 +120,8 @@ struct SessionOptions {
   std::size_t plan_cache_capacity = 64;
   // Device double-buffer policy (feeds the plan-cache key).
   bool double_buffer = true;
-  // When set, every launch routes through Device::run_resilient with
-  // these options (fault plan, retry budget, store-path verification).
+  // When set, every launch runs under this device resilience policy
+  // (fault plan, retry budget, store-path verification).
   // Launches that still fail are bisected; see the class comment.
   std::optional<ResilienceOptions> resilience;
   // Hung-launch watchdog: a launch exceeding this wall-clock budget is
@@ -261,12 +261,6 @@ class Session {
   // corresponding SessionOptions field overrides it.
   explicit Session(Cluster cluster, SessionOptions opts = {});
 
-  // Deprecated shims (docs/API.md): the pre-cluster constructors, kept
-  // for out-of-tree callers. Equivalent to Session(Cluster(...), opts);
-  // in-tree use is lint-guarded in CI like the PR-5 run_pool migration.
-  explicit Session(SessionOptions opts = {});
-  Session(ArchConfig arch, SessionOptions opts);
-
   // Graceful shutdown: cancels still-queued requests (futures fail with
   // Cancelled), completes in-flight work, joins the threads.
   ~Session();
@@ -329,9 +323,9 @@ class Session {
   // only while idle (after drain()); resetting mid-launch would tear
   // the accounting.
   void reset_stats();
-  // The schema-v7 "serve" JSON object for MetricsRegistry::set_serve.
+  // The schema-v8 "serve" JSON object for MetricsRegistry::set_serve.
   std::string serve_json() const;
-  // Attaches serve_json() to `reg` (top-level "serve", schema v7).
+  // Attaches serve_json() to `reg` (top-level "serve", schema v8).
   void add_metrics(MetricsRegistry& reg) const;
 
   // The request lifecycle ring (serve/request_trace.h).

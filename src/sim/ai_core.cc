@@ -11,10 +11,10 @@ AiCore::AiCore(int id, const ArchConfig& arch, const CostModel& cost)
       l0b_(BufferKind::kL0B, arch.l0b_bytes),
       l0c_(BufferKind::kL0C, arch.l0c_bytes),
       ub_(BufferKind::kUnified, arch.ub_bytes),
-      vec_(arch_, cost_, &stats_, &trace_, &profile_, &sched_),
-      mte_(cost_, &stats_, &trace_, &profile_, &sched_),
-      scu_(arch_, cost_, &stats_, &trace_, &profile_, &sched_),
-      cube_(arch_, cost_, &stats_, &trace_, &profile_, &sched_) {
+      vec_(arch_, cost_, &stats_, &profile_, &trace_, &sched_),
+      mte_(cost_, &stats_, &profile_, &trace_, &sched_),
+      scu_(arch_, cost_, &stats_, &profile_, &trace_, &sched_),
+      cube_(arch_, cost_, &stats_, &profile_, &trace_, &sched_) {
   l1_.set_owner_core(id_);
   l0a_.set_owner_core(id_);
   l0b_.set_owner_core(id_);
@@ -49,8 +49,8 @@ void AiCore::scalar_loop(std::int64_t iterations) {
   DV_CHECK_GE(iterations, 0);
   const std::int64_t cycles = iterations * cost_.scalar_loop_cycles;
   stats_.scalar_cycles += cycles;
-  // Scalar control flow rides the Vector pipe on the overlap timeline,
-  // matching the compute = vector + scalar grouping of pipelined_cycles.
+  // Scalar control flow rides the Vector pipe on the overlap timeline:
+  // on DaVinci the scalar unit issues the vector instructions.
   sched_.issue(Pipe::kVector, cycles);
 }
 

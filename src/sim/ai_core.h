@@ -87,8 +87,8 @@ class AiCore {
   }
 
   // Attaches (or detaches, with nullptr) a fault-injection stream to this
-  // core and all its units. Owned by Device::run_resilient; a core with no
-  // stream attached pays zero overhead.
+  // core and all its units. Owned by Device::run under a resilience
+  // policy; a core with no stream attached pays zero overhead.
   void set_fault_state(CoreFaultState* fault);
   CoreFaultState* fault_state() { return fault_; }
 

@@ -46,7 +46,6 @@ void CubeUnit::mmad(Span<float> l0c, Span<Float16> l0a, Span<Float16> l0b,
   }
 
   const std::int64_t macs = m_frac * k_frac * n_frac;
-  stats_->cube_instrs += 1;
   stats_->cube_fractal_macs += macs;
   const std::int64_t cycles = cost_.cube_mmad(macs);
   stats_->cube_cycles += cycles;
@@ -55,11 +54,9 @@ void CubeUnit::mmad(Span<float> l0c, Span<Float16> l0a, Span<Float16> l0b,
   // Occupancy: fractal-MAC cycles vs charged cycles -- how well the
   // instruction amortizes its issue overhead over the MAC array.
   const std::int64_t mac_cycles = macs * cost_.cube_cycles_per_fractal_mac;
-  if (profile_) {
-    profile_->cube.instrs += 1;
-    profile_->cube.slots_used += mac_cycles;
-    profile_->cube.slots_capacity += cycles;
-  }
+  profile_->cube.instrs += 1;
+  profile_->cube.slots_used += mac_cycles;
+  profile_->cube.slots_capacity += cycles;
   if (trace_ && trace_->enabled()) {
     trace_->record(TraceKind::kCube,
                    "mmad m=" + std::to_string(m_frac) + " k=" +

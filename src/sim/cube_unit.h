@@ -25,10 +25,10 @@ namespace davinci {
 class CubeUnit {
  public:
   CubeUnit(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-           Trace* trace = nullptr, Profile* profile = nullptr,
+           Profile* profile, Trace* trace = nullptr,
            PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), trace_(trace),
-        profile_(profile), sched_(sched) {}
+      : arch_(arch), cost_(cost), stats_(stats), profile_(profile),
+        trace_(trace), sched_(sched) {}
 
   // C (+)= A x B on fractal-tiled operands:
   //   A: L0A, (m_frac x k_frac) fractals, each 16x16 row-major
@@ -47,8 +47,8 @@ class CubeUnit {
   const ArchConfig& arch_;
   const CostModel& cost_;
   CycleStats* stats_;
-  Trace* trace_;
   Profile* profile_;
+  Trace* trace_;
   PipeScheduler* sched_ = nullptr;
 };
 

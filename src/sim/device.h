@@ -14,28 +14,24 @@
 // (sim/pipe_schedule.h); for kernels that never open a stage it equals
 // the serial cycle sum, which stays reported as device_cycles_serial.
 //
-// Block-ordering invariant (every execution path):
-//   * block b is *accounted* to simulated core (b mod num_cores) --
-//     BlockOrder::home_core -- and each core executes its blocks in
-//     increasing block order (BlockOrder::for_core);
-//   * which HOST THREAD runs a core's lane is a free variable: the
-//     work-stealing pool (parallel run), the serial fallback and the
-//     resilient scheduler's workers all produce identical per-core
-//     scratch/stats/fault-stream histories, so outputs and cycle
-//     accounting are bit-identical regardless of host scheduling.
-//   The one sanctioned exception is quarantine redistribution in
-//   run_resilient, which reassigns the remaining blocks of a failed core
-//   round-robin over the healthy ones -- deterministically, given the
-//   quarantine point.
+// Execution: block b is accounted to simulated core (b mod num_cores),
+// and each core runs its blocks from a FIFO queue seeded in increasing
+// block order (BlockOrder). Which HOST THREAD runs a core's lane is a free
+// variable -- the persistent work-stealing pool (sim/executor.h) or the
+// calling thread when set_parallel(false) -- and never changes what the
+// lane computes or charges, so outputs, cycles and per-core fault streams
+// are identical either way.
 //
-// Resilient execution (run_resilient / set_resilience) adds the RAS layer
-// a production fleet needs on top of that: deterministic fault injection
-// (sim/fault.h), bounded per-block retry, quarantine of hard-failed cores
-// with redistribution of their remaining blocks, and optional
-// redundant-execution verification of each block's global-memory stores.
-// Blocks must be idempotent -- recompute their output region from inputs
-// rather than accumulate into it -- which every kernel here already
-// satisfies (a retried block simply overwrites its region).
+// One scheduler runs every launch. A resilience policy (set_resilience)
+// adds the RAS layer a production fleet needs on top: deterministic fault
+// injection (sim/fault.h), bounded per-block retry, quarantine of
+// hard-failed cores with round-robin redistribution of their remaining
+// blocks (the one exception to the home-core rule, deterministic given
+// the quarantine point), and optional redundant-execution verification of
+// each block's global-memory stores. Blocks must be idempotent --
+// recompute their output region from inputs rather than accumulate into
+// it -- which every kernel here already satisfies (a retried block simply
+// overwrites its region).
 #pragma once
 
 #include <cstdint>
@@ -55,13 +51,9 @@
 
 namespace davinci {
 
-// The canonical block -> core accounting rule (see the invariant above),
-// shared by Device::run's pool and serial paths and by run_resilient's
-// initial queue fill.
+// The canonical block -> core accounting rule (see above): the lane of
+// `core` starts with these blocks, in this order.
 struct BlockOrder {
-  static int home_core(std::int64_t block, int num_cores) {
-    return static_cast<int>(block % num_cores);
-  }
   // Invokes fn(block) for every block of `core`, in execution order.
   template <typename Fn>
   static void for_core(int core, std::int64_t num_blocks, int num_cores,
@@ -86,8 +78,6 @@ class Device {
                                           // (== serial for unstaged code)
     std::int64_t device_cycles_serial = 0;  // max over used cores of the
                                             // strictly serial cycle sum
-    std::int64_t device_cycles_pipelined = 0;  // optimistic pipe-overlap
-                                               // bound (see CycleStats)
     std::int64_t busiest_unit_cycles = 0;  // max over used cores of the
                                            // busiest single unit's busy
                                            // time (sandwich lower bound)
@@ -103,12 +93,12 @@ class Device {
     std::int64_t host_alloc_ns = 0;     // output-tensor construction
     std::int64_t host_plan_ns = 0;      // akg::plan_fwd / plan_bwd
     std::int64_t host_validate_ns = 0;  // descriptor/shape checks
-    std::int64_t host_execute_ns = 0;   // inside Device::run[_resilient]
+    std::int64_t host_execute_ns = 0;   // inside Device::run
     CycleStats aggregate;                 // sum over used cores
     Profile profile;                      // occupancy, merged over used cores
     std::vector<std::int64_t> core_cycles;  // per-core overlapped makespan
     int cores_used = 0;
-    FaultStats faults;                    // all-zero outside resilient runs
+    FaultStats faults;                    // all-zero without a policy
     // Per-pipe busy/wait/flag/idle buckets and the critical core's
     // bounding chain (sim/metrics.h); attribution.horizon == device_cycles.
     DeviceAttribution attribution;
@@ -119,56 +109,55 @@ class Device {
     std::int64_t vm_end = 0;
   };
 
+  using BlockFn = std::function<void(AiCore&, std::int64_t)>;
+
   // Executes blocks [0, num_blocks) with `fn(core, block_index)`, block b
   // on core (b mod num_cores). Scratch is reset before every block and
-  // core stats are reset before the run. `parallel` false forces serial
-  // execution (deterministic debugging; results are identical either way
-  // because blocks touch disjoint global memory).
+  // core stats are reset before the run.
   //
-  // In the parallel path every worker failure is recorded -- not just the
-  // first -- and the rethrown Error aggregates (core id, block index,
-  // message) for each failed core; the serial path stops at the first
-  // failure and reports it as an Error with the same core/block context.
-  // When a resilience policy is installed (set_resilience), the call
-  // routes through run_resilient instead.
-  RunResult run(std::int64_t num_blocks,
-                const std::function<void(AiCore&, std::int64_t)>& fn,
-                bool parallel = true);
-
-  // Fault-tolerant execution under `opts`:
+  // Without a resilience policy any exception is a failure of its block:
+  // that core's lane stops, and a parallel run rethrows one Error naming
+  // (core id, block index, message) for every failed core; a serial run
+  // stops at the first failure and rethrows it as the same Error subclass
+  // with "core C at block B" context.
+  //
+  // Under a policy (set_resilience):
   //  * the fault plan is armed on every core for the duration of the run;
   //  * a block whose execution throws a detected fault (TransientFault) is
   //    retried on the same core with fresh scratch;
   //  * a core that throws CoreFailed is quarantined and its unfinished
   //    blocks are redistributed round-robin over the healthy cores, so the
   //    run completes with fewer cores and honestly larger device_cycles;
-  //  * with opts.verify, each block's global-memory stores are checksummed
-  //    on the MTE store path and the block re-executed until two
-  //    executions agree (majority vote over attempts) -- silent
-  //    corruption becomes a detected-and-retried fault;
+  //  * with verify, each block's global-memory stores are checksummed on
+  //    the MTE store path and the block re-executed until two executions
+  //    agree (majority vote over attempts) -- silent corruption becomes a
+  //    detected-and-retried fault;
   //  * every block has a bounded execution budget,
-  //    (max_retries + 1) * (verify ? 2 : 1); exhausting it, or running
-  //    out of healthy cores, throws RetryExhausted with the fault report
-  //    in the message.
-  //
+  //    (max_retries + 1) * (verify ? 2 : 1); exhausting it, or running out
+  //    of healthy cores, throws RetryExhausted with the fault report in
+  //    the message.
   // With an empty plan and verification off, the result (output bits,
-  // per-core cycles, device_cycles) is identical to run() -- the
-  // resilience layer costs nothing when disabled. Fault injection is
-  // deterministic per core; see docs/RESILIENCE.md for the replay
-  // guarantees.
-  RunResult run_resilient(std::int64_t num_blocks,
-                          const std::function<void(AiCore&, std::int64_t)>& fn,
-                          const ResilienceOptions& opts);
+  // per-core cycles, device_cycles) is identical to a run without a
+  // policy. Fault injection is deterministic per core; see
+  // docs/RESILIENCE.md for the replay guarantees.
+  RunResult run(std::int64_t num_blocks, const BlockFn& fn);
 
-  // Installs a resilience policy that makes every subsequent run() (and
-  // therefore every kernel executed on this device) go through
-  // run_resilient with `opts`. This is how whole pooling workloads and
-  // pipelines run under fault injection without changing kernel code.
+  // Installs the resilience policy every subsequent run() (and therefore
+  // every kernel executed on this device) runs under. This is how whole
+  // pooling workloads, pipelines and serving sessions run under fault
+  // injection without changing kernel code.
   void set_resilience(const ResilienceOptions& opts) { resilience_ = opts; }
   void clear_resilience() { resilience_.reset(); }
   const std::optional<ResilienceOptions>& resilience() const {
     return resilience_;
   }
+
+  // Host execution of the core lanes: on (the default), the persistent
+  // work-stealing pool runs them concurrently; off, the calling thread
+  // runs them in core order (deterministic debugging). Outputs, cycles
+  // and fault statistics are identical either way.
+  void set_parallel(bool on) { parallel_ = on; }
+  bool parallel() const { return parallel_; }
 
   // Ping-pong (double) buffering policy consulted by the tiled kernels:
   // on (the default), they plan two UB tile slots when the budget allows
@@ -200,18 +189,14 @@ class Device {
   }
 
  private:
-  struct Sched;  // shared scheduling state of one resilient run
+  struct Sched;  // shared scheduling state of one run (device.cc)
 
-  // Runs one block (with retries / verification) on core `c`. Returns
-  // true if the worker should keep pulling blocks, false if it must exit
-  // (quarantined or run failed).
-  bool process_block(int c, std::int64_t block, Sched& s,
-                     const std::function<void(AiCore&, std::int64_t)>& fn,
-                     const ResilienceOptions& opts,
-                     CoreFaultState& fault_state);
+  // Runs one block on core `c` (with retries / verification under a
+  // policy). Returns false when the core's lane must stop: the core was
+  // quarantined, the block failed, or the run was abandoned.
+  bool run_block(int c, std::int64_t block, Sched& s, const BlockFn& fn);
 
-  // Collects per-core results into a RunResult (shared by run and
-  // run_resilient).
+  // Collects per-core results into a RunResult.
   RunResult collect_result(int cores_used);
 
   ArchConfig arch_;
@@ -219,6 +204,7 @@ class Device {
   std::vector<std::unique_ptr<AiCore>> cores_;
   std::optional<ResilienceOptions> resilience_;
   bool double_buffer_ = true;
+  bool parallel_ = true;
   vm::VmStream* vm_stream_ = nullptr;
   std::string vm_label_;
   std::vector<vm::BufferId> vm_reads_;

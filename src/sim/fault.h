@@ -6,8 +6,8 @@
 // the software-managed scratch-pads, dropped or truncated DMA transfers,
 // corrupted SCU fractals, parity errors in a compute pipe, and whole
 // cores that stop answering. The simulator models all of these as a
-// *seeded, replayable* fault stream so the resilient execution path
-// (Device::run_resilient) can be exercised and regression-tested
+// *seeded, replayable* fault stream so resilient execution (Device::run
+// under a set_resilience policy) can be exercised and regression-tested
 // deterministically: the same FaultPlan and seed always produce the same
 // fault sites and -- after retry/quarantine -- the same final output.
 //
@@ -123,7 +123,7 @@ class CoreFailed : public Error {
   int core_;
 };
 
-// run_resilient gave up: a block exhausted its attempt budget or no
+// A resilient run gave up: a block exhausted its attempt budget or no
 // healthy core remains. what() carries the structured context (block,
 // attempts, core) so callers and scripts can report it.
 class RetryExhausted : public Error {
@@ -135,7 +135,8 @@ class RetryExhausted : public Error {
 // AiCore, attached for the duration of a resilient run; every method is
 // called only from that core's worker thread. With an all-zero plan every
 // hook is a no-op (no PRNG draws, no corruption), which is what makes the
-// empty-plan resilient run bit- and cycle-identical to Device::run.
+// empty-plan resilient run bit- and cycle-identical to a run without a
+// policy.
 class CoreFaultState {
  public:
   CoreFaultState(const FaultPlan& plan, int core);
@@ -201,8 +202,7 @@ class CoreFaultState {
   bool record_crc_ = false;
 };
 
-// Options for Device::run_resilient (and the Device-level policy that
-// routes Device::run through it).
+// The resilience policy Device::run executes under (Device::set_resilience).
 struct ResilienceOptions {
   FaultPlan plan;
   // Retry allowance per block. The execution budget is
@@ -216,7 +216,6 @@ struct ResilienceOptions {
   // store-path CRC. Turns silent corruption into detected-and-retried
   // faults, at the honest cost of one extra execution per block.
   bool verify = false;
-  bool parallel = true;
 };
 
 }  // namespace davinci

@@ -34,12 +34,13 @@ DeviceAttribution attribute_cores(
   return out;
 }
 
-Roofline compute_roofline(const CycleStats& aggregate, const ArchConfig& arch,
-                          std::int64_t device_cycles, int cores_used) {
+Roofline compute_roofline(const MemTraffic& traffic, const Profile& profile,
+                          const ArchConfig& arch, std::int64_t device_cycles,
+                          int cores_used) {
   Roofline r;
-  r.gm_bytes = aggregate.traffic.gm_total();
-  r.mte_bytes = aggregate.traffic.mte_total();
-  r.vector_slots = aggregate.vector_active_lanes;
+  r.gm_bytes = traffic.gm_total();
+  r.mte_bytes = traffic.mte_total();
+  r.vector_slots = profile.vec.slots_used;
   r.peak_gm_bytes_per_cycle =
       static_cast<double>(arch.peak_mte_bytes_per_cycle);
   if (device_cycles > 0 && cores_used > 0) {

@@ -71,10 +71,11 @@ struct Roofline {
   }
 };
 
-// `aggregate` is the sum over used cores, `device_cycles` the overlapped
-// makespan; achieved bandwidth is normalized per core so it compares
-// directly against the per-core arch peak.
-Roofline compute_roofline(const CycleStats& aggregate, const ArchConfig& arch,
-                          std::int64_t device_cycles, int cores_used);
+// `traffic` and `profile` are sums over used cores, `device_cycles` the
+// overlapped makespan; achieved bandwidth is normalized per core so it
+// compares directly against the per-core arch peak.
+Roofline compute_roofline(const MemTraffic& traffic, const Profile& profile,
+                          const ArchConfig& arch, std::int64_t device_cycles,
+                          int cores_used);
 
 }  // namespace davinci

@@ -124,15 +124,14 @@ std::string MetricsRegistry::to_json() const {
   s += "\"entries\":[\n";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    const Roofline roof = compute_roofline(e.run.aggregate, e.arch,
-                                           e.run.device_cycles,
-                                           e.run.cores_used);
+    const Roofline roof =
+        compute_roofline(e.run.aggregate.traffic, e.run.profile, e.arch,
+                         e.run.device_cycles, e.run.cores_used);
     if (i > 0) s += ",\n";
     s += "{\"name\":" + json::escape(e.name);
     s += ",\"cycles\":" + num(e.run.device_cycles);
     s += ",\"cycles_serial\":" + num(e.run.device_cycles_serial);
     s += ",\"busiest_unit_cycles\":" + num(e.run.busiest_unit_cycles);
-    s += ",\"pipelined_bound\":" + num(e.run.device_cycles_pipelined);
     s += ",\"host_ns\":" + num(e.run.host_ns);
     // Schema v4: where the host time went. Invariant:
     // alloc + plan + validate + execute == host_ns.

@@ -5,7 +5,7 @@
 // pipeline layer), derives the roofline from each run's aggregate
 // counters, and serializes everything under a schema marker:
 //
-//   { "schema": "davinci.metrics", "schema_version": 4, "entries": [
+//   { "schema": "davinci.metrics", "schema_version": 8, "entries": [
 //       { "name": ..., "cycles": ..., "cycles_serial": ...,
 //         "traffic": { per-route bytes }, "roofline": { ... },
 //         "attribution": { "horizon", "critical_core", "cores": [
@@ -43,9 +43,10 @@
 // (launches / blocks / cycles / inflight_shards / vm_makespan) and a
 // sparse "links" array of non-zero src->dst transfer totals, plus the
 // top-level "makespan" roofline (max of busiest device VM makespan and
-// busiest link busy cycles; docs/CLUSTER.md). Version-1..6 documents
-// are still accepted by all in-tree consumers; they simply lack those
-// keys.
+// busiest link busy cycles; docs/CLUSTER.md). Version 8 drops each
+// entry's optimistic busiest-pipe bound, which the PipeScheduler makespan
+// ("cycles") superseded. Version-1..7 documents are still accepted by all
+// in-tree consumers; they simply lack the newer keys.
 //
 // Consumers (tools/davinci_prof.cc, CI) key on schema/schema_version;
 // any breaking field change must bump kSchemaVersion. The critical path
@@ -65,7 +66,7 @@ namespace davinci {
 
 class MetricsRegistry {
  public:
-  static constexpr int kSchemaVersion = 7;
+  static constexpr int kSchemaVersion = 8;
   // Critical-path segments serialized verbatim before head-truncation.
   static constexpr std::size_t kMaxPathSegments = 1024;
 

@@ -22,9 +22,9 @@ namespace davinci {
 
 class Mte {
  public:
-  Mte(const CostModel& cost, CycleStats* stats, Trace* trace = nullptr,
-      Profile* profile = nullptr, PipeScheduler* sched = nullptr)
-      : cost_(cost), stats_(stats), trace_(trace), profile_(profile),
+  Mte(const CostModel& cost, CycleStats* stats, Profile* profile,
+      Trace* trace = nullptr, PipeScheduler* sched = nullptr)
+      : cost_(cost), stats_(stats), profile_(profile), trace_(trace),
         sched_(sched) {}
 
   // Attaches/detaches the core's fault stream (resilient runs only).
@@ -201,8 +201,6 @@ class Mte {
 
   void charge(BufferKind src, BufferKind dst, std::int64_t bytes,
               std::int64_t bursts) {
-    stats_->mte_transfers += 1;
-    stats_->mte_bytes += bytes;
     route_bytes(src, dst, bytes);
     const std::int64_t cycles = cost_.mte_copy(bytes, bursts);
     stats_->mte_cycles += cycles;
@@ -218,11 +216,9 @@ class Mte {
     // fraction of the transfer time not spent on startup latency or
     // per-burst (strided-row) overhead.
     const std::int64_t payload = ceil_div(bytes, cost_.mte_bytes_per_cycle);
-    if (profile_) {
-      profile_->mte.instrs += 1;
-      profile_->mte.slots_used += payload;
-      profile_->mte.slots_capacity += cycles;
-    }
+    profile_->mte.instrs += 1;
+    profile_->mte.slots_used += payload;
+    profile_->mte.slots_capacity += cycles;
     if (trace_ && trace_->enabled()) {
       trace_->record(TraceKind::kMte,
                      std::string(to_string(src)) + "->" + to_string(dst) +
@@ -234,8 +230,8 @@ class Mte {
 
   const CostModel& cost_;
   CycleStats* stats_;
+  Profile* profile_;
   Trace* trace_;
-  Profile* profile_ = nullptr;
   PipeScheduler* sched_ = nullptr;
   CoreFaultState* fault_ = nullptr;
 };

@@ -2,12 +2,11 @@
 //
 // The simulator executes kernels functionally on the host, but every
 // charged cost also becomes an *interval* on a per-unit timeline here:
-// MTE-in, SCU, Vector (which absorbs the Scalar Unit, as in
-// CycleStats::pipelined_cycles), Cube, MTE-out, plus a Sync row for
-// barriers and launch overhead. The makespan of those intervals is the
-// modeled overlapped execution time that Device::RunResult reports as
-// device_cycles; the plain sum of charges stays available as
-// device_cycles_serial.
+// MTE-in, SCU, Vector (which absorbs the Scalar Unit that issues its
+// instructions), Cube, MTE-out, plus a Sync row for barriers and launch
+// overhead. The makespan of those intervals is the modeled overlapped
+// execution time that Device::RunResult reports as device_cycles; the
+// plain sum of charges stays available as device_cycles_serial.
 //
 // Scheduling discipline:
 //

@@ -307,8 +307,8 @@ void render_bench(const json::Value& doc, std::string* out) {
 // diff (see header).
 bool gated_metric(const std::string& key) {
   static const std::set<std::string> kGated = {
-      "cycles",  "cycles_serial", "busiest_unit_cycles",
-      "pipelined_bound", "horizon", "makespan",
+      "cycles", "cycles_serial", "busiest_unit_cycles", "horizon",
+      "makespan",
   };
   return kGated.count(key) > 0;
 }

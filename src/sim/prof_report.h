@@ -10,12 +10,12 @@
 //    as a row table.
 //
 // diff_reports() walks both documents recursively. Cycle-like metrics
-// (cycles, cycles_serial, busiest_unit_cycles, pipelined_bound, horizon,
-// makespan) are *gated*: if b exceeds a by more than the tolerance the
-// diff reports a regression and the tool exits nonzero. All other numeric
-// fields are informational -- drifts beyond tolerance are listed but do
-// not fail the build (byte counts and occupancies have no universal
-// "worse" direction). host_* fields are skipped entirely unless
+// (cycles, cycles_serial, busiest_unit_cycles, horizon, makespan) are
+// *gated*: if b exceeds a by more than the tolerance the diff reports a
+// regression and the tool exits nonzero. All other numeric fields are
+// informational -- drifts beyond tolerance are listed but do not fail the
+// build (byte counts and occupancies have no universal "worse"
+// direction). host_* fields are skipped entirely unless
 // opts.include_host: wall-clock is not deterministic, cycle counts are.
 #pragma once
 

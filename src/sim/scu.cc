@@ -107,18 +107,14 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
       ceil_div(fractals_per_plane, arch_.max_repeat);
   const std::int64_t instrs = w.kh * w.kw * instrs_per_plane;
   const std::int64_t fractals = w.kh * w.kw * fractals_per_plane;
-  stats_->im2col_instrs += instrs;
-  stats_->im2col_fractals += fractals;
   // Fractal bytes written to the destination buffer (the L1 -> UB route
   // the paper's Im2Col pooling formulation rides).
   stats_->traffic.im2col_bytes += args.output_elems() * 2;
-  if (profile_) {
-    profile_->im2col.instrs += instrs;
-    profile_->im2col.slots_used += fractals;
-    profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
-    profile_->im2col.saturated_instrs +=
-        w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
-  }
+  profile_->im2col.instrs += instrs;
+  profile_->im2col.slots_used += fractals;
+  profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
+  profile_->im2col.saturated_instrs +=
+      w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
   const std::int64_t cycles = cost_.im2col(instrs, fractals);
   stats_->scu_cycles += cycles;
   std::int64_t start = -1;
@@ -181,15 +177,11 @@ void Scu::im2col_load_mode0(Span<Float16> dst, Span<Float16> src,
   const std::int64_t instrs_per_group = ceil_div(kk, arch_.max_repeat);
   const std::int64_t instrs = groups * instrs_per_group;
   const std::int64_t fractals = groups * kk;
-  stats_->im2col_instrs += instrs;
-  stats_->im2col_fractals += fractals;
   stats_->traffic.im2col_bytes += args.output_elems() * 2;
-  if (profile_) {
-    profile_->im2col.instrs += instrs;
-    profile_->im2col.slots_used += fractals;
-    profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
-    profile_->im2col.saturated_instrs += groups * (kk / arch_.max_repeat);
-  }
+  profile_->im2col.instrs += instrs;
+  profile_->im2col.slots_used += fractals;
+  profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
+  profile_->im2col.saturated_instrs += groups * (kk / arch_.max_repeat);
   const std::int64_t cycles = cost_.im2col(instrs, fractals);
   stats_->scu_cycles += cycles;
   std::int64_t start = -1;
@@ -259,18 +251,14 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
       ceil_div(fractals_per_plane, arch_.max_repeat);
   const std::int64_t instrs = w.kh * w.kw * instrs_per_plane;
   const std::int64_t fractals = w.kh * w.kw * fractals_per_plane;
-  stats_->col2im_instrs += instrs;
-  stats_->col2im_fractals += fractals;
   // Gradient fractal bytes consumed from the UB column buffer (the
   // UB -> UB scatter-accumulate route of Figure 6).
   stats_->traffic.col2im_bytes += args.output_elems() * 2;
-  if (profile_) {
-    profile_->col2im.instrs += instrs;
-    profile_->col2im.slots_used += fractals;
-    profile_->col2im.slots_capacity += instrs * arch_.max_repeat;
-    profile_->col2im.saturated_instrs +=
-        w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
-  }
+  profile_->col2im.instrs += instrs;
+  profile_->col2im.slots_used += fractals;
+  profile_->col2im.slots_capacity += instrs * arch_.max_repeat;
+  profile_->col2im.saturated_instrs +=
+      w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
   const std::int64_t cycles = cost_.col2im(instrs, fractals);
   stats_->scu_cycles += cycles;
   std::int64_t start = -1;

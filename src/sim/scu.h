@@ -70,10 +70,10 @@ struct Im2colArgs {
 class Scu {
  public:
   Scu(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-      Trace* trace = nullptr, Profile* profile = nullptr,
+      Profile* profile, Trace* trace = nullptr,
       PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), trace_(trace),
-        profile_(profile), sched_(sched) {}
+      : arch_(arch), cost_(cost), stats_(stats), profile_(profile),
+        trace_(trace), sched_(sched) {}
 
   // Attaches/detaches the core's fault stream (resilient runs only).
   void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
@@ -110,8 +110,8 @@ class Scu {
   const ArchConfig& arch_;
   const CostModel& cost_;
   CycleStats* stats_;
-  Trace* trace_;
   Profile* profile_;
+  Trace* trace_;
   PipeScheduler* sched_ = nullptr;
   CoreFaultState* fault_ = nullptr;
 };

@@ -1,10 +1,12 @@
-// Cycle and instruction accounting, per AI Core.
+// Cycle, instruction and traffic accounting, per AI Core.
 //
 // The paper's only obtainable metric on the Ascend 910 was the hardware
-// cycle counter; the simulator's equivalent is CycleStats::total_cycles.
-// Per-pipe breakdowns and instruction counts are extra observability the
-// benches use to explain *why* an implementation wins (issue counts and
-// mask saturation, the quantities Section V reasons about).
+// cycle counter; the simulator's equivalent is the device makespan
+// (Device::RunResult::device_cycles). CycleStats breaks the serial cycle
+// sum down by pipe; Profile and MemTraffic count instructions, occupied
+// slots and bytes -- the extra observability the benches use to explain
+// *why* an implementation wins (issue counts and mask saturation, the
+// quantities Section V reasons about). Each count is declared once.
 #pragma once
 
 #include <cstdint>
@@ -167,10 +169,11 @@ struct MemTraffic {
   }
 };
 
+// Cycles by pipe, per AI Core. total_cycles is the strictly serial sum
+// (device_cycles_serial); the overlapped makespan comes from the core's
+// PipeScheduler (sim/pipe_schedule.h). Instruction, slot and byte counts
+// live in Profile and MemTraffic.
 struct CycleStats {
-  // Cycles by pipe. The simulator executes a single in-order timeline, so
-  // total_cycles is the sum of the pipe cycles plus barrier costs; the
-  // breakdown attributes each instruction to the unit that executed it.
   std::int64_t vector_cycles = 0;
   std::int64_t scalar_cycles = 0;
   std::int64_t mte_cycles = 0;
@@ -179,17 +182,8 @@ struct CycleStats {
   std::int64_t barrier_cycles = 0;
   std::int64_t launch_cycles = 0;
 
-  // Instruction counts.
-  std::int64_t vector_instrs = 0;
-  std::int64_t vector_repeats = 0;       // total repeat iterations executed
-  std::int64_t vector_active_lanes = 0;  // sum of active mask lanes / repeat
-  std::int64_t mte_transfers = 0;
-  std::int64_t mte_bytes = 0;
-  std::int64_t im2col_instrs = 0;
-  std::int64_t im2col_fractals = 0;
-  std::int64_t col2im_instrs = 0;
-  std::int64_t col2im_fractals = 0;
-  std::int64_t cube_instrs = 0;
+  // Fractal MACs issued to the Cube Unit (Profile::cube counts the MAC
+  // cycles instead).
   std::int64_t cube_fractal_macs = 0;
 
   // Bytes moved per route (see MemTraffic above).
@@ -200,28 +194,6 @@ struct CycleStats {
            cube_cycles + barrier_cycles + launch_cycles;
   }
 
-  // Optimistic pipe-overlap bound: real DaVinci pipes (Vector+Scalar,
-  // MTE, SCU, Cube) run concurrently between synchronization points, so
-  // a perfectly double-buffered schedule is bounded below by the busiest
-  // pipe. The A5 ablation uses this to show the reproduced orderings do
-  // not depend on the serial-timeline simplification.
-  std::int64_t pipelined_cycles() const {
-    const std::int64_t compute = vector_cycles + scalar_cycles;
-    std::int64_t busiest = compute;
-    if (mte_cycles > busiest) busiest = mte_cycles;
-    if (scu_cycles > busiest) busiest = scu_cycles;
-    if (cube_cycles > busiest) busiest = cube_cycles;
-    return busiest + barrier_cycles + launch_cycles;
-  }
-
-  // Average fraction of the 128 vector lanes doing useful work -- the
-  // paper's "vector mask saturation".
-  double lane_utilization() const {
-    if (vector_repeats == 0) return 0.0;
-    return static_cast<double>(vector_active_lanes) /
-           (128.0 * static_cast<double>(vector_repeats));
-  }
-
   CycleStats& operator+=(const CycleStats& o) {
     vector_cycles += o.vector_cycles;
     scalar_cycles += o.scalar_cycles;
@@ -230,16 +202,6 @@ struct CycleStats {
     cube_cycles += o.cube_cycles;
     barrier_cycles += o.barrier_cycles;
     launch_cycles += o.launch_cycles;
-    vector_instrs += o.vector_instrs;
-    vector_repeats += o.vector_repeats;
-    vector_active_lanes += o.vector_active_lanes;
-    mte_transfers += o.mte_transfers;
-    mte_bytes += o.mte_bytes;
-    im2col_instrs += o.im2col_instrs;
-    im2col_fractals += o.im2col_fractals;
-    col2im_instrs += o.col2im_instrs;
-    col2im_fractals += o.col2im_fractals;
-    cube_instrs += o.cube_instrs;
     cube_fractal_macs += o.cube_fractal_macs;
     traffic += o.traffic;
     return *this;
@@ -255,8 +217,6 @@ struct CycleStats {
     s += " cube=" + std::to_string(cube_cycles);
     s += " barrier=" + std::to_string(barrier_cycles);
     s += " launch=" + std::to_string(launch_cycles) + ")";
-    s += " vinstr=" + std::to_string(vector_instrs);
-    s += " lane_util=" + std::to_string(lane_utilization());
     return s;
   }
 };

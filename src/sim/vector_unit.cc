@@ -49,17 +49,11 @@ void VectorUnit::validate(const Span<Float16>& s, const VecConfig& cfg,
 
 void VectorUnit::charge(const char* op, const VecConfig& cfg) {
   const int lanes = cfg.mask.count();
-  stats_->vector_instrs += 1;
-  stats_->vector_repeats += cfg.repeat;
-  stats_->vector_active_lanes +=
-      static_cast<std::int64_t>(lanes) * cfg.repeat;
   // UB operand traffic: two bytes per active lane per repeat iteration --
   // the roofline's compute-side byte count.
   stats_->traffic.ub_vector_bytes +=
       static_cast<std::int64_t>(lanes) * cfg.repeat * 2;
-  if (profile_) {
-    profile_->count_vec_instr(lanes, arch_.vector_lanes, cfg.repeat);
-  }
+  profile_->count_vec_instr(lanes, arch_.vector_lanes, cfg.repeat);
   const std::int64_t cycles = cost_.vector_instr(cfg.repeat);
   stats_->vector_cycles += cycles;
   std::int64_t start = -1;

@@ -67,10 +67,10 @@ const char* to_string(VecOp op);
 class VectorUnit {
  public:
   VectorUnit(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-             Trace* trace = nullptr, Profile* profile = nullptr,
+             Profile* profile, Trace* trace = nullptr,
              PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), trace_(trace),
-        profile_(profile), sched_(sched) {}
+      : arch_(arch), cost_(cost), stats_(stats), profile_(profile),
+        trace_(trace), sched_(sched) {}
 
   // Attaches/detaches the core's fault stream (resilient runs only).
   void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
@@ -109,8 +109,8 @@ class VectorUnit {
   const ArchConfig& arch_;
   const CostModel& cost_;
   CycleStats* stats_;
-  Trace* trace_;
   Profile* profile_;
+  Trace* trace_;
   PipeScheduler* sched_ = nullptr;
   CoreFaultState* fault_ = nullptr;
 };

@@ -9,15 +9,18 @@ namespace davinci {
 namespace {
 
 using akg::PoolImpl;
-using kernels::avgpool_backward;
-using kernels::avgpool_forward;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 void check_fwd(const TensorF16& in, const Window2d& w) {
   Device dev;
   const TensorF16 want = ref::avgpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = avgpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -28,9 +31,17 @@ void check_bwd(std::int64_t n, std::int64_t c1, std::int64_t h,
   TensorF16 grad(Shape{n, c1, w.out_h(h), w.out_w(w_), kC0});
   grad.fill_random_ints(seed, -8, 8);
   const TensorF16 want = ref::avgpool_bwd(grad, w, h, w_);
-  auto vadd = avgpool_backward(dev, grad, w, h, w_, MergeImpl::kVadd);
+  auto vadd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w,
+             .merge = MergeImpl::kVadd},
+      PoolInputs{.grad = &grad, .ih = h, .iw = w_});
   testutil::expect_equal_f16(vadd.grad_in, want, "avg vadd");
-  auto col2im = avgpool_backward(dev, grad, w, h, w_, MergeImpl::kCol2im);
+  auto col2im = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.grad = &grad, .ih = h, .iw = w_});
   testutil::expect_equal_f16(col2im.grad_in, want, "avg col2im");
 }
 
@@ -72,7 +83,11 @@ TEST(AvgpoolForward, Im2colWithPadding) {
   w.pt = w.pb = w.pl = w.pr = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 407);
   const TensorF16 want = ref::avgpool_fwd(in, w);
-  auto got = avgpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, want, "avg padded");
 }
 
@@ -80,8 +95,11 @@ TEST(AvgpoolForward, ConstantInputGivesConstantOutput) {
   Device dev;
   TensorF16 in(Shape{1, 1, 8, 8, kC0});
   in.fill(Float16(4.0f));
-  auto got = avgpool_forward(dev, in, Window2d::pool(2, 2),
-                             PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = Window2d::pool(2, 2),
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   for (std::int64_t i = 0; i < got.out.size(); ++i) {
     EXPECT_EQ(got.out.flat(i).to_float(), 4.0f);
   }
@@ -91,8 +109,16 @@ TEST(AvgpoolForward, Im2colBeatsDirectAtStride2) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 35, 35, 408);
   const Window2d w = Window2d::pool(3, 2);
-  auto direct = avgpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = avgpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_LT(im2col.cycles(), direct.cycles());
 }
 
@@ -127,7 +153,11 @@ TEST(AvgpoolBackward, TiledLargeInputInexactScaleWithinUlp) {
   TensorF16 grad(Shape{1, 1, 73, 73, kC0});
   grad.fill_random_ints(419, -8, 8);
   const TensorF16 want = ref::avgpool_bwd(grad, w, 147, 147);
-  auto got = avgpool_backward(dev, grad, w, 147, 147, MergeImpl::kCol2im);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.grad = &grad, .ih = 147, .iw = 147});
   testutil::expect_close_f16(got.grad_in, want, 2e-3f, "avg tiled 1/9");
 }
 
@@ -144,7 +174,11 @@ TEST(AvgpoolBackward, GradientConservationKernel4) {
   const Window2d w = Window2d::pool(4, 4);
   TensorF16 grad(Shape{1, 1, 2, 2, kC0});
   grad.fill_random_ints(417, -8, 8);
-  auto r = avgpool_backward(dev, grad, w, 8, 8, MergeImpl::kCol2im);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.grad = &grad, .ih = 8, .iw = 8});
   float got = 0, want = 0;
   for (std::int64_t i = 0; i < r.grad_in.size(); ++i) {
     got += r.grad_in.flat(i).to_float();
@@ -160,8 +194,16 @@ TEST(AvgpoolBackward, Col2imBeatsVadd) {
   const Window2d w = Window2d::pool(3, 2);
   TensorF16 grad(Shape{1, 1, 17, 17, kC0});
   grad.fill_random_ints(418, 0, 5);
-  auto vadd = avgpool_backward(dev, grad, w, 35, 35, MergeImpl::kVadd);
-  auto col2im = avgpool_backward(dev, grad, w, 35, 35, MergeImpl::kCol2im);
+  auto vadd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w,
+             .merge = MergeImpl::kVadd},
+      PoolInputs{.grad = &grad, .ih = 35, .iw = 35});
+  auto col2im = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.grad = &grad, .ih = 35, .iw = 35});
   EXPECT_LT(col2im.cycles(), vadd.cycles());
 }
 

@@ -323,40 +323,5 @@ TEST(ClusterServe, DifferentlyPinnedRequestsNeverCoalesce) {
   EXPECT_EQ(s.cluster.devices[1].launches, 1);
 }
 
-TEST(ClusterServe, DeprecatedShimsStillServe) {
-  // The lint-guarded constructor shims must stay functional for
-  // out-of-tree callers until removal: both resolve to a one-device
-  // cluster and produce the primary constructor's exact outputs.
-  const auto entries = parse_trace("op=maxpool n=2 c1=2 ih=21 iw=21 k=3 "
-                                   "s=2 impl=im2col x=2\n");
-  SessionOptions opts;
-  const std::vector<PoolResult> want = replay(Cluster{}, entries, opts);
-
-  Session via_default{SessionOptions{}};
-  Session via_arch(ArchConfig::ascend910(), SessionOptions{});
-  for (Session* session : {&via_default, &via_arch}) {
-    std::vector<MaterializedRequest> reqs;
-    std::vector<std::future<PoolResult>> futures;
-    std::size_t r = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      for (int k = 0; k < entries[i].repeat; ++k) {
-        reqs.push_back(
-            materialize(entries[i], i * 1000 + static_cast<std::uint64_t>(k)));
-      }
-    }
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      for (int k = 0; k < entries[i].repeat; ++k, ++r) {
-        futures.push_back(session->submit(entries[i].op, reqs[r].inputs()));
-      }
-    }
-    session->drain();
-    ASSERT_EQ(futures.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      expect_same_result(futures[i].get(), want[i]);
-    }
-    EXPECT_EQ(session->cluster().num_devices(), 1);
-  }
-}
-
 }  // namespace
 }  // namespace davinci::serve

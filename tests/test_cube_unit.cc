@@ -19,11 +19,12 @@ class CubeTest : public ::testing::Test {
       : l0a_(BufferKind::kL0A, 256 * 1024),
         l0b_(BufferKind::kL0B, 256 * 1024),
         l0c_(BufferKind::kL0C, 1024 * 1024),
-        cube_(arch_, cost_, &stats_) {}
+        cube_(arch_, cost_, &stats_, &profile_) {}
 
   ArchConfig arch_;
   CostModel cost_;
   CycleStats stats_;
+  Profile profile_;
   ScratchBuffer l0a_, l0b_, l0c_;
   CubeUnit cube_;
 };
@@ -142,7 +143,7 @@ TEST_F(CubeTest, CycleAccounting) {
   auto b = l0b_.alloc<Float16>(3 * 2 * kFractalElems);
   auto c = l0c_.alloc<float>(2 * 2 * kFractalElems);
   cube_.mmad(c, a, b, 2, 3, 2, false);
-  EXPECT_EQ(stats_.cube_instrs, 1);
+  EXPECT_EQ(profile_.cube.instrs, 1);
   EXPECT_EQ(stats_.cube_fractal_macs, 12);
   EXPECT_EQ(stats_.cube_cycles, cost_.cube_mmad(12));
 }

@@ -17,8 +17,9 @@ TEST(AiCore, FlatHelpersSplitLargeTiles) {
   core.vdup_flat(a, Float16(3.0f), 70000);
   EXPECT_EQ(a.at(0).to_float(), 3.0f);
   EXPECT_EQ(a.at(69999).to_float(), 3.0f);
-  EXPECT_EQ(core.stats().vector_instrs, 4);
-  EXPECT_EQ(core.stats().vector_repeats, 255 + 255 + 36 + 1);
+  EXPECT_EQ(core.profile().vec.instrs, 4);
+  EXPECT_EQ(core.profile().vec.slots_capacity,
+            128 * (255 + 255 + 36 + 1));  // 128 lanes per repeat
   // 3 reissues charged to the scalar unit.
   EXPECT_EQ(core.stats().scalar_cycles,
             3 * core.cost().scalar_loop_cycles);
@@ -34,7 +35,7 @@ TEST(AiCore, FlatBinaryHandlesExactMultiples) {
   core.vbin_flat(VecOp::kMul, d, a, b, 256);
   EXPECT_EQ(d.at(255).to_float(), 10.0f);
   // One instruction with repeat 2, no tail.
-  EXPECT_EQ(core.stats().vector_instrs, 3);
+  EXPECT_EQ(core.profile().vec.instrs, 3);
 }
 
 TEST(AiCore, ResetScratchFreesAllBuffers) {
@@ -112,8 +113,9 @@ TEST(Device, SerialAndParallelAgree) {
       out[static_cast<std::size_t>(b)] = a.at(0).to_float();
     };
   };
-  auto r1 = dev.run(64, body(out_par), /*parallel=*/true);
-  auto r2 = dev.run(64, body(out_ser), /*parallel=*/false);
+  auto r1 = dev.run(64, body(out_par));
+  dev.set_parallel(false);
+  auto r2 = dev.run(64, body(out_ser));
   EXPECT_EQ(out_par, out_ser);
   EXPECT_EQ(r1.device_cycles, r2.device_cycles);
 }
@@ -132,12 +134,11 @@ TEST(Device, ExceptionsPropagateFromWorkers) {
 
 TEST(Device, SerialFailureReportsCoreAndBlock) {
   Device dev;
+  dev.set_parallel(false);
   try {
-    dev.run(40,
-            [](AiCore& core, std::int64_t b) {
-              if (b == 17) core.ub().alloc<Float16>(1 << 20);
-            },
-            /*parallel=*/false);
+    dev.run(40, [](AiCore& core, std::int64_t b) {
+      if (b == 17) core.ub().alloc<Float16>(1 << 20);
+    });
     FAIL() << "expected Error";
   } catch (const Error& e) {
     const std::string msg = e.what();

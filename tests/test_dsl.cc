@@ -14,6 +14,10 @@
 namespace davinci::akg::dsl {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 // Listing 1: the standard MaxPool compute definition.
 //   output = compute((N, C1, Oh, Ow, C0),
 //       lambda n, c1, h, w, c0:
@@ -59,7 +63,11 @@ TEST(Dsl, Listing1EqualsSimulatorKernel) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 11, 11, 82);
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 got = evaluate(listing1(in.shape(), w), {&in});
-  auto kernel = kernels::maxpool_forward(dev, in, w, PoolImpl::kDirect);
+  auto kernel = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got, kernel.out, "listing 1 vs kernel");
 }
 

@@ -14,6 +14,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 TEST(WorkStealingPool, RunsEveryTaskExactlyOnce) {
   WorkStealingPool pool;
   std::vector<std::atomic<int>> hits(64);
@@ -75,8 +79,17 @@ TEST(WorkStealingPool, DeviceKernelMatchesSerialHostExecution) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 8, 64, 64, 301);
   const Window2d w = Window2d::pool(3, 2);
-  auto par = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
-  auto ser = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  auto par = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
+  dev.set_parallel(false);
+  auto ser = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_EQ(par.run.device_cycles, ser.run.device_cycles);
   EXPECT_EQ(par.run.device_cycles_serial, ser.run.device_cycles_serial);
   testutil::expect_equal_f16(par.out, ser.out, "repeat run");

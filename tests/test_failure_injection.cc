@@ -14,6 +14,9 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 struct ArchCase {
   const char* name;
@@ -62,7 +65,9 @@ TEST_P(HostileArch, ForwardStaysExact) {
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col,
                         PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -73,7 +78,9 @@ TEST_P(HostileArch, ForwardWithMaskStaysExact) {
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = kernels::maxpool_forward_with_mask(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -87,7 +94,9 @@ TEST_P(HostileArch, BackwardStaysExact) {
   grad.fill_random_ints(904, 0, 5);
   const TensorF16 want = ref::maxpool_bwd(mask, grad, w, 29, 29);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto got = kernels::maxpool_backward(dev, mask, grad, w, 29, 29, m);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = m},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = 29, .iw = 29});
     testutil::expect_equal_f16(got.grad_in, want, kernels::to_string(m));
   }
 }
@@ -101,8 +110,16 @@ TEST_P(HostileArch, TightArchCostsMoreCycles) {
   Device normal;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 33, 33, 905);
   const Window2d w = Window2d::pool(3, 2);
-  auto a = kernels::maxpool_forward(hostile, in, w, PoolImpl::kIm2col);
-  auto b = kernels::maxpool_forward(normal, in, w, PoolImpl::kIm2col);
+  auto a = kernels::run_pool(
+      hostile,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
+  auto b = kernels::run_pool(
+      normal,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_GE(a.run.device_cycles_serial, b.run.device_cycles_serial);
 }
 
@@ -119,9 +136,13 @@ TEST(FailureInjection, ImpossibleScheduleThrowsCleanly) {
   arch.ub_bytes = 2 * 1024;
   Device dev(arch);
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 65, 65, 906);
-  EXPECT_THROW(kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                        PoolImpl::kIm2col),
-               Error);
+  EXPECT_THROW(
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+                 .fwd = PoolImpl::kIm2col},
+          PoolInputs{.in = &in}),
+      Error);
 }
 
 TEST(FailureInjection, ErrorMessageIsActionable) {
@@ -130,8 +151,11 @@ TEST(FailureInjection, ErrorMessageIsActionable) {
   Device dev(arch);
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 65, 65, 907);
   try {
-    kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                             PoolImpl::kIm2col);
+    kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+               .fwd = PoolImpl::kIm2col},
+        PoolInputs{.in = &in});
     FAIL() << "expected a scheduling error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("does not fit"), std::string::npos);

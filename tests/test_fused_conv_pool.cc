@@ -13,6 +13,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 TEST(FusedConvPool, FusedWindowGeometry) {
   const Window2d conv = Window2d::pool(3, 1);
   const Window2d pool = Window2d::pool(2, 2);
@@ -104,8 +108,11 @@ TEST(FusedConvPool, KernelMatchesTwoStagePipeline) {
   Device dev;
   const TensorF16 in = nchw_to_nc1hwc0(in_nchw);
   auto conv_r = kernels::conv2d_cube(dev, in, w, conv);
-  auto pool_r = kernels::avgpool_forward(dev, conv_r.out, pool,
-                                         akg::PoolImpl::kIm2col);
+  auto pool_r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = pool,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &conv_r.out});
   auto fused = kernels::conv2d_avgpool_fused(dev, in, w, conv, pool);
 
   ASSERT_EQ(fused.out.shape(), pool_r.out.shape());
@@ -127,8 +134,11 @@ TEST(FusedConvPool, FusedIsFasterThanTwoStage) {
   Device dev;
   const TensorF16 in = nchw_to_nc1hwc0(in_nchw);
   auto conv_r = kernels::conv2d_cube(dev, in, w, conv);
-  auto pool_r = kernels::avgpool_forward(dev, conv_r.out, pool,
-                                         akg::PoolImpl::kIm2col);
+  auto pool_r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = pool,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &conv_r.out});
   auto fused = kernels::conv2d_avgpool_fused(dev, in, w, conv, pool);
   EXPECT_LT(fused.cycles(), conv_r.cycles() + pool_r.cycles());
 }

@@ -15,6 +15,9 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 // Runs the whole training step for one pooling layer on the simulator
 // using the accelerated stack (Im2Col forward + mask, Col2Im backward) and
@@ -28,10 +31,17 @@ TEST(Integration, TrainingStepMatchesNchwReference) {
 
   Device dev;
   const TensorF16 in = nchw_to_nc1hwc0(in_nchw);
-  auto fwd = kernels::maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  auto fwd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   const TensorF16 grad = nchw_to_nc1hwc0(grad_nchw);
-  auto bwd = kernels::maxpool_backward(dev, fwd.mask, grad, w, 21, 21,
-                                       MergeImpl::kCol2im);
+  auto bwd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &fwd.mask, .grad = &grad, .ih = 21, .iw = 21});
 
   const TensorF32 want_out = ref::maxpool_fwd_nchw(in_nchw, w);
   const TensorF32 want_gin = ref::maxpool_bwd_nchw(in_nchw, grad_nchw, w);
@@ -51,16 +61,28 @@ TEST(Integration, BaselineStackProducesSameResults) {
   grad.fill_random_ints(604, 0, 5);
 
   Device dev;
-  auto f_base = kernels::maxpool_forward_with_mask(dev, in, w,
-                                                   PoolImpl::kDirect);
-  auto f_fast = kernels::maxpool_forward_with_mask(dev, in, w,
-                                                   PoolImpl::kIm2col);
+  auto f_base = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto f_fast = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(f_base.out, f_fast.out, "fwd equivalence");
 
-  auto b_base = kernels::maxpool_backward(dev, f_base.mask, grad, w, 19, 19,
-                                          MergeImpl::kVadd);
-  auto b_fast = kernels::maxpool_backward(dev, f_fast.mask, grad, w, 19, 19,
-                                          MergeImpl::kCol2im);
+  auto b_base = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kVadd},
+      PoolInputs{.mask = &f_base.mask, .grad = &grad, .ih = 19, .iw = 19});
+  auto b_fast = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &f_fast.mask, .grad = &grad, .ih = 19, .iw = 19});
   testutil::expect_equal_f16(b_base.grad_in, b_fast.grad_in,
                              "bwd equivalence");
 }
@@ -75,7 +97,11 @@ TEST(Integration, InceptionV3SmallestLayerFullPipeline) {
 
   Device dev;
   const TensorF16 in = nchw_to_nc1hwc0(in_nchw);
-  auto fwd = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto fwd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   const TensorF32 want = ref::maxpool_fwd_nchw(in_nchw, w);
   testutil::expect_close_f32(nc1hwc0_to_nchw(fwd.out, layer.c), want, 0.0f,
                              "inception 35x35x288");
@@ -93,18 +119,32 @@ TEST(Integration, Figure7SpeedupsHoldOnAllThreeInputs) {
     const TensorF16 in =
         testutil::random_int_nc1hwc0(1, c1, layer.h, layer.w, 700 + layer.index);
 
-    auto f_base = kernels::maxpool_forward(dev, in, w, PoolImpl::kDirect);
-    auto f_fast = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+    auto f_base = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = PoolImpl::kDirect},
+        PoolInputs{.in = &in});
+    auto f_fast = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = PoolImpl::kIm2col},
+        PoolInputs{.in = &in});
     EXPECT_LT(f_fast.cycles(), f_base.cycles())
         << layer.network << " input " << layer.index;
 
     const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
     TensorF16 grad(Shape{1, c1, w.out_h(layer.h), w.out_w(layer.w), kC0});
     grad.fill_random_ints(800 + static_cast<std::uint64_t>(layer.index), 0, 5);
-    auto b_base = kernels::maxpool_backward(dev, mask, grad, w, layer.h,
-                                            layer.w, MergeImpl::kVadd);
-    auto b_fast = kernels::maxpool_backward(dev, mask, grad, w, layer.h,
-                                            layer.w, MergeImpl::kCol2im);
+    auto b_base = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+               .merge = MergeImpl::kVadd},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = layer.h, .iw = layer.w});
+    auto b_fast = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+               .merge = MergeImpl::kCol2im},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = layer.h, .iw = layer.w});
     EXPECT_LT(b_fast.cycles(), b_base.cycles());
 
     // Speedup ratios on serial cycles -- the charge model calibrated
@@ -137,7 +177,11 @@ TEST(Integration, ConvThenPoolPipeline) {
 
   const TensorF16 in = nchw_to_nc1hwc0(in_nchw);
   auto conv = kernels::conv2d_cube(dev, in, weights, cw);
-  auto pool = kernels::maxpool_forward(dev, conv.out, pw, PoolImpl::kIm2col);
+  auto pool = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = pw,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &conv.out});
 
   const TensorF32 conv_ref = ref::conv2d_nchw(in_nchw, weights, cw);
   // Round the conv reference through fp16 like the stored activation.
@@ -155,8 +199,16 @@ TEST(Integration, DeterministicAcrossRuns) {
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 in = testutil::random_float_nc1hwc0(1, 8, 33, 33, 608);
   Device dev;
-  auto a = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
-  auto b = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto a = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
+  auto b = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(a.out, b.out, "determinism");
   EXPECT_EQ(a.cycles(), b.cycles());
 }
@@ -169,8 +221,16 @@ TEST(Integration, CycleCountsAreShapeMonotone) {
   for (std::int64_t h : {9, 17, 33}) {
     const TensorF16 in =
         testutil::random_int_nc1hwc0(1, 1, h, h, 609 + static_cast<std::uint64_t>(h));
-    auto d = kernels::maxpool_forward(dev, in, w, PoolImpl::kDirect);
-    auto i = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+    auto d = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = PoolImpl::kDirect},
+        PoolInputs{.in = &in});
+    auto i = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = PoolImpl::kIm2col},
+        PoolInputs{.in = &in});
     EXPECT_GT(d.cycles(), prev_direct);
     EXPECT_GT(i.cycles(), prev_im2col);
     prev_direct = d.cycles();

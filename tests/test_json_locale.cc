@@ -21,6 +21,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 // A numpunct facet with ',' as the decimal point, for when no comma-
 // decimal system locale is installed (minimal containers ship only
 // C/POSIX/C.utf8).
@@ -75,8 +79,11 @@ TEST(JsonLocale, MetricsReportRoundTripsUnderCommaLocale) {
   Device dev;
   TensorF16 in(Shape{1, 2, 35, 35, kC0});
   in.fill_random_ints(1);
-  auto r = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                    akg::PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   MetricsRegistry reg;
   reg.add("maxpool", r.run, dev.arch());
   const std::string text = reg.to_json();

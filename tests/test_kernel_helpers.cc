@@ -45,10 +45,10 @@ TEST_F(HelperTest, Strided16BinarySplitsAtMaxRepeat) {
   auto dst = core_.ub().alloc<Float16>(300 * 16);
   core_.vdup_flat(src, Float16(2.0f), 300 * 16);
   core_.vdup_flat(dst, Float16(1.0f), 300 * 16);
-  const auto before = core_.stats().vector_instrs;
+  const auto before = core_.profile().vec.instrs;
   detail::strided16_binary(core_, VecOp::kAdd, dst, 16, dst, 16, src, 16,
                            300);
-  EXPECT_EQ(core_.stats().vector_instrs - before, 2);
+  EXPECT_EQ(core_.profile().vec.instrs - before, 2);
   EXPECT_EQ(dst.at(299 * 16).to_float(), 3.0f);
 }
 
@@ -68,10 +68,10 @@ TEST_F(HelperTest, RowStridedBinaryCoversWholeRows) {
   auto src = alloc_iota(rows * src_stride);
   auto dst = core_.ub().alloc<Float16>(rows * row);
   core_.vdup_flat(dst, Float16(-1000.0f), rows * row);
-  const auto before = core_.stats().vector_instrs;
+  const auto before = core_.profile().vec.instrs;
   detail::row_strided_binary(core_, VecOp::kMax, dst, row, dst, row, src,
                              src_stride, rows, row);
-  EXPECT_EQ(core_.stats().vector_instrs - before, 2);
+  EXPECT_EQ(core_.profile().vec.instrs - before, 2);
   for (std::int64_t r = 0; r < rows; ++r) {
     for (std::int64_t i = 0; i < row; ++i) {
       EXPECT_EQ(dst.at(r * row + i).to_float(),
@@ -114,11 +114,11 @@ TEST_F(HelperTest, RowStridedSplitsRowsAtMaxRepeat) {
   auto dst = core.ub().alloc<Float16>(rows * row);
   core.vdup_flat(src, Float16(3.0f), rows * row);
   core.vdup_flat(dst, Float16(), rows * row);
-  const auto before = core.stats().vector_instrs;
+  const auto before = core.profile().vec.instrs;
   detail::row_strided_binary(core, VecOp::kAdd, dst, row, dst, row, src, row,
                              rows, row);
   // One column chunk (64 lanes), 10 rows at max repeat 4 -> 3 instructions.
-  EXPECT_EQ(core.stats().vector_instrs - before, 3);
+  EXPECT_EQ(core.profile().vec.instrs - before, 3);
   EXPECT_EQ(dst.at(9 * row).to_float(), 3.0f);
 }
 

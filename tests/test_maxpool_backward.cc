@@ -10,8 +10,10 @@ namespace davinci {
 namespace {
 
 using akg::PoolImpl;
-using kernels::maxpool_backward;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 struct BwdCase {
   TensorF16 mask;
@@ -34,11 +36,17 @@ void check_both(std::int64_t n, std::int64_t c1, std::int64_t h,
                 std::int64_t w_, const Window2d& w, std::uint64_t seed) {
   Device dev;
   const BwdCase c = make_case(n, c1, h, w_, w, seed);
-  auto vadd = maxpool_backward(dev, c.mask, c.grad, w, h, w_,
-                               MergeImpl::kVadd);
+  auto vadd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kVadd},
+      PoolInputs{.mask = &c.mask, .grad = &c.grad, .ih = h, .iw = w_});
   testutil::expect_equal_f16(vadd.grad_in, c.want, "vadd merge");
-  auto col2im = maxpool_backward(dev, c.mask, c.grad, w, h, w_,
-                                 MergeImpl::kCol2im);
+  auto col2im = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &c.mask, .grad = &c.grad, .ih = h, .iw = w_});
   testutil::expect_equal_f16(col2im.grad_in, c.want, "col2im merge");
 }
 
@@ -96,8 +104,11 @@ TEST(MaxpoolBackward, BottomRowsUnusedByAnyPatchStayZero) {
   Device dev;
   const Window2d w = Window2d::pool(3, 2);
   const BwdCase c = make_case(1, 1, 10, 10, w, 311);
-  auto r = maxpool_backward(dev, c.mask, c.grad, w, 10, 10,
-                            MergeImpl::kCol2im);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &c.mask, .grad = &c.grad, .ih = 10, .iw = 10});
   for (std::int64_t x = 0; x < 10; ++x) {
     for (std::int64_t cc = 0; cc < kC0; ++cc) {
       EXPECT_TRUE(r.grad_in
@@ -114,15 +125,20 @@ TEST(MaxpoolBackward, Col2imBeatsVadd) {
   Device dev;
   const Window2d w = Window2d::pool(3, 2);
   const BwdCase c = make_case(1, 1, 35, 35, w, 312);
-  auto vadd = maxpool_backward(dev, c.mask, c.grad, w, 35, 35,
-                               MergeImpl::kVadd);
-  auto col2im = maxpool_backward(dev, c.mask, c.grad, w, 35, 35,
-                                 MergeImpl::kCol2im);
+  auto vadd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kVadd},
+      PoolInputs{.mask = &c.mask, .grad = &c.grad, .ih = 35, .iw = 35});
+  auto col2im = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &c.mask, .grad = &c.grad, .ih = 35, .iw = 35});
   EXPECT_LT(col2im.cycles(), vadd.cycles());
   // The mechanism: the vadd merge issues one instruction per
   // (kh, kw, patch); Col2Im replaces them all with Kh*Kw issues.
-  EXPECT_GT(vadd.run.aggregate.vector_instrs,
-            5 * col2im.run.aggregate.vector_instrs);
+  EXPECT_GT(vadd.run.profile.vec.instrs, 5 * col2im.run.profile.vec.instrs);
 }
 
 TEST(MaxpoolBackward, GradientConservation) {
@@ -134,7 +150,11 @@ TEST(MaxpoolBackward, GradientConservation) {
   const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
   TensorF16 grad(Shape{1, 1, 3, 3, kC0});
   grad.fill_random_ints(314, 0, 7);
-  auto r = maxpool_backward(dev, mask, grad, w, 9, 9, MergeImpl::kCol2im);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &mask, .grad = &grad, .ih = 9, .iw = 9});
   float got = 0, want = 0;
   for (std::int64_t i = 0; i < r.grad_in.size(); ++i) {
     got += r.grad_in.flat(i).to_float();
@@ -151,12 +171,20 @@ TEST(MaxpoolBackward, ShapeValidation) {
   const BwdCase c = make_case(1, 1, 9, 9, w, 315);
   // Wrong spatial dims.
   EXPECT_THROW(
-      maxpool_backward(dev, c.mask, c.grad, w, 11, 11, MergeImpl::kVadd),
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+                 .merge = MergeImpl::kVadd},
+          PoolInputs{.mask = &c.mask, .grad = &c.grad, .ih = 11, .iw = 11}),
       Error);
   // Mask with wrong kernel dims.
   TensorF16 bad_mask(Shape{1, 1, 2, 2, 16, kC0});
   EXPECT_THROW(
-      maxpool_backward(dev, bad_mask, c.grad, w, 9, 9, MergeImpl::kVadd),
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+                 .merge = MergeImpl::kVadd},
+          PoolInputs{.mask = &bad_mask, .grad = &c.grad, .ih = 9, .iw = 9}),
       Error);
 }
 

@@ -10,8 +10,11 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 using akg::PoolImpl;
-using kernels::maxpool_forward;
 
 constexpr PoolImpl kAllImpls[] = {PoolImpl::kDirect, PoolImpl::kIm2col,
                                   PoolImpl::kExpansion, PoolImpl::kXYSplit};
@@ -20,7 +23,9 @@ void check_all_impls(const TensorF16& in, const Window2d& w) {
   Device dev;
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : kAllImpls) {
-    auto got = maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
     EXPECT_GT(got.cycles(), 0);
   }
@@ -77,7 +82,9 @@ TEST(MaxpoolForward, LargeInputRequiresTiling) {
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -88,7 +95,11 @@ TEST(MaxpoolForward, Im2colSupportsPadding) {
   w.pt = w.pb = w.pl = w.pr = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 11, 11, 110);
   const TensorF16 want = ref::maxpool_fwd(in, w);
-  auto got = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, want, "im2col padded");
 }
 
@@ -98,7 +109,11 @@ TEST(MaxpoolForward, PaddedAndTiled) {
   w.pt = w.pb = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 145, 145, 111);
   const TensorF16 want = ref::maxpool_fwd(in, w);
-  auto got = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, want, "im2col padded tiled");
 }
 
@@ -107,9 +122,15 @@ TEST(MaxpoolForward, DirectRejectsPadding) {
   Window2d w = Window2d::pool(3, 2);
   w.pt = 1;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 112);
-  EXPECT_THROW(maxpool_forward(dev, in, w, PoolImpl::kDirect), Error);
-  EXPECT_THROW(maxpool_forward(dev, in, w, PoolImpl::kExpansion), Error);
-  EXPECT_THROW(maxpool_forward(dev, in, w, PoolImpl::kXYSplit), Error);
+  for (PoolImpl impl :
+       {PoolImpl::kDirect, PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
+    EXPECT_THROW(
+        kernels::run_pool(
+            dev,
+            PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+            PoolInputs{.in = &in}),
+        Error);
+  }
 }
 
 TEST(MaxpoolForward, FloatDataAlsoExact) {
@@ -119,7 +140,9 @@ TEST(MaxpoolForward, FloatDataAlsoExact) {
   const Window2d w = Window2d::pool(3, 2);
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : kAllImpls) {
-    auto got = maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -130,8 +153,16 @@ TEST(MaxpoolForward, Im2colBeatsDirectAtStride2) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 35, 35, 114);
   const Window2d w = Window2d::pool(3, 2);
-  auto direct = maxpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_LT(im2col.cycles(), direct.cycles());
 }
 
@@ -141,9 +172,21 @@ TEST(MaxpoolForward, DirectWinsAtStride1) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 27, 27, 115);
   const Window2d w = Window2d::pool(3, 1);
-  auto direct = maxpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
-  auto expansion = maxpool_forward(dev, in, w, PoolImpl::kExpansion);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
+  auto expansion = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kExpansion},
+      PoolInputs{.in = &in});
   EXPECT_LT(direct.cycles(), im2col.cycles());
   EXPECT_LT(direct.cycles(), expansion.cycles());
 }
@@ -154,13 +197,20 @@ TEST(MaxpoolForward, LaneUtilizationExplainsTheWin) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 33, 33, 116);
   const Window2d w = Window2d::pool(3, 2);
-  auto direct = maxpool_forward(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward(dev, in, w, PoolImpl::kIm2col);
-  EXPECT_LT(direct.run.aggregate.lane_utilization(), 0.3);
-  EXPECT_GT(im2col.run.aggregate.lane_utilization(), 0.9);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
+  EXPECT_LT(direct.run.profile.vec_lane_utilization(), 0.3);
+  EXPECT_GT(im2col.run.profile.vec_lane_utilization(), 0.9);
   // And the instruction count collapses from ~Oh*Ow*Kh to ~Kh*Kw.
-  EXPECT_GT(direct.run.aggregate.vector_instrs,
-            10 * im2col.run.aggregate.vector_instrs);
+  EXPECT_GT(direct.run.profile.vec.instrs, 10 * im2col.run.profile.vec.instrs);
 }
 
 TEST(MaxpoolForward, C1ParallelizesAcrossCores) {
@@ -168,8 +218,16 @@ TEST(MaxpoolForward, C1ParallelizesAcrossCores) {
   const TensorF16 in1 = testutil::random_int_nc1hwc0(1, 1, 21, 21, 117);
   const TensorF16 in8 = testutil::random_int_nc1hwc0(1, 8, 21, 21, 117);
   const Window2d w = Window2d::pool(3, 2);
-  auto r1 = maxpool_forward(dev, in1, w, PoolImpl::kIm2col);
-  auto r8 = maxpool_forward(dev, in8, w, PoolImpl::kIm2col);
+  auto r1 = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in1});
+  auto r8 = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in8});
   // 8 slices on 8 cores: device time grows far less than 8x.
   EXPECT_LT(r8.cycles(), 2 * r1.cycles());
   EXPECT_EQ(r8.run.cores_used, 8);
@@ -178,9 +236,13 @@ TEST(MaxpoolForward, C1ParallelizesAcrossCores) {
 TEST(MaxpoolForward, RejectsNonFractalInput) {
   Device dev;
   TensorF16 bad(Shape{4, 4});
-  EXPECT_THROW(maxpool_forward(dev, bad, Window2d::pool(2, 2),
-                               PoolImpl::kDirect),
-               Error);
+  EXPECT_THROW(
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(2, 2),
+                 .fwd = PoolImpl::kDirect},
+          PoolInputs{.in = &bad}),
+      Error);
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 using akg::PoolImpl;
-using kernels::maxpool_forward_with_mask;
 
 // The kernels only define mask values for valid patches (tail fractal rows
 // in GM keep their zero initialization); compare the valid region exactly
@@ -50,7 +53,9 @@ void check_both_impls(const TensorF16& in, const Window2d& w) {
   const TensorF16 want_out = ref::maxpool_fwd(in, w);
   const TensorF16 want_mask = ref::maxpool_argmax_mask(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = maxpool_forward_with_mask(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want_out, akg::to_string(impl));
     check_mask(got.mask, want_mask, oh * ow, akg::to_string(impl));
   }
@@ -94,7 +99,11 @@ TEST(MaxpoolMask, Im2colWithPadding) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 206);
   const TensorF16 want_out = ref::maxpool_fwd(in, w);
   const TensorF16 want_mask = ref::maxpool_argmax_mask(in, w);
-  auto got = maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, want_out, "padded out");
   check_mask(got.mask, want_mask,
              w.out_h(9) * w.out_w(9), "padded mask");
@@ -104,7 +113,11 @@ TEST(MaxpoolMask, MaskShape) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 9, 9, 207);
   const Window2d w = Window2d::pool(3, 2);
-  auto got = maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   // Oh = Ow = 4 -> 16 patches -> PP = 16.
   EXPECT_EQ(got.mask.shape(), Shape({1, 2, 3, 3, 16, kC0}));
 }
@@ -115,8 +128,16 @@ TEST(MaxpoolMask, Im2colBeatsDirect) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 35, 35, 208);
   const Window2d w = Window2d::pool(3, 2);
-  auto direct = maxpool_forward_with_mask(dev, in, w, PoolImpl::kDirect);
-  auto im2col = maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_LT(im2col.cycles(), direct.cycles());
 }
 
@@ -124,7 +145,11 @@ TEST(MaxpoolMask, EveryPatchHasAtLeastOneMaximum) {
   Device dev;
   const TensorF16 in = testutil::random_float_nc1hwc0(1, 1, 13, 13, 209);
   const Window2d w = Window2d::pool(3, 2);
-  auto got = maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   const std::int64_t oh = w.out_h(13), ow = w.out_w(13);
   for (std::int64_t p = 0; p < oh * ow; ++p) {
     for (std::int64_t c = 0; c < kC0; ++c) {
@@ -144,9 +169,13 @@ TEST(MaxpoolMask, EveryPatchHasAtLeastOneMaximum) {
 TEST(MaxpoolMask, RejectsUnsupportedImpls) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 210);
-  EXPECT_THROW(maxpool_forward_with_mask(dev, in, Window2d::pool(3, 2),
-                                         PoolImpl::kXYSplit),
-               Error);
+  EXPECT_THROW(
+      kernels::run_pool(dev,
+                        PoolOp{.kind = PoolOpKind::kMaxMaskFwd,
+                               .window = Window2d::pool(3, 2),
+                               .fwd = PoolImpl::kXYSplit},
+                        PoolInputs{.in = &in}),
+      Error);
 }
 
 }  // namespace

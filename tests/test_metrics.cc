@@ -17,6 +17,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 TensorF16 inception_input() {
   // InceptionV3 (35, 35, 288) -- the paper's largest Figure 7a shape.
   TensorF16 in(Shape{1, c1_of(288), 35, 35, kC0});
@@ -66,12 +70,18 @@ TEST(Attribution, BucketsSumToMakespanForwardKernels) {
     const Window2d w = Window2d::pool(3, 2);
     for (akg::PoolImpl impl : {akg::PoolImpl::kDirect, akg::PoolImpl::kIm2col,
                                akg::PoolImpl::kExpansion}) {
-      auto r = kernels::maxpool_forward(dev, in, w, impl);
+      auto r = kernels::run_pool(
+          dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+          PoolInputs{.in = &in});
       SCOPED_TRACE(std::string(akg::to_string(impl)) +
                    (db ? " db" : " no-db"));
       check_attribution(r.run.attribution);
     }
-    auto avg = kernels::avgpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+    auto avg = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+               .fwd = akg::PoolImpl::kIm2col},
+        PoolInputs{.in = &in});
     check_attribution(avg.run.attribution);
   }
 }
@@ -87,7 +97,9 @@ TEST(Attribution, BucketsSumToMakespanBackwardKernels) {
     grad.fill_random_ints(7, 0, 5);
     for (kernels::MergeImpl merge :
          {kernels::MergeImpl::kVadd, kernels::MergeImpl::kCol2im}) {
-      auto r = kernels::maxpool_backward(dev, mask, grad, w, 35, 35, merge);
+      auto r = kernels::run_pool(
+          dev, PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
+          PoolInputs{.mask = &mask, .grad = &grad, .ih = 35, .iw = 35});
       SCOPED_TRACE(db ? "db" : "no-db");
       check_attribution(r.run.attribution);
     }
@@ -97,8 +109,11 @@ TEST(Attribution, BucketsSumToMakespanBackwardKernels) {
 TEST(Attribution, HorizonMatchesDeviceCyclesUnderOverlap) {
   Device dev;
   const TensorF16 in = inception_input();
-  auto r = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                    akg::PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_EQ(r.run.attribution.horizon, r.run.device_cycles);
 }
 
@@ -106,8 +121,11 @@ TEST(Attribution, CriticalPathIsDeterministic) {
   auto run_once = [] {
     Device dev;
     const TensorF16 in = inception_input();
-    auto r = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                      akg::PoolImpl::kIm2col);
+    auto r = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+               .fwd = akg::PoolImpl::kIm2col},
+        PoolInputs{.in = &in});
     return r.run.attribution;
   };
   const DeviceAttribution a = run_once();
@@ -131,15 +149,23 @@ TEST(RooflineCounters, Im2colAchievesHigherBandwidthThanDirect) {
   Device dev;
   const TensorF16 in = inception_input();
   const Window2d w = Window2d::pool(3, 2);
-  auto direct = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
-  auto im2col = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
-  const Roofline rd = compute_roofline(direct.run.aggregate, dev.arch(),
-                                       direct.run.device_cycles,
-                                       direct.run.cores_used);
-  const Roofline ri = compute_roofline(im2col.run.aggregate, dev.arch(),
-                                       im2col.run.device_cycles,
-                                       im2col.run.cores_used);
+  const Roofline rd = compute_roofline(
+      direct.run.aggregate.traffic, direct.run.profile, dev.arch(),
+      direct.run.device_cycles, direct.run.cores_used);
+  const Roofline ri = compute_roofline(
+      im2col.run.aggregate.traffic, im2col.run.profile, dev.arch(),
+      im2col.run.device_cycles, im2col.run.cores_used);
   EXPECT_GT(rd.gm_bytes, 0);
   EXPECT_EQ(rd.gm_bytes, ri.gm_bytes);
   EXPECT_GE(rd.mte_bytes, rd.gm_bytes);
@@ -160,10 +186,16 @@ TEST(RooflineCounters, Im2colAchievesHigherBandwidthThanDirect) {
 TEST(RooflineCounters, ScuChargesIm2colBytes) {
   Device dev;
   const TensorF16 in = inception_input();
-  auto direct = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                         akg::PoolImpl::kDirect);
-  auto im2col = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                         akg::PoolImpl::kIm2col);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_EQ(direct.run.aggregate.traffic.im2col_bytes, 0);
   EXPECT_GT(im2col.run.aggregate.traffic.im2col_bytes, 0);
 }
@@ -172,8 +204,16 @@ TEST(MetricsJson, RoundTripsWithInvariantsIntact) {
   Device dev;
   const TensorF16 in = inception_input();
   const Window2d w = Window2d::pool(3, 2);
-  auto direct = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
-  auto im2col = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  auto direct = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
+  auto im2col = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   MetricsRegistry reg;
   reg.add("direct", direct.run, dev.arch());
@@ -225,7 +265,11 @@ TEST(MetricsJson, HostPhaseBucketsPartitionHostNs) {
   Device dev;
   const TensorF16 in = inception_input();
   const Window2d w = Window2d::pool(3, 2);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   EXPECT_GE(r.run.host_alloc_ns, 0);
   EXPECT_GE(r.run.host_plan_ns, 0);

@@ -18,10 +18,11 @@ class MteTest : public ::testing::Test {
         l1_(BufferKind::kL1, 64 * 1024),
         l0a_(BufferKind::kL0A, 64 * 1024),
         l0c_(BufferKind::kL0C, 64 * 1024),
-        mte_(cost_, &stats_) {}
+        mte_(cost_, &stats_, &profile_) {}
 
   CostModel cost_;
   CycleStats stats_;
+  Profile profile_;
   ScratchBuffer ub_, l1_, l0a_, l0c_;
   Mte mte_;
 };
@@ -33,8 +34,8 @@ TEST_F(MteTest, GmToUbCopy) {
   mte_.copy(dst, gm_span(host.data(), 64), 64);
   EXPECT_EQ(dst.at(0).to_float(), 0.0f);
   EXPECT_EQ(dst.at(63).to_float(), 63.0f);
-  EXPECT_EQ(stats_.mte_transfers, 1);
-  EXPECT_EQ(stats_.mte_bytes, 128);
+  EXPECT_EQ(profile_.mte.instrs, 1);
+  EXPECT_EQ(stats_.traffic.mte_total(), 128);
   EXPECT_EQ(stats_.mte_cycles, cost_.mte_copy(128, 1));
 }
 
@@ -51,7 +52,7 @@ TEST_F(MteTest, AllLegalPaths) {
   mte_.copy(l0a, l1, 16);    // L1 -> L0A
   mte_.copy(gm, ub, 16);     // UB -> GM
   mte_.copy(gm, l1, 16);     // L1 -> GM
-  EXPECT_EQ(stats_.mte_transfers, 7);
+  EXPECT_EQ(profile_.mte.instrs, 7);
 }
 
 TEST_F(MteTest, IllegalPathsRejected) {

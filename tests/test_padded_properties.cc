@@ -15,6 +15,9 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 struct PadConfig {
   std::int64_t h, w, k, s, pt, pb, pl, pr;
@@ -60,7 +63,11 @@ TEST_P(PaddedProperty, ForwardMatchesReference) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, c.h, c.w, c.seed);
   const Window2d w = c.window();
-  auto got = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, ref::maxpool_fwd(in, w), "padded fwd");
 }
 
@@ -70,12 +77,18 @@ TEST_P(PaddedProperty, MaskAndBackwardRoundTrip) {
   const TensorF16 in =
       testutil::random_int_nc1hwc0(1, 1, c.h, c.w, c.seed + 1);
   const Window2d w = c.window();
-  auto fwd = kernels::maxpool_forward_with_mask(dev, in, w, PoolImpl::kIm2col);
+  auto fwd = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   TensorF16 grad(Shape{1, 1, w.out_h(c.h), w.out_w(c.w), kC0});
   grad.fill_random_ints(c.seed + 2, 0, 5);
   const TensorF16 want = ref::maxpool_bwd(fwd.mask, grad, w, c.h, c.w);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto bwd = kernels::maxpool_backward(dev, fwd.mask, grad, w, c.h, c.w, m);
+    auto bwd = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = m},
+        PoolInputs{.mask = &fwd.mask, .grad = &grad, .ih = c.h, .iw = c.w});
     testutil::expect_equal_f16(bwd.grad_in, want, kernels::to_string(m));
   }
 }
@@ -86,7 +99,11 @@ TEST_P(PaddedProperty, AvgpoolMatchesReference) {
   const TensorF16 in =
       testutil::random_int_nc1hwc0(1, 1, c.h, c.w, c.seed + 3);
   const Window2d w = c.window();
-  auto got = kernels::avgpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, ref::avgpool_fwd(in, w), "padded avg");
 }
 
@@ -135,12 +152,16 @@ TEST(AutoSelection, MatchesFigure8Winners) {
     const Window2d w = Window2d::pool(3, s);
     const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 25, 25, 3000);
     const PoolImpl pick = akg::select_fwd_impl(w);
-    auto picked = kernels::maxpool_forward(dev, in, w, pick);
+    auto picked = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = pick},
+        PoolInputs{.in = &in});
     // The selection must be at least as fast as every other applicable
     // implementation.
     for (PoolImpl other : {PoolImpl::kDirect, PoolImpl::kIm2col,
                            PoolImpl::kExpansion}) {
-      auto r = kernels::maxpool_forward(dev, in, w, other);
+      auto r = kernels::run_pool(
+          dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = other},
+          PoolInputs{.in = &in});
       EXPECT_LE(picked.cycles(), r.cycles())
           << "stride " << s << ": " << akg::to_string(pick) << " vs "
           << akg::to_string(other);

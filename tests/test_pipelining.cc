@@ -16,6 +16,9 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 constexpr PoolImpl kAllImpls[] = {PoolImpl::kDirect, PoolImpl::kIm2col,
                                   PoolImpl::kExpansion, PoolImpl::kXYSplit};
@@ -32,7 +35,9 @@ TEST(Pipelining, SandwichBoundAllForwardImpls) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 201);
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : kAllImpls) {
-    auto r = kernels::maxpool_forward(dev, in, w, impl);
+    auto r = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     expect_sandwich(r.run, akg::to_string(impl));
   }
 }
@@ -45,9 +50,13 @@ TEST(Pipelining, SandwichBoundBothBackwardMerges) {
   TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
   grad.fill_random_ints(203, 0, 5);
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto mr = kernels::maxpool_backward(dev, mask, grad, w, 64, 64, merge);
+    auto mr = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64});
     expect_sandwich(mr.run, kernels::to_string(merge));
-    auto ar = kernels::avgpool_backward(dev, grad, w, 64, 64, merge);
+    auto ar = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
+        PoolInputs{.grad = &grad, .ih = 64, .iw = 64});
     expect_sandwich(ar.run, kernels::to_string(merge));
   }
 }
@@ -60,7 +69,9 @@ TEST(Pipelining, SingleBufferEqualsSerial) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 204);
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : kAllImpls) {
-    auto r = kernels::maxpool_forward(dev, in, w, impl);
+    auto r = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     EXPECT_EQ(r.run.device_cycles, r.run.device_cycles_serial)
         << akg::to_string(impl);
   }
@@ -68,10 +79,14 @@ TEST(Pipelining, SingleBufferEqualsSerial) {
   TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
   grad.fill_random_ints(205, 0, 5);
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto mr = kernels::maxpool_backward(dev, mask, grad, w, 64, 64, merge);
+    auto mr = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64});
     EXPECT_EQ(mr.run.device_cycles, mr.run.device_cycles_serial)
         << kernels::to_string(merge);
-    auto ar = kernels::avgpool_backward(dev, grad, w, 64, 64, merge);
+    auto ar = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
+        PoolInputs{.grad = &grad, .ih = 64, .iw = 64});
     EXPECT_EQ(ar.run.device_cycles, ar.run.device_cycles_serial)
         << kernels::to_string(merge);
   }
@@ -84,8 +99,12 @@ TEST(Pipelining, ForwardOutputsBitIdenticalDoubleBufferedVsSerial) {
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 64, 64, 206);
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : kAllImpls) {
-    auto got = kernels::maxpool_forward(db_dev, in, w, impl);
-    auto want = kernels::maxpool_forward(sb_dev, in, w, impl);
+    auto got = kernels::run_pool(
+        db_dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
+    auto want = kernels::run_pool(
+        sb_dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want.out, akg::to_string(impl));
   }
 }
@@ -100,12 +119,24 @@ TEST(Pipelining, BackwardOutputsBitIdenticalDoubleBufferedVsSerial) {
   TensorF16 grad(Shape{1, 2, w.out_h(64), w.out_w(64), kC0});
   grad.fill_random_ints(208, 0, 5);
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto gm = kernels::maxpool_backward(db_dev, mask, grad, w, 64, 64, merge);
-    auto wm = kernels::maxpool_backward(sb_dev, mask, grad, w, 64, 64, merge);
+    auto gm = kernels::run_pool(
+        db_dev,
+        PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64});
+    auto wm = kernels::run_pool(
+        sb_dev,
+        PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
+        PoolInputs{.mask = &mask, .grad = &grad, .ih = 64, .iw = 64});
     testutil::expect_equal_f16(gm.grad_in, wm.grad_in,
                                kernels::to_string(merge));
-    auto ga = kernels::avgpool_backward(db_dev, grad, w, 64, 64, merge);
-    auto wa = kernels::avgpool_backward(sb_dev, grad, w, 64, 64, merge);
+    auto ga = kernels::run_pool(
+        db_dev,
+        PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
+        PoolInputs{.grad = &grad, .ih = 64, .iw = 64});
+    auto wa = kernels::run_pool(
+        sb_dev,
+        PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
+        PoolInputs{.grad = &grad, .ih = 64, .iw = 64});
     testutil::expect_equal_f16(ga.grad_in, wa.grad_in,
                                kernels::to_string(merge));
   }
@@ -121,7 +152,9 @@ TEST(Pipelining, SeamKernelsStillMatchReference) {
   TensorF16 grad(Shape{1, 1, w.out_h(95), w.out_w(95), kC0});
   grad.fill_random_ints(209, 0, 5);
   for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto got = kernels::avgpool_backward(dev, grad, w, 95, 95, merge);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
+        PoolInputs{.grad = &grad, .ih = 95, .iw = 95});
     const TensorF16 want = ref::avgpool_bwd(grad, w, 95, 95);
     testutil::expect_equal_f16(got.grad_in, want, kernels::to_string(merge));
   }
@@ -134,7 +167,11 @@ TEST(Pipelining, InceptionShapeIm2colOverlapsStrictly) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 18, 35, 35, 210);
   const Window2d w = Window2d::pool(3, 2);
-  auto r = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_LT(r.run.device_cycles, r.run.device_cycles_serial);
   EXPECT_GE(r.run.device_cycles, r.run.busiest_unit_cycles);
   // And the result is still bit-exact.
@@ -166,8 +203,16 @@ TEST(Pipelining, DoubleBufferOffMatchesLegacyCycleCounts) {
   b.set_double_buffer(false);
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 3, 40, 40, 211);
   const Window2d w = Window2d::pool(3, 2);
-  auto ra = kernels::maxpool_forward(a, in, w, PoolImpl::kIm2col);
-  auto rb = kernels::maxpool_forward(b, in, w, PoolImpl::kIm2col);
+  auto ra = kernels::run_pool(
+      a,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
+  auto rb = kernels::run_pool(
+      b,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_EQ(ra.run.device_cycles, rb.run.device_cycles);
   EXPECT_EQ(ra.run.device_cycles_serial, rb.run.device_cycles_serial);
 }

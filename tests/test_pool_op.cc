@@ -1,8 +1,7 @@
-// The unified PoolOp entry point vs the deprecated per-operator shims:
-// every shim must forward to run_pool with zero behavioural change --
-// bit-identical tensors AND identical device cycle counts. A precomputed
-// plan passed through PoolOp::plan must reproduce the planner's own
-// result exactly (the plan-cache identity the serving layer relies on).
+// The PoolOp entry point: a precomputed plan passed through PoolOp::plan
+// must reproduce the planner's own result exactly (the plan-cache identity
+// the serving layer relies on), invalid descriptor/input combinations are
+// rejected, and descriptors name themselves.
 #include <gtest/gtest.h>
 
 #include "akg/tiling.h"
@@ -34,98 +33,15 @@ void expect_same_tensor(const TensorF16& a, const TensorF16& b) {
   }
 }
 
-void expect_equivalent(const PoolResult& shim, const PoolResult& unified) {
-  EXPECT_EQ(shim.run.device_cycles, unified.run.device_cycles);
-  EXPECT_EQ(shim.run.device_cycles_serial, unified.run.device_cycles_serial);
-  EXPECT_EQ(shim.has_out(), unified.has_out());
-  EXPECT_EQ(shim.has_mask(), unified.has_mask());
-  EXPECT_EQ(shim.has_grad_in(), unified.has_grad_in());
-  if (shim.has_out()) expect_same_tensor(shim.out, unified.out);
-  if (shim.has_mask()) expect_same_tensor(shim.mask, unified.mask);
-  if (shim.has_grad_in()) expect_same_tensor(shim.grad_in, unified.grad_in);
-}
-
-TEST(PoolOpShimEquivalence, MaxpoolForwardAllImpls) {
-  Device dev;
-  const Window2d w = Window2d::pool(3, 2);
-  const TensorF16 in = make_input(1, 2, 29, 29);
-  for (akg::PoolImpl impl :
-       {akg::PoolImpl::kDirect, akg::PoolImpl::kIm2col,
-        akg::PoolImpl::kExpansion, akg::PoolImpl::kXYSplit}) {
-    auto shim = kernels::maxpool_forward(dev, in, w, impl);
-    auto unified = kernels::run_pool(
-        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
-        PoolInputs{.in = &in});
-    expect_equivalent(shim, unified);
-  }
-}
-
-TEST(PoolOpShimEquivalence, MinpoolAndAvgpoolForward) {
-  Device dev;
-  const Window2d w = Window2d::pool(3, 2);
-  const TensorF16 in = make_input(1, 2, 23, 23, 5);
-  for (akg::PoolImpl impl :
-       {akg::PoolImpl::kDirect, akg::PoolImpl::kIm2col}) {
-    expect_equivalent(
-        kernels::minpool_forward(dev, in, w, impl),
-        kernels::run_pool(
-            dev, PoolOp{.kind = PoolOpKind::kMinFwd, .window = w, .fwd = impl},
-            PoolInputs{.in = &in}));
-    expect_equivalent(
-        kernels::avgpool_forward(dev, in, w, impl),
-        kernels::run_pool(
-            dev, PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w, .fwd = impl},
-            PoolInputs{.in = &in}));
-  }
-}
-
-TEST(PoolOpShimEquivalence, MaxpoolMaskForward) {
-  Device dev;
-  const Window2d w = Window2d::pool(3, 2);
-  const TensorF16 in = make_input(1, 2, 21, 21, 3);
-  for (akg::PoolImpl impl :
-       {akg::PoolImpl::kDirect, akg::PoolImpl::kIm2col}) {
-    auto shim = kernels::maxpool_forward_with_mask(dev, in, w, impl);
-    auto unified = kernels::run_pool(
-        dev,
-        PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w, .fwd = impl},
-        PoolInputs{.in = &in});
-    ASSERT_TRUE(unified.has_mask());
-    expect_equivalent(shim, unified);
-  }
-}
-
-TEST(PoolOpShimEquivalence, BackwardBothMerges) {
-  Device dev;
-  const Window2d w = Window2d::pool(3, 2);
-  const std::int64_t h = 19, iw = 19;
-  const TensorF16 in = make_input(1, 2, h, iw, 7);
-  const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
-  TensorF16 grad(Shape{1, 2, w.out_h(h), w.out_w(iw), kC0});
-  grad.fill_random_ints(9, 0, 5);
-  for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    expect_equivalent(
-        kernels::maxpool_backward(dev, mask, grad, w, h, iw, merge),
-        kernels::run_pool(
-            dev,
-            PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
-            PoolInputs{.mask = &mask, .grad = &grad, .ih = h, .iw = iw}));
-    expect_equivalent(
-        kernels::avgpool_backward(dev, grad, w, h, iw, merge),
-        kernels::run_pool(
-            dev,
-            PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
-            PoolInputs{.grad = &grad, .ih = h, .iw = iw}));
-  }
-}
-
-TEST(PoolOpShimEquivalence, GlobalAvgpool) {
-  Device dev;
-  const TensorF16 in = make_input(1, 3, 8, 8, 11);
-  expect_equivalent(kernels::global_avgpool(dev, in),
-                    kernels::run_pool(dev,
-                                      PoolOp{.kind = PoolOpKind::kGlobalAvg},
-                                      PoolInputs{.in = &in}));
+void expect_equivalent(const PoolResult& a, const PoolResult& b) {
+  EXPECT_EQ(a.run.device_cycles, b.run.device_cycles);
+  EXPECT_EQ(a.run.device_cycles_serial, b.run.device_cycles_serial);
+  EXPECT_EQ(a.has_out(), b.has_out());
+  EXPECT_EQ(a.has_mask(), b.has_mask());
+  EXPECT_EQ(a.has_grad_in(), b.has_grad_in());
+  if (a.has_out()) expect_same_tensor(a.out, b.out);
+  if (a.has_mask()) expect_same_tensor(a.mask, b.mask);
+  if (a.has_grad_in()) expect_same_tensor(a.grad_in, b.grad_in);
 }
 
 // A plan computed by the planner and passed through PoolOp::plan must

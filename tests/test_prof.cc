@@ -16,6 +16,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 TEST(JsonParser, AcceptsTheObviousCases) {
   const json::Value v =
       json::parse("{\"a\": [1, -2.5e3, \"x\\n\\u0041\", true, null]}");
@@ -106,8 +110,11 @@ TEST(ProfDiff, RealMetricsJsonRoundTrip) {
   Device dev;
   TensorF16 in(Shape{1, 2, 35, 35, kC0});
   in.fill_random_ints(1);
-  auto r = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                    akg::PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   MetricsRegistry reg;
   reg.add("maxpool", r.run, dev.arch());
   const std::string text = reg.to_json();
@@ -130,8 +137,11 @@ TEST(ProfRender, MetricsAndBenchShapesRender) {
   Device dev;
   TensorF16 in(Shape{1, 2, 35, 35, kC0});
   in.fill_random_ints(1);
-  auto r = kernels::maxpool_forward(dev, in, Window2d::pool(3, 2),
-                                    akg::PoolImpl::kDirect);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
   MetricsRegistry reg;
   reg.add("maxpool-direct", r.run, dev.arch());
   const std::string report = render_report(json::parse(reg.to_json()));

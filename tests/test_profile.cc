@@ -18,6 +18,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 // --- Minimal JSON syntax checker (no external deps) -----------------------
 // Validates the full grammar the exporter can emit: objects, arrays,
 // strings with escapes, numbers, true/false/null. Returns true iff `text`
@@ -179,14 +183,22 @@ TEST(Profile, DirectStarvesLanesIm2colSaturatesThem) {
   const Window2d window = Window2d::pool(3, 2);
 
   auto direct =
-      kernels::maxpool_forward(dev, in, window, akg::PoolImpl::kDirect);
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxFwd, .window = window,
+                 .fwd = akg::PoolImpl::kDirect},
+          PoolInputs{.in = &in});
   EXPECT_GT(direct.run.profile.vec.instrs, 0);
   EXPECT_LE(direct.run.profile.vec_lane_utilization(), 0.2);
   // A handful of full-mask setup instructions aside, nothing saturates.
   EXPECT_LE(direct.run.profile.vec.saturation(), 0.01);
 
   auto im2col =
-      kernels::maxpool_forward(dev, in, window, akg::PoolImpl::kIm2col);
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxFwd, .window = window,
+                 .fwd = akg::PoolImpl::kIm2col},
+          PoolInputs{.in = &in});
   EXPECT_GT(im2col.run.profile.vec.instrs, 0);
   EXPECT_GE(im2col.run.profile.vec_lane_utilization(), 0.9);
   EXPECT_GE(im2col.run.profile.vec.saturation(), 0.9);
@@ -197,9 +209,12 @@ TEST(Profile, DirectStarvesLanesIm2colSaturatesThem) {
 
 TEST(Profile, RecordedWithoutTracingEnabled) {
   Device dev;  // no core(i).trace().enable() anywhere
-  auto r = kernels::maxpool_forward(dev, inception_input(),
-                                    Window2d::pool(3, 2),
-                                    akg::PoolImpl::kIm2col);
+  const TensorF16 in = inception_input();
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_GT(r.run.profile.vec.instrs, 0);
   EXPECT_GT(r.run.profile.mte.instrs, 0);
 }
@@ -209,13 +224,20 @@ TEST(Profile, FaultFreeResilientRunMatchesPlainRun) {
   const Window2d window = Window2d::pool(3, 2);
 
   Device plain;
-  auto a = kernels::maxpool_forward(plain, in, window, akg::PoolImpl::kIm2col);
+  auto a = kernels::run_pool(
+      plain,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = window,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   Device resilient;
   ResilienceOptions opts;  // empty plan, verification off
   resilient.set_resilience(opts);
-  auto b = kernels::maxpool_forward(resilient, in, window,
-                                    akg::PoolImpl::kIm2col);
+  auto b = kernels::run_pool(
+      resilient,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = window,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   EXPECT_EQ(a.run.device_cycles, b.run.device_cycles);
   EXPECT_EQ(a.run.profile.vec.instrs, b.run.profile.vec.instrs);
@@ -226,8 +248,12 @@ TEST(Profile, FaultFreeResilientRunMatchesPlainRun) {
 TEST(ChromeTrace, ExportIsWellFormedJsonWithPerCoreTracks) {
   Device dev;
   for (int c = 0; c < dev.num_cores(); ++c) dev.core(c).trace().enable();
-  kernels::maxpool_forward(dev, inception_input(), Window2d::pool(3, 2),
-                           akg::PoolImpl::kIm2col);
+  const TensorF16 in = inception_input();
+  kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   const std::string json = chrome_trace_json(dev);
   EXPECT_TRUE(JsonChecker(json).valid());

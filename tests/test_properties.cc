@@ -14,6 +14,9 @@ namespace {
 
 using akg::PoolImpl;
 using kernels::MergeImpl;
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 struct PoolConfig {
   std::int64_t h, w, kh, kw, sh, sw, n, c1;
@@ -66,7 +69,9 @@ TEST_P(PoolProperty, AllForwardImplsAgree) {
   const TensorF16 want = ref::maxpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col,
                         PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
 }
@@ -115,9 +120,16 @@ TEST_P(PoolProperty, BackwardImplsAgree) {
   grad.fill_random_ints(c.seed + 14, 0, 6);
   const TensorF16 want = ref::maxpool_bwd(mask, grad, w, c.h, c.w);
   auto vadd =
-      kernels::maxpool_backward(dev, mask, grad, w, c.h, c.w, MergeImpl::kVadd);
-  auto col2im = kernels::maxpool_backward(dev, mask, grad, w, c.h, c.w,
-                                          MergeImpl::kCol2im);
+      kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+                 .merge = MergeImpl::kVadd},
+          PoolInputs{.mask = &mask, .grad = &grad, .ih = c.h, .iw = c.w});
+  auto col2im = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = MergeImpl::kCol2im},
+      PoolInputs{.mask = &mask, .grad = &grad, .ih = c.h, .iw = c.w});
   testutil::expect_equal_f16(vadd.grad_in, want, "vadd");
   testutil::expect_equal_f16(col2im.grad_in, want, "col2im");
 }
@@ -151,14 +163,18 @@ TEST_P(PoolProperty, AvgpoolImplsAgree) {
   const Window2d w = c.window();
   const TensorF16 want = ref::avgpool_fwd(in, w);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = kernels::avgpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     testutil::expect_equal_f16(got.out, want, akg::to_string(impl));
   }
   TensorF16 grad(Shape{c.n, c.c1, w.out_h(c.h), w.out_w(c.w), kC0});
   grad.fill_random_ints(c.seed + 32, -6, 6);
   const TensorF16 want_b = ref::avgpool_bwd(grad, w, c.h, c.w);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
-    auto got = kernels::avgpool_backward(dev, grad, w, c.h, c.w, m);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = m},
+        PoolInputs{.grad = &grad, .ih = c.h, .iw = c.w});
     testutil::expect_equal_f16(got.grad_in, want_b, kernels::to_string(m));
   }
 }

@@ -1,5 +1,5 @@
-// Fault injection and resilient execution (sim/fault.h,
-// Device::run_resilient): deterministic replay, quarantine with
+// Fault injection and resilient execution (sim/fault.h, Device::run under
+// a resilience policy): deterministic replay, quarantine with
 // redistribution, retry budgets, verification by redundant execution, and
 // the zero-cost guarantee of an empty plan.
 #include "sim/fault.h"
@@ -15,6 +15,10 @@
 
 namespace davinci {
 namespace {
+
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
 
 TensorF16 make_input(std::int64_t h, std::int64_t w, std::int64_t c,
                      int seed = 1) {
@@ -108,15 +112,23 @@ TEST(Resilience, EmptyPlanMatchesPlainRunExactly) {
   const Window2d w = Window2d::pool(3, 2);
 
   Device plain;
-  auto base = kernels::maxpool_forward(plain, in, w, akg::PoolImpl::kIm2col);
+  auto base = kernels::run_pool(
+      plain,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   Device resilient;
   resilient.set_resilience(ResilienceOptions{});  // empty plan, no verify
-  auto r = kernels::maxpool_forward(resilient, in, w, akg::PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      resilient,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   expect_bits_equal(base.out, r.out);
   EXPECT_EQ(base.run.device_cycles, r.run.device_cycles);
-  EXPECT_EQ(base.run.device_cycles_pipelined, r.run.device_cycles_pipelined);
+  EXPECT_EQ(base.run.device_cycles_serial, r.run.device_cycles_serial);
   EXPECT_EQ(base.run.aggregate.total_cycles(),
             r.run.aggregate.total_cycles());
   EXPECT_EQ(base.run.core_cycles, r.run.core_cycles);
@@ -127,7 +139,8 @@ TEST(Resilience, ZeroBlocksIsANoOp) {
   Device dev;
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@0", 7);
-  auto r = dev.run_resilient(0, [](AiCore&, std::int64_t) {}, opts);
+  dev.set_resilience(opts);
+  auto r = dev.run(0, [](AiCore&, std::int64_t) {});
   EXPECT_EQ(r.cores_used, 0);
   EXPECT_EQ(r.device_cycles, 0);
 }
@@ -145,7 +158,11 @@ TEST(Resilience, SameSeedAndPlanReplaysIdentically) {
   auto run_once = [&]() {
     Device dev;
     dev.set_resilience(opts);
-    return kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+    return kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = akg::PoolImpl::kDirect},
+        PoolInputs{.in = &in});
   };
   auto a = run_once();
   auto b = run_once();
@@ -167,7 +184,11 @@ TEST(Resilience, DifferentSeedsDrawDifferentFaults) {
     opts.max_retries = 8;
     opts.verify = true;
     dev.set_resilience(opts);
-    auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+    auto r = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = akg::PoolImpl::kDirect},
+        PoolInputs{.in = &in});
     expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
     return r.run.faults;
   };
@@ -188,13 +209,21 @@ TEST(Resilience, QuarantineRedistributesAndStaysBitExact) {
   const Window2d w = Window2d::pool(3, 2);
 
   Device plain;
-  auto base = kernels::maxpool_forward(plain, in, w, akg::PoolImpl::kIm2col);
+  auto base = kernels::run_pool(
+      plain,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   Device dev;
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@1", 0);
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
 
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_EQ(r.run.faults.cores_quarantined, 1);
@@ -212,14 +241,74 @@ TEST(Resilience, SerialAndParallelAgreeUnderQuarantine) {
     Device dev;
     ResilienceOptions opts;
     opts.plan = FaultPlan::parse("core_fail@3", 5);
-    opts.parallel = parallel;
     dev.set_resilience(opts);
-    return kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+    dev.set_parallel(parallel);
+    return kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = akg::PoolImpl::kDirect},
+        PoolInputs{.in = &in});
   };
   auto par = run_mode(true);
   auto ser = run_mode(false);
   expect_bits_equal(par.out, ser.out);
   expect_stats_equal(par.run.faults, ser.run.faults);
+}
+
+TEST(Resilience, MidRunQuarantineRefillsDrainedLanes) {
+  // 96 blocks on 32 cores: core c owns blocks c, c + 32 and c + 64.
+  // core_fail@31@40 lets core 31 finish block 31 and kills it at block 63,
+  // so blocks 63 and 95 go round-robin to cores 0 and 1 -- lanes dealt
+  // first, which have drained their own queues by then (always in the
+  // serial run). A further scheduling round must run them, in both modes
+  // with identical results.
+  TensorF16 in(Shape{4, 24, 12, 12, kC0});
+  in.fill_random_ints(404);
+  const Window2d w = Window2d::pool(3, 2);
+  struct ModeRun {
+    kernels::PoolResult pool;
+    Device::RunResult raw;
+    std::vector<int> runs = std::vector<int>(96, 0);
+    std::vector<int> ran_on = std::vector<int>(96, -1);
+  };
+  auto run_mode = [&](bool parallel) {
+    Device dev;
+    ResilienceOptions opts;
+    opts.plan = FaultPlan::parse("core_fail@31@40", 3);
+    dev.set_resilience(opts);
+    dev.set_parallel(parallel);
+    ModeRun m;
+    m.pool = kernels::run_pool(
+        dev,
+        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+               .fwd = akg::PoolImpl::kIm2col},
+        PoolInputs{.in = &in});
+    m.raw = dev.run(96, [&](AiCore& core, std::int64_t b) {
+      const std::int64_t n = 128 * (1 + b % 3);  // uneven lanes
+      auto a = core.ub().alloc<Float16>(n);
+      core.vdup_flat(a, Float16(1.0f), n);
+      m.runs[static_cast<std::size_t>(b)] += 1;
+      m.ran_on[static_cast<std::size_t>(b)] = core.id();
+    });
+    return m;
+  };
+  const ModeRun par = run_mode(true);
+  const ModeRun ser = run_mode(false);
+  const TensorF16 want = ref::maxpool_fwd(in, w);
+  for (const ModeRun* m : {&par, &ser}) {
+    expect_bits_equal(m->pool.out, want);
+    for (const Device::RunResult* r : {&m->pool.run, &m->raw}) {
+      EXPECT_EQ(r->faults.cores_quarantined, 1);
+      EXPECT_EQ(r->faults.blocks_redispatched, 2);
+    }
+    for (int runs : m->runs) EXPECT_EQ(runs, 1);
+    EXPECT_EQ(m->ran_on[63], 0);
+    EXPECT_EQ(m->ran_on[95], 1);
+  }
+  expect_stats_equal(par.pool.run.faults, ser.pool.run.faults);
+  expect_stats_equal(par.raw.faults, ser.raw.faults);
+  EXPECT_EQ(par.pool.run.core_cycles, ser.pool.run.core_cycles);
+  EXPECT_EQ(par.raw.core_cycles, ser.raw.core_cycles);
 }
 
 TEST(Resilience, DelayedTriggerQuarantinesMidRun) {
@@ -228,16 +317,14 @@ TEST(Resilience, DelayedTriggerQuarantinesMidRun) {
   Device dev(ArchConfig::ascend310());  // 2 cores
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@0@2", 0);
-  opts.parallel = false;
+  dev.set_resilience(opts);
+  dev.set_parallel(false);
   std::vector<int> done(6, 0);
-  auto r = dev.run_resilient(
-      6,
-      [&](AiCore& core, std::int64_t b) {
-        auto a = core.ub().alloc<Float16>(64);
-        core.vdup_flat(a, Float16(1.0f), 64);
-        done[static_cast<std::size_t>(b)] += 1;
-      },
-      opts);
+  auto r = dev.run(6, [&](AiCore& core, std::int64_t b) {
+    auto a = core.ub().alloc<Float16>(64);
+    core.vdup_flat(a, Float16(1.0f), 64);
+    done[static_cast<std::size_t>(b)] += 1;
+  });
   for (int d : done) EXPECT_EQ(d, 1);
   EXPECT_EQ(r.faults.cores_quarantined, 1);
   EXPECT_GE(r.faults.blocks_redispatched, 1);
@@ -247,14 +334,13 @@ TEST(Resilience, AllCoresQuarantinedFailsCleanly) {
   Device dev(ArchConfig::ascend310());  // 2 cores
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("core_fail@0,core_fail@1", 0);
-  opts.parallel = false;
-  EXPECT_THROW(dev.run_resilient(
-                   4,
-                   [](AiCore& core, std::int64_t) {
-                     auto a = core.ub().alloc<Float16>(64);
-                     core.vdup_flat(a, Float16(1.0f), 64);
-                   },
-                   opts),
+  dev.set_resilience(opts);
+  dev.set_parallel(false);
+  EXPECT_THROW(dev.run(4,
+                       [](AiCore& core, std::int64_t) {
+                         auto a = core.ub().alloc<Float16>(64);
+                         core.vdup_flat(a, Float16(1.0f), 64);
+                       }),
                RetryExhausted);
 }
 
@@ -268,8 +354,12 @@ TEST(Resilience, RetryBudgetExhaustionFailsCleanly) {
   opts.plan = FaultPlan::parse("vec_fault:1", 0);  // every instruction faults
   opts.max_retries = 0;
   dev.set_resilience(opts);
-  EXPECT_THROW(kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect),
-               RetryExhausted);
+  EXPECT_THROW(
+      kernels::run_pool(dev,
+                        PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+                               .fwd = akg::PoolImpl::kDirect},
+                        PoolInputs{.in = &in}),
+      RetryExhausted);
 }
 
 TEST(Resilience, ExhaustionMessageCarriesContext) {
@@ -277,14 +367,12 @@ TEST(Resilience, ExhaustionMessageCarriesContext) {
   ResilienceOptions opts;
   opts.plan = FaultPlan::parse("vec_fault:1", 0);
   opts.max_retries = 2;
+  dev.set_resilience(opts);
   try {
-    dev.run_resilient(
-        4,
-        [](AiCore& core, std::int64_t) {
-          auto a = core.ub().alloc<Float16>(64);
-          core.vdup_flat(a, Float16(1.0f), 64);
-        },
-        opts);
+    dev.run(4, [](AiCore& core, std::int64_t) {
+      auto a = core.ub().alloc<Float16>(64);
+      core.vdup_flat(a, Float16(1.0f), 64);
+    });
     FAIL() << "expected RetryExhausted";
   } catch (const RetryExhausted& e) {
     const std::string msg = e.what();
@@ -303,7 +391,11 @@ TEST(Resilience, TransientFaultsAreRetriedToCompletion) {
   opts.plan = FaultPlan::parse("vec_fault:5e-4", 3);
   opts.max_retries = 8;
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_GE(r.run.faults.faults_detected, 1);
   EXPECT_GE(r.run.faults.retries, 1);
@@ -320,7 +412,11 @@ TEST(Resilience, MteDropsAreCaughtByVerification) {
   opts.max_retries = 8;
   opts.verify = true;
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_GE(r.run.faults.silent_injected, 1);
   // Every block ran at least one redundant verification execution.
@@ -336,7 +432,11 @@ TEST(Resilience, BitflipsAreCaughtByVerification) {
   opts.max_retries = 8;
   opts.verify = true;
   dev.set_resilience(opts);
-  auto r = kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  auto r = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
   expect_bits_equal(r.out, ref::maxpool_fwd(in, w));
   EXPECT_GE(r.run.faults.silent_injected, 1);
 }
@@ -364,7 +464,7 @@ TEST(Resilience, PipelineRunResilientSurvivesCoreFailure) {
   EXPECT_FALSE(dev.resilience().has_value());
 }
 
-// --- Aggregated worker errors in the plain Device::run path ---
+// --- Aggregated worker errors without a policy ---
 
 TEST(Device, RunAggregatesAllWorkerFailures) {
   Device dev;
@@ -386,12 +486,11 @@ TEST(Device, RunAggregatesAllWorkerFailures) {
 
 TEST(Device, SerialRunKeepsRawExceptionType) {
   Device dev;
-  EXPECT_THROW(dev.run(
-                   4,
-                   [](AiCore&, std::int64_t b) {
-                     if (b == 2) throw TransientFault("raw");
-                   },
-                   /*parallel=*/false),
+  dev.set_parallel(false);
+  EXPECT_THROW(dev.run(4,
+                       [](AiCore&, std::int64_t b) {
+                         if (b == 2) throw TransientFault("raw");
+                       }),
                TransientFault);
 }
 

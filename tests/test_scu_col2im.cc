@@ -18,7 +18,7 @@ class ScuCol2imTest : public ::testing::Test {
   ScuCol2imTest()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_) {}
+        scu_(arch_, cost_, &stats_, &profile_) {}
 
   // Runs Col2Im on an im2col-shaped tensor (n=1, c1=1 slice) and compares
   // against the reference col2im.
@@ -53,6 +53,7 @@ class ScuCol2imTest : public ::testing::Test {
   ArchConfig arch_;
   CostModel cost_;
   CycleStats stats_;
+  Profile profile_;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };
@@ -142,8 +143,8 @@ TEST_F(ScuCol2imTest, InstructionAccounting) {
   auto out = ub_.alloc<Float16>(9 * 9 * kC0);
   for (std::int64_t i = 0; i < out.size(); ++i) out.at(i) = Float16();
   scu_.col2im(out, src, args);
-  EXPECT_EQ(stats_.col2im_instrs, 9);
-  EXPECT_EQ(stats_.col2im_fractals, 9);
+  EXPECT_EQ(profile_.col2im.instrs, 9);
+  EXPECT_EQ(profile_.col2im.slots_used, 9);
   EXPECT_EQ(stats_.scu_cycles, cost_.col2im(9, 9));
 }
 

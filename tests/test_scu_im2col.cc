@@ -19,7 +19,7 @@ class ScuIm2colTest : public ::testing::Test {
   ScuIm2colTest()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_) {}
+        scu_(arch_, cost_, &stats_, &profile_) {}
 
   // Loads one (n=0, c1=0) slice of `in` through the SCU and compares with
   // the reference im2col.
@@ -51,6 +51,7 @@ class ScuIm2colTest : public ::testing::Test {
   ArchConfig arch_;
   CostModel cost_;
   CycleStats stats_;
+  Profile profile_;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };
@@ -93,8 +94,8 @@ TEST_F(ScuIm2colTest, Figure5Example) {
               static_cast<float>(y * 8 + x));
   }
   // One instruction in repeat mode 1 per kernel position.
-  EXPECT_EQ(stats_.im2col_instrs, 4);
-  EXPECT_EQ(stats_.im2col_fractals, 4);
+  EXPECT_EQ(profile_.im2col.instrs, 4);
+  EXPECT_EQ(profile_.im2col.slots_used, 4);
 }
 
 TEST_F(ScuIm2colTest, MatchesReferenceNonOverlapping) {
@@ -187,8 +188,8 @@ TEST_F(ScuIm2colTest, InstructionAndFractalAccounting) {
   // 9 * 334 * 256 * 2 bytes = 1.5 MiB exceeds the real UB; use a test
   // buffer large enough (this test checks accounting, not capacity).
   scu_.im2col_load(dst, src, args);
-  EXPECT_EQ(stats_.im2col_instrs, 9 * 2);
-  EXPECT_EQ(stats_.im2col_fractals, 9 * 334);
+  EXPECT_EQ(profile_.im2col.instrs, 9 * 2);
+  EXPECT_EQ(profile_.im2col.slots_used, 9 * 334);
   EXPECT_EQ(stats_.scu_cycles, cost_.im2col(18, 3006));
 }
 

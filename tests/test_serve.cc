@@ -203,7 +203,7 @@ TEST(ServeSession, KernelErrorsSurfaceThroughFutureNotTerminate) {
   EXPECT_EQ(session.stats().completed, 1);
 }
 
-TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV7) {
+TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV8) {
   Session session(Cluster{});
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
                   .window = Window2d::pool(3, 2),
@@ -215,7 +215,7 @@ TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV7) {
   MetricsRegistry reg;
   session.add_metrics(reg);
   const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"schema_version\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
   // The v4 host-phase buckets are per-entry fields; the host_ns bucket
   // invariant itself is covered in test_metrics.cc. The v5 "vm" object
   // and its stream buckets are covered in test_vm.cc.

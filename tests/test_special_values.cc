@@ -11,6 +11,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 using akg::PoolImpl;
 
 TEST(SpecialValues, AllNegativeInputUnpadded) {
@@ -25,7 +29,9 @@ TEST(SpecialValues, AllNegativeInputUnpadded) {
   const Window2d w = Window2d::pool(3, 2);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col,
                         PoolImpl::kExpansion, PoolImpl::kXYSplit}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     for (std::int64_t i = 0; i < got.out.size(); ++i) {
       EXPECT_LT(got.out.flat(i).to_float(), 0.0f) << akg::to_string(impl);
       EXPECT_GT(got.out.flat(i).to_float(), -102.0f);
@@ -42,7 +48,11 @@ TEST(SpecialValues, MaxFiniteValuesSurvive) {
           c) = Float16::max_finite();
   }
   const Window2d w = Window2d::pool(2, 2);
-  auto got = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_EQ(got.out
                 .at(std::int64_t{0}, std::int64_t{0}, std::int64_t{1},
                     std::int64_t{1}, std::int64_t{0})
@@ -81,7 +91,9 @@ TEST(SpecialValues, NanLosesAgainstNumbersInMax) {
   }
   const Window2d w = Window2d::pool(2, 2);
   for (PoolImpl impl : {PoolImpl::kDirect, PoolImpl::kIm2col}) {
-    auto got = kernels::maxpool_forward(dev, in, w, impl);
+    auto got = kernels::run_pool(
+        dev, PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = impl},
+        PoolInputs{.in = &in});
     for (std::int64_t i = 0; i < got.out.size(); ++i) {
       EXPECT_FALSE(got.out.flat(i).is_nan()) << akg::to_string(impl);
       EXPECT_EQ(got.out.flat(i).to_float(), 2.0f);
@@ -96,7 +108,11 @@ TEST(SpecialValues, LargeMagnitudeAvgpoolSaturatesGracefully) {
   TensorF16 in(Shape{1, 1, 4, 4, kC0});
   in.fill(Float16::max_finite());
   const Window2d w = Window2d::pool(2, 2);
-  auto got = kernels::avgpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   const TensorF16 want = ref::avgpool_fwd(in, w);
   testutil::expect_equal_f16(got.out, want, "saturating avgpool");
   EXPECT_TRUE(got.out.flat(0).is_inf());
@@ -112,7 +128,11 @@ TEST(SpecialValues, SubnormalInputsPreserved) {
           c) = tiny;
   }
   const Window2d w = Window2d::pool(2, 2);
-  auto got = kernels::maxpool_forward(dev, in, w, PoolImpl::kIm2col);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   EXPECT_EQ(got.out.flat(0).bits(), tiny.bits());
 }
 
@@ -124,8 +144,11 @@ TEST(SpecialValues, BackwardWithNegativeGradients) {
   TensorF16 grad(Shape{1, 1, 4, 4, kC0});
   grad.fill_random_ints(972, -8, -1);  // strictly negative
   const TensorF16 want = ref::maxpool_bwd(mask, grad, w, 9, 9);
-  auto got = kernels::maxpool_backward(dev, mask, grad, w, 9, 9,
-                                       kernels::MergeImpl::kCol2im);
+  auto got = kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w,
+             .merge = kernels::MergeImpl::kCol2im},
+      PoolInputs{.mask = &mask, .grad = &grad, .ih = 9, .iw = 9});
   testutil::expect_equal_f16(got.grad_in, want, "negative gradients");
 }
 

@@ -18,32 +18,22 @@ TEST(CycleStats, TotalIsSumOfPipes) {
   EXPECT_EQ(s.total_cycles(), 32);
 }
 
-TEST(CycleStats, LaneUtilization) {
-  CycleStats s;
-  EXPECT_EQ(s.lane_utilization(), 0.0);  // no repeats yet
-  s.vector_repeats = 10;
-  s.vector_active_lanes = 10 * 16;
-  EXPECT_NEAR(s.lane_utilization(), 0.125, 1e-12);
-  s.vector_active_lanes = 10 * 128;
-  EXPECT_NEAR(s.lane_utilization(), 1.0, 1e-12);
-}
-
 TEST(CycleStats, MergeAccumulatesEverything) {
   CycleStats a, b;
   a.vector_cycles = 1;
-  a.vector_instrs = 2;
-  a.im2col_fractals = 3;
+  a.cube_fractal_macs = 3;
+  a.traffic.gm_to_ub = 2;
   b.vector_cycles = 10;
-  b.vector_instrs = 20;
-  b.im2col_fractals = 30;
-  b.col2im_instrs = 5;
-  b.mte_bytes = 100;
+  b.launch_cycles = 5;
+  b.cube_fractal_macs = 30;
+  b.traffic.gm_to_ub = 20;
+  b.traffic.ub_to_gm = 100;
   a += b;
   EXPECT_EQ(a.vector_cycles, 11);
-  EXPECT_EQ(a.vector_instrs, 22);
-  EXPECT_EQ(a.im2col_fractals, 33);
-  EXPECT_EQ(a.col2im_instrs, 5);
-  EXPECT_EQ(a.mte_bytes, 100);
+  EXPECT_EQ(a.launch_cycles, 5);
+  EXPECT_EQ(a.cube_fractal_macs, 33);
+  EXPECT_EQ(a.traffic.gm_to_ub, 22);
+  EXPECT_EQ(a.traffic.mte_total(), 122);
 }
 
 TEST(UnitOccupancy, RatiosDefinedAndMergeable) {
@@ -101,11 +91,9 @@ TEST(Profile, MergeAccumulatesAllUnits) {
 TEST(CycleStats, SummaryMentionsKeyFields) {
   CycleStats s;
   s.vector_cycles = 42;
-  s.vector_instrs = 7;
   const std::string text = s.summary();
   EXPECT_NE(text.find("cycles=42"), std::string::npos);
-  EXPECT_NE(text.find("vinstr=7"), std::string::npos);
-  EXPECT_NE(text.find("lane_util"), std::string::npos);
+  EXPECT_NE(text.find("vec=42"), std::string::npos);
 }
 
 }  // namespace

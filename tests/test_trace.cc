@@ -11,6 +11,10 @@
 namespace davinci {
 namespace {
 
+using kernels::PoolInputs;
+using kernels::PoolOp;
+using kernels::PoolOpKind;
+
 TEST(Trace, DisabledByDefaultAndRecordsNothing) {
   AiCore core(0, ArchConfig::ascend910(), CostModel::calibrated());
   auto a = core.ub().alloc<Float16>(128);
@@ -67,7 +71,11 @@ TEST(Trace, ExplainsTheListing1VsListing2Difference) {
   const Window2d w = Window2d::pool(3, 2);
 
   dev.core(0).trace().enable();
-  kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kDirect);
+  kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kDirect},
+      PoolInputs{.in = &in});
   std::int64_t direct_16lane = 0;
   for (const auto& e : dev.core(0).trace().events()) {
     if (e.kind == TraceKind::kVector &&
@@ -80,7 +88,11 @@ TEST(Trace, ExplainsTheListing1VsListing2Difference) {
   EXPECT_EQ(direct_16lane, 48);
 
   dev.core(0).trace().clear();
-  kernels::maxpool_forward(dev, in, w, akg::PoolImpl::kIm2col);
+  kernels::run_pool(
+      dev,
+      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
+             .fwd = akg::PoolImpl::kIm2col},
+      PoolInputs{.in = &in});
   std::int64_t im2col_vmax = 0, im2col_loads = 0;
   for (const auto& e : dev.core(0).trace().events()) {
     if (e.kind == TraceKind::kVector &&

@@ -17,7 +17,9 @@ namespace {
 
 class VectorUnitTest : public ::testing::Test {
  protected:
-  VectorUnitTest() : ub_(BufferKind::kUnified, 64 * 1024), vec_(arch_, cost_, &stats_) {}
+  VectorUnitTest()
+      : ub_(BufferKind::kUnified, 64 * 1024),
+        vec_(arch_, cost_, &stats_, &profile_) {}
 
   Span<Float16> alloc_filled(std::int64_t n, float v) {
     auto s = ub_.alloc<Float16>(n);
@@ -28,6 +30,7 @@ class VectorUnitTest : public ::testing::Test {
   ArchConfig arch_;
   CostModel cost_;
   CycleStats stats_;
+  Profile profile_;
   ScratchBuffer ub_;
   VectorUnit vec_;
 };
@@ -145,11 +148,11 @@ TEST_F(VectorUnitTest, CycleAccounting) {
   VecConfig cfg = VecConfig::flat(2);
   cfg.mask = VecMask::first_n(16);
   vec_.binary(VecOp::kAdd, d, a, a, cfg);
-  EXPECT_EQ(stats_.vector_instrs, 1);
-  EXPECT_EQ(stats_.vector_repeats, 2);
-  EXPECT_EQ(stats_.vector_active_lanes, 32);
+  EXPECT_EQ(profile_.vec.instrs, 1);
+  EXPECT_EQ(profile_.vec.slots_capacity, 2 * 128);  // two repeats
+  EXPECT_EQ(profile_.vec.slots_used, 32);
   EXPECT_EQ(stats_.vector_cycles, cost_.vec_issue_overhead + 2);
-  EXPECT_NEAR(stats_.lane_utilization(), 16.0 / 128.0, 1e-9);
+  EXPECT_NEAR(profile_.vec_lane_utilization(), 16.0 / 128.0, 1e-9);
 }
 
 TEST_F(VectorUnitTest, RejectsNonUbOperands) {

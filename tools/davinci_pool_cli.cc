@@ -27,8 +27,8 @@
 //
 // Fault injection (see docs/RESILIENCE.md for the full grammar):
 //   --inject   comma-separated fault spec, e.g.
-//              core_fail@2,bitflip:ub:1e-6 -- runs every kernel through
-//              Device::run_resilient and prints a fault report. Output
+//              core_fail@2,bitflip:ub:1e-6 -- runs every kernel under
+//              that resilience policy and prints a fault report. Output
 //              verification by redundant execution is enabled
 //              automatically when the plan contains silent-corruption
 //              sites.
@@ -98,14 +98,14 @@ akg::PoolImpl parse_impl(const std::string& s) {
 
 void report(const char* what, const Device::RunResult& run, bool show_faults,
             const ArchConfig& arch) {
-  std::printf("%-14s %10lld cycles  (serial %lld, pipelined bound %lld)\n",
-              what, static_cast<long long>(run.device_cycles),
-              static_cast<long long>(run.device_cycles_serial),
-              static_cast<long long>(run.device_cycles_pipelined));
+  std::printf("%-14s %10lld cycles  (serial %lld)\n", what,
+              static_cast<long long>(run.device_cycles),
+              static_cast<long long>(run.device_cycles_serial));
   std::printf("  %s\n", run.aggregate.summary().c_str());
   std::printf("  occupancy: %s\n", run.profile.summary().c_str());
-  const Roofline roof = compute_roofline(run.aggregate, arch,
-                                         run.device_cycles, run.cores_used);
+  const Roofline roof = compute_roofline(run.aggregate.traffic, run.profile,
+                                         arch, run.device_cycles,
+                                         run.cores_used);
   std::printf("  roofline: %s (arith intensity %.3g vs balance %.3g; "
               "%.3g of %lld GM bytes/cycle/core)\n",
               roof.klass(), roof.arithmetic_intensity, roof.machine_balance,

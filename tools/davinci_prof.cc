@@ -8,13 +8,13 @@
 //   davinci_prof --diff <baseline.json> <candidate.json>
 //                [--tol=0.05] [--tol:<metric>=X] [--include-host]
 //       Compares the candidate against the baseline. Cycle-like metrics
-//       (cycles, cycles_serial, busiest_unit_cycles, pipelined_bound,
-//       horizon, makespan) regress the build when the candidate exceeds
-//       the baseline by more than the tolerance; other numeric drifts are
-//       reported but do not fail. host_* wall-clock fields are ignored
-//       unless --include-host (the simulator is deterministic, the host
-//       machine is not). --tol:<metric>=X overrides the tolerance for one
-//       field name, e.g. --tol:cycles=0 for an exact cycle gate.
+//       (cycles, cycles_serial, busiest_unit_cycles, horizon, makespan)
+//       regress the build when the candidate exceeds the baseline by
+//       more than the tolerance; other numeric drifts are reported but do
+//       not fail. host_* wall-clock fields are ignored unless
+//       --include-host (the simulator is deterministic, the host machine
+//       is not). --tol:<metric>=X overrides the tolerance for one field
+//       name, e.g. --tol:cycles=0 for an exact cycle gate.
 //
 // Exit codes: 0 ok / no regression, 1 regression found, 2 usage or parse
 // error. CI diffs every bench run against the committed baselines in

@@ -17,8 +17,8 @@
 //   --deadline-us=N      default completion budget for trace lines that
 //                        carry no deadline_us= field (0 = none)
 //   --watchdog-us=N      hung-launch watchdog budget (0 = off)
-//   --inject=SPEC        fault-plan spec (sim/fault.h grammar); routes
-//                        every launch through Device::run_resilient
+//   --inject=SPEC        fault-plan spec (sim/fault.h grammar); every
+//                        launch runs under it (Device::set_resilience)
 //   --seed=N             fault-plan seed                 (default 1)
 //   --retries=N          per-block retry budget          (default 3)
 //   --verify             CRC-verify stores (catches silent corruption)
