@@ -44,7 +44,7 @@ int main() {
       ok &= got.flat(i) == Float16(want.flat(i)).to_float();
     }
 
-    char shape[48], stride[16];
+    char shape[64], stride[48];  // room for any three / two int64s
     std::snprintf(shape, sizeof(shape), "%lld,%lld,%lld",
                   static_cast<long long>(cs.h), static_cast<long long>(cs.h),
                   static_cast<long long>(cs.c));

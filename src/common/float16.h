@@ -13,6 +13,7 @@
 // binary32 has more than 2x the precision of binary16).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -35,67 +36,37 @@ inline float float_of(std::uint32_t u) {
   return f;
 }
 
-// Convert a binary32 value to binary16 bits with round-to-nearest-even,
-// handling subnormals, overflow to infinity, and NaN payload preservation
-// (quietened).
+// Convert a binary32 value to binary16 bits with round-to-nearest-even:
+// subnormal results, overflow to infinity, and every NaN to the quiet
+// NaN sign|0x7E00. Branch-free -- both rounding paths are computed and
+// one is selected by mask -- so the interpreter's element loops (vector
+// adds, Col2Im accumulation) carry no data-dependent branch and can
+// vectorize. tests/test_float16.cc checks it against a branchy reference
+// on every binary32 bit pattern.
 inline std::uint16_t f32_to_f16_bits(float value) {
   const std::uint32_t x = bits_of(value);
   const std::uint32_t sign = (x >> 16) & 0x8000u;
   const std::uint32_t abs = x & 0x7FFFFFFFu;
 
-  if (abs >= 0x7F800000u) {  // Inf or NaN
-    if (abs > 0x7F800000u) {
-      // NaN: keep it a NaN; set the quiet bit.
-      return static_cast<std::uint16_t>(sign | 0x7E00u);
-    }
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-  if (abs >= 0x477FF000u) {
-    // Values >= 65520 round to +/-inf (65504 is the max finite half).
-    if (abs >= 0x477FF000u && abs < 0x47800000u) {
-      // Between 65504 + ulp/2 boundary: decide by rounding below.
-      // Fall through to the generic path which handles it via exponent
-      // arithmetic; the quick check above only filters the certain cases.
-    }
-    if (abs >= 0x47800000u) {
-      return static_cast<std::uint16_t>(sign | 0x7C00u);
-    }
-  }
-
-  const int exp32 = static_cast<int>(abs >> 23);      // biased by 127
-  const int exp16 = exp32 - 127 + 15;                 // biased by 15
-
-  if (exp16 >= 0x1F) {  // overflow -> infinity
-    return static_cast<std::uint16_t>(sign | 0x7C00u);
-  }
-
-  std::uint32_t mant = abs & 0x7FFFFFu;
-  if (exp16 <= 0) {
-    // Subnormal (or zero) in half precision.
-    if (exp16 < -10) {  // Too small: rounds to +/-0.
-      return static_cast<std::uint16_t>(sign);
-    }
-    // Add the implicit leading one, then shift right by (1 - exp16) + 13.
-    mant |= 0x800000u;
-    const int shift = 14 - exp16;  // 13 (mantissa diff) + (1 - exp16)
-    const std::uint32_t kept = mant >> shift;
-    const std::uint32_t rem = mant & ((1u << shift) - 1u);
-    const std::uint32_t half = 1u << (shift - 1);
-    std::uint32_t rounded = kept;
-    if (rem > half || (rem == half && (kept & 1u))) {
-      rounded += 1;  // May carry into the exponent; that is still correct.
-    }
-    return static_cast<std::uint16_t>(sign | rounded);
-  }
-
-  // Normalized: keep the top 10 mantissa bits, round on the low 13.
-  const std::uint32_t kept = mant >> 13;
-  const std::uint32_t rem = mant & 0x1FFFu;
-  std::uint32_t out = sign | (static_cast<std::uint32_t>(exp16) << 10) | kept;
-  if (rem > 0x1000u || (rem == 0x1000u && (out & 1u))) {
-    out += 1;  // Carries correctly into exponent / infinity.
-  }
-  return static_cast<std::uint16_t>(out);
+  // Normal result (|value| >= 2^-14): rebias the exponent by -112 and
+  // round on the 13 dropped bits -- adding 0xFFF plus the kept mantissa's
+  // low bit carries exactly when the remainder is above half, or equal to
+  // half with an odd mantissa. Carries ripple into the exponent; anything
+  // at or past 65520 lands on or above 0x7C00 and clamps to infinity,
+  // which is also where Inf and NaN land.
+  const std::uint32_t normal =
+      std::min((abs + 0xC8000FFFu + ((abs >> 13) & 1u)) >> 13, 0x7C00u);
+  // Subnormal result (|value| < 2^-14): adding 0.5f, whose ulp is 2^-24,
+  // lets the FPU's round-to-nearest-even leave the half mantissa in the
+  // low bits (a value that rounds up to 2^-14 yields 0x0400, the smallest
+  // normal).
+  const std::uint32_t subnormal = bits_of(float_of(abs) + 0.5f) - 0x3F000000u;
+  const std::uint32_t is_sub =  // all ones when the result is subnormal
+      0u - static_cast<std::uint32_t>(abs < 0x38800000u);
+  const std::uint32_t quiet =  // 0x7C00 | 0x0200 = 0x7E00 for NaN
+      static_cast<std::uint32_t>(abs > 0x7F800000u) << 9;
+  return static_cast<std::uint16_t>(sign | (subnormal & is_sub) |
+                                    (normal & ~is_sub) | quiet);
 }
 
 inline float f16_bits_to_f32(std::uint16_t h) {

@@ -118,8 +118,11 @@ class Histogram {
       if (counts_[b] == 0) continue;
       if (!first) out += ",";
       first = false;
-      out += "[" + json::number(bucket_lo(b)) + "," +
-             json::number(counts_[b]) + "]";
+      out += '[';
+      out += json::number(bucket_lo(b));
+      out += ',';
+      out += json::number(counts_[b]);
+      out += ']';
     }
     out += "]";
     return out;

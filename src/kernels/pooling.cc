@@ -42,7 +42,8 @@ bool is_backward(PoolOpKind kind) {
 std::string PoolOp::to_string() const {
   std::string s = kernels::to_string(kind);
   if (kind == PoolOpKind::kGlobalAvg) return s;
-  s += " " + window.to_string();
+  s += ' ';
+  s += window.to_string();
   if (is_forward(kind)) {
     s += std::string(" impl=") + akg::to_string(fwd);
   } else {

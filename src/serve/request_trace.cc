@@ -264,8 +264,10 @@ std::string request_trace_json(const RequestTraceRing::Stats& stats) {
     if (stats.by_kind[k] == 0) continue;
     if (!first) j += ",";
     first = false;
-    j += "\"" + std::string(to_string(static_cast<ReqEventKind>(k))) +
-         "\":" + json::number(stats.by_kind[k]);
+    j += '"';
+    j += to_string(static_cast<ReqEventKind>(k));
+    j += "\":";
+    j += json::number(stats.by_kind[k]);
   }
   j += "}}";
   return j;

@@ -1,10 +1,37 @@
 #include "sim/executor.h"
 
-#include <algorithm>
+#include <pthread.h>
+#include <sched.h>
 
 #include "common/check.h"
 
 namespace davinci {
+
+namespace {
+
+// The CPUs the calling thread may run on, in increasing order; empty when
+// the affinity mask cannot be read.
+std::vector<int> allowed_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+// Binds the calling thread to one CPU. A failure leaves the thread
+// unpinned, which only costs placement, never correctness.
+void pin_to(int cpu) {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+}
+
+}  // namespace
 
 WorkStealingPool::~WorkStealingPool() {
   {
@@ -17,13 +44,24 @@ WorkStealingPool::~WorkStealingPool() {
 
 void WorkStealingPool::ensure_started() {
   if (!threads_.empty()) return;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 4;  // the standard allows 0 = "unknown"
-  const std::size_t n = std::max(1u, hw);
+  // One worker per CPU the process may use, pinned to it: with the
+  // scheduler's load balancing off (a cpuset with sched_load_balance=0),
+  // unpinned workers stay on the CPU they were created on, and all of
+  // them can end up sharing one.
+  const std::vector<int> cpus = allowed_cpus();
+  std::size_t n = cpus.size();
+  if (n == 0) {  // mask unreadable: size from the hardware, unpinned
+    const unsigned hw = std::thread::hardware_concurrency();
+    n = hw == 0 ? 4 : hw;  // the standard allows 0 = "unknown"
+  }
   queues_.resize(n);
   threads_.reserve(n);
   for (std::size_t w = 0; w < n; ++w) {
-    threads_.emplace_back([this, w] { worker_main(w); });
+    const int cpu = w < cpus.size() ? cpus[w] : -1;
+    threads_.emplace_back([this, w, cpu] {
+      if (cpu >= 0) pin_to(cpu);
+      worker_main(w);
+    });
   }
 }
 

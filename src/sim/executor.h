@@ -14,6 +14,10 @@
 // tiles exist, which is exactly when the old static one-thread-per-lane
 // spawn load-imbalanced on hosts with fewer hardware threads than lanes.
 //
+// Placement: the pool starts one worker per CPU in the starting thread's
+// affinity mask, and pins worker w to the w-th of those CPUs (see
+// docs/PIPELINING.md, "Host-side execution").
+//
 // Determinism: which worker runs a lane never changes *what* the lane
 // computes or charges -- see the block-ordering invariant in
 // sim/device.h.
@@ -44,7 +48,8 @@ class WorkStealingPool {
   // wrap their work and record failures themselves (Device::run does).
   void run(int n, const std::function<void(int)>& task);
 
-  // Workers the pool runs with (0 before the first parallel run).
+  // Workers the pool runs with: 0 before the first parallel run, then one
+  // per CPU the first run()'s calling thread was allowed to use.
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:

@@ -126,7 +126,10 @@ std::string FaultPlan::to_string() const {
   };
   for (const CoreFailTrigger& t : core_failures) {
     std::string item = "core_fail@" + std::to_string(t.core);
-    if (t.from_block != 0) item += "@" + std::to_string(t.from_block);
+    if (t.from_block != 0) {
+      item += '@';
+      item += std::to_string(t.from_block);
+    }
     append(item);
   }
   for (int i = 0; i < kNumFaultSites; ++i) {

@@ -277,42 +277,45 @@ class PipeScheduler {
     if (log_truncated_) return path;
     std::int64_t cur = makespan();
     if (cur == 0) return path;
-    // Sorted-by-end copy lets each backward hop binary-search the
-    // candidates ending at (or below) the current cycle.
-    std::vector<LoggedInterval> by_end(log_.begin(), log_.end());
-    std::stable_sort(by_end.begin(), by_end.end(),
-                     [](const LoggedInterval& a, const LoggedInterval& b) {
-                       return a.end < b.end;
-                     });
+    // Each pipe's logged intervals are disjoint and in time order, so a
+    // backward walk needs one cursor per pipe: at[p] is the log index of
+    // pipe p's latest interval ending at or below cur (-1 once none is
+    // left). The cursors only move backward, so the walk is linear.
+    const auto n = static_cast<std::ptrdiff_t>(log_.size());
+    std::ptrdiff_t at[kNumPipes];
+    const auto retreat = [&](int p) {
+      std::ptrdiff_t i = at[p];
+      do {
+        --i;
+      } while (i >= 0 && pipe_index(log_[i].pipe) != p);
+      at[p] = i;
+    };
+    for (int p = 0; p < kNumPipes; ++p) {
+      at[p] = n;
+      retreat(p);
+    }
     while (cur > 0) {
-      // Last index with end <= cur.
-      auto it = std::upper_bound(
-          by_end.begin(), by_end.end(), cur,
-          [](std::int64_t v, const LoggedInterval& iv) { return v < iv.end; });
-      if (it == by_end.begin()) {
-        // Nothing scheduled below cur: the chain starts with a stall from 0.
-        path.push_back({Pipe::kSync, CritSegment::Kind::kStall, 0, cur});
-        break;
+      // The latest end at or below cur, and among intervals ending
+      // exactly at cur the earliest start (then lowest pipe index) -- the
+      // longest link, deterministically.
+      std::int64_t best_end = 0;
+      const LoggedInterval* pick = nullptr;
+      for (int p = 0; p < kNumPipes; ++p) {
+        while (at[p] >= 0 && log_[at[p]].end > cur) retreat(p);
+        if (at[p] < 0) continue;
+        const LoggedInterval& iv = log_[at[p]];
+        best_end = std::max(best_end, iv.end);
+        if (iv.end == cur && (pick == nullptr || iv.start < pick->start)) {
+          pick = &iv;
+        }
       }
-      const std::int64_t best_end = std::prev(it)->end;
-      if (best_end < cur) {
-        // Gap: the bounding chain waited from best_end to cur.
+      if (pick == nullptr) {
+        // Gap: the bounding chain waited from best_end (0 when nothing is
+        // scheduled below cur) up to cur.
         path.push_back(
             {Pipe::kSync, CritSegment::Kind::kStall, best_end, cur});
         cur = best_end;
         continue;
-      }
-      // Among intervals ending exactly at cur, pick the earliest start
-      // (then lowest pipe index) -- the longest link, deterministically.
-      const LoggedInterval* pick = nullptr;
-      for (auto jt = it; jt != by_end.begin();) {
-        --jt;
-        if (jt->end != cur) break;
-        if (pick == nullptr || jt->start < pick->start ||
-            (jt->start == pick->start &&
-             pipe_index(jt->pipe) < pipe_index(pick->pipe))) {
-          pick = &*jt;
-        }
       }
       path.push_back({pick->pipe, CritSegment::Kind::kBusy, pick->start, cur});
       cur = pick->start;

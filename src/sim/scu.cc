@@ -1,5 +1,6 @@
 #include "sim/scu.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace davinci {
@@ -78,7 +79,7 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
         const std::int64_t y = oy * w.sh + xk - w.pt;
         if (y < 0 || y >= args.ih) {
           // Whole row falls in the zero-padding border.
-          std::memset(drow, 0, static_cast<std::size_t>(ow) * kRowBytes);
+          std::fill_n(drow, ow * kC0, Float16());
           drow += ow * kC0;
           continue;
         }
@@ -86,7 +87,7 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
         std::int64_t x = yk - w.pl;
         for (std::int64_t ox = 0; ox < ow; ++ox, x += w.sw, drow += kC0) {
           if (x < 0 || x >= args.iw) {
-            std::memset(drow, 0, kRowBytes);
+            std::fill_n(drow, kC0, Float16());
           } else {
             std::memcpy(drow, srow + x * kC0, kRowBytes);
           }
@@ -94,8 +95,8 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
       }
       // Tail rows of the last fractal.
       if (padded > patches) {
-        std::memset(d + plane + patches * kC0, 0,
-                    static_cast<std::size_t>(padded - patches) * kRowBytes);
+        std::fill_n(d + plane + patches * kC0, (padded - patches) * kC0,
+                    Float16());
       }
     }
   }
@@ -162,7 +163,7 @@ void Scu::im2col_load_mode0(Span<Float16> dst, Span<Float16> src,
           Float16* const drow = d + fbase + r * kC0;
           std::int64_t y, x;
           if (p >= patches || !coords.source(p, xk, yk, &y, &x)) {
-            std::memset(drow, 0, kRowBytes);
+            std::fill_n(drow, kC0, Float16());
             continue;
           }
           std::memcpy(drow, s + (y * args.iw + x) * kC0, kRowBytes);

@@ -179,7 +179,9 @@ std::string chrome_trace_json(const std::vector<const Trace*>& traces,
                               const std::vector<const PipeScheduler*>&
                                   scheds) {
   DV_CHECK_EQ(traces.size(), core_ids.size());
-  if (!scheds.empty()) DV_CHECK_EQ(scheds.size(), traces.size());
+  if (!scheds.empty()) {
+    DV_CHECK_EQ(scheds.size(), traces.size());
+  }
   std::string out = trace_header("davinci-sim");
 
   for (std::size_t i = 0; i < traces.size(); ++i) {

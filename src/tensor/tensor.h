@@ -50,7 +50,7 @@ class Tensor {
   Tensor() = default;
   explicit Tensor(Shape shape) : shape_(shape) {
     allocate();
-    std::memset(data_, 0, static_cast<std::size_t>(elems_) * sizeof(T));
+    fill(T());
   }
   Tensor(Shape shape, Uninitialized) : shape_(shape) { allocate(); }
   Tensor(Shape shape, T fill_value) : shape_(shape) {

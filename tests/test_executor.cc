@@ -2,8 +2,11 @@
 // Device invariant it must preserve: host scheduling is a free variable,
 // so parallel and serial runs produce identical outputs and accounting.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "kernels/pooling.h"
@@ -69,6 +72,67 @@ TEST(WorkStealingPool, ZeroAndSingleTask) {
   EXPECT_EQ(count.load(), 0);
   pool.run(1, [&](int i) { count += i + 1; });
   EXPECT_EQ(count.load(), 1);
+}
+
+// Narrows the calling thread's affinity mask for the guard's lifetime.
+class ScopedAffinity {
+ public:
+  explicit ScopedAffinity(const cpu_set_t& set) {
+    ok_ = pthread_getaffinity_np(pthread_self(), sizeof(saved_), &saved_) ==
+              0 &&
+          pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+  }
+  ~ScopedAffinity() {
+    if (ok_) pthread_setaffinity_np(pthread_self(), sizeof(saved_), &saved_);
+  }
+  ScopedAffinity(const ScopedAffinity&) = delete;
+  ScopedAffinity& operator=(const ScopedAffinity&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+TEST(WorkStealingPool, SizedFromAffinityMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  WorkStealingPool pool;
+  pool.run(1, [](int) {});
+  EXPECT_EQ(pool.num_threads(), CPU_COUNT(&mask));
+}
+
+TEST(WorkStealingPool, WorkersPinnedToAllowedCpus) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  if (CPU_COUNT(&mask) < 2) GTEST_SKIP() << "fewer than two CPUs allowed";
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int c = 0, picked = 0; c < CPU_SETSIZE && picked < 2; ++c) {
+    if (CPU_ISSET(c, &mask)) {
+      CPU_SET(c, &two);
+      ++picked;
+    }
+  }
+  const ScopedAffinity narrowed(two);
+  ASSERT_TRUE(narrowed.ok());
+
+  // The pool starts from the narrowed thread, so it gets two workers.
+  WorkStealingPool pool;
+  std::atomic<int> arrived{0};
+  std::vector<int> cpu(2, -1);
+  pool.run(2, [&](int i) {
+    // Each task waits for the other, so they occupy both workers at
+    // once; pinned workers must then report two distinct CPUs.
+    arrived++;
+    while (arrived.load() < 2) std::this_thread::yield();
+    cpu[static_cast<std::size_t>(i)] = sched_getcpu();
+  });
+  EXPECT_EQ(pool.num_threads(), 2);
+  for (int c : cpu) EXPECT_TRUE(c >= 0 && CPU_ISSET(c, &two)) << "cpu " << c;
+  EXPECT_NE(cpu[0], cpu[1]);
 }
 
 TEST(WorkStealingPool, DeviceKernelMatchesSerialHostExecution) {

@@ -1,8 +1,12 @@
 // Unit tests for the from-scratch IEEE-754 binary16 implementation.
 #include "common/float16.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +14,95 @@
 
 namespace davinci {
 namespace {
+
+// The reference binary32 -> binary16 conversion: the simulator's original
+// branchy round-to-nearest-even, which the branch-free
+// detail::f32_to_f16_bits replaced. Every fp16 result of the device and of
+// src/ref/ goes through that one conversion, so this oracle is what pins
+// the rounding of both.
+std::uint16_t f32_to_f16_bits_oracle(float value) {
+  const std::uint32_t x = detail::bits_of(value);
+  const std::uint32_t sign = (x >> 16) & 0x8000u;
+  const std::uint32_t abs = x & 0x7FFFFFFFu;
+
+  if (abs >= 0x7F800000u) {  // Inf or NaN
+    if (abs > 0x7F800000u) {
+      // NaN: keep it a NaN; set the quiet bit.
+      return static_cast<std::uint16_t>(sign | 0x7E00u);
+    }
+    return static_cast<std::uint16_t>(sign | 0x7C00u);
+  }
+  if (abs >= 0x47800000u) {  // >= 65536: certainly infinity
+    return static_cast<std::uint16_t>(sign | 0x7C00u);
+  }
+
+  const int exp32 = static_cast<int>(abs >> 23);  // biased by 127
+  const int exp16 = exp32 - 127 + 15;             // biased by 15
+
+  std::uint32_t mant = abs & 0x7FFFFFu;
+  if (exp16 <= 0) {
+    // Subnormal (or zero) in half precision.
+    if (exp16 < -10) {  // Too small: rounds to +/-0.
+      return static_cast<std::uint16_t>(sign);
+    }
+    // Add the implicit leading one, then shift right by (1 - exp16) + 13.
+    mant |= 0x800000u;
+    const int shift = 14 - exp16;  // 13 (mantissa diff) + (1 - exp16)
+    const std::uint32_t kept = mant >> shift;
+    const std::uint32_t rem = mant & ((1u << shift) - 1u);
+    const std::uint32_t half = 1u << (shift - 1);
+    std::uint32_t rounded = kept;
+    if (rem > half || (rem == half && (kept & 1u))) {
+      rounded += 1;  // May carry into the exponent; that is still correct.
+    }
+    return static_cast<std::uint16_t>(sign | rounded);
+  }
+
+  // Normalized: keep the top 10 mantissa bits, round on the low 13.
+  const std::uint32_t kept = mant >> 13;
+  const std::uint32_t rem = mant & 0x1FFFu;
+  std::uint32_t out = sign | (static_cast<std::uint32_t>(exp16) << 10) | kept;
+  if (rem > 0x1000u || (rem == 0x1000u && (out & 1u))) {
+    out += 1;  // Carries correctly into exponent / infinity (65520 -> inf).
+  }
+  return static_cast<std::uint16_t>(out);
+}
+
+TEST(Float16, ConversionMatchesOracleOnEveryFloat) {
+  // All 2^32 binary32 bit patterns, split over a few threads. Each slice
+  // counts its mismatches and keeps the first one for the report.
+  const unsigned slices =
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
+  struct Slice {
+    std::uint64_t mismatches = 0;
+    std::uint32_t first = 0;
+  };
+  static constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  std::vector<Slice> result(slices);
+  const std::uint64_t per = (kAll + slices - 1) / slices;
+  {
+    std::vector<std::jthread> threads;  // joined when the scope closes
+    for (unsigned s = 0; s < slices; ++s) {
+      threads.emplace_back([&result, s, per] {
+        const std::uint64_t lo = s * per;
+        const std::uint64_t hi = std::min(lo + per, kAll);
+        Slice& r = result[s];
+        for (std::uint64_t u = lo; u < hi; ++u) {
+          const float f = detail::float_of(static_cast<std::uint32_t>(u));
+          if (detail::f32_to_f16_bits(f) != f32_to_f16_bits_oracle(f)) {
+            if (r.mismatches++ == 0) r.first = static_cast<std::uint32_t>(u);
+          }
+        }
+      });
+    }
+  }
+  for (const Slice& r : result) {
+    EXPECT_EQ(r.mismatches, 0u)
+        << "first mismatch at float bits 0x" << std::hex << r.first << ": 0x"
+        << detail::f32_to_f16_bits(detail::float_of(r.first)) << " vs oracle 0x"
+        << f32_to_f16_bits_oracle(detail::float_of(r.first));
+  }
+}
 
 TEST(Float16, ZeroAndSigns) {
   EXPECT_EQ(Float16(0.0f).bits(), 0x0000u);

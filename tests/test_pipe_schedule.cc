@@ -1,14 +1,102 @@
 // Unit tests of the per-core pipe-overlap scheduler (sim/pipe_schedule.h):
 // serial semantics outside stages, overlap inside stages, the barrier, the
-// sandwich bound and the ping-pong tile marks.
+// sandwich bound, the ping-pong tile marks and the critical path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
+#include "common/prng.h"
 #include "sim/pipe_schedule.h"
 
 namespace davinci {
 namespace {
 
 using Event = PipeScheduler::Event;
+using Logged = PipeScheduler::LoggedInterval;
+
+// Reference critical path: sort a copy of the interval log by end and
+// binary-search each backward hop. Same contract as
+// PipeScheduler::critical_path() -- among intervals ending at the current
+// cycle the earliest start wins, then the lowest pipe; gaps become stall
+// segments; a truncated log gives an empty path.
+std::vector<CritSegment> critical_path_oracle(const PipeScheduler& s) {
+  std::vector<CritSegment> path;
+  if (s.interval_log_truncated()) return path;
+  std::int64_t cur = s.makespan();
+  if (cur == 0) return path;
+  std::vector<Logged> by_end(s.intervals().begin(), s.intervals().end());
+  std::stable_sort(by_end.begin(), by_end.end(),
+                   [](const Logged& a, const Logged& b) { return a.end < b.end; });
+  while (cur > 0) {
+    auto it = std::upper_bound(
+        by_end.begin(), by_end.end(), cur,
+        [](std::int64_t v, const Logged& iv) { return v < iv.end; });
+    if (it == by_end.begin()) {
+      path.push_back({Pipe::kSync, CritSegment::Kind::kStall, 0, cur});
+      break;
+    }
+    const std::int64_t best_end = std::prev(it)->end;
+    if (best_end < cur) {
+      path.push_back({Pipe::kSync, CritSegment::Kind::kStall, best_end, cur});
+      cur = best_end;
+      continue;
+    }
+    const Logged* pick = nullptr;
+    for (auto jt = it; jt != by_end.begin();) {
+      --jt;
+      if (jt->end != cur) break;
+      if (pick == nullptr || jt->start < pick->start ||
+          (jt->start == pick->start && jt->pipe < pick->pipe)) {
+        pick = &*jt;
+      }
+    }
+    path.push_back({pick->pipe, CritSegment::Kind::kBusy, pick->start, cur});
+    cur = pick->start;
+  }
+  std::reverse(path.begin(), path.end());
+  return path;
+}
+
+// A seeded random schedule: unstaged issues, stages on random pipes after
+// earlier completion events (with flag cycles), barriers and zero-length
+// issues. Cycle counts are tiny, so intervals on different pipes often
+// end on the same cycle.
+void random_schedule(PipeScheduler& s, std::uint64_t seed, int ops) {
+  Xoshiro256 rng(seed);
+  const auto cycles = [&] { return static_cast<std::int64_t>(rng.next_below(5)); };
+  std::vector<Event> events{0};
+  for (int i = 0; i < ops; ++i) {
+    const auto pipe =
+        static_cast<Pipe>(rng.next_below(PipeScheduler::kNumPipes));
+    const std::uint64_t kind = rng.next_below(8);
+    if (kind == 0) {
+      s.barrier(cycles());
+    } else if (kind <= 2) {
+      s.issue(pipe, cycles());
+    } else {
+      s.begin_stage(pipe, events[rng.next_below(events.size())],
+                    static_cast<std::int64_t>(rng.next_below(3)));
+      for (std::uint64_t k = 0, n = 1 + rng.next_below(3); k < n; ++k) {
+        s.issue(pipe, cycles());
+      }
+      events.push_back(s.end_stage());
+    }
+  }
+}
+
+void expect_same_path(const std::vector<CritSegment>& got,
+                      const std::vector<CritSegment>& want,
+                      std::uint64_t seed) {
+  ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pipe, want[i].pipe) << "seed " << seed << " segment " << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << "seed " << seed << " segment " << i;
+    EXPECT_EQ(got[i].start, want[i].start) << "seed " << seed << " segment " << i;
+    EXPECT_EQ(got[i].end, want[i].end) << "seed " << seed << " segment " << i;
+  }
+}
 
 TEST(PipeSchedule, UnstagedOpsSerialize) {
   // Outside a stage every op starts at the global frontier, so the
@@ -143,6 +231,49 @@ TEST(PipeSchedule, ResetClearsReadyTimes) {
   s.reset();
   auto op = s.issue(Pipe::kMteIn, 1);
   EXPECT_EQ(op.start, 0);
+}
+
+TEST(PipeSchedule, CriticalPathMatchesSortingOracle) {
+  int ties = 0;  // intervals on different pipes ending on the same cycle
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    PipeScheduler s;
+    random_schedule(s, seed, 5 + static_cast<int>(seed % 120));
+    const std::vector<CritSegment> path = s.critical_path();
+    expect_same_path(path, critical_path_oracle(s), seed);
+    // The segments tile [0, makespan] exactly.
+    std::int64_t at = 0;
+    for (const CritSegment& seg : path) {
+      EXPECT_EQ(seg.start, at) << "seed " << seed;
+      EXPECT_GT(seg.length(), 0) << "seed " << seed;
+      at = seg.end;
+    }
+    EXPECT_EQ(at, s.makespan()) << "seed " << seed;
+    const auto& log = s.intervals();
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      for (std::size_t j = i + 1; j < log.size(); ++j) {
+        ties += log[i].end == log[j].end && log[i].pipe != log[j].pipe;
+      }
+    }
+  }
+  EXPECT_GT(ties, 0) << "the schedules never exercised the tie rule";
+}
+
+TEST(PipeSchedule, CriticalPathEmptyWhenLogTruncated) {
+  PipeScheduler s;
+  random_schedule(s, 7, 64);
+  ASSERT_FALSE(s.critical_path().empty());
+  for (int i = 0; !s.interval_log_truncated() && i < (1 << 20); ++i) {
+    s.issue(static_cast<Pipe>(i % PipeScheduler::kNumPipes), 1);
+  }
+  ASSERT_TRUE(s.interval_log_truncated());
+  EXPECT_TRUE(s.critical_path().empty());
+  expect_same_path(s.critical_path(), critical_path_oracle(s), 7);
+  // reset() clears the truncation; the next schedule has a path again.
+  s.reset();
+  random_schedule(s, 8, 64);
+  ASSERT_FALSE(s.interval_log_truncated());
+  expect_same_path(s.critical_path(), critical_path_oracle(s), 8);
+  EXPECT_FALSE(s.critical_path().empty());
 }
 
 }  // namespace

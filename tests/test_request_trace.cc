@@ -151,12 +151,16 @@ TEST(RequestTraceSession, CompletedRequestRecordsTheFullLifecycle) {
   EXPECT_TRUE(has_kind(evs, ReqEventKind::kVmScheduled));
   // Payloads: kSubmitted carries the prio; the first launch is batch 0.
   for (const ReqEvent& e : evs) {
-    if (e.kind == ReqEventKind::kSubmitted) EXPECT_EQ(e.a, 2);
+    if (e.kind == ReqEventKind::kSubmitted) {
+      EXPECT_EQ(e.a, 2);
+    }
     if (e.kind == ReqEventKind::kBatched) {
       EXPECT_EQ(e.a, 0);
       EXPECT_EQ(e.b, 1);
     }
-    if (e.kind == ReqEventKind::kVmScheduled) EXPECT_GT(e.b, e.a);
+    if (e.kind == ReqEventKind::kVmScheduled) {
+      EXPECT_GT(e.b, e.a);
+    }
   }
   // Stats surface mirrors the ring.
   const SessionStats s = session.stats();
@@ -273,7 +277,9 @@ TEST(RequestTraceSession, ResetStatsClearsTheRing) {
   EXPECT_GT(id, 0);
   // Post-reset batch ids restart at 0 (re-aligned with the VM stream).
   for (const ReqEvent& e : session.request_events()) {
-    if (e.kind == ReqEventKind::kBatched) EXPECT_EQ(e.a, 0);
+    if (e.kind == ReqEventKind::kBatched) {
+      EXPECT_EQ(e.a, 0);
+    }
   }
 }
 
