@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
       session.drain();
     }
     for (auto& f : futures) f.get();
-    session.add_metrics(registry);
+    registry.set_serve(session.serve_json());
   }
 
   table.print();

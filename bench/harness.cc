@@ -67,28 +67,6 @@ std::string fmt_ns(std::int64_t ns) {
   return buf;
 }
 
-namespace {
-
-void append_json_escaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 JsonReport::JsonReport(std::string bench) : bench_(std::move(bench)) {}
 
 JsonReport& JsonReport::row() {
@@ -101,11 +79,7 @@ JsonReport& JsonReport::field(const std::string& key,
   DV_CHECK(!rows_.empty()) << "field() before row()";
   std::string& r = rows_.back();
   if (!r.empty()) r += ",";
-  r += "\"";
-  append_json_escaped(&r, key);
-  r += "\":\"";
-  append_json_escaped(&r, value);
-  r += "\"";
+  r += json::escape(key) + ":" + json::escape(value);
   return *this;
 }
 
@@ -113,9 +87,7 @@ JsonReport& JsonReport::field(const std::string& key, std::int64_t value) {
   DV_CHECK(!rows_.empty()) << "field() before row()";
   std::string& r = rows_.back();
   if (!r.empty()) r += ",";
-  r += "\"";
-  append_json_escaped(&r, key);
-  r += "\":" + std::to_string(value);
+  r += json::escape(key) + ":" + std::to_string(value);
   return *this;
 }
 
@@ -123,9 +95,7 @@ JsonReport& JsonReport::field(const std::string& key, bool value) {
   DV_CHECK(!rows_.empty()) << "field() before row()";
   std::string& r = rows_.back();
   if (!r.empty()) r += ",";
-  r += "\"";
-  append_json_escaped(&r, key);
-  r += value ? "\":true" : "\":false";
+  r += json::escape(key) + (value ? ":true" : ":false");
   return *this;
 }
 
@@ -133,9 +103,7 @@ JsonReport& JsonReport::field(const std::string& key, double value) {
   DV_CHECK(!rows_.empty()) << "field() before row()";
   std::string& r = rows_.back();
   if (!r.empty()) r += ",";
-  r += "\"";
-  append_json_escaped(&r, key);
-  r += "\":" + json::number(value);
+  r += json::escape(key) + ":" + json::number(value);
   return *this;
 }
 
@@ -170,9 +138,9 @@ JsonReport& JsonReport::traffic_fields(const Device::RunResult& run,
 }
 
 std::string JsonReport::to_json() const {
-  std::string out = "{\"bench\":\"";
-  append_json_escaped(&out, bench_);
-  out += "\",\"rows\":[\n";
+  std::string out = "{\"bench\":";
+  out += json::escape(bench_);
+  out += ",\"rows\":[\n";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     out += "{" + rows_[i] + "}";
     if (i + 1 < rows_.size()) out += ",";

@@ -37,8 +37,8 @@
 // baselines gated at zero cycle tolerance across the Session API change.
 //
 // Thread safety: run_pool must be driven by one thread at a time (the
-// serving worker); stats()/cluster_json() may be called concurrently
-// from any thread.
+// serving worker); stats() may be called concurrently from any thread
+// (Session::serve_json serializes it as the "cluster" object).
 #pragma once
 
 #include <cstdint>

@@ -534,6 +534,16 @@ void Session::launch_members(std::vector<Pending>& taken,
     ~LaunchScope() {
       std::unique_lock<std::mutex> lock(s->mu_);
       s->launch_active_ = false;
+      // The watchdog thread only samples launches still in flight; an
+      // overrun that ends between two samples alarms here instead (still
+      // once per launch sequence number).
+      if (s->opts_.watchdog_timeout_us > 0 &&
+          s->alarmed_seq_ != s->launch_seq_ &&
+          Clock::now() - s->launch_start_ >
+              std::chrono::microseconds(s->opts_.watchdog_timeout_us)) {
+        s->alarmed_seq_ = s->launch_seq_;
+        s->stats_.watchdog_alarms += 1;
+      }
     }
   } scope{this};
 
@@ -823,8 +833,11 @@ std::string Session::serve_json() const {
        ",\"quarantined_cores\":" +
        num(static_cast<std::int64_t>(s.quarantined_cores)) +
        ",\"faults_injected\":" + num(s.faults.faults_injected) +
+       ",\"silent_injected\":" + num(s.faults.silent_injected) +
        ",\"faults_detected\":" + num(s.faults.faults_detected) +
+       ",\"faults_absorbed\":" + num(s.faults.faults_absorbed) +
        ",\"retries\":" + num(s.faults.retries) +
+       ",\"verification_runs\":" + num(s.faults.verification_runs) +
        ",\"blocks_redispatched\":" + num(s.faults.blocks_redispatched) +
        ",\"cores_quarantined_total\":" + num(s.faults.cores_quarantined) +
        "}";
@@ -861,10 +874,6 @@ std::string Session::unified_chrome_trace() const {
 void Session::write_unified_chrome_trace(const std::string& path) const {
   davinci::write_unified_chrome_trace(
       path, *vm_streams_.front(), build_request_spans(req_trace_.snapshot()));
-}
-
-void Session::add_metrics(MetricsRegistry& reg) const {
-  reg.set_serve(serve_json());
 }
 
 }  // namespace davinci::serve

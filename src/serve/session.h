@@ -67,7 +67,6 @@
 #include "serve/request_trace.h"
 #include "sim/device.h"
 #include "sim/fault.h"
-#include "sim/metrics_registry.h"
 #include "sim/vm/stream.h"
 
 namespace davinci::serve {
@@ -138,8 +137,9 @@ struct SessionOptions {
   // device_cycles_total are identical either way -- the VM only re-times.
   bool vm = true;
   int vm_in_flight = 2;
-  // Retain per-launch placed intervals for the Chrome trace exporter
-  // (write_vm_chrome_trace); bounded, off by default.
+  // Retain per-launch placed intervals for the device tracks of the
+  // unified Chrome trace (write_unified_chrome_trace); bounded, off by
+  // default.
   bool vm_capture = false;
   // Request lifecycle tracing (serve/request_trace.h): every request
   // gets a trace id and its transitions land in a bounded event ring of
@@ -298,18 +298,14 @@ class Session {
   void pause();
   void resume();
 
-  // The ingress device (device 0) -- where requests arrive and where
-  // unsharded launches run. Kept for the wide pre-cluster caller base.
-  Device& device() { return cluster_.device(0); }
-  // The device cluster behind the session.
+  // The device cluster behind the session; device 0 is the ingress
+  // device, where requests arrive and unsharded launches run.
   Cluster& cluster() { return cluster_; }
   const Cluster& cluster() const { return cluster_; }
   const SessionOptions& options() const { return opts_; }
-  // Device 0's instruction-stream VM (valid for the session's lifetime;
-  // a no-op empty stream when SessionOptions::vm is off). Per-device
-  // streams back a multi-device session; this accessor -- and the
-  // Chrome trace built on it -- shows the ingress device's stream.
-  const vm::VmStream& vm_stream() const { return *vm_streams_.front(); }
+  // Device `device`'s instruction-stream VM (valid for the session's
+  // lifetime; a no-op empty stream when SessionOptions::vm is off). The
+  // unified Chrome trace shows the ingress device's stream, vm_stream(0).
   const vm::VmStream& vm_stream(int device) const {
     return *vm_streams_.at(static_cast<std::size_t>(device));
   }
@@ -323,10 +319,11 @@ class Session {
   // only while idle (after drain()); resetting mid-launch would tear
   // the accounting.
   void reset_stats();
-  // The schema-v8 "serve" JSON object for MetricsRegistry::set_serve.
+  // The schema-v8 "serve" JSON object -- the one serializer of
+  // SessionStats. MetricsRegistry::set_serve embeds it, davinci_prof and
+  // the davinci_serve console render it (render_object), and each
+  // davinci_serve --stats-every-ms line is this object.
   std::string serve_json() const;
-  // Attaches serve_json() to `reg` (top-level "serve", schema v8).
-  void add_metrics(MetricsRegistry& reg) const;
 
   // The request lifecycle ring (serve/request_trace.h).
   const RequestTraceRing& request_trace() const { return req_trace_; }

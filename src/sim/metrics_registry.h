@@ -15,8 +15,8 @@
 //
 // Schema version 2 adds an optional top-level "serve" object -- the
 // serving-session statistics (queue depths, batch sizes, plan-cache hit
-// rates, host-side latency percentiles) attached via set_serve() by
-// serve::Session::add_metrics. Version 3 extends "serve" with the
+// rates, host-side latency percentiles) attached via
+// set_serve(session.serve_json()). Version 3 extends "serve" with the
 // robustness surface: "expired" / "shed" / "rejected" / "cancelled"
 // request counters, "overload_policy", "watchdog_alarms" and a nested
 // "resilience" object (degraded_launches, bisections, poisoned_requests,
@@ -76,8 +76,8 @@ class MetricsRegistry {
            const ArchConfig& arch);
 
   // Attaches the serving-session statistics as the document's top-level
-  // "serve" object. `json_object` must be a serialized JSON object (the
-  // caller -- serve::Session::add_metrics -- owns its field layout).
+  // "serve" object. `json_object` must be a serialized JSON object
+  // (serve::Session::serve_json owns its field layout).
   // Empty string removes the object again.
   void set_serve(std::string json_object) { serve_ = std::move(json_object); }
   bool has_serve() const { return !serve_.empty(); }

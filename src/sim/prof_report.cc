@@ -1,5 +1,6 @@
 #include "sim/prof_report.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -75,229 +76,77 @@ void render_attribution(const json::Value& attr, std::string* out) {
   }
 }
 
+// A scalar as the renderer prints it: integers exact, other numbers to
+// four significant digits (whole units from 1e4 up, never an exponent
+// there), strings bare.
+std::string scalar_text(const json::Value& v) {
+  if (v.is_int()) return std::to_string(v.as_int());
+  if (v.is_number()) {
+    const double d = v.as_double();
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), std::abs(d) < 1e4 ? "%.4g" : "%.0f", d);
+    return buf;
+  }
+  if (v.is_string()) return v.as_string();
+  if (v.is_bool()) return v.as_bool() ? "true" : "false";
+  return "null";
+}
+
+bool is_object_array(const json::Value& v) {
+  return v.is_array() && !v.as_array().empty() &&
+         std::all_of(v.as_array().begin(), v.as_array().end(),
+                     [](const json::Value& e) { return e.is_object(); });
+}
+
+// The generic object renderer behind render_object (see header).
+void render_tree(const std::string& label, const json::Value& obj,
+                 int depth, std::string* out) {
+  std::string line(static_cast<std::size_t>(2 * depth), ' ');
+  line += label;
+  if (!label.empty()) line += ":";
+  const char* sep = label.empty() ? "" : " ";
+  for (const auto& [key, v] : obj.as_object()) {
+    if (v.is_object() || is_object_array(v)) continue;
+    line += sep;
+    sep = ", ";
+    line += key;
+    if (v.is_array()) {
+      line += " [";
+      line += std::to_string(v.as_array().size());
+      line += "]";
+    } else {
+      line += " ";
+      line += scalar_text(v);
+    }
+  }
+  *out += line + "\n";
+  for (const auto& [key, v] : obj.as_object()) {
+    if (v.is_object()) {
+      render_tree(key, v, depth + 1, out);
+    } else if (is_object_array(v)) {
+      const json::Array& rows = v.as_array();
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        std::string row = key;
+        row += "[";
+        row += std::to_string(i);
+        row += "]";
+        render_tree(row, rows[i], depth + 1, out);
+      }
+    }
+  }
+}
+
+// One metrics entry: labeled by its name, the other fields through the
+// generic renderer, then the per-core attribution table with
+// percent-of-horizon columns.
 void render_metrics_entry(const json::Value& e, std::string* out) {
-  *out += "entry " + e.at("name").as_string() + "\n";
-  const std::int64_t cycles = int_or(e, "cycles", 0);
-  const std::int64_t serial = int_or(e, "cycles_serial", 0);
-  *out += "  cycles " + std::to_string(cycles) + " (serial " +
-          std::to_string(serial);
-  if (cycles > 0 && serial > 0) {
-    *out += ", overlap " +
-            fmt(static_cast<double>(serial) / static_cast<double>(cycles)) +
-            "x";
-  }
-  *out += "), cores_used " + std::to_string(int_or(e, "cores_used", 0)) + "\n";
-  if (const json::Value* roof = e.get("roofline")) {
-    *out += "  roofline: " + roof->at("class").as_string() +
-            " (arith intensity " +
-            fmt(roof->at("arithmetic_intensity").as_double()) +
-            " lane-ops/GM-byte vs balance " +
-            fmt(roof->at("machine_balance").as_double()) + "; achieved " +
-            fmt(roof->at("achieved_gm_bytes_per_cycle").as_double()) +
-            " of peak " +
-            fmt(roof->at("peak_gm_bytes_per_cycle").as_double()) +
-            " GM bytes/cycle/core)\n";
-  }
-  if (const json::Value* t = e.get("traffic")) {
-    *out += "  traffic: gm_total " + std::to_string(int_or(*t, "gm_total", 0)) +
-            " B, mte_total " + std::to_string(int_or(*t, "mte_total", 0)) +
-            " B, im2col " + std::to_string(int_or(*t, "im2col_bytes", 0)) +
-            " B, col2im " + std::to_string(int_or(*t, "col2im_bytes", 0)) +
-            " B, ub_vector " +
-            std::to_string(int_or(*t, "ub_vector_bytes", 0)) + " B\n";
-  }
+  json::Object fields = e.as_object();
+  fields.erase("name");
+  fields.erase("attribution");
+  render_tree("entry " + e.at("name").as_string(),
+              json::Value(std::move(fields)), 0, out);
   if (const json::Value* attr = e.get("attribution")) {
     render_attribution(*attr, out);
-  }
-}
-
-// Schema-v7 "serve" object (serve::Session::add_metrics). The v3
-// robustness keys, the v5 "vm" object, the v6 p999 / hist /
-// request_trace keys and the v7 "cluster" object are all optional, so
-// v2..v6 documents still render.
-void render_serve(const json::Value& s, std::string* out) {
-  *out += "serve: " + std::to_string(int_or(s, "requests", 0)) +
-          " requests in " + std::to_string(int_or(s, "launches", 0)) +
-          " launches (" + std::to_string(int_or(s, "batches", 0)) +
-          " batches";
-  if (const json::Value* ab = s.get("avg_batch")) {
-    *out += ", avg batch " + fmt_num(*ab);
-  }
-  *out += ", failed " + std::to_string(int_or(s, "failed", 0)) + ")\n";
-  if (s.get("expired") != nullptr || s.get("shed") != nullptr) {
-    *out += "  overload: expired " + std::to_string(int_or(s, "expired", 0)) +
-            ", shed " + std::to_string(int_or(s, "shed", 0)) +
-            ", rejected " + std::to_string(int_or(s, "rejected", 0)) +
-            ", cancelled " + std::to_string(int_or(s, "cancelled", 0));
-    if (const json::Value* pol = s.get("overload_policy")) {
-      *out += " (policy " + pol->as_string() + ")";
-    }
-    *out += ", watchdog alarms " +
-            std::to_string(int_or(s, "watchdog_alarms", 0)) + "\n";
-  }
-  if (const json::Value* r = s.get("resilience")) {
-    const bool enabled =
-        r->get("enabled") != nullptr && r->at("enabled").as_bool();
-    *out += "  resilience: " + std::string(enabled ? "on" : "off") +
-            ", degraded launches " +
-            std::to_string(int_or(*r, "degraded_launches", 0)) +
-            ", bisections " + std::to_string(int_or(*r, "bisections", 0)) +
-            ", poisoned " +
-            std::to_string(int_or(*r, "poisoned_requests", 0)) +
-            ", launch failures " +
-            std::to_string(int_or(*r, "launch_failures", 0)) +
-            ", quarantined cores " +
-            std::to_string(int_or(*r, "quarantined_cores", 0)) + "\n";
-    if (int_or(*r, "faults_injected", 0) > 0 ||
-        int_or(*r, "retries", 0) > 0) {
-      *out += "    faults: injected " +
-              std::to_string(int_or(*r, "faults_injected", 0)) +
-              ", detected " +
-              std::to_string(int_or(*r, "faults_detected", 0)) +
-              ", retries " + std::to_string(int_or(*r, "retries", 0)) +
-              ", blocks redispatched " +
-              std::to_string(int_or(*r, "blocks_redispatched", 0)) + "\n";
-    }
-  }
-  if (const json::Value* pc = s.get("plan_cache")) {
-    *out += "  plan cache: " + std::to_string(int_or(*pc, "hits", 0)) +
-            " hits / " + std::to_string(int_or(*pc, "misses", 0)) +
-            " misses";
-    if (const json::Value* hr = pc->get("hit_rate")) {
-      *out += " (" + fmt(hr->as_double() * 100.0) + "%)";
-    }
-    *out += ", " + std::to_string(int_or(*pc, "size", 0)) + "/" +
-            std::to_string(int_or(*pc, "capacity", 0)) + " entries, " +
-            std::to_string(int_or(*pc, "evictions", 0)) + " evictions\n";
-  }
-  if (const json::Value* q = s.get("queue")) {
-    *out += "  queue: capacity " + std::to_string(int_or(*q, "capacity", 0)) +
-            ", peak depth " + std::to_string(int_or(*q, "peak_depth", 0)) +
-            ", backpressure waits " +
-            std::to_string(int_or(*q, "backpressure_waits", 0)) + "\n";
-  }
-  if (const json::Value* lat = s.get("host_latency_us")) {
-    *out += "  latency (host us): p50 " + fmt_num(lat->at("p50")) + ", p90 " +
-            fmt_num(lat->at("p90")) + ", p99 " + fmt_num(lat->at("p99"));
-    if (const json::Value* p999 = lat->get("p999")) {
-      *out += ", p999 " + fmt_num(*p999);
-    }
-    *out += ", max " + fmt_num(lat->at("max"));
-    if (const json::Value* h = lat->get("hist")) {
-      *out += " (hist dropped " + std::to_string(int_or(*h, "dropped", 0)) +
-              ")";
-    }
-    *out += "\n";
-  }
-  if (const json::Value* rt = s.get("request_trace")) {
-    *out += "  request trace: " +
-            std::to_string(int_or(*rt, "recorded", 0)) + " events (" +
-            std::to_string(int_or(*rt, "dropped", 0)) +
-            " dropped, ring capacity " +
-            std::to_string(int_or(*rt, "capacity", 0)) + ")\n";
-  }
-  *out += "  device cycles total " +
-          std::to_string(int_or(s, "device_cycles_total", 0)) + "\n";
-  if (const json::Value* vm = s.get("vm")) {
-    const bool enabled =
-        vm->get("enabled") != nullptr && vm->at("enabled").as_bool();
-    const std::int64_t makespan = int_or(*vm, "makespan", 0);
-    const std::int64_t serial_sum = int_or(*vm, "serial_sum", 0);
-    *out += "  vm: " + std::string(enabled ? "on" : "off") + ", in-flight " +
-            std::to_string(int_or(*vm, "in_flight", 0)) + ", " +
-            std::to_string(int_or(*vm, "launches", 0)) +
-            " launches, makespan " + std::to_string(makespan) +
-            " (serial sum " + std::to_string(serial_sum) + ", overlap " +
-            std::to_string(int_or(*vm, "overlap_cycles", 0)) + " = " +
-            pct_of(int_or(*vm, "overlap_cycles", 0), serial_sum) +
-            "), stalls window " +
-            std::to_string(int_or(*vm, "window_stalls", 0)) + " / hazard " +
-            std::to_string(int_or(*vm, "hazard_stalls", 0)) + "\n";
-    if (const json::Value* streams = vm->get("streams")) {
-      char line[160];
-      std::snprintf(line, sizeof(line),
-                    "    %-8s %6s %12s %12s %12s %12s %9s\n", "stream",
-                    "tracks", "busy", "wait", "flag", "idle", "occupancy");
-      *out += line;
-      for (const auto& [pipe, b] : streams->as_object()) {
-        const double occ = b.get("occupancy") != nullptr
-                               ? b.at("occupancy").as_double()
-                               : 0.0;
-        std::snprintf(line, sizeof(line),
-                      "    %-8s %6lld %12lld %12lld %12lld %12lld %8.1f%%\n",
-                      pipe.c_str(),
-                      static_cast<long long>(int_or(b, "tracks", 0)),
-                      static_cast<long long>(int_or(b, "busy", 0)),
-                      static_cast<long long>(int_or(b, "wait", 0)),
-                      static_cast<long long>(int_or(b, "flag", 0)),
-                      static_cast<long long>(int_or(b, "idle", 0)),
-                      occ * 100.0);
-        *out += line;
-      }
-    }
-  }
-  if (const json::Value* c = s.get("cluster")) {
-    const std::int64_t devices = int_or(*c, "devices", 1);
-    *out += "  cluster: " + std::to_string(devices) + " device" +
-            (devices == 1 ? "" : "s");
-    if (const json::Value* p = c->get("placement")) {
-      *out += " (" + p->as_string() + " parallel)";
-    }
-    *out += ", " + std::to_string(int_or(*c, "sharded_launches", 0)) + "/" +
-            std::to_string(int_or(*c, "launches", 0)) +
-            " launches sharded, makespan " +
-            std::to_string(int_or(*c, "makespan", 0)) + "\n";
-    if (const json::Value* r = c->get("redistribution")) {
-      *out += "    redistribution: " +
-              std::to_string(int_or(*r, "transfers", 0)) + " transfers, " +
-              std::to_string(int_or(*r, "bytes", 0)) + " bytes, " +
-              std::to_string(int_or(*r, "cycles", 0)) +
-              " cycles (busiest link " +
-              std::to_string(int_or(*c, "link_busy_cycles", 0)) +
-              " busy cycles)\n";
-    }
-    if (const json::Value* pd = c->get("per_device")) {
-      if (devices > 1) {
-        char line[160];
-        std::snprintf(line, sizeof(line), "    %-6s %9s %9s %14s %12s\n",
-                      "device", "launches", "blocks", "cycles",
-                      "vm_makespan");
-        *out += line;
-        for (const json::Value& row : pd->as_array()) {
-          std::snprintf(line, sizeof(line),
-                        "    %-6lld %9lld %9lld %14lld %12lld\n",
-                        static_cast<long long>(int_or(row, "device", 0)),
-                        static_cast<long long>(int_or(row, "launches", 0)),
-                        static_cast<long long>(int_or(row, "blocks", 0)),
-                        static_cast<long long>(int_or(row, "cycles", 0)),
-                        static_cast<long long>(int_or(row, "vm_makespan", 0)));
-          *out += line;
-        }
-      }
-    }
-  }
-}
-
-void render_bench(const json::Value& doc, std::string* out) {
-  *out += "bench " + doc.at("bench").as_string() + "\n";
-  for (const json::Value& row : doc.at("rows").as_array()) {
-    *out += "  ";
-    bool first = true;
-    for (const auto& [k, v] : row.as_object()) {
-      if (!first) *out += " ";
-      first = false;
-      *out += k + "=";
-      if (v.is_string()) {
-        *out += v.as_string();
-      } else if (v.is_bool()) {
-        *out += v.as_bool() ? "true" : "false";
-      } else if (v.is_number()) {
-        *out += fmt_num(v);
-      } else {
-        *out += "?";
-      }
-    }
-    *out += "\n";
   }
 }
 
@@ -438,7 +287,7 @@ std::string render_report(const json::Value& doc) {
            " entr" +
            (doc.at("entries").as_array().size() == 1 ? "y" : "ies") + "\n";
     if (const json::Value* serve = doc.get("serve")) {
-      render_serve(*serve, &out);
+      render_tree("serve", *serve, 0, &out);
     }
     for (const json::Value& e : doc.at("entries").as_array()) {
       render_metrics_entry(e, &out);
@@ -446,12 +295,18 @@ std::string render_report(const json::Value& doc) {
     return out;
   }
   if (doc.has("bench") && doc.has("rows")) {
-    render_bench(doc, &out);
+    render_tree("", doc, 0, &out);
     return out;
   }
   throw Error(
       "unrecognized document: expected a davinci.metrics file or a bench "
       "JsonReport ({\"bench\",\"rows\"})");
+}
+
+std::string render_object(const std::string& label, const json::Value& obj) {
+  std::string out;
+  render_tree(label, obj, 0, &out);
+  return out;
 }
 
 DiffResult diff_reports(const json::Value& a, const json::Value& b,

@@ -4,10 +4,11 @@
 //
 // Two document shapes are understood:
 //  * the versioned metrics schema written by MetricsRegistry
-//    ("schema": "davinci.metrics"), rendered as per-entry attribution /
-//    roofline reports;
+//    ("schema": "davinci.metrics"): the "serve" object and each entry go
+//    through render_object, and each entry's attribution is a per-core
+//    table with percent-of-horizon columns;
 //  * the bench JsonReport shape ({"bench": ..., "rows": [...]}), rendered
-//    as a row table.
+//    by render_object as a whole.
 //
 // diff_reports() walks both documents recursively. Cycle-like metrics
 // (cycles, cycles_serial, busiest_unit_cycles, horizon, makespan) are
@@ -28,6 +29,14 @@ namespace davinci {
 
 // Pretty-prints a parsed metrics or bench document.
 std::string render_report(const json::Value& doc);
+
+// Renders any JSON object generically, so every key a writer adds shows
+// up without a renderer change. The object prints as one line
+// "label: key value, key value, ..." of its scalar members in key order,
+// with arrays that do not hold objects shown by length ("key [n]"). Each
+// nested object, and each element of an array of objects (labeled
+// "key[i]"), follows on its own lines, indented two more spaces.
+std::string render_object(const std::string& label, const json::Value& obj);
 
 struct DiffOptions {
   double tol = 0.05;  // default relative tolerance

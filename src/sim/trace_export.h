@@ -51,23 +51,6 @@ std::string chrome_trace_json(Device& dev);
 // Writes chrome_trace_json(dev) to `path`. Throws Error on I/O failure.
 void write_chrome_trace(const std::string& path, Device& dev);
 
-// Cross-batch view of an instruction-stream VM (docs/ASYNC_VM.md): each
-// placed launch becomes one process track (pid = launch sequence + 1,
-// labeled with the launch's op string) with one thread row per
-// (core, pipe) lane, and every interval is rendered at its stream-
-// scheduled start -- overlap between consecutive batches shows as
-// process tracks overlapping in time. pid 0 carries the stream-global
-// "ub tiles in flight" counter, aggregated over all launches' shifted
-// tile marks and closed with a zero sample at the cross-batch makespan.
-// The stream must have been constructed with VmStreamOptions::capture;
-// without it placements() is empty and the trace has no launch tracks.
-std::string vm_chrome_trace_json(const vm::VmStream& stream);
-
-// Writes vm_chrome_trace_json(stream) to `path`. Throws Error on I/O
-// failure.
-void write_vm_chrome_trace(const std::string& path,
-                           const vm::VmStream& stream);
-
 // One host-side span for the unified host+device timeline: a row of the
 // dedicated "serve requests" process track (pid kHostTrackPid), placed
 // directly on the VM stream's cycle timeline so request lifecycle phases
@@ -87,12 +70,16 @@ struct HostSpan {
 // by vm::VmStream::kMaxPlacedLaunches).
 constexpr int kHostTrackPid = 1000000;
 
-// The unified host+device timeline (docs/OBSERVABILITY.md): every VM
-// device track and counter of vm_chrome_trace_json plus the given host
-// spans, in one trace file. The VM counter samples stay the final "C"
-// events, so the "counter closes at the makespan" CI invariant is
-// unchanged. Host spans with cat "serve" render even when the stream
-// captured nothing (VM off), so a host-only trace is still valid.
+// The unified host+device timeline (docs/OBSERVABILITY.md, ASYNC_VM.md).
+// Each placed VM launch is one process track (pid = launch sequence + 1,
+// labeled with its op string) with one thread row per (core, pipe) lane
+// at stream-scheduled starts, so overlapping batches show as overlapping
+// tracks; launch tracks need a VmStreamOptions::capture stream. pid 0
+// carries the stream-global "ub tiles in flight" counter, closed with a
+// zero sample at the cross-batch makespan; its samples stay the final
+// "C" events (the CI invariant). The host spans ride alongside: with
+// none the document is the device-only view, and with an empty stream
+// (VM off) it is host-only but still valid.
 std::string unified_chrome_trace_json(const vm::VmStream& stream,
                                       const std::vector<HostSpan>& spans);
 

@@ -4,17 +4,23 @@
 // with VM streams on or off and with faults injected on one device. The
 // redistribution accounting must match the analytic slice volume
 // exactly, and the Session's placement hints must route (and fail)
-// per-request.
+// per-request. The davinci_prof render must name every counter the
+// session's serve_json() writes.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <future>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "serve/session.h"
 #include "serve/trace.h"
 #include "sim/fault.h"
+#include "sim/metrics_registry.h"
+#include "sim/prof_report.h"
 #include "tensor/fractal.h"
 
 namespace davinci::serve {
@@ -321,6 +327,74 @@ TEST(ClusterServe, DifferentlyPinnedRequestsNeverCoalesce) {
   EXPECT_EQ(s.launches, 2);  // one per pin, no cross-pin batch
   EXPECT_EQ(s.cluster.devices[0].launches, 1);
   EXPECT_EQ(s.cluster.devices[1].launches, 1);
+}
+
+// Every key of `v`, at every depth (objects inside arrays included).
+void collect_keys(const json::Value& v, std::set<std::string>* keys) {
+  if (v.is_array()) {
+    for (const json::Value& e : v.as_array()) collect_keys(e, keys);
+  } else if (v.is_object()) {
+    for (const auto& [key, child] : v.as_object()) {
+      keys->insert(key);
+      collect_keys(child, keys);
+    }
+  }
+}
+
+// True when `key` appears in `text` as a whole name, not inside a longer
+// one ("cycles" inside "device_cycles_total" does not count).
+bool names(const std::string& text, const std::string& key) {
+  auto name_char = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
+           c == '-';
+  };
+  for (std::size_t pos = text.find(key); pos != std::string::npos;
+       pos = text.find(key, pos + 1)) {
+    const std::size_t end = pos + key.size();
+    if ((pos == 0 || !name_char(text[pos - 1])) &&
+        (end == text.size() || !name_char(text[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ClusterServe, RenderNamesEveryServeCounter) {
+  // Two devices, data placement: the coalesced N=6 launch shards, so the
+  // per-device rows and the links array are populated.
+  Session session(
+      Cluster(ClusterOptions{.devices = 2, .placement = Placement::kData}),
+      SessionOptions{});
+  const TensorF16 in = [&] {
+    TensorF16 t(Shape{3, 2, 21, 21, kC0});
+    t.fill_random_ints(7);
+    return t;
+  }();
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kIm2col};
+  session.pause();
+  auto a = session.submit(op, PoolInputs{.in = &in});
+  auto b = session.submit(op, PoolInputs{.in = &in});
+  session.resume();
+  session.drain();
+  EXPECT_GT(a.get().out.size(), 0);
+  EXPECT_GT(b.get().out.size(), 0);
+  ASSERT_GT(session.stats().cluster.sharded_launches, 0);
+
+  MetricsRegistry reg;
+  reg.set_serve(session.serve_json());
+  const json::Value doc = json::parse(reg.to_json());
+  const std::string report = render_report(doc);
+  std::set<std::string> keys;
+  collect_keys(doc.at("serve"), &keys);
+  ASSERT_FALSE(keys.empty());
+  std::string missing;
+  for (const std::string& key : keys) {
+    if (!names(report, key)) missing += " " + key;
+  }
+  EXPECT_TRUE(missing.empty()) << "never named:" << missing << "\n"
+                               << report;
 }
 
 }  // namespace

@@ -213,7 +213,7 @@ TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV8) {
   session.drain();
 
   MetricsRegistry reg;
-  session.add_metrics(reg);
+  reg.set_serve(session.serve_json());
   const std::string json = reg.to_json();
   EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
   // The v4 host-phase buckets are per-entry fields; the host_ns bucket
@@ -385,7 +385,7 @@ TEST(ServeResilience, BisectionIsolatesThePoisonedRequest) {
   }
   opts.resilience = res;
   Session session(Cluster(ClusterOptions{.arch = ArchConfig::ascend910()}), opts);
-  ASSERT_EQ(session.device().num_cores(), 32);
+  ASSERT_EQ(session.cluster().device(0).num_cores(), 32);
 
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
                   .window = Window2d::pool(3, 2),

@@ -310,7 +310,7 @@ ReplayResult replay_smoke(const SessionOptions& opts) {
     res.outputs.push_back(std::move(bits));
   }
   res.stats = session.stats();
-  res.issue_signature = session.vm_stream().issue_signature();
+  res.issue_signature = session.vm_stream(0).issue_signature();
   res.serve_json = session.serve_json();
   return res;
 }

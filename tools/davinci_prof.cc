@@ -2,8 +2,10 @@
 // bench JSON files (docs/OBSERVABILITY.md).
 //
 //   davinci_prof <metrics-or-bench.json>
-//       Pretty-prints the cycle-attribution / roofline report (metrics
-//       schema) or the row table (bench JsonReport).
+//       Pretty-prints the document: every field of the "serve" object,
+//       the metrics entries and the bench rows through one generic
+//       renderer (render_object), plus each entry's per-core cycle
+//       attribution table.
 //
 //   davinci_prof --diff <baseline.json> <candidate.json>
 //                [--tol=0.05] [--tol:<metric>=X] [--include-host]

@@ -37,13 +37,10 @@
 //                        traced request (queued / batching / execute) on
 //                        the same cycle timeline
 //   --stats-every-ms=N   live telemetry: while the measured replay runs,
-//                        emit one JSON line every N ms (interval qps,
-//                        latency p50/p99/p999, queue depth, failure
-//                        counters, plan-cache hit rate, VM overlap,
-//                        trace-ring drops; at --devices>1 also a
-//                        per_device array with each device's launch /
-//                        block counters, in-flight shard depth and
-//                        interval launch rate); a final line always
+//                        emit one JSON line every N ms -- the session's
+//                        "serve" object (Session::serve_json) with the
+//                        sample time "t_ms" and the interval completion
+//                        rate "qps" in front; a final line always
 //                        flushes at the end of the replay
 //   --stats-out=path     write the telemetry lines to a file (default
 //                        stdout)
@@ -57,10 +54,14 @@
 //                        host_plan_ms / host_validate_ms /
 //                        host_execute_ms), which only gate a diff under
 //                        davinci_prof --include-host
-//   --metrics=<path>     schema-v6 davinci.metrics JSON: one entry per
+//   --metrics=<path>     schema-v8 davinci.metrics JSON: one entry per
 //                        trace line plus the session's "serve" object
-//                        (VM "vm" sub-object, latency histograms and the
-//                        "request_trace" ring counters)
+//                        (the same object the console summary renders)
+//
+// The console prints one row per trace line, then the "serve" object
+// through davinci_prof's renderer (render_object), then one "host" line
+// with what only this tool measures: wall time, requests/s, the
+// per-request host-phase sums and the measured replay's trace-id range.
 //
 // Exit codes: 0 success, 2 usage, 3 trace error, 4 any request failed
 // (launch failure, expired deadline, or shed by the overload policy).
@@ -79,6 +80,7 @@
 #include "serve/session.h"
 #include "serve/trace.h"
 #include "sim/metrics_registry.h"
+#include "sim/prof_report.h"
 #include "sim/trace_export.h"
 #include "tensor/arena.h"
 
@@ -129,12 +131,14 @@ int usage() {
   return 2;
 }
 
-// The live telemetry stream (--stats-every-ms): a sampler thread scrapes
-// session.stats() every interval and appends one JSON line per snapshot.
-// qps is the *interval* completion rate (delta completed / delta time);
-// everything else is the cumulative value at sample time. finish()
-// always emits one final line, so even a replay shorter than the
-// interval yields a non-empty stream.
+// The live telemetry stream (--stats-every-ms): a sampler thread takes
+// session.serve_json() every interval and appends it as one JSON line
+// with "t_ms" (since start) and "qps" in front. qps is the *interval*
+// completion rate (delta completed / delta time); everything else is the
+// cumulative value at sample time, so per-device rates are deltas of
+// cluster.per_device between lines. finish() always emits one final
+// line, so even a replay shorter than the interval yields a non-empty
+// stream.
 class StatsStream {
  public:
   void start(serve::Session* session, std::int64_t every_ms,
@@ -177,59 +181,26 @@ class StatsStream {
 
  private:
   void emit_line() {
-    const serve::SessionStats s = session_->stats();
+    const std::string serve = session_->serve_json();
+    const std::int64_t completed =
+        json::parse(serve).at("completed").as_int();
     const double t_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0_)
                             .count();
     const double dt_s = (t_ms - last_t_ms_) / 1000.0;
     const double qps =
-        dt_s > 0.0
-            ? static_cast<double>(s.completed - last_completed_) / dt_s
-            : 0.0;
-    std::string j =
-        "{\"t_ms\":" + json::number(t_ms) + ",\"qps\":" + json::number(qps) +
-        ",\"completed\":" + std::to_string(s.completed) +
-        ",\"p50_us\":" + json::number(s.latency.p50) +
-        ",\"p99_us\":" + json::number(s.latency.p99) +
-        ",\"p999_us\":" + json::number(s.latency.p999) +
-        ",\"queue_depth\":" + std::to_string(s.queue_depth) +
-        ",\"failed\":" + std::to_string(s.failed) +
-        ",\"expired\":" + std::to_string(s.expired) +
-        ",\"shed\":" + std::to_string(s.shed + s.rejected) +
-        ",\"poisoned\":" + std::to_string(s.poisoned_requests) +
-        ",\"plan_cache_hit_rate\":" + json::number(s.plan_cache.hit_rate()) +
-        ",\"vm_overlap_cycles\":" + std::to_string(s.vm.overlap_cycles) +
-        ",\"trace_dropped\":" + std::to_string(s.request_trace.dropped);
-    if (s.devices > 1) {
-      // Per-device telemetry so the live stream stays truthful under
-      // sharding: queue_depth is shards dispatched to the device and not
-      // yet completed, qps the device's interval shard-launch rate.
-      if (last_device_launches_.size() !=
-          static_cast<std::size_t>(s.devices)) {
-        last_device_launches_.assign(static_cast<std::size_t>(s.devices), 0);
-      }
-      j += ",\"per_device\":[";
-      for (std::size_t d = 0; d < s.cluster.devices.size(); ++d) {
-        const serve::Cluster::DeviceStats& ds = s.cluster.devices[d];
-        const double dqps =
-            dt_s > 0.0 ? static_cast<double>(ds.launches -
-                                             last_device_launches_[d]) /
-                             dt_s
-                       : 0.0;
-        if (d > 0) j += ",";
-        j += "{\"device\":" + std::to_string(d) +
-             ",\"launches\":" + std::to_string(ds.launches) +
-             ",\"blocks\":" + std::to_string(ds.blocks) +
-             ",\"queue_depth\":" + std::to_string(ds.inflight_shards) +
-             ",\"qps\":" + json::number(dqps) + "}";
-        last_device_launches_[d] = ds.launches;
-      }
-      j += "]";
-    }
-    j += "}\n";
+        dt_s > 0.0 ? static_cast<double>(completed - last_completed_) / dt_s
+                   : 0.0;
+    std::string j = "{\"t_ms\":";
+    j += json::number(t_ms);
+    j += ",\"qps\":";
+    j += json::number(qps);
+    j += ",";
+    j.append(serve, 1, std::string::npos);  // serve without its '{'
+    j += "\n";
     std::fwrite(j.data(), 1, j.size(), out_);
     std::fflush(out_);
-    last_completed_ = s.completed;
+    last_completed_ = completed;
     last_t_ms_ = t_ms;
   }
 
@@ -242,7 +213,6 @@ class StatsStream {
   bool stop_ = false;
   std::chrono::steady_clock::time_point t0_;
   std::int64_t last_completed_ = 0;
-  std::vector<std::int64_t> last_device_launches_;
   double last_t_ms_ = 0.0;
 };
 
@@ -460,7 +430,7 @@ int main(int argc, char** argv) {
         if (!added) {
           rep_cycles = r.cycles();
           registry.add(e.op.to_string() + " " + geom_string(e), r.run,
-                       session.device().arch());
+                       session.cluster().device(0).arch());
           added = true;
         }
       } catch (const serve::DeadlineExceeded& err) {
@@ -487,110 +457,24 @@ int main(int argc, char** argv) {
           std::chrono::steady_clock::now() - t0)
           .count();
 
-  const serve::SessionStats s = session.stats();
-  std::printf("\n");
-  std::printf("requests      %lld completed, %lld failed, %lld expired, "
-              "%lld shed/rejected\n",
-              static_cast<long long>(s.completed),
-              static_cast<long long>(s.failed),
-              static_cast<long long>(s.expired),
-              static_cast<long long>(s.shed + s.rejected));
-  if (opts.resilience.has_value()) {
-    std::printf("resilience    %lld degraded launches, %lld bisections, "
-                "%lld poisoned requests, %d cores quarantined\n",
-                static_cast<long long>(s.degraded_launches),
-                static_cast<long long>(s.bisections),
-                static_cast<long long>(s.poisoned_requests),
-                s.quarantined_cores);
-    std::printf("faults        %s\n", s.faults.summary().c_str());
-  }
-  if (opts.watchdog_timeout_us > 0) {
-    std::printf("watchdog      %lld alarms (budget %lld us)\n",
-                static_cast<long long>(s.watchdog_alarms),
-                static_cast<long long>(opts.watchdog_timeout_us));
-  }
-  std::printf("launches      %lld (%lld coalesced batches, avg %.2f "
-              "req/launch, max %zu)\n",
-              static_cast<long long>(s.launches),
-              static_cast<long long>(s.batches), s.avg_batch, s.max_batch);
-  if (s.devices > 1) {
-    std::printf("cluster       %d devices (%s placement), %lld sharded "
-                "launches, redistribution %lld bytes / %lld cycles, busiest "
-                "link %lld cycles\n",
-                s.devices, serve::to_string(s.placement),
-                static_cast<long long>(s.cluster.sharded_launches),
-                static_cast<long long>(s.cluster.redistribution_bytes),
-                static_cast<long long>(s.cluster.redistribution_cycles),
-                static_cast<long long>(s.cluster.link_busy_cycles));
-    for (std::size_t d = 0; d < s.cluster.devices.size(); ++d) {
-      const serve::Cluster::DeviceStats& ds = s.cluster.devices[d];
-      std::printf("  device %-4zu %lld launches, %lld blocks, %lld compute "
-                  "cycles, vm makespan %lld\n",
-                  d, static_cast<long long>(ds.launches),
-                  static_cast<long long>(ds.blocks),
-                  static_cast<long long>(ds.cycles),
-                  static_cast<long long>(
-                      d < s.vm_makespan_per_device.size()
-                          ? s.vm_makespan_per_device[d]
-                          : 0));
-    }
-  }
-  std::printf("device cycles %lld total -> %.2f requests/Mcycle\n",
-              static_cast<long long>(s.device_cycles_total),
-              s.device_cycles_total > 0
-                  ? 1e6 * static_cast<double>(s.completed) /
-                        static_cast<double>(s.device_cycles_total)
-                  : 0.0);
-  if (opts.vm) {
-    std::printf("vm            makespan %lld (serial sum %lld, overlap "
-                "%lld cycles, %.1f%%), in-flight %d, stalls window %lld / "
-                "hazard %lld\n",
-                static_cast<long long>(s.vm.makespan),
-                static_cast<long long>(s.vm.serial_sum),
-                static_cast<long long>(s.vm.overlap_cycles),
-                s.vm.serial_sum > 0
-                    ? 100.0 * static_cast<double>(s.vm.overlap_cycles) /
-                          static_cast<double>(s.vm.serial_sum)
-                    : 0.0,
-                s.vm.in_flight,
-                static_cast<long long>(s.vm.window_stalls),
-                static_cast<long long>(s.vm.hazard_stalls));
-  }
-  std::printf("plan cache    %lld hits / %lld misses (%.1f%%), %zu/%zu "
-              "entries, %lld evictions\n",
-              static_cast<long long>(s.plan_cache.hits),
-              static_cast<long long>(s.plan_cache.misses),
-              s.plan_cache.hit_rate() * 100.0, s.plan_cache_size,
-              s.plan_cache_capacity,
-              static_cast<long long>(s.plan_cache.evictions));
-  std::printf("latency       p50 %.1fus p90 %.1fus p99 %.1fus p999 %.1fus "
-              "max %.1fus (queue wait p50 %.1fus)\n",
-              s.latency.p50, s.latency.p90, s.latency.p99, s.latency.p999,
-              s.latency.max, s.queue_wait.p50);
-  if (opts.request_trace_capacity > 0) {
-    std::printf("trace         %lld lifecycle events (%lld dropped, ring "
-                "capacity %lld), request ids %lld..%lld\n",
-                static_cast<long long>(s.request_trace.recorded),
-                static_cast<long long>(s.request_trace.dropped),
-                static_cast<long long>(
-                    static_cast<std::int64_t>(s.request_trace.capacity)),
-                static_cast<long long>(first_trace_id),
-                static_cast<long long>(last_trace_id));
-  }
-  std::printf("queue         peak depth %lld / %zu, %lld backpressure "
-              "waits\n",
-              static_cast<long long>(s.peak_queue_depth), opts.queue_depth,
-              static_cast<long long>(s.backpressure_waits));
-  std::printf("host          %.1f ms wall -> %.0f requests/s\n", host_ms,
+  const std::string serve = session.serve_json();
+  std::printf("\n%s", render_object("serve", json::parse(serve)).c_str());
+  const std::int64_t ok_requests =
+      static_cast<std::int64_t>(requests.size()) - failed_requests -
+      expired_requests - shed_requests;
+  std::printf("host: %.1f ms wall, %.0f requests/s; per-request phase sums "
+              "alloc %.2f ms, plan %.2f ms, validate %.2f ms, execute %.2f "
+              "ms; trace ids %lld..%lld\n",
+              host_ms,
               host_ms > 0.0
-                  ? 1000.0 * static_cast<double>(s.completed) / host_ms
-                  : 0.0);
-  std::printf("host phases   alloc %.2fms, plan %.2fms, validate %.2fms, "
-              "execute %.2fms (per-request attribution)\n",
+                  ? 1000.0 * static_cast<double>(ok_requests) / host_ms
+                  : 0.0,
               static_cast<double>(host_alloc_ns) / 1e6,
               static_cast<double>(host_plan_ns) / 1e6,
               static_cast<double>(host_validate_ns) / 1e6,
-              static_cast<double>(host_execute_ns) / 1e6);
+              static_cast<double>(host_execute_ns) / 1e6,
+              static_cast<long long>(first_trace_id),
+              static_cast<long long>(last_trace_id));
 
   if (!json_path.empty()) {
     // Hand-rolled report in the bench {"bench","rows"} shape: per-line
@@ -613,6 +497,7 @@ int main(int argc, char** argv) {
     // makespan at --devices=1, so the 1-device baselines are unchanged);
     // the plain per-launch sum stays visible as the non-gated
     // "cycles_sum".
+    const serve::SessionStats s = session.stats();
     const std::int64_t gated_cycles =
         opts.vm ? s.cluster_makespan : s.device_cycles_total;
     j += "{\"name\":\"total\",\"requests\":" + std::to_string(s.completed) +
@@ -661,18 +546,16 @@ int main(int argc, char** argv) {
     std::printf("json: wrote %s\n", json_path.c_str());
   }
   if (!metrics_path.empty()) {
-    session.add_metrics(registry);
+    registry.set_serve(serve);
     registry.write(metrics_path);
   }
   if (!chrome_trace_path.empty()) {
     // One file, two layers: the VM's per-launch device tracks plus one
     // "serve requests" row per traced request on the same timeline.
     session.write_unified_chrome_trace(chrome_trace_path);
-    std::printf("chrome-trace: wrote %s (%zu placed launches, %lld request "
-                "events)\n",
+    std::printf("chrome-trace: wrote %s (%zu placed launches)\n",
                 chrome_trace_path.c_str(),
-                session.vm_stream().placements().size(),
-                static_cast<long long>(s.request_trace.recorded));
+                session.vm_stream(0).placements().size());
   }
   return (failed_requests + expired_requests + shed_requests) > 0 ? 4 : 0;
 }
