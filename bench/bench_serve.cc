@@ -2,8 +2,8 @@
 // InceptionV3 Figure-7 pooling layers (Table I's highlighted rows).
 //
 // For each shape, R single-image MaxPool requests are pushed through a
-// serve::Session twice: once with batching disabled (every request
-// launches alone -- the baseline a caller gets from run_pool in a loop)
+// serve::Session twice: once with max_batch = 1 (every request launches
+// alone -- the baseline a caller gets from run_pool in a loop)
 // and once with the batcher coalescing same-geometry requests into
 // multi-N launches. Requests arrive in two waves so the second wave
 // exercises the plan cache. Outputs are compared bit-for-bit across the
@@ -58,7 +58,7 @@ struct ModeResult {
 ModeResult run_mode(const nets::PoolLayer& layer, bool batching, bool db,
                     int requests, bool vm, int in_flight) {
   serve::SessionOptions opts;
-  opts.batching = batching;
+  if (!batching) opts.max_batch = 1;
   opts.double_buffer = db;
   opts.vm = vm;
   opts.vm_in_flight = in_flight;

@@ -1,14 +1,14 @@
-// Request coalescing for the serving session (docs/SERVING.md).
+// Request grouping for the serving session (docs/SERVING.md).
 //
 // Every pooling kernel launches one block per (N, C1) slice, so a
 // single-image request on an InceptionV3 shape (C1 = 4..18) leaves most
-// of the device's 32 AI Cores idle. The batcher stacks same-geometry
-// requests along the batch dimension N before the launch and slices the
-// outputs back apart afterwards -- bit-identical to running them one by
-// one, because each block computes only its own (N, C1) slice with
-// per-block scratch.
+// of the device's 32 AI Cores idle. The batcher groups same-geometry
+// requests into one launch; the cluster (serve/cluster.h) stacks the
+// members along N, runs the launch and hands each member its own rows
+// back -- bit-identical to running them one by one, because each block
+// computes only its own (N, C1) slice with per-block scratch.
 //
-// Requests coalesce iff every launch-relevant field matches: operator
+// Requests group iff every launch-relevant field matches: operator
 // kind, window geometry, lowering/merge choice and the per-image tensor
 // geometry (C1, Ih, Iw). A batch is additionally split when it would
 // exceed the launch caps: `max_requests` members or `max_blocks` total
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "kernels/pooling.h"
-#include "tensor/tensor.h"
 
 namespace davinci::serve {
 
@@ -69,28 +68,5 @@ struct Batch {
 std::vector<Batch> form_batches(const std::vector<RequestView>& reqs,
                                 std::size_t max_requests,
                                 std::int64_t max_blocks);
-
-// The stacked tensors of one batch.
-struct CoalescedInputs {
-  TensorF16 in, mask, grad;
-  std::int64_t ih = 0, iw = 0;     // backward kinds' target spatial size
-  std::vector<std::int64_t> n_of;  // per-member N, in member order
-
-  // The PoolInputs aliasing this object's tensors. Computed on demand so
-  // the struct stays safely movable.
-  kernels::PoolInputs inputs() const;
-};
-
-// Stacks the members' tensors along N (a memcpy per member and tensor:
-// the N axis is outermost in NC1HWC0, so each member's slice is
-// contiguous).
-CoalescedInputs coalesce(const std::vector<RequestView>& reqs,
-                         const Batch& b);
-
-// Slices the batched result back into per-member results. Every member
-// gets a copy of the batched run statistics (the launch was shared).
-std::vector<kernels::PoolResult> split_result(
-    const Batch& b, const CoalescedInputs& c,
-    const kernels::PoolResult& batched);
 
 }  // namespace davinci::serve

@@ -20,87 +20,23 @@ std::int64_t tensor_bytes(const TensorF16& t) {
              : 0;
 }
 
-// Copies [begin, begin + len) of `src` along `axis` (0 = N, 1 = C1) into
-// a fresh tensor. Axis 0 slices are contiguous (N is outermost in
-// NC1HWC0); axis 1 slices are one contiguous chunk per image.
-TensorF16 slice_axis(const TensorF16& src, int axis, std::int64_t begin,
-                     std::int64_t len) {
-  Shape dims = src.shape();
-  dims.set_dim(axis, len);
-  TensorF16 out{dims, kUninitialized};  // fully overwritten just below
-  const std::int64_t stride = src.shape().stride(axis);
-  if (axis == 0) {
-    std::memcpy(out.data(), src.data() + begin * stride,
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-    return out;
-  }
-  const std::int64_t n = src.shape()[0];
+// The shard path's one block copy: `images` x `blocks` (N, C1) blocks --
+// image rows [src_n, src_n + images), channel blocks [src_c, src_c +
+// blocks) of `src` -- land at (dst_n, dst_c) of `dst`. N and C1 are the
+// two outermost axes of every pooling tensor, so a block is contiguous
+// and each image row is one memcpy.
+void copy_blocks(const TensorF16& src, std::int64_t src_n, std::int64_t src_c,
+                 TensorF16* dst, std::int64_t dst_n, std::int64_t dst_c,
+                 std::int64_t images, std::int64_t blocks) {
+  const std::int64_t block = src.shape().stride(1);
+  DV_CHECK_EQ(dst->shape().stride(1), block) << "block size mismatch";
   const std::int64_t src_row = src.shape().stride(0);
-  const std::int64_t dst_row = out.shape().stride(0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::memcpy(out.data() + i * dst_row,
-                src.data() + i * src_row + begin * stride,
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-  }
-  return out;
-}
-
-// The inverse of slice_axis: pastes `part` into `dst` at `begin` along
-// `axis`.
-void paste_axis(TensorF16* dst, const TensorF16& part, int axis,
-                std::int64_t begin) {
-  const std::int64_t stride = dst->shape().stride(axis);
-  const std::int64_t len = part.shape()[axis];
-  if (axis == 0) {
-    std::memcpy(dst->data() + begin * stride, part.data(),
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
-    return;
-  }
-  const std::int64_t n = dst->shape()[0];
   const std::int64_t dst_row = dst->shape().stride(0);
-  const std::int64_t src_row = part.shape().stride(0);
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::memcpy(dst->data() + i * dst_row + begin * stride,
-                part.data() + i * src_row,
-                static_cast<std::size_t>(len * stride) * sizeof(Float16));
+  for (std::int64_t i = 0; i < images; ++i) {
+    std::memcpy(dst->data() + (dst_n + i) * dst_row + dst_c * block,
+                src.data() + (src_n + i) * src_row + src_c * block,
+                static_cast<std::size_t>(blocks * block) * sizeof(Float16));
   }
-}
-
-// One shard's sliced input tensors (empty when the shard borrows the
-// caller's tensors whole).
-struct ShardInputs {
-  TensorF16 in, mask, grad;
-  PoolInputs view;
-  std::int64_t bytes = 0;  // bytes the shard's device reads
-};
-
-ShardInputs make_shard_inputs(const PoolInputs& in, int axis,
-                              std::int64_t begin, std::int64_t len,
-                              bool whole) {
-  ShardInputs s;
-  s.view = in;  // carries ih/iw and any tensors left unsliced
-  if (whole) {
-    if (in.in != nullptr) s.bytes += tensor_bytes(*in.in);
-    if (in.mask != nullptr) s.bytes += tensor_bytes(*in.mask);
-    if (in.grad != nullptr) s.bytes += tensor_bytes(*in.grad);
-    return s;
-  }
-  if (in.in != nullptr) {
-    s.in = slice_axis(*in.in, axis, begin, len);
-    s.view.in = &s.in;
-    s.bytes += tensor_bytes(s.in);
-  }
-  if (in.mask != nullptr) {
-    s.mask = slice_axis(*in.mask, axis, begin, len);
-    s.view.mask = &s.mask;
-    s.bytes += tensor_bytes(s.mask);
-  }
-  if (in.grad != nullptr) {
-    s.grad = slice_axis(*in.grad, axis, begin, len);
-    s.view.grad = &s.grad;
-    s.bytes += tensor_bytes(s.grad);
-  }
-  return s;
 }
 
 }  // namespace
@@ -164,48 +100,70 @@ std::int64_t Cluster::link_cycles(std::int64_t bytes) const {
   return link_cost_.mte_copy(bytes);
 }
 
-std::vector<Cluster::Shard> Cluster::plan_shards(std::int64_t axis_len,
+std::vector<Cluster::Shard> Cluster::plan_shards(std::int64_t n,
+                                                 std::int64_t c1,
                                                  int pin) const {
-  std::vector<Shard> shards;
-  if (pin >= 0) {
-    shards.push_back(Shard{pin, 0, axis_len});
-    return shards;
-  }
+  const Shard grid{pin >= 0 ? pin : 0, 0, n, 0, c1};
+  if (pin >= 0) return {grid};
+  const bool data = opts_.placement == Placement::kData;
+  const std::int64_t axis_len = data ? n : c1;
   const std::int64_t devices = num_devices();
   const std::int64_t base = axis_len / devices;
   const std::int64_t rem = axis_len % devices;
+  std::vector<Shard> shards;
   std::int64_t begin = 0;
   for (std::int64_t d = 0; d < devices; ++d) {
     const std::int64_t len = base + (d < rem ? 1 : 0);
     if (len == 0) continue;
-    shards.push_back(Shard{static_cast<int>(d), begin, len});
+    Shard s = grid;
+    s.device = static_cast<int>(d);
+    (data ? s.n0 : s.c0) = begin;
+    (data ? s.n_len : s.c_len) = len;
+    shards.push_back(s);
     begin += len;
   }
   return shards;
 }
 
-Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
-                                  int pin) {
+std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
+                                           std::span<const PoolInputs> members,
+                                           int pin) {
   if (pin >= num_devices()) {
     throw Error("cluster: shard " + std::to_string(pin) +
                 " out of range [0, " + std::to_string(num_devices()) + ")");
   }
-  const int axis = opts_.placement == Placement::kData ? 0 : 1;
-  const TensorF16* primary = kernels::is_backward(op.kind) ? in.grad : in.in;
-  DV_CHECK(primary != nullptr) << op.to_string() << ": missing input tensor";
-  DV_CHECK_GE(primary->shape().rank(), 2);
-  const std::int64_t axis_len = primary->shape()[axis];
-  const std::int64_t n_total = primary->shape()[0];
-  const std::int64_t c1_total = primary->shape()[1];
-  const std::vector<Shard> shards = plan_shards(axis_len, pin);
+  DV_CHECK_GE(members.size(), 1u);
+  // The stacked grid: member m owns image rows [n_begin[m], n_begin[m+1]).
+  std::vector<std::int64_t> n_begin{0};
+  std::int64_t c1 = 0;
+  for (const PoolInputs& in : members) {
+    const TensorF16* primary = kernels::is_backward(op.kind) ? in.grad : in.in;
+    DV_CHECK(primary != nullptr) << op.to_string() << ": missing input tensor";
+    DV_CHECK_GE(primary->shape().rank(), 2);
+    if (n_begin.size() == 1) c1 = primary->shape()[1];
+    DV_CHECK_EQ(primary->shape()[1], c1) << "batch mixes C1 extents";
+    n_begin.push_back(n_begin.back() + primary->shape()[0]);
+  }
+  const std::vector<Shard> shards = plan_shards(n_begin.back(), c1, pin);
   DV_CHECK_GE(shards.size(), 1u);
 
-  Launch launch;
-  launch.shards = static_cast<int>(shards.size());
+  // Calls f(m, member row, shard row, images) for every member whose rows
+  // shard `s` overlaps, and for every empty member positioned within it
+  // (which still gets its empty outputs, as a lone run_pool gives it).
+  auto for_each_overlap = [&](const Shard& s, auto&& f) {
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const std::int64_t lo = std::max(n_begin[m], s.n0);
+      const std::int64_t hi = std::min(n_begin[m + 1], s.n0 + s.n_len);
+      if (lo < hi || (lo == hi && n_begin[m] == n_begin[m + 1])) {
+        f(m, lo - n_begin[m], lo - s.n0, hi - lo);
+      }
+    }
+  };
 
+  std::vector<PoolResult> results(members.size());
   struct ShardRun {
     Shard shard;
-    PoolResult res;
+    Device::RunResult run;
     std::int64_t in_bytes = 0;
     std::int64_t out_bytes = 0;
   };
@@ -213,9 +171,40 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
   runs.reserve(shards.size());
 
   for (const Shard& shard : shards) {
-    const bool whole = shard.length == axis_len;
-    const ShardInputs si =
-        make_shard_inputs(in, axis, shard.begin, shard.length, whole);
+    // The last member starting at or before the shard's first row (so
+    // the one holding it, past any empty members); the shard borrows its
+    // tensors when it is exactly that member.
+    const std::size_t first = static_cast<std::size_t>(
+        std::upper_bound(n_begin.begin(), n_begin.end() - 1, shard.n0) -
+        n_begin.begin() - 1);
+    const bool whole = shard.n_len > 0 && shard.c_len == c1 &&
+                       n_begin[first] == shard.n0 &&
+                       n_begin[first + 1] == shard.n0 + shard.n_len;
+    PoolInputs view = members[whole ? first : 0];  // carries ih/iw
+    TensorF16 gathered[3];
+    std::int64_t in_bytes = 0;
+    int k = 0;
+    for (const TensorF16* PoolInputs::*field :
+         {&PoolInputs::in, &PoolInputs::mask, &PoolInputs::grad}) {
+      TensorF16& part = gathered[k++];
+      if (view.*field == nullptr) continue;
+      if (!whole) {
+        Shape dims = (view.*field)->shape();
+        dims.set_dim(0, shard.n_len);
+        dims.set_dim(1, shard.c_len);
+        part = TensorF16(dims, kUninitialized);  // the members tile it
+        for_each_overlap(shard, [&](std::size_t m, std::int64_t mn,
+                                    std::int64_t sn, std::int64_t images) {
+          DV_CHECK(members[m].*field != nullptr)
+              << "batch mixes requests with and without an input tensor";
+          copy_blocks(*(members[m].*field), mn, shard.c0, &part, sn, 0,
+                      images, shard.c_len);
+        });
+        view.*field = &part;
+      }
+      in_bytes += tensor_bytes(*(view.*field));
+    }
+
     {
       std::lock_guard<std::mutex> lock(mu_);
       stats_.devices[static_cast<std::size_t>(shard.device)]
@@ -230,13 +219,29 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
             1;
       }
     } scope{this, shard.device};
-    ShardRun r;
-    r.shard = shard;
-    r.res = kernels::run_pool(device(shard.device), op, si.view);
-    if (shard.device != 0) {
-      r.in_bytes = si.bytes;
-      r.out_bytes = tensor_bytes(r.res.out) + tensor_bytes(r.res.mask) +
-                    tensor_bytes(r.res.grad_in);
+    PoolResult res = kernels::run_pool(device(shard.device), op, view);
+
+    ShardRun r{shard, std::move(res.run), in_bytes};
+    for (TensorF16 PoolResult::*field :
+         {&PoolResult::out, &PoolResult::mask, &PoolResult::grad_in}) {
+      TensorF16& part = res.*field;
+      if (part.shape().rank() == 0) continue;
+      r.out_bytes += tensor_bytes(part);
+      if (whole) {
+        results[first].*field = std::move(part);
+        continue;
+      }
+      for_each_overlap(shard, [&](std::size_t m, std::int64_t mn,
+                                  std::int64_t sn, std::int64_t images) {
+        TensorF16& dst = results[m].*field;
+        if (dst.shape().rank() == 0) {
+          Shape dims = part.shape();
+          dims.set_dim(0, n_begin[m + 1] - n_begin[m]);
+          dims.set_dim(1, c1);
+          dst = TensorF16(dims, kUninitialized);  // the shards tile it
+        }
+        copy_blocks(part, sn, 0, &dst, mn, shard.c0, images, shard.c_len);
+      });
     }
     runs.push_back(std::move(r));
   }
@@ -244,10 +249,20 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
   // Redistribution accounting: scatter transfers (0 -> d) ride distinct
   // links concurrently, as do the gathers (d -> 0), so each leg costs
   // the slowest single transfer while every link's busy time accrues its
-  // own transfers serially.
+  // own transfers serially. The slowest shard bounds the compute leg; its
+  // run carries the launch's attribution/profile while summable counters
+  // aggregate over all shards.
   std::int64_t scatter_leg = 0, gather_leg = 0;
-  std::int64_t redist_transfers = 0;
-  for (const ShardRun& r : runs) {
+  std::int64_t redist_transfers = 0, redist_bytes = 0;
+  std::size_t critical = 0;
+  std::int64_t compute_max = 0, serial_max = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const ShardRun& r = runs[i];
+    if (r.run.device_cycles > compute_max) {
+      compute_max = r.run.device_cycles;
+      critical = i;
+    }
+    serial_max = std::max(serial_max, r.run.device_cycles_serial);
     if (r.shard.device == 0) continue;
     if (r.in_bytes > 0) {
       scatter_leg = std::max(scatter_leg, link_cycles(r.in_bytes));
@@ -257,109 +272,65 @@ Cluster::Launch Cluster::run_pool(const PoolOp& op, const PoolInputs& in,
       gather_leg = std::max(gather_leg, link_cycles(r.out_bytes));
       redist_transfers += 1;
     }
-    launch.redistribution_bytes += r.in_bytes + r.out_bytes;
+    redist_bytes += r.in_bytes + r.out_bytes;
   }
-  launch.redistribution_cycles = scatter_leg + gather_leg;
+  const std::int64_t redist_cycles = scatter_leg + gather_leg;
 
-  // The slowest shard bounds the compute leg; its run carries the
-  // launch's attribution/profile while summable counters aggregate over
-  // all shards.
-  std::size_t critical = 0;
-  std::int64_t compute_max = 0, serial_max = 0;
+  Device::RunResult agg = runs[critical].run;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const Device::RunResult& rr = runs[i].res.run;
-    if (rr.device_cycles > compute_max) {
-      compute_max = rr.device_cycles;
-      critical = i;
+    if (i == critical) continue;
+    const Device::RunResult& rr = runs[i].run;
+    agg.aggregate += rr.aggregate;
+    agg.profile += rr.profile;
+    agg.faults += rr.faults;
+    agg.host_ns += rr.host_ns;
+    agg.host_alloc_ns += rr.host_alloc_ns;
+    agg.host_plan_ns += rr.host_plan_ns;
+    agg.host_validate_ns += rr.host_validate_ns;
+    agg.host_execute_ns += rr.host_execute_ns;
+    agg.cores_used += rr.cores_used;
+    agg.busiest_unit_cycles =
+        std::max(agg.busiest_unit_cycles, rr.busiest_unit_cycles);
+    if (rr.vm_end > 0) {
+      agg.vm_start = agg.vm_end > 0 ? std::min(agg.vm_start, rr.vm_start)
+                                    : rr.vm_start;
+      agg.vm_end = std::max(agg.vm_end, rr.vm_end);
     }
-    serial_max = std::max(serial_max, rr.device_cycles_serial);
   }
-  launch.cycles = launch.redistribution_cycles + compute_max;
-
-  if (runs.size() == 1) {
-    launch.result = std::move(runs[0].res);
-    launch.result.run.device_cycles = launch.cycles;
-    launch.result.run.device_cycles_serial =
-        launch.redistribution_cycles + serial_max;
-  } else {
-    PoolResult full;
-    const PoolResult& first = runs[0].res;
-    auto assemble = [&](TensorF16 PoolResult::*field) {
-      if (((first).*field).shape().rank() == 0) return;
-      Shape dims = (first.*field).shape();
-      dims.set_dim(axis, axis == 0 ? n_total : c1_total);
-      (full.*field) = TensorF16(dims, kUninitialized);
-      for (const ShardRun& r : runs) {
-        paste_axis(&(full.*field), r.res.*field, axis, r.shard.begin);
-      }
-    };
-    assemble(&PoolResult::out);
-    assemble(&PoolResult::mask);
-    assemble(&PoolResult::grad_in);
-    Device::RunResult agg = runs[critical].res.run;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      if (i == critical) continue;
-      const Device::RunResult& rr = runs[i].res.run;
-      agg.aggregate += rr.aggregate;
-      agg.profile += rr.profile;
-      agg.faults += rr.faults;
-      agg.host_ns += rr.host_ns;
-      agg.host_alloc_ns += rr.host_alloc_ns;
-      agg.host_plan_ns += rr.host_plan_ns;
-      agg.host_validate_ns += rr.host_validate_ns;
-      agg.host_execute_ns += rr.host_execute_ns;
-      agg.cores_used += rr.cores_used;
-      agg.busiest_unit_cycles =
-          std::max(agg.busiest_unit_cycles, rr.busiest_unit_cycles);
-      if (rr.vm_end > 0) {
-        agg.vm_start = agg.vm_end > 0 ? std::min(agg.vm_start, rr.vm_start)
-                                      : rr.vm_start;
-        agg.vm_end = std::max(agg.vm_end, rr.vm_end);
-      }
-    }
-    agg.device_cycles = launch.cycles;
-    agg.device_cycles_serial = launch.redistribution_cycles + serial_max;
-    full.run = agg;
-    launch.result = std::move(full);
-  }
+  agg.device_cycles = redist_cycles + compute_max;
+  agg.device_cycles_serial = redist_cycles + serial_max;
+  for (PoolResult& r : results) r.run = agg;
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.launches += 1;
     if (runs.size() >= 2) stats_.sharded_launches += 1;
     stats_.redistribution_transfers += redist_transfers;
-    stats_.redistribution_bytes += launch.redistribution_bytes;
-    stats_.redistribution_cycles += launch.redistribution_cycles;
+    stats_.redistribution_bytes += redist_bytes;
+    stats_.redistribution_cycles += redist_cycles;
     const std::size_t d_count = static_cast<std::size_t>(num_devices());
     for (const ShardRun& r : runs) {
-      DeviceStats& ds = stats_.devices[static_cast<std::size_t>(
-          r.shard.device)];
+      const std::size_t d = static_cast<std::size_t>(r.shard.device);
+      DeviceStats& ds = stats_.devices[d];
       ds.launches += 1;
-      ds.blocks += axis == 0 ? r.shard.length * c1_total
-                             : n_total * r.shard.length;
-      ds.cycles += r.res.run.device_cycles;
-      if (r.shard.device != 0) {
-        if (r.in_bytes > 0) {
-          LinkStats& fwd =
-              stats_.links[0 * d_count +
-                           static_cast<std::size_t>(r.shard.device)];
-          fwd.transfers += 1;
-          fwd.bytes += r.in_bytes;
-          fwd.cycles += link_cycles(r.in_bytes);
-        }
-        if (r.out_bytes > 0) {
-          LinkStats& back =
-              stats_.links[static_cast<std::size_t>(r.shard.device) *
-                               d_count +
-                           0];
-          back.transfers += 1;
-          back.bytes += r.out_bytes;
-          back.cycles += link_cycles(r.out_bytes);
-        }
+      ds.blocks += r.shard.n_len * r.shard.c_len;
+      ds.cycles += r.run.device_cycles;
+      if (d == 0) continue;
+      if (r.in_bytes > 0) {
+        LinkStats& fwd = stats_.links[0 * d_count + d];
+        fwd.transfers += 1;
+        fwd.bytes += r.in_bytes;
+        fwd.cycles += link_cycles(r.in_bytes);
+      }
+      if (r.out_bytes > 0) {
+        LinkStats& back = stats_.links[d * d_count + 0];
+        back.transfers += 1;
+        back.bytes += r.out_bytes;
+        back.cycles += link_cycles(r.out_bytes);
       }
     }
   }
-  return launch;
+  return results;
 }
 
 Cluster::Stats Cluster::stats() const {

@@ -2,7 +2,9 @@
 // (docs/CLUSTER.md).
 //
 // A Cluster owns N identical Devices and routes each pooling launch
-// across them, sharding over one axis of the NC1HWC0 layout:
+// across them. A launch is a list of members -- same-key requests
+// (serve/batcher.h) -- stacked along N in order, which makes a grid of
+// (N, C1) blocks; every shard is a rectangle of that grid:
 //
 //   Placement::kData   shards the batch axis N (each device computes a
 //                      contiguous run of whole images);
@@ -14,10 +16,15 @@
 // pooling kernel computes one block per (N, C1) slice from that slice's
 // input data alone -- splitting either axis only changes which device a
 // block lands on, never its value (the OneFlow "boxing" observation).
+// The cluster is the one place that knows where a launch's rows live: a
+// shard that is exactly one whole member reads that member's tensors in
+// place and hands its outputs over; any other shard gathers its blocks
+// from the members (one copy in) and scatters its outputs straight into
+// the members' results (one copy out).
 //
 // Requests ingress on device 0, so a shard that runs on device d != 0
-// pays an explicit redistribution step: its input slice crosses the
-// 0 -> d link before compute and its output slice crosses d -> 0 after.
+// pays an explicit redistribution step: its input blocks cross the
+// 0 -> d link before compute and its output blocks cross d -> 0 after.
 // Transfer cycles are charged through the existing MTE cost model --
 // CostModel::mte_copy with the link's bandwidth/latency substituted for
 // the core-local MTE path -- and every transfer lands in per-link
@@ -31,20 +38,22 @@
 // busiest device vs. cumulative busy time of the busiest link (the
 // serving session takes the max; docs/CLUSTER.md).
 //
-// A one-device Cluster is the identity: no slicing, no copies, no link
-// charges -- launch results are bit- and cycle-identical to calling
+// A one-device Cluster running one member is the identity: no copies, no
+// link charges -- launch results are bit- and cycle-identical to calling
 // kernels::run_pool on a bare Device. This is what keeps the CI serving
 // baselines gated at zero cycle tolerance across the Session API change.
 //
-// Thread safety: run_pool must be driven by one thread at a time (the
-// serving worker); stats() may be called concurrently from any thread
-// (Session::serve_json serializes it as the "cluster" object).
+// Thread safety: run_batch/run_pool must be driven by one thread at a
+// time (the serving worker); stats() may be called concurrently from any
+// thread (Session::serve_json serializes it as the "cluster" object).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_config.h"
@@ -108,16 +117,9 @@ class Cluster {
     std::int64_t link_busy_cycles = 0;
   };
 
-  // One routed launch. `result.run` aggregates the shard runs: cycle
-  // fields model redistribution + the slowest shard, host/fault/traffic
-  // counters are summed, attribution comes from the slowest shard, and
-  // vm_start/vm_end span the shards' per-device stream placements.
+  // One routed single-request launch (run_pool).
   struct Launch {
     kernels::PoolResult result;
-    std::int64_t cycles = 0;  // redistribution + max shard compute
-    std::int64_t redistribution_bytes = 0;
-    std::int64_t redistribution_cycles = 0;
-    int shards = 1;
   };
 
   explicit Cluster(ClusterOptions opts = {});
@@ -147,28 +149,41 @@ class Cluster {
   // owns them).
   void set_vm_stream(int device, vm::VmStream* stream);
 
-  // Routes one launch. pin < 0 shards `in` over the placement axis
-  // across all devices (a shard covering the whole axis -- one device,
-  // or an axis shorter than the device count resolving to one chunk --
-  // runs on the owning device with zero copies). pin >= 0 runs the
-  // whole launch on that device; pin >= num_devices() throws Error.
+  // Routes one launch of `members` (same-key requests, stacked along N
+  // in order) and returns one result per member, in order. pin < 0
+  // shards the stacked grid over the placement axis across all devices
+  // (an axis shorter than the device count leaves devices idle); pin >= 0
+  // runs the whole grid on that device; pin >= num_devices() throws
+  // Error. Every member's `run` is the launch's aggregate: cycle fields
+  // model redistribution + the slowest shard, host/fault/traffic counters
+  // are summed, attribution comes from the slowest shard, and
+  // vm_start/vm_end span the shards' per-device stream placements.
   // Shard failures (CoreFailed, RetryExhausted, kernel errors)
   // propagate; a launch only lands in the stats when every shard
-  // completed.
+  // completed. The members' tensors are borrowed for the call.
+  std::vector<kernels::PoolResult> run_batch(
+      const kernels::PoolOp& op, std::span<const kernels::PoolInputs> members,
+      int pin = -1);
+
+  // The one-member launch.
   Launch run_pool(const kernels::PoolOp& op, const kernels::PoolInputs& in,
-                  int pin = -1);
+                  int pin = -1) {
+    return Launch{std::move(run_batch(op, {&in, 1}, pin).front())};
+  }
 
   Stats stats() const;
   void reset_stats();
 
  private:
+  // A rectangle of the stacked (N, C1) block grid and its device.
   struct Shard {
     int device = 0;
-    std::int64_t begin = 0;  // first index on the placement axis
-    std::int64_t length = 0;
+    std::int64_t n0 = 0, n_len = 0;  // image rows
+    std::int64_t c0 = 0, c_len = 0;  // channel blocks
   };
 
-  std::vector<Shard> plan_shards(std::int64_t axis_len, int pin) const;
+  std::vector<Shard> plan_shards(std::int64_t n, std::int64_t c1,
+                                 int pin) const;
   std::int64_t link_cycles(std::int64_t bytes) const;
 
   ClusterOptions opts_;

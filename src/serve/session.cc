@@ -257,14 +257,15 @@ void Session::resume() {
   cv_work_.notify_all();
 }
 
-std::int64_t Session::max_blocks_locked() const {
-  // The block cap scales with the whole cluster: a coalesced launch is
-  // sharded across the devices, so each device still sees at most
-  // healthy-cores x ub_waves blocks. Quarantine observed on any shard
-  // shrinks the cap cluster-wide (conservative -- a suspect core caps
-  // every device's wave budget equally).
-  const int healthy =
-      std::max(1, cluster_.total_cores() - stats_.quarantined_cores);
+std::int64_t Session::max_blocks_locked(int shard) const {
+  // An auto-sharded launch spreads over the whole cluster, so each device
+  // still sees at most healthy-cores x ub_waves blocks; a pinned launch
+  // runs whole on one device and gets that device's cores. Quarantine
+  // observed on any shard shrinks the cap everywhere (conservative -- a
+  // suspect core caps every device's wave budget equally).
+  const int cores = shard >= 0 ? cluster_.device(shard).num_cores()
+                               : cluster_.total_cores();
+  const int healthy = std::max(1, cores - stats_.quarantined_cores);
   return static_cast<std::int64_t>(healthy) * opts_.ub_waves;
 }
 
@@ -351,22 +352,22 @@ void Session::process(std::vector<Pending> taken) {
   for (std::size_t i : screened) groups[taken[i].shard].push_back(i);
 
   for (auto& [shard, group] : groups) {
-    std::vector<std::size_t> taken_of;  // view index -> taken index
-    std::vector<RequestView> views;
-    taken_of.reserve(group.size());
+    std::vector<RequestView> views;  // views[j] is taken[group[j]]
     views.reserve(group.size());
     for (std::size_t i : group) {
-      taken_of.push_back(i);
       views.push_back(RequestView{&taken[i].op, &taken[i].in});
     }
 
     std::int64_t max_blocks = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      max_blocks = max_blocks_locked();
+      max_blocks = max_blocks_locked(shard);
     }
-    const std::size_t max_requests = opts_.batching ? opts_.max_batch : 1u;
-    std::vector<Batch> batches = form_batches(views, max_requests, max_blocks);
+    std::vector<Batch> batches =
+        form_batches(views, opts_.max_batch, max_blocks);
+    for (Batch& b : batches) {
+      for (std::size_t& m : b.members) m = group[m];  // now taken indices
+    }
 
     // Deadline-aware launch order: batches with the most urgent member
     // go first (earliest-deadline-first across the group; submission
@@ -374,7 +375,7 @@ void Session::process(std::vector<Pending> taken) {
     auto urgency = [&](const Batch& b) {
       Clock::time_point earliest = Clock::time_point::max();
       for (std::size_t m : b.members) {
-        const Pending& p = taken[taken_of[m]];
+        const Pending& p = taken[m];
         if (p.deadline.has_value() && *p.deadline < earliest) {
           earliest = *p.deadline;
         }
@@ -386,8 +387,8 @@ void Session::process(std::vector<Pending> taken) {
                        return urgency(a) < urgency(b);
                      });
 
-    for (const Batch& b : batches) {
-      execute_members(taken, views, taken_of, b.members, shard);
+    for (Batch& b : batches) {
+      execute_members(taken, std::move(b.members), shard);
     }
   }
   {
@@ -397,18 +398,16 @@ void Session::process(std::vector<Pending> taken) {
 }
 
 void Session::execute_members(std::vector<Pending>& taken,
-                              const std::vector<RequestView>& views,
-                              const std::vector<std::size_t>& taken_of,
                               std::vector<std::size_t> members, int shard) {
   // In-queue expiry: a lapsed deadline fails the request here, before
-  // any coalescing or launch, and drops it from the batch -- batchmates
-  // launch without it.
+  // any launch, and drops it from the batch -- batchmates launch without
+  // it.
   const Clock::time_point now = Clock::now();
   std::vector<std::size_t> live;
   live.reserve(members.size());
   std::int64_t expired = 0;
   for (std::size_t m : members) {
-    Pending& p = taken[taken_of[m]];
+    Pending& p = taken[m];
     if (p.deadline.has_value() && *p.deadline < now) {
       p.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
           "deadline exceeded after " + std::to_string(us_since(p.submitted)) +
@@ -429,7 +428,7 @@ void Session::execute_members(std::vector<Pending>& taken,
   std::exception_ptr err;
   bool bisectable = false;
   try {
-    launch_members(taken, views, taken_of, live, shard);
+    launch_members(taken, live, shard);
     return;
   } catch (const CoreFailed&) {
     err = std::current_exception();
@@ -454,7 +453,7 @@ void Session::execute_members(std::vector<Pending>& taken,
       stats_.bisections += 1;
     }
     for (std::size_t m : live) {
-      req_trace_.record(taken[taken_of[m]].id, ReqEventKind::kBisected,
+      req_trace_.record(taken[m].id, ReqEventKind::kBisected,
                         static_cast<std::int64_t>(live.size()));
     }
     const std::size_t mid = live.size() / 2;
@@ -462,16 +461,15 @@ void Session::execute_members(std::vector<Pending>& taken,
                                 live.begin() + static_cast<long>(mid));
     std::vector<std::size_t> hi(live.begin() + static_cast<long>(mid),
                                 live.end());
-    execute_members(taken, views, taken_of, std::move(lo), shard);
-    execute_members(taken, views, taken_of, std::move(hi), shard);
+    execute_members(taken, std::move(lo), shard);
+    execute_members(taken, std::move(hi), shard);
     return;
   }
 
   for (std::size_t m : live) {
-    taken[taken_of[m]].promise.set_exception(err);
-    req_trace_.record(taken[taken_of[m]].id,
-                      bisectable ? ReqEventKind::kPoisoned
-                                 : ReqEventKind::kFailed);
+    taken[m].promise.set_exception(err);
+    req_trace_.record(taken[m].id, bisectable ? ReqEventKind::kPoisoned
+                                              : ReqEventKind::kFailed);
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -483,16 +481,14 @@ void Session::execute_members(std::vector<Pending>& taken,
 }
 
 void Session::launch_members(std::vector<Pending>& taken,
-                             const std::vector<RequestView>& views,
-                             const std::vector<std::size_t>& taken_of,
                              const std::vector<std::size_t>& members,
                              int shard) {
   // Resolve the launch descriptor: the first member's op with the cached
   // tiling plan attached (all members share the PlanKey by construction
   // of the BatchKey). Plans are keyed on per-block geometry, never N or
   // C1, so one cached plan serves every shard of the launch.
-  PoolOp op = taken[taken_of[members.front()]].op;
-  const PoolInputs& first_in = taken[taken_of[members.front()]].in;
+  PoolOp op = taken[members.front()].op;
+  const PoolInputs& first_in = taken[members.front()].in;
   const RequestGeometry g = request_geometry(op, first_in);
   const std::optional<PlanKey> key =
       plan_key_for(op, g.ih, g.iw, cluster_.device(0).double_buffer());
@@ -505,8 +501,7 @@ void Session::launch_members(std::vector<Pending>& taken,
   }
   if (plan_hit >= 0) {
     for (std::size_t m : members) {
-      req_trace_.record(taken[taken_of[m]].id, ReqEventKind::kPlanned,
-                        plan_hit);
+      req_trace_.record(taken[m].id, ReqEventKind::kPlanned, plan_hit);
     }
   }
 
@@ -524,10 +519,8 @@ void Session::launch_members(std::vector<Pending>& taken,
   }
   const std::int64_t batch_n = static_cast<std::int64_t>(members.size());
   for (std::size_t m : members) {
-    req_trace_.record(taken[taken_of[m]].id, ReqEventKind::kBatched,
-                      batch_id, batch_n);
-    req_trace_.record(taken[taken_of[m]].id, ReqEventKind::kLaunched,
-                      batch_id, batch_n);
+    req_trace_.record(taken[m].id, ReqEventKind::kBatched, batch_id, batch_n);
+    req_trace_.record(taken[m].id, ReqEventKind::kLaunched, batch_id, batch_n);
   }
   struct LaunchScope {
     Session* s;
@@ -547,42 +540,24 @@ void Session::launch_members(std::vector<Pending>& taken,
     }
   } scope{this};
 
-  std::int64_t launch_cycles = 0;
-  FaultStats launch_faults;
-  int cores_lost = 0;
-  std::int64_t vm_start = 0, vm_end = 0;
-  if (members.size() == 1) {
-    // Singleton fast path: run on the caller's tensors directly, routed
-    // through the cluster (identity on one device or a pinned shard).
-    Cluster::Launch lr = cluster_.run_pool(op, first_in, shard);
-    launch_cycles = lr.cycles;
-    launch_faults = lr.result.run.faults;
-    cores_lost = static_cast<int>(lr.result.run.faults.cores_quarantined);
-    vm_start = lr.result.run.vm_start;
-    vm_end = lr.result.run.vm_end;
-    taken[taken_of[members.front()]].promise.set_value(std::move(lr.result));
-  } else {
-    Batch b;
-    b.key = batch_key(op, first_in);
-    b.members = members;
-    const CoalescedInputs c = coalesce(views, b);
-    Cluster::Launch lr = cluster_.run_pool(op, c.inputs(), shard);
-    launch_cycles = lr.cycles;
-    launch_faults = lr.result.run.faults;
-    cores_lost = static_cast<int>(lr.result.run.faults.cores_quarantined);
-    vm_start = lr.result.run.vm_start;
-    vm_end = lr.result.run.vm_end;
-    std::vector<PoolResult> parts = split_result(b, c, lr.result);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      taken[taken_of[members[m]]].promise.set_value(std::move(parts[m]));
-    }
+  std::vector<PoolInputs> inputs;
+  inputs.reserve(members.size());
+  for (std::size_t m : members) inputs.push_back(taken[m].in);
+  std::vector<PoolResult> results = cluster_.run_batch(op, inputs, shard);
+  // Every member carries the launch's aggregated run.
+  const std::int64_t launch_cycles = results.front().run.device_cycles;
+  const FaultStats launch_faults = results.front().run.faults;
+  const std::int64_t vm_start = results.front().run.vm_start;
+  const std::int64_t vm_end = results.front().run.vm_end;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    taken[members[i]].promise.set_value(std::move(results[i]));
   }
   if (vm_end > 0) {
     // The launch's scheduled span on the cross-launch stream timeline --
     // the anchor that aligns request rows with device tracks in the
     // unified Chrome trace.
     for (std::size_t m : members) {
-      req_trace_.record(taken[taken_of[m]].id, ReqEventKind::kVmScheduled,
+      req_trace_.record(taken[m].id, ReqEventKind::kVmScheduled,
                         vm_start, vm_end);
     }
   }
@@ -595,7 +570,9 @@ void Session::launch_members(std::vector<Pending>& taken,
   if (degraded(launch_faults)) stats_.degraded_launches += 1;
   // A quarantined core stays suspect for the session: shrink the block
   // cap so later coalesced launches fit the healthy cores' UB waves.
-  stats_.quarantined_cores = std::max(stats_.quarantined_cores, cores_lost);
+  stats_.quarantined_cores =
+      std::max(stats_.quarantined_cores,
+               static_cast<int>(launch_faults.cores_quarantined));
   batch_members_total_ += static_cast<std::int64_t>(members.size());
   stats_.max_batch = std::max(stats_.max_batch, members.size());
   if (members.size() >= 2) {
@@ -603,12 +580,12 @@ void Session::launch_members(std::vector<Pending>& taken,
     stats_.coalesced_requests += static_cast<std::int64_t>(members.size());
   }
   for (std::size_t m : members) {
-    const double lat = us_since(taken[taken_of[m]].submitted);
+    const double lat = us_since(taken[m].submitted);
     latency_hist_.record(lat);
     if (latency_exact_.size() < opts_.latency_sample_cap) {
       latency_exact_.push_back(lat);
     }
-    req_trace_.record(taken[taken_of[m]].id, ReqEventKind::kCompleted,
+    req_trace_.record(taken[m].id, ReqEventKind::kCompleted,
                       round_us(lat), batch_id);
   }
 }
@@ -715,12 +692,16 @@ std::string Session::serve_json() const {
     // "complete" marks an exact set that saw every sample (count within
     // the retention cap), i.e. the histogram percentiles can be
     // cross-checked against exact ones at full fidelity.
-    return "{" + latency_json_fields(l) + ",\"hist\":{\"buckets\":" +
-           buckets + ",\"dropped\":" + num(dropped) +
-           "},\"exact\":{\"count\":" + num(ex.count) +
-           ",\"p50\":" + num(ex.p50) + ",\"p99\":" + num(ex.p99) +
-           ",\"p999\":" + num(ex.p999) + ",\"complete\":" +
-           (ex.count == l.count ? "true" : "false") + "}}";
+    std::string o = "{";
+    o += latency_json_fields(l);
+    o += ",\"hist\":{\"buckets\":";
+    o += buckets;
+    o += ",\"dropped\":" + num(dropped) +
+         "},\"exact\":{\"count\":" + num(ex.count) +
+         ",\"p50\":" + num(ex.p50) + ",\"p99\":" + num(ex.p99) +
+         ",\"p999\":" + num(ex.p999) + ",\"complete\":" +
+         (ex.count == l.count ? "true" : "false") + "}}";
+    return o;
   };
   std::string j = "{";
   j += "\"requests\":" + num(s.submitted);

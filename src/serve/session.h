@@ -4,12 +4,13 @@
 // A Session owns a serve::Cluster (one or more simulated devices behind
 // a placement router) and a worker thread. Callers submit PoolOp
 // descriptors plus input tensors and get a future back; the worker
-// drains the admission queue, coalesces same-geometry requests into
-// multi-N launches (serve/batcher.h), resolves each launch's tiling
-// plan through an LRU cache (serve/plan_cache.h), routes the launch
-// through the cluster -- sharded over N (data placement) or C1 (model
-// placement) with explicitly-costed redistribution -- and completes the
-// futures with per-request slices of the batched result.
+// drains the admission queue, groups same-geometry requests into
+// launches (serve/batcher.h), resolves each launch's tiling plan through
+// an LRU cache (serve/plan_cache.h), and hands the launch's members to
+// the cluster -- which shards their stacked (N, C1) grid over N (data
+// placement) or C1 (model placement) with explicitly-costed
+// redistribution and returns one result per member -- then completes
+// the futures.
 //
 //   serve::Session session(serve::Cluster(), opts);   // one device
 //   auto f = session.submit(op, inputs);   // blocks when the queue is full
@@ -105,17 +106,17 @@ struct SessionOptions {
   // (in-flight work does not count).
   std::size_t queue_depth = 64;
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  // Launch caps: at most this many requests per coalesced launch, and at
-  // most healthy_cores x ub_waves (N, C1) blocks -- each resident block
-  // pins its plan's ub_slots UB tile slots, so ub_waves bounds how many
-  // waves of blocks a launch may queue per core before it is split.
-  // healthy_cores starts at the device core count and shrinks as the
-  // resilient launch path observes quarantined cores.
+  // Launch caps: at most this many requests per coalesced launch (1 =
+  // every request launches alone, in submission order: the sequential
+  // baseline in bench_serve), and at most healthy_cores x ub_waves
+  // (N, C1) blocks -- each resident block pins its plan's ub_slots UB
+  // tile slots, so ub_waves bounds how many waves of blocks a launch may
+  // queue per core before it is split. healthy_cores starts at the core
+  // count the launch runs on (the whole cluster; one device for a pinned
+  // launch) and shrinks as the resilient launch path observes
+  // quarantined cores.
   std::size_t max_batch = 16;
   int ub_waves = 4;
-  // When false the batcher is bypassed: every request launches alone, in
-  // submission order (the sequential baseline in bench_serve).
-  bool batching = true;
   std::size_t plan_cache_capacity = 64;
   // Device double-buffer policy (feeds the plan-cache key).
   bool double_buffer = true;
@@ -355,23 +356,19 @@ class Session {
   void worker_loop();
   void watchdog_loop();
   void process(std::vector<Pending> taken);
-  // Launches `members` (indices into `views`; views[j] belongs to
-  // taken[taken_of[j]]) as one batch with placement hint `shard`,
-  // bisecting on resilient-launch failure. Expired members are failed
-  // before the launch.
+  // Launches `members` (indices into `taken`) as one batch with
+  // placement hint `shard`, bisecting on resilient-launch failure.
+  // Expired members are failed before the launch.
   void execute_members(std::vector<Pending>& taken,
-                       const std::vector<RequestView>& views,
-                       const std::vector<std::size_t>& taken_of,
                        std::vector<std::size_t> members, int shard);
   // One cluster launch for `members`; completes their futures on
   // success, throws on failure.
   void launch_members(std::vector<Pending>& taken,
-                      const std::vector<RequestView>& views,
-                      const std::vector<std::size_t>& taken_of,
                       const std::vector<std::size_t>& members, int shard);
   void enqueue_locked(Pending p, std::unique_lock<std::mutex>& lock);
-  // The block cap for form_batches given the quarantines observed so far.
-  std::int64_t max_blocks_locked() const;
+  // The block cap for form_batches of hint group `shard` given the
+  // quarantines observed so far.
+  std::int64_t max_blocks_locked(int shard) const;
 
   SessionOptions opts_;
   Cluster cluster_;

@@ -4,7 +4,7 @@
 // through the system allocator -- and through a fresh zero-fill -- on
 // every request.
 //
-// Why it exists: the serving hot path (serve::Session -> batcher ->
+// Why it exists: the serving hot path (serve::Session -> Cluster ->
 // kernels::run_pool) constructs the same few tensor geometries over and
 // over -- the working set is exactly the plan cache's geometry keys -- so
 // after the first wave of requests every buffer acquire is a reuse. The
@@ -19,8 +19,9 @@
 //    natural request boundaries.
 //  * acquire() never returns previously-zeroed memory: callers that need
 //    zero-fill (Tensor's default construction) memset themselves, and
-//    callers that overwrite every element (kernel outputs, the batcher's
-//    stack/slice staging) use Tensor's kUninitialized mode and skip it.
+//    callers that overwrite every element (kernel outputs, the cluster's
+//    shard gather/scatter buffers) use Tensor's kUninitialized mode and
+//    skip it.
 //  * set_poison(true) scribbles 0xA5 over every acquired buffer -- a test
 //    mode that makes any consumer silently relying on zero-fill fail
 //    loudly (tests/test_arena.cc runs the kernels under it).

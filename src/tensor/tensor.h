@@ -13,7 +13,8 @@
 //   Tensor(shape, kUninitialized) storage only -- for outputs every
 //                                 element of which is overwritten before
 //                                 any read (kernel output tensors, the
-//                                 batcher's stack/slice staging buffers).
+//                                 cluster's shard gather/scatter
+//                                 buffers).
 //                                 Contents start as whatever the arena
 //                                 hands back; TensorArena poison mode
 //                                 exists to flush out misuse.

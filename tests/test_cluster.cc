@@ -1,11 +1,13 @@
 // serve::Cluster -- the placement router must be invisible in the
 // numerics: every launch sharded over N (data parallel) or C1 (model
 // parallel) produces bit-identical tensors to a lone single-device run,
-// with VM streams on or off and with faults injected on one device. The
-// redistribution accounting must match the analytic slice volume
-// exactly, and the Session's placement hints must route (and fail)
-// per-request. The davinci_prof render must name every counter the
-// session's serve_json() writes.
+// with VM streams on or off, with faults injected on one device, and for
+// batch members whose rows straddle shard boundaries. The redistribution
+// accounting must match the analytic slice volume exactly, a shard that
+// is one whole member must run on that member's tensors without a copy,
+// and the Session's placement hints must route (and fail) per-request
+// under the right block cap. The davinci_prof render must name every
+// counter the session's serve_json() writes.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -16,11 +18,13 @@
 #include <vector>
 
 #include "common/json.h"
+#include "ref/pooling_ref.h"
 #include "serve/session.h"
 #include "serve/trace.h"
 #include "sim/fault.h"
 #include "sim/metrics_registry.h"
 #include "sim/prof_report.h"
+#include "tensor/arena.h"
 #include "tensor/fractal.h"
 
 namespace davinci::serve {
@@ -44,6 +48,19 @@ void expect_same_result(const PoolResult& got, const PoolResult& want) {
   expect_same_tensor(got.mask, want.mask);
   expect_same_tensor(got.grad_in, want.grad_in);
 }
+
+TensorF16 random_tensor(Shape shape, std::uint64_t seed) {
+  TensorF16 t(shape);
+  t.fill_random_ints(seed);
+  return t;
+}
+
+// Poisons the process-wide arena for the scope: a staging or output
+// block that the shard path fails to write reads back as 0xA5 garbage.
+struct PoisonedArena {
+  PoisonedArena() { TensorArena::global().set_poison(true); }
+  ~PoisonedArena() { TensorArena::global().set_poison(false); }
+};
 
 // A mixed trace covering every kind the cluster must shard: forward max /
 // avg with different lowerings, the mask variant, both backward merges,
@@ -103,15 +120,14 @@ TEST(Cluster, OneDeviceIsIdentity) {
   lone.set_double_buffer(cluster.device(0).double_buffer());
   const PoolResult want = kernels::run_pool(lone, op, PoolInputs{.in = &in});
   expect_same_result(lr.result, want);
-  // Identity extends to the cycle model: no slicing, no link charges.
+  // Identity extends to the cycle model: no copies, no link charges.
   EXPECT_EQ(lr.result.run.device_cycles, want.run.device_cycles);
-  EXPECT_EQ(lr.shards, 1);
-  EXPECT_EQ(lr.redistribution_bytes, 0);
-  EXPECT_EQ(lr.redistribution_cycles, 0);
   const Cluster::Stats s = cluster.stats();
   EXPECT_EQ(s.launches, 1);
   EXPECT_EQ(s.sharded_launches, 0);
+  EXPECT_EQ(s.devices[0].launches, 1);
   EXPECT_EQ(s.redistribution_bytes, 0);
+  EXPECT_EQ(s.redistribution_cycles, 0);
   EXPECT_EQ(s.link_busy_cycles, 0);
 }
 
@@ -133,13 +149,14 @@ TEST(Cluster, ShardedLaunchesBitIdenticalBothPlacements) {
     const Cluster::Launch lr = cluster.run_pool(op, PoolInputs{.in = &in});
     SCOPED_TRACE(to_string(p));
     expect_same_result(lr.result, want);
-    EXPECT_EQ(lr.shards, 3);
-    EXPECT_GT(lr.redistribution_bytes, 0);
     const Cluster::Stats s = cluster.stats();
     EXPECT_EQ(s.sharded_launches, 1);
-    // Work lands on every device: blocks sum to the full N x C1 grid.
+    EXPECT_GT(s.redistribution_bytes, 0);
+    // Work lands on every device, one shard each: blocks sum to the full
+    // N x C1 grid.
     std::int64_t blocks = 0;
     for (const Cluster::DeviceStats& d : s.devices) {
+      EXPECT_EQ(d.launches, 1);
       EXPECT_GT(d.blocks, 0);
       blocks += d.blocks;
     }
@@ -198,9 +215,9 @@ TEST(Cluster, PinRunsWholeLaunchOnOneDevice) {
                   .fwd = akg::PoolImpl::kIm2col};
   Cluster cluster(ClusterOptions{.devices = 3});
   const Cluster::Launch lr = cluster.run_pool(op, PoolInputs{.in = &in}, 2);
-  EXPECT_EQ(lr.shards, 1);
-  EXPECT_GT(lr.redistribution_bytes, 0);  // whole launch crosses 0->2
   const Cluster::Stats s = cluster.stats();
+  EXPECT_EQ(s.sharded_launches, 0);
+  EXPECT_GT(s.redistribution_bytes, 0);  // whole launch crosses 0->2
   EXPECT_EQ(s.devices[2].launches, 1);
   EXPECT_EQ(s.devices[0].launches, 0);
   EXPECT_EQ(s.devices[1].launches, 0);
@@ -211,6 +228,67 @@ TEST(Cluster, PinRunsWholeLaunchOnOneDevice) {
                      kernels::run_pool(lone, op, PoolInputs{.in = &in}));
 
   EXPECT_THROW((void)cluster.run_pool(op, PoolInputs{.in = &in}, 3), Error);
+}
+
+TEST(Cluster, BatchRedistributionMatchesStackedSliceVolume) {
+  // Members of n = 2, 0, 3, 2 stack into 7 image rows, which data
+  // placement cuts 3 | 2 | 2 over three devices -- across member
+  // boundaries. Shard d's traffic is its rows of the stacked input
+  // crossing 0->d plus the same rows of the output crossing d->0,
+  // wherever the members lie. The empty member gets the empty output a
+  // lone run_pool gives it.
+  const std::int64_t c1 = 5, ih = 21, iw = 21;
+  const int devices = 3;
+  const std::vector<std::int64_t> ns = {2, 0, 3, 2};
+  std::vector<TensorF16> in;
+  for (std::size_t m = 0; m < ns.size(); ++m) {
+    in.push_back(random_tensor(Shape{ns[m], c1, ih, iw, kC0}, 40 + m));
+  }
+  std::vector<PoolInputs> members;
+  for (const TensorF16& t : in) members.push_back(PoolInputs{.in = &t});
+  const Window2d w = Window2d::pool(3, 2);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w,
+                  .fwd = akg::PoolImpl::kIm2col};
+  Cluster cluster(
+      ClusterOptions{.devices = devices, .placement = Placement::kData});
+  const std::vector<PoolResult> got = cluster.run_batch(op, members);
+
+  ASSERT_EQ(got.size(), members.size());
+  Device lone;
+  lone.set_double_buffer(true);
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    SCOPED_TRACE("member " + std::to_string(m));
+    expect_same_result(got[m], kernels::run_pool(lone, op, members[m]));
+    // Every member carries the launch's aggregated run.
+    EXPECT_EQ(got[m].run.device_cycles, got[0].run.device_cycles);
+  }
+
+  const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
+  const std::int64_t rows[] = {3, 2, 2};
+  std::int64_t expected = 0;
+  const Cluster::Stats s = cluster.stats();
+  for (int d = 1; d < devices; ++d) {
+    const std::int64_t in_bytes = rows[d] * c1 * ih * iw * kC0 * 2;
+    const std::int64_t out_bytes = rows[d] * c1 * oh * ow * kC0 * 2;
+    EXPECT_EQ(s.links[static_cast<std::size_t>(d)].bytes, in_bytes)
+        << "link 0->" << d;
+    EXPECT_EQ(s.links[static_cast<std::size_t>(d * devices)].bytes,
+              out_bytes)
+        << "link " << d << "->0";
+    expected += in_bytes + out_bytes;
+  }
+  EXPECT_EQ(s.redistribution_bytes, expected);
+  EXPECT_EQ(s.sharded_launches, 1);
+
+  // A launch with no images at all, pinned: each member still gets the
+  // lone run's empty outputs.
+  const PoolInputs empty{.in = &in[1]};
+  const std::vector<PoolResult> none =
+      cluster.run_batch(op, std::vector<PoolInputs>{empty, empty}, 1);
+  ASSERT_EQ(none.size(), 2u);
+  for (const PoolResult& r : none) {
+    expect_same_result(r, kernels::run_pool(lone, op, empty));
+  }
 }
 
 TEST(ClusterServe, TraceReplayBitIdenticalAcrossDeviceCounts) {
@@ -327,6 +405,136 @@ TEST(ClusterServe, DifferentlyPinnedRequestsNeverCoalesce) {
   EXPECT_EQ(s.launches, 2);  // one per pin, no cross-pin batch
   EXPECT_EQ(s.cluster.devices[0].launches, 1);
   EXPECT_EQ(s.cluster.devices[1].launches, 1);
+}
+
+TEST(ClusterServe, MembersStraddlingShardsBitIdentical) {
+  // One paused window per placement launches three three-member batches
+  // (maxpool forward, maxpool_mask, maxpool_bwd on mask + grad). Members
+  // of n = 2, 3, 2 stack into 7 rows: data placement cuts them 3 | 2 | 2,
+  // so shard 0 gathers member 0 and a row of member 1, shard 1 the rest
+  // of member 1, and shard 2 is member 2 whole, read in place. Model
+  // placement cuts C1 = 5 into 2 | 2 | 1 channel blocks of every member.
+  // Every member must match a lone-device run bit for bit.
+  const PoisonedArena poison;
+  const Window2d w = Window2d::pool(3, 2);
+  const std::int64_t c1 = 5, h = 19;
+  const std::vector<std::int64_t> ns = {2, 3, 2};
+  std::vector<TensorF16> in, mask, grad;
+  for (std::size_t m = 0; m < ns.size(); ++m) {
+    in.push_back(random_tensor(Shape{ns[m], c1, h, h, kC0}, 50 + m));
+    mask.push_back(ref::maxpool_argmax_mask(in.back(), w));
+    grad.push_back(random_tensor(
+        Shape{ns[m], c1, w.out_h(h), w.out_w(h), kC0}, 60 + m));
+  }
+  const std::vector<PoolOp> ops = {
+      {.kind = PoolOpKind::kMaxFwd, .window = w,
+       .fwd = akg::PoolImpl::kIm2col},
+      {.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+       .fwd = akg::PoolImpl::kIm2col},
+      {.kind = PoolOpKind::kMaxBwd, .window = w,
+       .merge = kernels::MergeImpl::kCol2im}};
+  auto inputs = [&](const PoolOp& op, std::size_t m) {
+    return op.kind == PoolOpKind::kMaxBwd
+               ? PoolInputs{.mask = &mask[m], .grad = &grad[m], .ih = h,
+                            .iw = h}
+               : PoolInputs{.in = &in[m]};
+  };
+  Device lone;
+  lone.set_double_buffer(true);
+
+  for (const Placement p : {Placement::kData, Placement::kModel}) {
+    SCOPED_TRACE(to_string(p));
+    Session session(Cluster(ClusterOptions{.devices = 3, .placement = p}),
+                    SessionOptions{});
+    session.pause();
+    std::vector<std::future<PoolResult>> futures;
+    for (const PoolOp& op : ops) {
+      for (std::size_t m = 0; m < ns.size(); ++m) {
+        futures.push_back(session.submit(op, inputs(op, m)));
+      }
+    }
+    session.resume();
+    session.drain();
+    std::size_t f = 0;
+    for (const PoolOp& op : ops) {
+      for (std::size_t m = 0; m < ns.size(); ++m) {
+        SCOPED_TRACE(op.to_string() + " member " + std::to_string(m));
+        expect_same_result(futures[f++].get(),
+                           kernels::run_pool(lone, op, inputs(op, m)));
+      }
+    }
+    const SessionStats s = session.stats();
+    EXPECT_EQ(s.launches, 3);  // one three-member launch per kind
+    EXPECT_EQ(s.cluster.sharded_launches, 3);
+  }
+}
+
+TEST(ClusterServe, AlignedMembersRunInPlace) {
+  // Four n = 2 members on four data-placement devices: every shard is
+  // exactly one member, so the launch reads the members' tensors in place
+  // and hands each shard's output to its member. The only arena acquires
+  // are the four kernel outputs: nothing is staged or copied.
+  Session session(
+      Cluster(ClusterOptions{.devices = 4, .placement = Placement::kData}),
+      SessionOptions{});
+  std::vector<TensorF16> in;
+  for (int m = 0; m < 4; ++m) {
+    in.push_back(random_tensor(Shape{2, 3, 21, 21, kC0},
+                               70 + static_cast<std::uint64_t>(m)));
+  }
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kIm2col};
+  session.pause();
+  std::vector<std::future<PoolResult>> futures;
+  for (const TensorF16& t : in) {
+    futures.push_back(session.submit(op, PoolInputs{.in = &t}));
+  }
+  TensorArena& arena = TensorArena::global();
+  arena.reset_stats();
+  session.resume();
+  session.drain();
+  const TensorArena::Stats a = arena.stats();
+  EXPECT_EQ(a.allocs + a.reuses, 4);
+
+  const SessionStats s = session.stats();
+  EXPECT_EQ(s.launches, 1);
+  EXPECT_EQ(s.cluster.sharded_launches, 1);
+  Device lone;
+  lone.set_double_buffer(true);
+  for (std::size_t m = 0; m < in.size(); ++m) {
+    SCOPED_TRACE("member " + std::to_string(m));
+    expect_same_result(futures[m].get(),
+                       kernels::run_pool(lone, op, PoolInputs{.in = &in[m]}));
+  }
+}
+
+TEST(ClusterServe, PinnedGroupGetsOneDeviceBlockCap) {
+  // A pinned launch runs whole on one device, so its block cap is that
+  // device's cores x ub_waves (32 x 4 = 128 blocks), not the cluster's:
+  // sixteen 32-block requests pinned to device 1 launch four at a time,
+  // as they would on a lone device.
+  SessionOptions opts;
+  opts.max_batch = 16;
+  Session session(Cluster(ClusterOptions{.devices = 4}), opts);
+  ASSERT_EQ(session.cluster().device(1).num_cores(), 32);
+  const TensorF16 in = random_tensor(Shape{1, 32, 9, 9, kC0}, 8);
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kIm2col};
+  session.pause();
+  std::vector<std::future<PoolResult>> futures;
+  for (int r = 0; r < 16; ++r) {
+    futures.push_back(session.submit(op, PoolInputs{.in = &in},
+                                     SubmitOptions{.shard = 1}));
+  }
+  session.resume();
+  session.drain();
+  for (auto& f : futures) EXPECT_GT(f.get().out.size(), 0);
+  const SessionStats s = session.stats();
+  EXPECT_EQ(s.launches, 4);
+  EXPECT_EQ(s.max_batch, 4u);
+  EXPECT_EQ(s.cluster.devices[1].launches, 4);
 }
 
 // Every key of `v`, at every depth (objects inside arrays included).

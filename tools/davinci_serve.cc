@@ -4,12 +4,12 @@
 //   davinci_serve <trace-file> [options]
 //
 // Options:
-//   --sequential         disable batching (every request launches alone)
 //   --devices=N          simulated devices behind the placement router
 //                        (default 1; see docs/CLUSTER.md)
 //   --placement=P        sharding axis: data (batch N) | model (C1)
 //   --queue=N            admission-queue depth           (default 64)
-//   --max-batch=N        requests per coalesced launch   (default 16)
+//   --max-batch=N        requests per coalesced launch   (default 16;
+//                        1 = every request launches alone)
 //   --ub-waves=N         launch block cap, in waves      (default 4)
 //   --plan-cache=N       plan-cache capacity             (default 64)
 //   --no-double-buffer   single-buffered device schedule
@@ -48,7 +48,8 @@
 //                        per-trace-line rows carry non-gated fields, the
 //                        final "total" row carries the gated cycles sum
 //                        so `davinci_prof --diff seq.json batched.json`
-//                        gates batched-vs-sequential regressions; the
+//                        (seq.json from --max-batch=1) gates
+//                        batched-vs-sequential regressions; the
 //                        total row also reports failed/expired/shed plus
 //                        host_ms and the host-phase sums (host_alloc_ms /
 //                        host_plan_ms / host_validate_ms /
@@ -119,7 +120,7 @@ std::string geom_string(const serve::TraceEntry& e) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: davinci_serve <trace-file> [--sequential] "
+               "usage: davinci_serve <trace-file> "
                "[--devices=N] [--placement=data|model] "
                "[--queue=N] [--max-batch=N] [--ub-waves=N] [--plan-cache=N] "
                "[--no-double-buffer] [--policy=block|reject|shed] "
@@ -242,7 +243,6 @@ int main(int argc, char** argv) {
   }
 
   serve::SessionOptions opts;
-  opts.batching = !has_flag(argc, argv, "--sequential");
   opts.queue_depth = static_cast<std::size_t>(
       int_arg(argc, argv, "--queue=", 64));
   opts.max_batch = static_cast<std::size_t>(
@@ -408,8 +408,8 @@ int main(int argc, char** argv) {
   if (stats_every_ms > 0) stats_stream.finish();
 
   MetricsRegistry registry;
-  std::printf("davinci_serve: %zu requests from %s (%s)\n", requests.size(),
-              trace_path.c_str(), opts.batching ? "batched" : "sequential");
+  std::printf("davinci_serve: %zu requests from %s (max batch %zu)\n",
+              requests.size(), trace_path.c_str(), opts.max_batch);
   std::printf("%-44s %-14s %9s %14s\n", "op", "geometry (NC1HWC0)",
               "requests", "launch-cycles");
   std::int64_t failed_requests = 0, expired_requests = 0, shed_requests = 0;
@@ -522,8 +522,6 @@ int main(int argc, char** argv) {
          ",\"failed\":" + std::to_string(s.failed) +
          ",\"expired\":" + std::to_string(s.expired) +
          ",\"shed\":" + std::to_string(s.shed + s.rejected) +
-         ",\"batched\":" + (opts.batching ? std::string("true")
-                                          : std::string("false")) +
          ",\"avg_batch\":" + json::number(s.avg_batch) +
          ",\"plan_cache_hit_rate\":" + json::number(s.plan_cache.hit_rate()) +
          ",\"host_ms\":" + json::number(host_ms) +
