@@ -19,17 +19,15 @@ inline std::int64_t host_now_ns() {
       .count();
 }
 
-// Folds the driver's validate/plan/alloc phase times into the run result.
-// Device::run filled host_execute_ns (== its host_ns); afterwards host_ns
-// stays the exact sum of the four buckets -- the invariant metrics schema
-// v4 serializes and tests assert.
-inline void add_host_overhead(Device::RunResult& run,
-                              std::int64_t validate_ns, std::int64_t plan_ns,
+// Folds the driver's plan/alloc phase times into the run result.
+// Device::run filled host_execute_ns (== its host_ns) and run_pool adds
+// host_validate_ns; afterwards host_ns stays the exact sum of the four
+// buckets -- the invariant metrics schema v4 serializes and tests assert.
+inline void add_host_overhead(Device::RunResult& run, std::int64_t plan_ns,
                               std::int64_t alloc_ns) {
-  run.host_validate_ns += validate_ns;
   run.host_plan_ns += plan_ns;
   run.host_alloc_ns += alloc_ns;
-  run.host_ns += validate_ns + plan_ns + alloc_ns;
+  run.host_ns += plan_ns + alloc_ns;
 }
 
 // Output-tensor construction: every kernel overwrites every element of
@@ -73,70 +71,44 @@ inline Span<Float16> gm_view(TensorF16& t) {
   return gm_span(t.data(), t.size());
 }
 
-// Issues a 16-lane (C0-masked) binary vector instruction over `count`
-// strided element groups, splitting into <= max_repeat chunks with a
-// scalar-loop charge per reissue. This is the lowered form of the
-// "vectorize on C0 only" code paths the paper's baselines use.
-inline void strided16_binary(AiCore& core, VecOp op, Span<Float16> dst,
-                             std::int64_t dst_stride, Span<Float16> src0,
-                             std::int64_t src0_stride, Span<Float16> src1,
-                             std::int64_t src1_stride, std::int64_t count) {
-  DV_CHECK_GE(count, 1);
+// The one splitter behind the strided vector lowerings: `rows` rows of
+// `row_elems` contiguous elements, consecutive rows a repeat stride
+// apart. Each 128-lane column chunk of the rows is one instruction with
+// the repeat parameter walking the rows, reissued in <= max_repeat
+// chunks, plus a scalar-loop charge per reissue. `issue(cfg, off, row)`
+// emits the instruction for column `off` starting at row `row`; `cfg`
+// carries its mask and repeat, and the caller adds the strides.
+template <typename Issue>
+inline void split_rows(AiCore& core, std::int64_t rows,
+                       std::int64_t row_elems, Issue&& issue) {
+  DV_CHECK_GE(rows, 1);
+  const int lanes = core.arch().vector_lanes;
   const int max_rep = core.arch().max_repeat;
-  std::int64_t done = 0;
   std::int64_t instrs = 0;
-  while (done < count) {
-    const int rep = static_cast<int>(
-        count - done > max_rep ? max_rep : count - done);
-    VecConfig cfg;
-    cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-    cfg.repeat = rep;
-    cfg.dst_rep_stride = dst_stride;
-    cfg.src0_rep_stride = src0_stride;
-    cfg.src1_rep_stride = src1_stride;
-    core.vec().binary(op, dst.drop_front(done * dst_stride),
-                      src0.drop_front(done * src0_stride),
-                      src1.drop_front(done * src1_stride), cfg);
-    done += rep;
-    ++instrs;
-  }
-  if (instrs > 1) core.scalar_loop(instrs - 1);
-}
-
-// Same splitting for vadds (the vector-copy idiom of the expansion
-// implementation): dst[g] = src[g] + 0 for `count` strided groups.
-inline void strided16_copy(AiCore& core, Span<Float16> dst,
-                           std::int64_t dst_stride, Span<Float16> src,
-                           std::int64_t src_stride, std::int64_t count) {
-  DV_CHECK_GE(count, 1);
-  const int max_rep = core.arch().max_repeat;
-  std::int64_t done = 0;
-  std::int64_t instrs = 0;
-  while (done < count) {
-    const int rep = static_cast<int>(
-        count - done > max_rep ? max_rep : count - done);
-    VecConfig cfg;
-    cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-    cfg.repeat = rep;
-    cfg.dst_rep_stride = dst_stride;
-    cfg.src0_rep_stride = src_stride;
-    core.vec().adds(dst.drop_front(done * dst_stride),
-                    src.drop_front(done * src_stride), Float16(), cfg);
-    done += rep;
-    ++instrs;
+  for (std::int64_t off = 0; off < row_elems; off += lanes) {
+    const int active = static_cast<int>(
+        row_elems - off < lanes ? row_elems - off : lanes);
+    std::int64_t done = 0;
+    while (done < rows) {
+      VecConfig cfg;
+      cfg.mask = VecMask::first_n(active);
+      cfg.repeat =
+          static_cast<int>(rows - done > max_rep ? max_rep : rows - done);
+      issue(cfg, off, done);
+      done += cfg.repeat;
+      ++instrs;
+    }
   }
   if (instrs > 1) core.scalar_loop(instrs - 1);
 }
 
 // Row-strided full-mask binary op: applies `op` to `rows` rows of
 // `row_elems` contiguous elements, where consecutive rows are
-// `*_row_stride` elements apart. Each 128-lane column chunk of the rows is
-// one instruction with the repeat parameter walking the rows -- the
-// saturated-mask lowering available when Sw == 1 ("combining the mask
-// register set with all 128 elements and its repeat parameter to compute
-// the max between the (Ow, C0) dimensions", Section VI-B). Issues
-// ceil(row_elems / 128) instructions per call (plus reissues when rows
-// exceed max_repeat).
+// `*_row_stride` elements apart -- the saturated-mask lowering available
+// when Sw == 1 ("combining the mask register set with all 128 elements
+// and its repeat parameter to compute the max between the (Ow, C0)
+// dimensions", Section VI-B). Issues ceil(row_elems / 128) instructions
+// per call (plus reissues when rows exceed max_repeat).
 inline void row_strided_binary(AiCore& core, VecOp op, Span<Float16> dst,
                                std::int64_t dst_row_stride,
                                Span<Float16> src0,
@@ -144,62 +116,40 @@ inline void row_strided_binary(AiCore& core, VecOp op, Span<Float16> dst,
                                Span<Float16> src1,
                                std::int64_t src1_row_stride,
                                std::int64_t rows, std::int64_t row_elems) {
-  DV_CHECK_GE(rows, 1);
-  const int lanes = core.arch().vector_lanes;
-  const int max_rep = core.arch().max_repeat;
-  std::int64_t instrs = 0;
-  for (std::int64_t off = 0; off < row_elems; off += lanes) {
-    const int active = static_cast<int>(
-        row_elems - off < lanes ? row_elems - off : lanes);
-    std::int64_t done = 0;
-    while (done < rows) {
-      const int rep =
-          static_cast<int>(rows - done > max_rep ? max_rep : rows - done);
-      VecConfig cfg;
-      cfg.mask = VecMask::first_n(active);
-      cfg.repeat = rep;
-      cfg.dst_rep_stride = dst_row_stride;
-      cfg.src0_rep_stride = src0_row_stride;
-      cfg.src1_rep_stride = src1_row_stride;
-      core.vec().binary(op, dst.drop_front(off + done * dst_row_stride),
-                        src0.drop_front(off + done * src0_row_stride),
-                        src1.drop_front(off + done * src1_row_stride), cfg);
-      done += rep;
-      ++instrs;
-    }
-  }
-  if (instrs > 1) core.scalar_loop(instrs - 1);
+  split_rows(core, rows, row_elems,
+             [&](VecConfig cfg, std::int64_t off, std::int64_t row) {
+               cfg.dst_rep_stride = dst_row_stride;
+               cfg.src0_rep_stride = src0_row_stride;
+               cfg.src1_rep_stride = src1_row_stride;
+               core.vec().binary(
+                   op, dst.drop_front(off + row * dst_row_stride),
+                   src0.drop_front(off + row * src0_row_stride),
+                   src1.drop_front(off + row * src1_row_stride), cfg);
+             });
 }
 
-// Same row-strided lowering for the vadds copy idiom.
+// The same lowering for the vadds copy idiom: dst row = src row + 0.
 inline void row_strided_copy(AiCore& core, Span<Float16> dst,
                              std::int64_t dst_row_stride, Span<Float16> src,
                              std::int64_t src_row_stride, std::int64_t rows,
                              std::int64_t row_elems) {
-  DV_CHECK_GE(rows, 1);
-  const int lanes = core.arch().vector_lanes;
-  const int max_rep = core.arch().max_repeat;
-  std::int64_t instrs = 0;
-  for (std::int64_t off = 0; off < row_elems; off += lanes) {
-    const int active = static_cast<int>(
-        row_elems - off < lanes ? row_elems - off : lanes);
-    std::int64_t done = 0;
-    while (done < rows) {
-      const int rep =
-          static_cast<int>(rows - done > max_rep ? max_rep : rows - done);
-      VecConfig cfg;
-      cfg.mask = VecMask::first_n(active);
-      cfg.repeat = rep;
-      cfg.dst_rep_stride = dst_row_stride;
-      cfg.src0_rep_stride = src_row_stride;
-      core.vec().adds(dst.drop_front(off + done * dst_row_stride),
-                      src.drop_front(off + done * src_row_stride), Float16(),
-                      cfg);
-      done += rep;
-      ++instrs;
-    }
-  }
-  if (instrs > 1) core.scalar_loop(instrs - 1);
+  split_rows(core, rows, row_elems,
+             [&](VecConfig cfg, std::int64_t off, std::int64_t row) {
+               cfg.dst_rep_stride = dst_row_stride;
+               cfg.src0_rep_stride = src_row_stride;
+               core.vec().adds(dst.drop_front(off + row * dst_row_stride),
+                               src.drop_front(off + row * src_row_stride),
+                               Float16(), cfg);
+             });
+}
+
+// The 16-lane (C0-masked) copy the paper's "vectorize on C0 only"
+// baselines use (the expansion implementation's vector copies): `count`
+// strided C0 groups, i.e. rows of one C0 group each.
+inline void strided16_copy(AiCore& core, Span<Float16> dst,
+                           std::int64_t dst_stride, Span<Float16> src,
+                           std::int64_t src_stride, std::int64_t count) {
+  row_strided_copy(core, dst, dst_stride, src, src_stride, count, kC0);
 }
 
 // Full-mask reduction of `planes` consecutive (plane_elems)-sized planes

@@ -94,6 +94,11 @@ LoweredPoolResult lower_and_run(Device& dev, const dsl::Compute& c,
       init = Float16();
       break;
   }
+  // The forward driver's input contract is kMaxFwd's whatever the
+  // reduction (kAvgFwd only narrows the lowerings).
+  kernels::check_inputs(
+      {.kind = kernels::PoolOpKind::kMaxFwd, .window = p.window, .fwd = impl},
+      {.in = &input});
   auto r = kernels::pooling_forward_impl(dev, input, p.window, impl, op,
                                          init, Float16(1.0f), nullptr);
   return LoweredPoolResult{std::move(r.out), r.run, impl};

@@ -1,8 +1,14 @@
-// Internal: the kernel implementation entry points behind run_pool.
-// Each takes an optional precomputed tiling plan (`plan`); nullptr means
-// "plan here" via akg::plan_fwd / plan_bwd. The serving layer's plan
-// cache (src/serve/plan_cache.h) supplies non-null plans so planning runs
-// once per descriptor instead of once per launch.
+// Internal: the kernel implementation drivers behind run_pool.
+//
+// The drivers trust their inputs: kernels::check_inputs (pooling.h) owns
+// the input contract, and every entry point calls it before a driver runs
+// -- run_pool for an unplanned launch, serve::Session at admission,
+// serve::Cluster::run_batch before it copies, akg::lower_and_run. A
+// driver checks only its own plan. Each takes an optional precomputed
+// tiling plan (`plan`); nullptr means "plan here" via akg::plan_fwd /
+// plan_bwd. The serving layer's plan cache (src/serve/plan_cache.h)
+// supplies non-null plans so planning runs once per descriptor instead of
+// once per launch.
 #pragma once
 
 #include "akg/tiling.h"
@@ -24,17 +30,12 @@ PoolResult maxpool_mask_fwd_impl(Device& dev, const TensorF16& in,
                                  const Window2d& w, akg::PoolImpl impl,
                                  const akg::PoolPlan* plan);
 
-// MaxPool backward (maxpool_bwd.cc).
-PoolResult maxpool_bwd_impl(Device& dev, const TensorF16& mask,
-                            const TensorF16& grad, const Window2d& w,
-                            std::int64_t ih, std::int64_t iw, MergeImpl merge,
-                            const akg::PoolPlan* plan);
-
-// AvgPool backward (avgpool.cc).
-PoolResult avgpool_bwd_impl(Device& dev, const TensorF16& grad,
-                            const Window2d& w, std::int64_t ih,
-                            std::int64_t iw, MergeImpl merge,
-                            const akg::PoolPlan* plan);
+// Shared backward driver (pool_bwd.cc): MaxPool backward with the Argmax
+// `mask`, AvgPool backward when `mask` is null.
+PoolResult pooling_backward_impl(Device& dev, const TensorF16* mask,
+                                 const TensorF16& grad, const Window2d& w,
+                                 std::int64_t ih, std::int64_t iw,
+                                 MergeImpl merge, const akg::PoolPlan* plan);
 
 // Global average pooling (extra_pooling.cc); tiles rows against UB
 // directly, so it takes no akg plan.

@@ -131,9 +131,23 @@ struct PoolResult {
   std::int64_t cycles() const { return run.device_cycles; }
 };
 
-// Runs one pooling operator on the device. Throws davinci::Error on
-// invalid descriptor/input combinations (unsupported impl for the kind,
-// padding on a non-im2col lowering, shape mismatches).
+// The pooling input contract, in the style of ATen's pooling shape
+// checks: one function owns it and every entry point calls it. Throws
+// davinci::Error unless
+//  * `in` carries exactly the tensors the kind reads (see PoolInputs);
+//  * forward inputs are NC1HWC0 with C0 = 16, and the window is valid;
+//  * the lowering suits the kind (kAvgFwd and kMaxMaskFwd: kDirect or
+//    kIm2col) and the window (padding needs kIm2col);
+//  * a backward gradient is (N, C1, Oh, Ow, 16), Oh/Ow being Equation (1)
+//    of (ih, iw), and a kMaxBwd mask is (N, C1, Kh, Kw, PP, 16) of the
+//    same N and C1, PP = Oh*Ow rounded up to the fractal.
+void check_inputs(const PoolOp& op, const PoolInputs& in);
+
+// Runs one pooling operator on the device. An unplanned launch (no
+// op.plan) runs check_inputs first and charges it to
+// run.host_validate_ns; a planned launch skips it, so a caller that
+// attaches a plan must have checked the inputs itself (serve::Session
+// does so at admission).
 PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in);
 
 }  // namespace davinci::kernels

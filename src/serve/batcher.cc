@@ -12,31 +12,6 @@ using kernels::PoolInputs;
 using kernels::PoolOp;
 using kernels::PoolOpKind;
 
-const TensorF16& primary_tensor(const PoolOp& op, const PoolInputs& in) {
-  const TensorF16* t = kernels::is_backward(op.kind) ? in.grad : in.in;
-  DV_CHECK(t != nullptr) << op.to_string() << ": missing input tensor";
-  return *t;
-}
-
-}  // namespace
-
-RequestGeometry request_geometry(const PoolOp& op, const PoolInputs& in) {
-  const TensorF16& t = primary_tensor(op, in);
-  DV_CHECK_EQ(t.shape().rank(), 5) << op.to_string()
-                                   << ": expected an NC1HWC0 tensor";
-  RequestGeometry g;
-  g.n = t.shape()[0];
-  g.c1 = t.shape()[1];
-  if (kernels::is_backward(op.kind)) {
-    g.ih = in.ih;
-    g.iw = in.iw;
-  } else {
-    g.ih = t.shape()[2];
-    g.iw = t.shape()[3];
-  }
-  return g;
-}
-
 BatchKey batch_key(const PoolOp& op, const PoolInputs& in) {
   const RequestGeometry g = request_geometry(op, in);
   BatchKey key;
@@ -50,6 +25,19 @@ BatchKey batch_key(const PoolOp& op, const PoolInputs& in) {
   }
   if (kernels::is_backward(op.kind)) key.merge = op.merge;
   return key;
+}
+
+}  // namespace
+
+RequestGeometry request_geometry(const PoolOp& op, const PoolInputs& in) {
+  const bool bwd = kernels::is_backward(op.kind);
+  const Shape& t = (bwd ? in.grad : in.in)->shape();
+  RequestGeometry g;
+  g.n = t[0];
+  g.c1 = t[1];
+  g.ih = bwd ? in.ih : t[2];
+  g.iw = bwd ? in.iw : t[3];
+  return g;
 }
 
 std::vector<Batch> form_batches(const std::vector<RequestView>& reqs,

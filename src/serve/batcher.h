@@ -35,6 +35,8 @@ struct RequestGeometry {
   std::int64_t n = 0, c1 = 0, ih = 0, iw = 0;
 };
 
+// The batcher reads requests that passed kernels::check_inputs (the
+// session screens every request before it groups them).
 RequestGeometry request_geometry(const kernels::PoolOp& op,
                                  const kernels::PoolInputs& in);
 
@@ -50,8 +52,6 @@ struct BatchKey {
 
   friend bool operator==(const BatchKey&, const BatchKey&) = default;
 };
-
-BatchKey batch_key(const kernels::PoolOp& op, const kernels::PoolInputs& in);
 
 // A launchable group: member indices into the request span, in
 // submission order.

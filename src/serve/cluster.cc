@@ -134,15 +134,17 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
   }
   DV_CHECK_GE(members.size(), 1u);
   // The stacked grid: member m owns image rows [n_begin[m], n_begin[m+1]).
+  // Every member meets the input contract before a byte is copied, so
+  // all of them carry the same tensors, each with the member's N and C1.
   std::vector<std::int64_t> n_begin{0};
   std::int64_t c1 = 0;
   for (const PoolInputs& in : members) {
-    const TensorF16* primary = kernels::is_backward(op.kind) ? in.grad : in.in;
-    DV_CHECK(primary != nullptr) << op.to_string() << ": missing input tensor";
-    DV_CHECK_GE(primary->shape().rank(), 2);
-    if (n_begin.size() == 1) c1 = primary->shape()[1];
-    DV_CHECK_EQ(primary->shape()[1], c1) << "batch mixes C1 extents";
-    n_begin.push_back(n_begin.back() + primary->shape()[0]);
+    kernels::check_inputs(op, in);
+    const Shape& primary =
+        (kernels::is_backward(op.kind) ? in.grad : in.in)->shape();
+    if (n_begin.size() == 1) c1 = primary[1];
+    DV_CHECK_EQ(primary[1], c1) << "batch mixes C1 extents";
+    n_begin.push_back(n_begin.back() + primary[0]);
   }
   const std::vector<Shard> shards = plan_shards(n_begin.back(), c1, pin);
   DV_CHECK_GE(shards.size(), 1u);
@@ -195,8 +197,6 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
         part = TensorF16(dims, kUninitialized);  // the members tile it
         for_each_overlap(shard, [&](std::size_t m, std::int64_t mn,
                                     std::int64_t sn, std::int64_t images) {
-          DV_CHECK(members[m].*field != nullptr)
-              << "batch mixes requests with and without an input tensor";
           copy_blocks(*(members[m].*field), mn, shard.c0, &part, sn, 0,
                       images, shard.c_len);
         });

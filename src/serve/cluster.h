@@ -150,7 +150,8 @@ class Cluster {
   void set_vm_stream(int device, vm::VmStream* stream);
 
   // Routes one launch of `members` (same-key requests, stacked along N
-  // in order) and returns one result per member, in order. pin < 0
+  // in order) and returns one result per member, in order. Every member
+  // must pass kernels::check_inputs (else Error, nothing runs). pin < 0
   // shards the stacked grid over the placement axis across all devices
   // (an axis shorter than the device count leaves devices idle); pin >= 0
   // runs the whole grid on that device; pin >= num_devices() throws

@@ -320,13 +320,15 @@ void Session::watchdog_loop() {
 }
 
 void Session::process(std::vector<Pending> taken) {
-  // Screen each request alone so a malformed one (wrong rank, missing
-  // tensor, out-of-range placement hint) fails only its own future --
-  // its takemates keep going.
+  // Screen each request alone against the input contract
+  // (kernels::check_inputs, the check a bare run_pool makes) and its
+  // placement hint, so a malformed one fails only its own future -- its
+  // takemates keep going. A launch below that carries a cached plan skips
+  // run_pool's copy of the check.
   std::vector<std::size_t> screened;  // taken indices that passed
   for (std::size_t i = 0; i < taken.size(); ++i) {
     try {
-      (void)batch_key(taken[i].op, taken[i].in);
+      kernels::check_inputs(taken[i].op, taken[i].in);
       if (taken[i].shard >= cluster_.num_devices()) {
         throw Error("shard " + std::to_string(taken[i].shard) +
                     " out of range [0, " +

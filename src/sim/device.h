@@ -84,15 +84,15 @@ class Device {
     // Host wall-clock of the whole launch, split into attribution
     // buckets. Device::run fills host_execute_ns (the simulation itself);
     // the kernel drivers (kernels/) add what they spend around it --
-    // tensor allocation, tiling-plan computation, descriptor/shape
-    // validation -- and keep host_ns the exact bucket sum. Invariant
+    // tensor allocation and tiling-plan computation -- and run_pool adds
+    // its input check, keeping host_ns the exact bucket sum. Invariant
     // (asserted by tests, serialized in metrics schema v4):
     //   host_alloc_ns + host_plan_ns + host_validate_ns +
     //   host_execute_ns == host_ns.
     std::int64_t host_ns = 0;
     std::int64_t host_alloc_ns = 0;     // output-tensor construction
     std::int64_t host_plan_ns = 0;      // akg::plan_fwd / plan_bwd
-    std::int64_t host_validate_ns = 0;  // descriptor/shape checks
+    std::int64_t host_validate_ns = 0;  // kernels::check_inputs
     std::int64_t host_execute_ns = 0;   // inside Device::run
     CycleStats aggregate;                 // sum over used cores
     Profile profile;                      // occupancy, merged over used cores

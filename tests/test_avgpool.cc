@@ -207,5 +207,62 @@ TEST(AvgpoolBackward, Col2imBeatsVadd) {
   EXPECT_LT(col2im.cycles(), vadd.cycles());
 }
 
+// Section V-C: "the equivalent mask for Avgpool contains 1 in all its
+// positions". kAvgBwd(grad) must equal kMaxBwd run with an all-ones mask
+// over the valid patch rows and the gradient pre-scaled to
+// fp16(grad * fp16(1/(Kh*Kw))), under both merges and both buffering
+// modes. Compared element by element with ==, so +0 and -0 agree.
+void check_avg_is_max_with_ones(std::int64_t h, const Window2d& w,
+                                std::uint64_t seed) {
+  const std::int64_t c1 = 2, oh = w.out_h(h), ow = w.out_w(h);
+  TensorF16 grad(Shape{1, c1, oh, ow, kC0});
+  grad.fill_random_ints(seed, -8, 8);
+  const float inv =
+      Float16(1.0f / static_cast<float>(w.kh * w.kw)).to_float();
+  TensorF16 scaled(grad.shape());
+  for (std::int64_t i = 0; i < grad.size(); ++i) {
+    scaled.flat(i) = Float16(grad.flat(i).to_float() * inv);
+  }
+  const std::int64_t pp = round_up(oh * ow, kFractalRows);
+  TensorF16 ones(Shape{1, c1, w.kh, w.kw, pp, kC0});
+  for (std::int64_t plane = 0; plane < c1 * w.kh * w.kw; ++plane) {
+    for (std::int64_t i = 0; i < oh * ow * kC0; ++i) {
+      ones.flat(plane * pp * kC0 + i) = Float16(1.0f);
+    }
+  }
+  for (bool db : {true, false}) {
+    for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
+      SCOPED_TRACE(std::string(kernels::to_string(merge)) +
+                   (db ? " double-buffered" : " serial"));
+      Device dev;
+      dev.set_double_buffer(db);
+      auto avg = kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = merge},
+          PoolInputs{.grad = &grad, .ih = h, .iw = h});
+      auto max = kernels::run_pool(
+          dev,
+          PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge},
+          PoolInputs{.mask = &ones, .grad = &scaled, .ih = h, .iw = h});
+      testutil::expect_equal_f16(avg.grad_in, max.grad_in, "avg vs max");
+    }
+  }
+}
+
+TEST(AvgpoolBackward, IsMaxpoolBackwardWithAllOnesMaskK2S2) {
+  check_avg_is_max_with_ones(12, Window2d::pool(2, 2), 421);
+}
+
+TEST(AvgpoolBackward, IsMaxpoolBackwardWithAllOnesMaskPaddedK3S2) {
+  Window2d w = Window2d::pool(3, 2);
+  w.pt = w.pb = w.pl = w.pr = 1;
+  check_avg_is_max_with_ones(17, w, 422);
+}
+
+TEST(AvgpoolBackward, IsMaxpoolBackwardWithAllOnesMaskTiledK3S2) {
+  // 147x147 H-tiles with one seam row between tiles.
+  check_avg_is_max_with_ones(147, Window2d::pool(3, 2), 423);
+}
+
 }  // namespace
 }  // namespace davinci

@@ -6,7 +6,8 @@
 // accounting must match the analytic slice volume exactly, a shard that
 // is one whole member must run on that member's tensors without a copy,
 // and the Session's placement hints must route (and fail) per-request
-// under the right block cap. The davinci_prof render must name every
+// under the right block cap. A request that breaks the input contract
+// fails alone, before any copy. The davinci_prof render must name every
 // counter the session's serve_json() writes.
 #include <gtest/gtest.h>
 
@@ -466,6 +467,62 @@ TEST(ClusterServe, MembersStraddlingShardsBitIdentical) {
     const SessionStats s = session.stats();
     EXPECT_EQ(s.launches, 3);  // one three-member launch per kind
     EXPECT_EQ(s.cluster.sharded_launches, 3);
+  }
+}
+
+TEST(ClusterServe, MalformedBackwardFailsAloneBetweenGoodBatchmates) {
+  // A malformed maxpool_bwd queued between two good same-key requests
+  // fails alone with the contract's Error, on one device and sharded over
+  // two; the good pair still launches once, bit-identical to lone runs.
+  // The mask is missing; or it holds 1 image for a 2-image gradient (a
+  // shard would copy 2 images out of it); or the request carries a stray
+  // `in` tensor that the kind never reads.
+  const Window2d w = Window2d::pool(3, 2);
+  const std::int64_t c1 = 2, h = 19;
+  const Shape grad_dims{1, c1, w.out_h(h), w.out_w(h), kC0};
+  std::vector<TensorF16> mask, grad;
+  for (std::uint64_t m = 0; m < 2; ++m) {
+    mask.push_back(ref::maxpool_argmax_mask(
+        random_tensor(Shape{1, c1, h, h, kC0}, 80 + m), w));
+    grad.push_back(random_tensor(grad_dims, 82 + m));
+  }
+  const TensorF16 grad2 = random_tensor(
+      Shape{2, c1, w.out_h(h), w.out_w(h), kC0}, 84);
+  const PoolOp op{.kind = PoolOpKind::kMaxBwd, .window = w,
+                  .merge = kernels::MergeImpl::kCol2im};
+  const PoolInputs good[] = {
+      {.mask = &mask[0], .grad = &grad[0], .ih = h, .iw = h},
+      {.mask = &mask[1], .grad = &grad[1], .ih = h, .iw = h}};
+  const std::pair<const char*, PoolInputs> bad[] = {
+      {"missing mask", {.grad = &grad2, .ih = h, .iw = h}},
+      {"1-image mask, 2-image grad",
+       {.mask = &mask[0], .grad = &grad2, .ih = h, .iw = h}},
+      {"stray input tensor",
+       {.in = &grad2, .mask = &mask[0], .grad = &grad[0], .ih = h,
+        .iw = h}}};
+  Device lone;
+  lone.set_double_buffer(true);
+
+  for (const int devices : {1, 2}) {
+    for (const auto& [what, bad_in] : bad) {
+      SCOPED_TRACE(std::string(what) + " on " + std::to_string(devices) +
+                   " device(s)");
+      Session session(Cluster(ClusterOptions{.devices = devices}),
+                      SessionOptions{});
+      session.pause();
+      auto f0 = session.submit(op, good[0]);
+      auto f_bad = session.submit(op, bad_in);
+      auto f1 = session.submit(op, good[1]);
+      session.resume();
+      session.drain();
+      EXPECT_THROW(f_bad.get(), Error);
+      expect_same_result(f0.get(), kernels::run_pool(lone, op, good[0]));
+      expect_same_result(f1.get(), kernels::run_pool(lone, op, good[1]));
+      const SessionStats s = session.stats();
+      EXPECT_EQ(s.launches, 1);
+      EXPECT_EQ(s.completed, 2);
+      EXPECT_EQ(s.failed, 1);
+    }
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the kernel-lowering helpers in kernels/detail.h: the
-// strided 16-lane forms the baselines use and the saturated row-strided
-// forms the Sw == 1 fast paths use.
+// strided 16-lane copy the baselines use and the saturated row-strided
+// forms the Sw == 1 fast paths use, all split by one row/repeat splitter.
 #include "kernels/detail.h"
 
 #include <gtest/gtest.h>
@@ -25,31 +25,19 @@ class HelperTest : public ::testing::Test {
   AiCore core_;
 };
 
-TEST_F(HelperTest, Strided16BinaryGathersGroups) {
-  // dst[g*16 + c] = max(dst, src[g*32 + c]): gather every other 16-group.
-  auto src = alloc_iota(8 * 32);
-  auto dst = core_.ub().alloc<Float16>(8 * 16);
-  core_.vdup_flat(dst, Float16(-1000.0f), 8 * 16);
-  detail::strided16_binary(core_, VecOp::kMax, dst, 16, dst, 16, src, 32, 8);
-  for (std::int64_t g = 0; g < 8; ++g) {
-    for (std::int64_t c = 0; c < 16; ++c) {
-      EXPECT_EQ(dst.at(g * 16 + c).to_float(),
-                static_cast<float>(g * 32 + c));
-    }
-  }
-}
-
-TEST_F(HelperTest, Strided16BinarySplitsAtMaxRepeat) {
+TEST_F(HelperTest, Strided16CopySplitsAtMaxRepeat) {
   // 300 groups > max_repeat 255 -> two instructions + one scalar reissue.
   auto src = core_.ub().alloc<Float16>(300 * 16);
   auto dst = core_.ub().alloc<Float16>(300 * 16);
   core_.vdup_flat(src, Float16(2.0f), 300 * 16);
   core_.vdup_flat(dst, Float16(1.0f), 300 * 16);
   const auto before = core_.profile().vec.instrs;
-  detail::strided16_binary(core_, VecOp::kAdd, dst, 16, dst, 16, src, 16,
-                           300);
+  const auto scalar_before = core_.stats().scalar_cycles;
+  detail::strided16_copy(core_, dst, 16, src, 16, 300);
   EXPECT_EQ(core_.profile().vec.instrs - before, 2);
-  EXPECT_EQ(dst.at(299 * 16).to_float(), 3.0f);
+  EXPECT_EQ(core_.stats().scalar_cycles - scalar_before,
+            CostModel::calibrated().scalar_loop_cycles);
+  EXPECT_EQ(dst.at(299 * 16).to_float(), 2.0f);
 }
 
 TEST_F(HelperTest, Strided16CopyScattersIntoPlanes) {

@@ -188,5 +188,35 @@ TEST(MaxpoolBackward, ShapeValidation) {
       Error);
 }
 
+TEST(MaxpoolBackward, MaskMustMatchGradientBatchAndChannels) {
+  // The mask's N and C1 are the gradient's, and both end in C0 = 16: a
+  // mismatch is a contract error, never a grad_in cut to the mask's N.
+  Device dev;
+  const Window2d w = Window2d::pool(3, 2);
+  const BwdCase one = make_case(1, 2, 9, 9, w, 316);
+  const BwdCase four = make_case(4, 2, 9, 9, w, 317);
+  const BwdCase c1x3 = make_case(1, 3, 9, 9, w, 318);
+  TensorF16 narrow_grad(Shape{1, 2, 4, 4, 8});
+  for (MergeImpl merge : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
+    SCOPED_TRACE(kernels::to_string(merge));
+    const PoolOp op{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = merge};
+    EXPECT_THROW(kernels::run_pool(dev, op,
+                                   PoolInputs{.mask = &one.mask,
+                                              .grad = &four.grad,
+                                              .ih = 9, .iw = 9}),
+                 Error);
+    EXPECT_THROW(kernels::run_pool(dev, op,
+                                   PoolInputs{.mask = &c1x3.mask,
+                                              .grad = &one.grad,
+                                              .ih = 9, .iw = 9}),
+                 Error);
+    EXPECT_THROW(kernels::run_pool(dev, op,
+                                   PoolInputs{.mask = &one.mask,
+                                              .grad = &narrow_grad,
+                                              .ih = 9, .iw = 9}),
+                 Error);
+  }
+}
+
 }  // namespace
 }  // namespace davinci

@@ -121,7 +121,7 @@ TEST(PlanKeyFor, MapsOpsToPlanningInputs) {
 }
 
 // Warm-lane equivalence: a kernel launch with a cached plan attached
-// skips in-kernel validation and re-planning entirely, so its outputs
+// skips run_pool's input check and re-planning entirely, so its outputs
 // must be bit-for-bit those of the cold launch that validates and plans
 // from scratch.
 TEST(WarmLane, PlanHitOutputsMatchPlanMissOutputs) {
@@ -151,16 +151,16 @@ TEST(WarmLane, PlanHitOutputsMatchPlanMissOutputs) {
   }
 }
 
-// The warm lane is sound because validation moved *into* plan
-// construction: a bad descriptor must fail on its first (planning) use,
-// never reach a launch unvalidated.
+// The warm lane is sound because planning validates the window (a bad
+// one must fail on its first, planning, use, so no cached plan carries
+// one) and the session checks every request's tensors at admission.
 TEST(WarmLane, ValidationFailuresSurfaceAtFirstUse) {
   PlanCache cache(4);
   PlanKey bad = fwd_key(71, 71);
   bad.window.kh = 0;  // invalid: empty window
   EXPECT_THROW(cache.get(ArchConfig::ascend910(), bad), Error);
 
-  // The cold (plan-less) kernel path still validates itself.
+  // A plan-less launch is checked by run_pool itself.
   TensorF16 in(Shape{1, 1, 16, 16, kC0});
   in.fill_random_ints(2);
   PoolOp op;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -185,8 +186,9 @@ TEST(ServeSession, PlanCacheHitsAcrossWaves) {
 
 TEST(ServeSession, KernelErrorsSurfaceThroughFutureNotTerminate) {
   Session session(Cluster{});
-  // Rank-4 input: the batcher's geometry check must reject it, fail the
-  // future, and leave the worker alive for the next (valid) request.
+  // Rank-4 input: the admission screen's contract check must reject it,
+  // fail the future, and leave the worker alive for the next (valid)
+  // request.
   TensorF16 bad(Shape{1, 2, 9, 9});
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
                   .window = Window2d::pool(3, 2),
@@ -201,6 +203,36 @@ TEST(ServeSession, KernelErrorsSurfaceThroughFutureNotTerminate) {
   session.drain();
   EXPECT_GT(f_good.get().out.size(), 0);
   EXPECT_EQ(session.stats().completed, 1);
+}
+
+TEST(ServeSession, RejectsWhatABareRunPoolRejects) {
+  // The mask-producing forward has only direct and im2col lowerings. A
+  // bare run_pool refuses impl=expansion; the session's screen must fail
+  // the request with the same Error rather than serve it.
+  const PoolOp op{.kind = PoolOpKind::kMaxMaskFwd,
+                  .window = Window2d::pool(3, 2),
+                  .fwd = akg::PoolImpl::kExpansion};
+  const TensorF16 in = make_input(2, 19, 19, 11);
+  Device lone;
+  std::string bare;
+  try {
+    kernels::run_pool(lone, op, PoolInputs{.in = &in});
+  } catch (const Error& e) {
+    bare = e.what();
+  }
+  ASSERT_FALSE(bare.empty()) << "a bare run_pool accepted " << op.to_string();
+
+  Session session(Cluster{});
+  auto f = session.submit(op, PoolInputs{.in = &in});
+  session.drain();
+  try {
+    f.get();
+    ADD_FAILURE() << "the session served " << op.to_string();
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), bare);
+  }
+  EXPECT_EQ(session.stats().failed, 1);
+  EXPECT_EQ(session.stats().launches, 0);
 }
 
 TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV8) {
