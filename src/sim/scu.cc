@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/fp16_lanes.h"
+
 namespace davinci {
 
 namespace {
@@ -219,7 +221,6 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   // the size checks above.
   Float16* const o = out.data();
   const Float16* const s = src.data();
-  const float* const cvt = detail::f16_to_f32_table();
   const std::int64_t ow = coords.ow;
   const std::int64_t oh = patches / ow;
   for (std::int64_t xk = 0; xk < w.kh; ++xk) {
@@ -237,9 +238,7 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
         for (std::int64_t ox = 0; ox < ow; ++ox, x += w.sw, srow += kC0) {
           if (x < 0 || x >= args.iw) continue;
           Float16* const orow = obase + x * kC0;
-          for (std::int64_t c = 0; c < kC0; ++c) {
-            orow[c] = Float16(cvt[orow[c].bits()] + cvt[srow[c].bits()]);
-          }
+          fp16_lanes::run(fp16_lanes::Op::kAdd, orow, orow, srow, kC0);
         }
       }
     }

@@ -13,7 +13,8 @@
 // dst == src0 this yields the reduction idiom the paper describes ("each
 // vmax uses repetition to obtain the maximum value across the width of a
 // patch Kw"). The simulator executes repeats sequentially, so the
-// read-after-write behaviour is well defined.
+// read-after-write behaviour is well defined. Within one repeat, every
+// lane reads its operands before any lane writes (sim/fp16_lanes.h).
 #pragma once
 
 #include <cstdint>
@@ -104,7 +105,8 @@ class VectorUnit {
  private:
   void validate(const Span<Float16>& s, const VecConfig& cfg,
                 std::int64_t rep_stride) const;
-  void charge(const char* op, const VecConfig& cfg);
+  // Charges one instruction with `lanes` active lanes per repeat.
+  void charge(const char* op, const VecConfig& cfg, int lanes);
 
   const ArchConfig& arch_;
   const CostModel& cost_;
