@@ -19,27 +19,14 @@ inline std::int64_t host_now_ns() {
       .count();
 }
 
-// Folds the driver's plan/alloc phase times into the run result.
-// Device::run filled host_execute_ns (== its host_ns) and run_pool adds
-// host_validate_ns; afterwards host_ns stays the exact sum of the four
-// buckets -- the invariant metrics schema v4 serializes and tests assert.
-inline void add_host_overhead(Device::RunResult& run, std::int64_t plan_ns,
-                              std::int64_t alloc_ns) {
+// Folds the driver's planning time into the run result. Device::run
+// filled host_execute_ns (== its host_ns) and run_pool adds
+// host_alloc_ns and host_validate_ns; afterwards host_ns stays the exact
+// sum of the four buckets -- the invariant metrics schema v4 serializes
+// and tests assert.
+inline void add_plan_time(Device::RunResult& run, std::int64_t plan_ns) {
   run.host_plan_ns += plan_ns;
-  run.host_alloc_ns += alloc_ns;
-  run.host_ns += plan_ns + alloc_ns;
-}
-
-// Output-tensor construction: every kernel overwrites every element of
-// the outputs it produces, so storage can start uninitialized (arena
-// reuse without the zero-fill) -- except under a resilience policy,
-// where a truncated (mte_drop) store can leave part of a block's output
-// region unwritten; the zero-filled construction keeps those bytes
-// deterministic for the verification layer, bit-identical to the
-// pre-arena behavior.
-inline TensorF16 make_output(Device& dev, Shape shape) {
-  return dev.resilience().has_value() ? TensorF16(shape)
-                                      : TensorF16(shape, kUninitialized);
+  run.host_ns += plan_ns;
 }
 
 // Runs `body` as one pipelined stage on `pipe` when `on`, plain (serial

@@ -8,13 +8,9 @@
 
 namespace davinci::kernels {
 
-namespace {
-using detail::gm_view;
-}  // namespace
-
-PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
-  const std::int64_t n = in.shape()[0], c1 = in.shape()[1];
-  const std::int64_t ih = in.shape()[2], iw = in.shape()[3];
+Device::RunResult global_avgpool_impl(Device& dev, const SliceMap& in,
+                                      const SliceMap& out) {
+  const std::int64_t ih = in.shape[2], iw = in.shape[3];
   const std::int64_t lanes = dev.arch().vector_lanes;
   const Float16 inv(1.0f / static_cast<float>(ih * iw));
 
@@ -27,13 +23,10 @@ PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
   DV_CHECK_GE(rows_per_tile, 1) << "a single input row does not fit UB";
   if (rows_per_tile > ih) rows_per_tile = ih;
   const std::int64_t num_tiles = ceil_div(ih, rows_per_tile);
+  const std::int64_t plan_ns = detail::host_now_ns() - t_p0;
 
-  const std::int64_t t_a0 = detail::host_now_ns();
-  TensorF16 out = detail::make_output(
-      dev, Shape{n, c1, std::int64_t{1}, std::int64_t{1}, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
-
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t b) {
+  auto run = dev.run(in.slices(), [&](AiCore& core, std::int64_t b) {
+    const Span<Float16> in_b = in.slice(b);
     // The accumulator lives across tile iterations; the tile buffer is
     // allocated once at its maximum size and reused (the scratch bump
     // allocator cannot free individual regions mid-kernel).
@@ -47,8 +40,7 @@ PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
                                                       : ih;
       const std::int64_t n_t = (r1 - r0) * row_elems;
       auto tile = tile_buf.sub(0, n_t);
-      core.mte().copy(tile,
-                      gm_view(in).sub((b * ih + r0) * row_elems, n_t), n_t);
+      core.mte().copy(tile, in_b.sub(r0 * row_elems, n_t), n_t);
       core.pipe_barrier();
 
       // Running accumulation: acc[j] += chunk[j] for each 128-element
@@ -94,15 +86,11 @@ PoolResult global_avgpool_impl(Device& dev, const TensorF16& in) {
     cfg.mask = VecMask::first_n(static_cast<int>(kC0));
     core.vec().muls(acc, acc, inv, cfg);
     core.pipe_barrier();
-    core.mte().copy(gm_view(out).sub(b * kC0, kC0), acc, kC0);
+    core.mte().copy(out.slice(b), acc, kC0);
   });
 
-  detail::add_host_overhead(run, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.out = std::move(out);
-  res.run = run;
-  return res;
+  detail::add_plan_time(run, plan_ns);
+  return run;
 }
 
 }  // namespace davinci::kernels

@@ -94,13 +94,17 @@ LoweredPoolResult lower_and_run(Device& dev, const dsl::Compute& c,
       init = Float16();
       break;
   }
-  // The forward driver's input contract is kMaxFwd's whatever the
-  // reduction (kAvgFwd only narrows the lowerings).
-  kernels::check_inputs(
-      {.kind = kernels::PoolOpKind::kMaxFwd, .window = p.window, .fwd = impl},
-      {.in = &input});
-  auto r = kernels::pooling_forward_impl(dev, input, p.window, impl, op,
-                                         init, Float16(1.0f), nullptr);
+  // The forward driver's input contract and outputs are kMaxFwd's
+  // whatever the reduction (kAvgFwd only narrows the lowerings).
+  const kernels::PoolOp as_max{.kind = kernels::PoolOpKind::kMaxFwd,
+                               .window = p.window, .fwd = impl};
+  const kernels::PoolInputs in{.in = &input};
+  kernels::check_inputs(as_max, in);
+  kernels::PoolResult r =
+      kernels::make_outputs(as_max, in, dev.resilience().has_value());
+  r.run = kernels::pooling_forward_impl(
+      dev, kernels::SliceMap::whole(&input), kernels::SliceMap::whole(&r.out),
+      p.window, impl, op, init, Float16(1.0f), nullptr);
   return LoweredPoolResult{std::move(r.out), r.run, impl};
 }
 

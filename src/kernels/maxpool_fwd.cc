@@ -24,7 +24,6 @@ namespace {
 
 using akg::HTile;
 using akg::PoolImpl;
-using detail::gm_view;
 using detail::staged;
 using Event = PipeScheduler::Event;
 
@@ -363,12 +362,12 @@ FwdSlot alloc_slot(AiCore& core, PoolImpl impl, const Window2d& w,
 // Shared forward driver for MaxPool and AvgPool-style reductions; `op`
 // and `init` select the reduction, `scale` (if not 1) is applied to the
 // output tile before the store (AvgPool's 1/(Kh*Kw)).
-PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
-                                const Window2d& w, akg::PoolImpl impl,
-                                VecOp op, Float16 init, Float16 scale,
-                                const akg::PoolPlan* plan_in) {
-  const std::int64_t n = in.shape()[0], c1 = in.shape()[1];
-  const std::int64_t ih = in.shape()[2], iw = in.shape()[3];
+Device::RunResult pooling_forward_impl(Device& dev, const SliceMap& in,
+                                       const SliceMap& out, const Window2d& w,
+                                       akg::PoolImpl impl, VecOp op,
+                                       Float16 init, Float16 scale,
+                                       const akg::PoolPlan* plan_in) {
+  const std::int64_t ih = in.shape[2], iw = in.shape[3];
   const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
 
   const bool db = dev.double_buffer();
@@ -385,24 +384,20 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
       std::min(ih, (plan.oh_tile - 1) * w.sh + w.kh);
   const std::int64_t tp_max = plan.oh_tile * ow;
   const std::int64_t pp_max = round_up(tp_max, kFractalRows);
-
-  const std::int64_t t_a0 = detail::host_now_ns();
-  TensorF16 out = detail::make_output(dev, Shape{n, c1, oh, ow, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
+  const std::int64_t plan_ns = detail::host_now_ns() - t_p0;
 
   // One block per (N, C1) slice, matching the paper's parallelization
   // ("the outer loops are parallelized between the AI Cores"); H-tiles of
   // one slice run sequentially on the same core -- serially when the
   // double-buffer policy is off, in ub_slots-deep ping-pong when on.
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t b) {
-    const std::int64_t q = b % c1;
-    const std::int64_t bn = b / c1;
+  auto run = dev.run(in.slices(), [&](AiCore& core, std::int64_t b) {
     core.reset_scratch();
     std::vector<FwdSlot> slots;
     slots.reserve(static_cast<std::size_t>(plan.ub_slots));
     for (int s = 0; s < plan.ub_slots; ++s) {
       slots.push_back(alloc_slot(core, impl, w, ih_t, iw, ow, tp_max, pp_max));
     }
+    const Span<Float16> in_b = in.slice(b), out_b = out.slice(b);
 
     for (std::int64_t t = 0; t < plan.num_h_tiles; ++t) {
       FwdSlot& sl = slots[static_cast<std::size_t>(t) % slots.size()];
@@ -417,10 +412,8 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
       g.oh_t = ht.out_rows();
       g.ow = ow;
 
-      auto gm_in = gm_view(in).sub(((bn * c1 + q) * ih + ht.y0) * iw * kC0,
-                                   g.in_rows * iw * kC0);
-      auto gm_out = gm_view(out).sub(
-          ((bn * c1 + q) * oh + ht.o0) * ow * kC0, g.tile_patches() * kC0);
+      auto gm_in = in_b.sub(ht.y0 * iw * kC0, g.in_rows * iw * kC0);
+      auto gm_out = out_b.sub(ht.o0 * ow * kC0, g.tile_patches() * kC0);
 
       switch (impl) {
         case PoolImpl::kDirect:
@@ -438,13 +431,8 @@ PoolResult pooling_forward_impl(Device& dev, const TensorF16& in,
       }
     }
   });
-
-  detail::add_host_overhead(run, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.out = std::move(out);
-  res.run = run;
-  return res;
+  detail::add_plan_time(run, plan_ns);
+  return run;
 }
 
 }  // namespace davinci::kernels

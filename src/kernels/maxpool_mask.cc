@@ -23,15 +23,15 @@ namespace {
 
 using akg::HTile;
 using akg::PoolImpl;
-using detail::gm_view;
 
 }  // namespace
 
-PoolResult maxpool_mask_fwd_impl(Device& dev, const TensorF16& in,
-                                 const Window2d& w, akg::PoolImpl impl,
-                                 const akg::PoolPlan* plan_in) {
-  const std::int64_t n = in.shape()[0], c1 = in.shape()[1];
-  const std::int64_t ih = in.shape()[2], iw = in.shape()[3];
+Device::RunResult maxpool_mask_fwd_impl(Device& dev, const SliceMap& in,
+                                        const SliceMap& out,
+                                        const SliceMap& mask,
+                                        const Window2d& w, akg::PoolImpl impl,
+                                        const akg::PoolPlan* plan_in) {
+  const std::int64_t ih = in.shape[2], iw = in.shape[3];
   const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
   const std::int64_t ppg = round_up(oh * ow, kFractalRows);
 
@@ -41,19 +41,12 @@ PoolResult maxpool_mask_fwd_impl(Device& dev, const TensorF16& in,
           ? *plan_in
           : akg::plan_fwd(impl, dev.arch(), w, ih, iw, /*with_mask=*/true);
   DV_CHECK_GE(plan.oh_tile, 1) << "invalid precomputed plan";
-
-  const std::int64_t t_a0 = detail::host_now_ns();
-  TensorF16 out = detail::make_output(dev, Shape{n, c1, oh, ow, kC0});
-  // The mask keeps zero-filled construction: its fractal padding rows
-  // (ppg - oh*ow per plane) are never stored by the kernel, yet they are
-  // compared by result-equality checks and read by the backward pass.
-  TensorF16 mask(Shape{n, c1, w.kh, w.kw, ppg, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
+  const std::int64_t plan_ns = detail::host_now_ns() - t_p0;
 
   // One block per (N, C1) slice; H-tiles run sequentially on the core.
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t b) {
-    const std::int64_t q = b % c1;
-    const std::int64_t bn = b / c1;
+  auto run = dev.run(in.slices(), [&](AiCore& core, std::int64_t b) {
+    const Span<Float16> in_b = in.slice(b), out_b = out.slice(b),
+                        mask_b = mask.slice(b);
     for (std::int64_t t = 0; t < plan.num_h_tiles; ++t) {
       core.reset_scratch();
       const HTile ht = akg::h_tile(w, ih, oh, plan.oh_tile, t);
@@ -68,15 +61,12 @@ PoolResult maxpool_mask_fwd_impl(Device& dev, const TensorF16& in,
       const std::int64_t plane = pp * kC0;
       const std::int64_t p0 = ht.o0 * ow;         // first global patch index
 
-      auto gm_in = gm_view(in).sub(((bn * c1 + q) * ih + ht.y0) * iw * kC0,
-                                   in_rows * iw * kC0);
-      auto gm_out = gm_view(out).sub(((bn * c1 + q) * oh + ht.o0) * ow * kC0,
-                                     tp * kC0);
-      // Slice of the mask covering all (kh, kw) planes of this (n, c1),
-      // positioned at this tile's first patch.
-      auto gm_mask = gm_view(mask).sub(
-          (bn * c1 + q) * w.kh * w.kw * ppg * kC0 + p0 * kC0,
-          ((w.kh * w.kw - 1) * ppg + tp) * kC0);
+      auto gm_in = in_b.sub(ht.y0 * iw * kC0, in_rows * iw * kC0);
+      auto gm_out = out_b.sub(ht.o0 * ow * kC0, tp * kC0);
+      // The mask slice's (kh, kw) planes, positioned at this tile's first
+      // patch.
+      auto gm_mask =
+          mask_b.sub(p0 * kC0, ((w.kh * w.kw - 1) * ppg + tp) * kC0);
 
       const std::int64_t n_in = in_rows * iw * kC0;
 
@@ -167,13 +157,8 @@ PoolResult maxpool_mask_fwd_impl(Device& dev, const TensorF16& in,
     }
   });
 
-  detail::add_host_overhead(run, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.out = std::move(out);
-  res.mask = std::move(mask);
-  res.run = run;
-  return res;
+  detail::add_plan_time(run, plan_ns);
+  return run;
 }
 
 }  // namespace davinci::kernels

@@ -46,7 +46,6 @@ namespace davinci::kernels {
 namespace {
 
 using akg::HTile;
-using detail::gm_view;
 using detail::staged;
 using Event = PipeScheduler::Event;
 
@@ -65,12 +64,12 @@ struct BwdSlot {
 
 }  // namespace
 
-PoolResult pooling_backward_impl(Device& dev, const TensorF16* mask,
-                                 const TensorF16& grad, const Window2d& w,
-                                 std::int64_t ih, std::int64_t iw,
-                                 MergeImpl merge,
-                                 const akg::PoolPlan* plan_in) {
-  const std::int64_t n = grad.shape()[0], c1 = grad.shape()[1];
+Device::RunResult pooling_backward_impl(Device& dev, const SliceMap* mask,
+                                        const SliceMap& grad,
+                                        const SliceMap& grad_in,
+                                        const Window2d& w, MergeImpl merge,
+                                        const akg::PoolPlan* plan_in) {
+  const std::int64_t ih = grad_in.shape[2], iw = grad_in.shape[3];
   const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
   const std::int64_t ppg = round_up(oh * ow, kFractalRows);
   const std::int64_t kk = w.kh * w.kw;
@@ -90,21 +89,12 @@ PoolResult pooling_backward_impl(Device& dev, const TensorF16* mask,
       std::min(ih, (plan.oh_tile - 1) * w.sh + w.kh);
   const std::int64_t tp_max = plan.oh_tile * ow;
   const std::int64_t pp_max = round_up(tp_max, kFractalRows);
-
-  const std::int64_t t_a0 = detail::host_now_ns();
-  // Uninitialized only when the tile stores cover every input row: with
-  // Sh > Kh (inter-tile gaps) or a trailing remainder (windows that stop
-  // short of Ih), uncovered rows must read as the zero gradient.
-  const bool full_cover =
-      w.kh >= w.sh && (oh - 1) * w.sh + w.kh - w.pt >= ih;
-  TensorF16 grad_in =
-      full_cover ? detail::make_output(dev, Shape{n, c1, ih, iw, kC0})
-                 : TensorF16(Shape{n, c1, ih, iw, kC0});
-  const std::int64_t t_a1 = detail::host_now_ns();
+  const std::int64_t plan_ns = detail::host_now_ns() - t_p0;
 
   // One block per (N, C1) slice; block index == image * C1 + channel block.
-  auto run = dev.run(n * c1, [&](AiCore& core, std::int64_t slice) {
+  auto run = dev.run(grad.slices(), [&](AiCore& core, std::int64_t b) {
     core.reset_scratch();
+    const Span<Float16> grad_b = grad.slice(b), grad_in_b = grad_in.slice(b);
     std::vector<BwdSlot> slots(static_cast<std::size_t>(plan.ub_slots));
     for (auto& sl : slots) {
       sl.grad = core.ub().alloc<Float16>(tp_max * kC0);
@@ -124,10 +114,9 @@ PoolResult pooling_backward_impl(Device& dev, const TensorF16* mask,
       const std::int64_t tp = ht.out_rows() * ow;
       const std::int64_t plane = round_up(tp, kFractalRows) * kC0;
 
-      auto gm_grad =
-          gm_view(grad).sub((slice * oh + ht.o0) * ow * kC0, tp * kC0);
-      auto gm_out_tile = gm_view(grad_in).sub(
-          (slice * ih + ht.y0) * iw * kC0, in_rows * iw * kC0);
+      auto gm_grad = grad_b.sub(ht.o0 * ow * kC0, tp * kC0);
+      auto gm_out_tile =
+          grad_in_b.sub(ht.y0 * iw * kC0, in_rows * iw * kC0);
       auto grad_t = sl.grad.sub(0, tp * kC0);
       auto planes = in_place ? grad_t : sl.planes.sub(0, kk * plane);
       auto out = sl.out.sub(0, in_rows * iw * kC0);
@@ -140,9 +129,8 @@ PoolResult pooling_backward_impl(Device& dev, const TensorF16* mask,
           [&] {
             core.mte().copy(grad_t, gm_grad, tp * kC0);
             if (mask == nullptr) return;
-            auto gm_mask = gm_view(*mask).sub(
-                slice * kk * ppg * kC0 + ht.o0 * ow * kC0,
-                ((kk - 1) * ppg + tp) * kC0);
+            auto gm_mask = mask->slice(b).sub(ht.o0 * ow * kC0,
+                                              ((kk - 1) * ppg + tp) * kC0);
             core.mte().copy_2d(planes, plane, gm_mask, ppg * kC0, kk,
                                tp * kC0);
           });
@@ -257,12 +245,8 @@ PoolResult pooling_backward_impl(Device& dev, const TensorF16* mask,
     }
   });
 
-  detail::add_host_overhead(run, t_a0 - t_p0, t_a1 - t_a0);
-
-  PoolResult res;
-  res.grad_in = std::move(grad_in);
-  res.run = run;
-  return res;
+  detail::add_plan_time(run, plan_ns);
+  return run;
 }
 
 }  // namespace davinci::kernels

@@ -1,7 +1,8 @@
-// The PoolOp entry point. run_pool is the only path into the pooling
-// kernels: it checks the input contract (check_inputs) unless the launch
-// carries a plan, then dispatches to the internal implementation drivers
-// (pool_fwd_driver.h).
+// The PoolOp entry points. run_pool_maps is the only path into the
+// pooling kernels: it dispatches a launch's slice maps to the internal
+// implementation drivers (pool_fwd_driver.h). run_pool checks the input
+// contract (check_inputs) unless the launch carries a plan, constructs
+// the outputs (make_outputs) and runs on whole-tensor maps.
 #include "kernels/pooling.h"
 
 #include "common/check.h"
@@ -64,37 +65,61 @@ void check_present(const TensorF16* t, bool read, const PoolOp& op,
       << " input tensor '" << what << "'";
 }
 
-PoolResult dispatch(Device& dev, const PoolOp& op, const PoolInputs& in) {
+Device::RunResult dispatch(Device& dev, const PoolOp& op,
+                           const PoolMaps& m) {
   const akg::PoolPlan* plan = op.plan.has_value() ? &*op.plan : nullptr;
   switch (op.kind) {
     case PoolOpKind::kMaxFwd:
-      return pooling_forward_impl(dev, *in.in, op.window, op.fwd, VecOp::kMax,
-                                  Float16::lowest(), Float16(1.0f), plan);
+      return pooling_forward_impl(dev, m.in, m.out, op.window, op.fwd,
+                                  VecOp::kMax, Float16::lowest(),
+                                  Float16(1.0f), plan);
     case PoolOpKind::kMinFwd:
       // Dual reduction: vmin and a +max-finite initializer. Zero padding
       // participates as 0, mirroring what the Im2Col instruction loads.
-      return pooling_forward_impl(dev, *in.in, op.window, op.fwd, VecOp::kMin,
-                                  Float16::max_finite(), Float16(1.0f), plan);
+      return pooling_forward_impl(dev, m.in, m.out, op.window, op.fwd,
+                                  VecOp::kMin, Float16::max_finite(),
+                                  Float16(1.0f), plan);
     case PoolOpKind::kAvgFwd: {
       const Float16 inv(1.0f /
                         static_cast<float>(op.window.kh * op.window.kw));
-      return pooling_forward_impl(dev, *in.in, op.window, op.fwd, VecOp::kAdd,
-                                  Float16(), inv, plan);
+      return pooling_forward_impl(dev, m.in, m.out, op.window, op.fwd,
+                                  VecOp::kAdd, Float16(), inv, plan);
     }
     case PoolOpKind::kGlobalAvg:
-      return global_avgpool_impl(dev, *in.in);
+      return global_avgpool_impl(dev, m.in, m.out);
     case PoolOpKind::kMaxMaskFwd:
-      return maxpool_mask_fwd_impl(dev, *in.in, op.window, op.fwd, plan);
+      return maxpool_mask_fwd_impl(dev, m.in, m.out, m.out_mask, op.window,
+                                   op.fwd, plan);
     case PoolOpKind::kMaxBwd:
     case PoolOpKind::kAvgBwd:
       return pooling_backward_impl(
-          dev, op.kind == PoolOpKind::kMaxBwd ? in.mask : nullptr, *in.grad,
-          op.window, in.ih, in.iw, op.merge, plan);
+          dev, op.kind == PoolOpKind::kMaxBwd ? &m.mask : nullptr, m.grad,
+          m.grad_in, op.window, op.merge, plan);
   }
   throw Error("run_pool: unknown PoolOpKind");
 }
 
 }  // namespace
+
+SliceMap SliceMap::whole(const TensorF16* t) {
+  SliceMap m;
+  if (t == nullptr || t->shape().rank() == 0) return m;
+  m.shape = t->shape();
+  const std::int64_t slices = m.shape[0] * m.shape[1];
+  const std::int64_t elems = m.shape.stride(1);
+  Float16* data = const_cast<Float16*>(t->data());
+  m.base.resize(static_cast<std::size_t>(slices));
+  for (std::int64_t b = 0; b < slices; ++b) {
+    m.base[static_cast<std::size_t>(b)] = data + b * elems;
+  }
+  return m;
+}
+
+Span<Float16> SliceMap::slice(std::int64_t b) const {
+  DV_CHECK(b >= 0 && b < slices())
+      << "slice " << b << " of " << slices() << " in " << shape.to_string();
+  return gm_span(base[static_cast<std::size_t>(b)], shape.stride(1));
+}
 
 void check_inputs(const PoolOp& op, const PoolInputs& in) {
   const bool fwd = is_forward(op.kind);
@@ -140,6 +165,60 @@ void check_inputs(const PoolOp& op, const PoolInputs& in) {
   }
 }
 
+PoolResult make_outputs(const PoolOp& op, const PoolInputs& in,
+                        bool resilient) {
+  auto make = [&](Shape shape, bool zero) {
+    return zero || resilient ? TensorF16(shape)
+                             : TensorF16(shape, kUninitialized);
+  };
+  PoolResult res;
+  if (is_forward(op.kind)) {
+    const Shape& s = in.in->shape();
+    if (op.kind == PoolOpKind::kGlobalAvg) {
+      res.out = make(Shape{s[0], s[1], 1, 1, kC0}, false);
+      return res;
+    }
+    const Window2d& w = op.window;
+    const std::int64_t oh = w.out_h(s[2]), ow = w.out_w(s[3]);
+    res.out = make(Shape{s[0], s[1], oh, ow, kC0}, false);
+    if (op.kind == PoolOpKind::kMaxMaskFwd) {
+      res.mask = make(Shape{s[0], s[1], w.kh, w.kw,
+                            round_up(oh * ow, kFractalRows), kC0},
+                      true);
+    }
+    return res;
+  }
+  // The tile stores cover every input row unless Sh > Kh leaves gaps
+  // between windows or the last window stops short of Ih.
+  const Shape& g = in.grad->shape();
+  const Window2d& w = op.window;
+  const bool full_cover =
+      w.kh >= w.sh && (g[2] - 1) * w.sh + w.kh - w.pt >= in.ih;
+  res.grad_in = make(Shape{g[0], g[1], in.ih, in.iw, kC0}, !full_cover);
+  return res;
+}
+
+Device::RunResult run_pool_maps(Device& dev, const PoolOp& op,
+                                const PoolMaps& maps,
+                                std::span<const PoolInputs> reads) {
+  // With an instruction-stream VM attached (serve::Session), stage the
+  // launch's identity before dispatch: the display label and the input
+  // buffers it reads, which the stream's dependency tracker uses for
+  // RAW/WAR hazards. The annotation is free when no stream is attached.
+  if (dev.vm_stream() != nullptr) {
+    std::vector<vm::BufferId> ids;
+    for (const PoolInputs& r : reads) {
+      for (const TensorF16* t : {r.in, r.mask, r.grad}) {
+        if (t != nullptr) {
+          ids.push_back(reinterpret_cast<vm::BufferId>(t->data()));
+        }
+      }
+    }
+    dev.annotate_vm_launch(op.to_string(), std::move(ids));
+  }
+  return dispatch(dev, op, maps);
+}
+
 PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in) {
   // A planned launch was checked when its plan was attached (the serving
   // session screens every request at admission); an unplanned one is
@@ -150,22 +229,19 @@ PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in) {
     check_inputs(op, in);
     validate_ns = detail::host_now_ns() - t0;
   }
-  // With an instruction-stream VM attached (serve::Session), stage the
-  // launch's identity before dispatch: the display label and the input
-  // buffers it reads, which the stream's dependency tracker uses for
-  // RAW/WAR hazards. The annotation is free when no stream is attached.
-  if (dev.vm_stream() != nullptr) {
-    std::vector<vm::BufferId> reads;
-    for (const TensorF16* t : {in.in, in.mask, in.grad}) {
-      if (t != nullptr) {
-        reads.push_back(reinterpret_cast<vm::BufferId>(t->data()));
-      }
-    }
-    dev.annotate_vm_launch(op.to_string(), std::move(reads));
-  }
-  PoolResult res = dispatch(dev, op, in);
+  const std::int64_t t0 = detail::host_now_ns();
+  PoolResult res = make_outputs(op, in, dev.resilience().has_value());
+  const std::int64_t alloc_ns = detail::host_now_ns() - t0;
+  const PoolMaps maps{.in = SliceMap::whole(in.in),
+                      .mask = SliceMap::whole(in.mask),
+                      .grad = SliceMap::whole(in.grad),
+                      .out = SliceMap::whole(&res.out),
+                      .out_mask = SliceMap::whole(&res.mask),
+                      .grad_in = SliceMap::whole(&res.grad_in)};
+  res.run = run_pool_maps(dev, op, maps, {&in, 1});
   res.run.host_validate_ns += validate_ns;
-  res.run.host_ns += validate_ns;
+  res.run.host_alloc_ns += alloc_ns;
+  res.run.host_ns += validate_ns + alloc_ns;
   return res;
 }
 

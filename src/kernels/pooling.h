@@ -42,10 +42,16 @@
 // choices, optional precomputed tiling plan), which makes it hashable /
 // comparable -- the serving layer (src/serve/) batches requests by PoolOp
 // and caches tiling plans per descriptor. See docs/API.md.
+//
+// Underneath, run_pool constructs the outputs (make_outputs) and runs the
+// launch on slice maps (run_pool_maps) -- the same two steps
+// serve::Cluster::run_batch takes for a sharded batch.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "akg/tiling.h"
 #include "sim/device.h"
@@ -147,7 +153,65 @@ void check_inputs(const PoolOp& op, const PoolInputs& in);
 // op.plan) runs check_inputs first and charges it to
 // run.host_validate_ns; a planned launch skips it, so a caller that
 // attaches a plan must have checked the inputs itself (serve::Session
-// does so at admission).
+// does so at admission). The output construction (make_outputs) is
+// charged to run.host_alloc_ns.
 PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in);
+
+// Constructs the tensors `op` produces for `in`, which must pass
+// check_inputs: `out`, `mask` and `grad_in` shaped as PoolResult
+// documents; `run` stays empty. The one owner of the output shapes and
+// of the zero-fill rule. Storage starts uninitialized (arena reuse, no
+// memset) because the kernels store every element, except
+//  * the mask, whose fractal padding rows no kernel stores (they are
+//    compared by result checks and read by the backward pass);
+//  * a backward grad_in whose tile stores leave input rows uncovered
+//    (Sh > Kh gaps, or windows that stop short of Ih): those rows are
+//    the zero gradient;
+//  * every output when `resilient` (a resilience policy runs the
+//    launch): a truncated (mte_drop) store can leave bytes unwritten,
+//    and zeros keep them deterministic for the verification layer.
+PoolResult make_outputs(const PoolOp& op, const PoolInputs& in,
+                        bool resilient);
+
+// A tensor of one launch addressed per (N, C1) slice: `shape` is the
+// tensor as the launch sees it, (N, C1, ...), and slice b = n * C1 + c1
+// is the shape.stride(1) elements at base[b]. The slices need not be
+// adjacent or in order -- a cluster shard's maps point straight into its
+// members' tensors (serve/cluster.h).
+struct SliceMap {
+  Shape shape;
+  std::vector<Float16*> base;
+
+  // The map of a whole contiguous tensor; a null or rank-0 (absent)
+  // tensor maps to the default, empty map.
+  static SliceMap whole(const TensorF16* t);
+  std::int64_t slices() const {
+    return static_cast<std::int64_t>(base.size());
+  }
+  // Slice b as a bounds-checked global-memory span.
+  Span<Float16> slice(std::int64_t b) const;
+};
+
+// One launch's tensors as slice maps over one (N, C1) grid: the ones its
+// kind reads (PoolInputs' fields) and the ones it writes (PoolResult's).
+// A tensor the kind does not touch stays a default (rank-0) map.
+struct PoolMaps {
+  SliceMap in, mask, grad;          // read
+  SliceMap out, out_mask, grad_in;  // written
+};
+
+// Runs `op` on slice maps: the launch path under run_pool and under
+// serve::Cluster::run_batch. The slice-addressing rule every kernel keeps
+// is what makes maps sound: block b computes slice b of each output from
+// slice b of each input alone, and touches global memory only as
+// slice(b).sub(offset, len). The maps are trusted: the tensors behind
+// them passed check_inputs, and the output maps cover make_outputs'
+// tensors for the same geometry. `reads` are the requests whose tensors
+// the input maps point into; an attached VM stream records them as the
+// launch's read set. Charges host_plan_ns (when op.plan is unset) and
+// host_execute_ns; no alloc or validate time.
+Device::RunResult run_pool_maps(Device& dev, const PoolOp& op,
+                                const PoolMaps& maps,
+                                std::span<const PoolInputs> reads);
 
 }  // namespace davinci::kernels

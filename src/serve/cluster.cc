@@ -1,7 +1,6 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -14,29 +13,16 @@ using kernels::PoolInputs;
 using kernels::PoolOp;
 using kernels::PoolResult;
 
-std::int64_t tensor_bytes(const TensorF16& t) {
-  return t.shape().rank() > 0
-             ? t.size() * static_cast<std::int64_t>(sizeof(Float16))
-             : 0;
-}
+// The tensors a request reads, as PoolInputs fields.
+constexpr const TensorF16* PoolInputs::*kReads[] = {
+    &PoolInputs::in, &PoolInputs::mask, &PoolInputs::grad};
 
-// The shard path's one block copy: `images` x `blocks` (N, C1) blocks --
-// image rows [src_n, src_n + images), channel blocks [src_c, src_c +
-// blocks) of `src` -- land at (dst_n, dst_c) of `dst`. N and C1 are the
-// two outermost axes of every pooling tensor, so a block is contiguous
-// and each image row is one memcpy.
-void copy_blocks(const TensorF16& src, std::int64_t src_n, std::int64_t src_c,
-                 TensorF16* dst, std::int64_t dst_n, std::int64_t dst_c,
-                 std::int64_t images, std::int64_t blocks) {
-  const std::int64_t block = src.shape().stride(1);
-  DV_CHECK_EQ(dst->shape().stride(1), block) << "block size mismatch";
-  const std::int64_t src_row = src.shape().stride(0);
-  const std::int64_t dst_row = dst->shape().stride(0);
-  for (std::int64_t i = 0; i < images; ++i) {
-    std::memcpy(dst->data() + (dst_n + i) * dst_row + dst_c * block,
-                src.data() + (src_n + i) * src_row + src_c * block,
-                static_cast<std::size_t>(blocks * block) * sizeof(Float16));
-  }
+// The bytes a map addresses: blocks x slice bytes (0 when absent).
+std::int64_t map_bytes(const kernels::SliceMap& m) {
+  return m.shape.rank() > 0
+             ? m.shape.num_elements() *
+                   static_cast<std::int64_t>(sizeof(Float16))
+             : 0;
 }
 
 }  // namespace
@@ -134,35 +120,45 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
   }
   DV_CHECK_GE(members.size(), 1u);
   // The stacked grid: member m owns image rows [n_begin[m], n_begin[m+1]).
-  // Every member meets the input contract before a byte is copied, so
-  // all of them carry the same tensors, each with the member's N and C1.
+  // Every member meets the input contract and has member 0's geometry in
+  // every dim but N before anything runs: a shard's maps address every
+  // member's slices with member 0's shapes.
+  const bool bwd = kernels::is_backward(op.kind);
+  const PoolInputs& first = members.front();
   std::vector<std::int64_t> n_begin{0};
-  std::int64_t c1 = 0;
   for (const PoolInputs& in : members) {
     kernels::check_inputs(op, in);
-    const Shape& primary =
-        (kernels::is_backward(op.kind) ? in.grad : in.in)->shape();
-    if (n_begin.size() == 1) c1 = primary[1];
-    DV_CHECK_EQ(primary[1], c1) << "batch mixes C1 extents";
-    n_begin.push_back(n_begin.back() + primary[0]);
+    for (auto field : kReads) {
+      if (in.*field == nullptr) continue;
+      Shape dims = (in.*field)->shape();
+      dims.set_dim(0, (first.*field)->shape()[0]);
+      DV_CHECK(dims == (first.*field)->shape())
+          << op.to_string() << ": batch member "
+          << (in.*field)->shape().to_string() << " differs from member 0's "
+          << (first.*field)->shape().to_string() << " beyond N";
+    }
+    DV_CHECK(!bwd || (in.ih == first.ih && in.iw == first.iw))
+        << op.to_string() << ": batch member maps back to " << in.ih << "x"
+        << in.iw << ", member 0 to " << first.ih << "x" << first.iw;
+    n_begin.push_back(
+        n_begin.back() + (bwd ? in.grad : in.in)->shape()[0]);
   }
+  const std::int64_t c1 = (bwd ? first.grad : first.in)->shape()[1];
   const std::vector<Shard> shards = plan_shards(n_begin.back(), c1, pin);
   DV_CHECK_GE(shards.size(), 1u);
 
-  // Calls f(m, member row, shard row, images) for every member whose rows
-  // shard `s` overlaps, and for every empty member positioned within it
-  // (which still gets its empty outputs, as a lone run_pool gives it).
-  auto for_each_overlap = [&](const Shard& s, auto&& f) {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const std::int64_t lo = std::max(n_begin[m], s.n0);
-      const std::int64_t hi = std::min(n_begin[m + 1], s.n0 + s.n_len);
-      if (lo < hi || (lo == hi && n_begin[m] == n_begin[m + 1])) {
-        f(m, lo - n_begin[m], lo - s.n0, hi - lo);
-      }
-    }
-  };
+  // Each member's outputs are constructed once, here; every shard writes
+  // its slices of them in place.
+  bool resilient = false;
+  for (const Shard& shard : shards) {
+    resilient = resilient || device(shard.device).resilience().has_value();
+  }
+  std::vector<PoolResult> results;
+  results.reserve(members.size());
+  for (const PoolInputs& in : members) {
+    results.push_back(kernels::make_outputs(op, in, resilient));
+  }
 
-  std::vector<PoolResult> results(members.size());
   struct ShardRun {
     Shard shard;
     Device::RunResult run;
@@ -173,37 +169,53 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
   runs.reserve(shards.size());
 
   for (const Shard& shard : shards) {
-    // The last member starting at or before the shard's first row (so
-    // the one holding it, past any empty members); the shard borrows its
-    // tensors when it is exactly that member.
-    const std::size_t first = static_cast<std::size_t>(
-        std::upper_bound(n_begin.begin(), n_begin.end() - 1, shard.n0) -
-        n_begin.begin() - 1);
-    const bool whole = shard.n_len > 0 && shard.c_len == c1 &&
-                       n_begin[first] == shard.n0 &&
-                       n_begin[first + 1] == shard.n0 + shard.n_len;
-    PoolInputs view = members[whole ? first : 0];  // carries ih/iw
-    TensorF16 gathered[3];
-    std::int64_t in_bytes = 0;
-    int k = 0;
-    for (const TensorF16* PoolInputs::*field :
-         {&PoolInputs::in, &PoolInputs::mask, &PoolInputs::grad}) {
-      TensorF16& part = gathered[k++];
-      if (view.*field == nullptr) continue;
-      if (!whole) {
-        Shape dims = (view.*field)->shape();
-        dims.set_dim(0, shard.n_len);
-        dims.set_dim(1, shard.c_len);
-        part = TensorF16(dims, kUninitialized);  // the members tile it
-        for_each_overlap(shard, [&](std::size_t m, std::int64_t mn,
-                                    std::int64_t sn, std::int64_t images) {
-          copy_blocks(*(members[m].*field), mn, shard.c0, &part, sn, 0,
-                      images, shard.c_len);
-        });
-        view.*field = &part;
+    // The members holding the shard's rows: [lo, hi).
+    std::size_t lo = 0;
+    while (lo + 1 < members.size() && n_begin[lo + 1] <= shard.n0) ++lo;
+    std::size_t hi = lo;
+    while (hi < members.size() && n_begin[hi] < shard.n0 + shard.n_len) ++hi;
+
+    // The shard's map of one tensor: slice (n, c) is slice
+    // (row, shard.c0 + c) of the member holding stacked row shard.n0 + n.
+    auto map = [&](auto tensor_of) {
+      kernels::SliceMap m;
+      const TensorF16* t0 = tensor_of(std::size_t{0});
+      if (t0 == nullptr) return m;
+      m.shape = t0->shape();
+      m.shape.set_dim(0, shard.n_len);
+      m.shape.set_dim(1, shard.c_len);
+      const std::int64_t slice = m.shape.stride(1);
+      m.base.reserve(static_cast<std::size_t>(shard.n_len * shard.c_len));
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::int64_t r0 = std::max(n_begin[k], shard.n0);
+        const std::int64_t r1 =
+            std::min(n_begin[k + 1], shard.n0 + shard.n_len);
+        Float16* data = const_cast<Float16*>(tensor_of(k)->data());
+        for (std::int64_t r = r0; r < r1; ++r) {
+          Float16* row = data + ((r - n_begin[k]) * c1 + shard.c0) * slice;
+          for (std::int64_t c = 0; c < shard.c_len; ++c) {
+            m.base.push_back(row + c * slice);
+          }
+        }
       }
-      in_bytes += tensor_bytes(*(view.*field));
-    }
+      return m;
+    };
+    auto input = [&](const TensorF16* PoolInputs::*field) {
+      return map([&](std::size_t k) { return members[k].*field; });
+    };
+    auto output = [&](TensorF16 PoolResult::*field) {
+      return map([&](std::size_t k) -> const TensorF16* {
+        const TensorF16& t = results[k].*field;
+        return t.shape().rank() > 0 ? &t : nullptr;
+      });
+    };
+    const kernels::PoolMaps maps{
+        .in = input(&PoolInputs::in),
+        .mask = input(&PoolInputs::mask),
+        .grad = input(&PoolInputs::grad),
+        .out = output(&PoolResult::out),
+        .out_mask = output(&PoolResult::mask),
+        .grad_in = output(&PoolResult::grad_in)};
 
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -219,29 +231,16 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
             1;
       }
     } scope{this, shard.device};
-    PoolResult res = kernels::run_pool(device(shard.device), op, view);
-
-    ShardRun r{shard, std::move(res.run), in_bytes};
-    for (TensorF16 PoolResult::*field :
-         {&PoolResult::out, &PoolResult::mask, &PoolResult::grad_in}) {
-      TensorF16& part = res.*field;
-      if (part.shape().rank() == 0) continue;
-      r.out_bytes += tensor_bytes(part);
-      if (whole) {
-        results[first].*field = std::move(part);
-        continue;
-      }
-      for_each_overlap(shard, [&](std::size_t m, std::int64_t mn,
-                                  std::int64_t sn, std::int64_t images) {
-        TensorF16& dst = results[m].*field;
-        if (dst.shape().rank() == 0) {
-          Shape dims = part.shape();
-          dims.set_dim(0, n_begin[m + 1] - n_begin[m]);
-          dims.set_dim(1, c1);
-          dst = TensorF16(dims, kUninitialized);  // the shards tile it
-        }
-        copy_blocks(part, sn, 0, &dst, mn, shard.c0, images, shard.c_len);
-      });
+    ShardRun r{shard,
+               kernels::run_pool_maps(device(shard.device), op, maps,
+                                      members.subspan(lo, hi - lo))};
+    // Each tensor crosses the link as the shard's blocks of it.
+    for (const kernels::SliceMap* m : {&maps.in, &maps.mask, &maps.grad}) {
+      r.in_bytes += map_bytes(*m);
+    }
+    for (const kernels::SliceMap* m :
+         {&maps.out, &maps.out_mask, &maps.grad_in}) {
+      r.out_bytes += map_bytes(*m);
     }
     runs.push_back(std::move(r));
   }

@@ -16,11 +16,10 @@
 // pooling kernel computes one block per (N, C1) slice from that slice's
 // input data alone -- splitting either axis only changes which device a
 // block lands on, never its value (the OneFlow "boxing" observation).
-// The cluster is the one place that knows where a launch's rows live: a
-// shard that is exactly one whole member reads that member's tensors in
-// place and hands its outputs over; any other shard gathers its blocks
-// from the members (one copy in) and scatters its outputs straight into
-// the members' results (one copy out).
+// The cluster is the one place that knows where a launch's rows live: it
+// constructs each member's outputs once (kernels::make_outputs) and runs
+// every shard on slice maps (kernels::SliceMap) that point straight into
+// the members' input and output tensors, so no shard copies anything.
 //
 // Requests ingress on device 0, so a shard that runs on device d != 0
 // pays an explicit redistribution step: its input blocks cross the
@@ -151,7 +150,9 @@ class Cluster {
 
   // Routes one launch of `members` (same-key requests, stacked along N
   // in order) and returns one result per member, in order. Every member
-  // must pass kernels::check_inputs (else Error, nothing runs). pin < 0
+  // must pass kernels::check_inputs, and every member's tensors must
+  // equal member 0's in every dim but N (backward: and in ih/iw), else
+  // Error and nothing runs. pin < 0
   // shards the stacked grid over the placement axis across all devices
   // (an axis shorter than the device count leaves devices idle); pin >= 0
   // runs the whole grid on that device; pin >= num_devices() throws

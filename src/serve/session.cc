@@ -323,8 +323,8 @@ void Session::process(std::vector<Pending> taken) {
   // Screen each request alone against the input contract
   // (kernels::check_inputs, the check a bare run_pool makes) and its
   // placement hint, so a malformed one fails only its own future -- its
-  // takemates keep going. A launch below that carries a cached plan skips
-  // run_pool's copy of the check.
+  // takemates keep going. Cluster::run_batch repeats the check per
+  // member, for callers that reach it without a session.
   std::vector<std::size_t> screened;  // taken indices that passed
   for (std::size_t i = 0; i < taken.size(); ++i) {
     try {

@@ -83,9 +83,9 @@ class Device {
                                            // time (sandwich lower bound)
     // Host wall-clock of the whole launch, split into attribution
     // buckets. Device::run fills host_execute_ns (the simulation itself);
-    // the kernel drivers (kernels/) add what they spend around it --
-    // tensor allocation and tiling-plan computation -- and run_pool adds
-    // its input check, keeping host_ns the exact bucket sum. Invariant
+    // the kernel drivers (kernels/) add their tiling-plan computation and
+    // kernels::run_pool its output construction and input check, keeping
+    // host_ns the exact bucket sum. Invariant
     // (asserted by tests, serialized in metrics schema v4):
     //   host_alloc_ns + host_plan_ns + host_validate_ns +
     //   host_execute_ns == host_ns.
@@ -181,8 +181,8 @@ class Device {
 
   // Stages the next launch's identity for the stream: a display label and
   // the input buffers it reads (dependency tracking). Consumed by the
-  // next collect_result; kernels::run_pool stages this automatically when
-  // a stream is attached.
+  // next collect_result; kernels::run_pool_maps stages this automatically
+  // when a stream is attached.
   void annotate_vm_launch(std::string label, std::vector<vm::BufferId> reads) {
     vm_label_ = std::move(label);
     vm_reads_ = std::move(reads);

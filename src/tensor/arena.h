@@ -5,7 +5,7 @@
 // every request.
 //
 // Why it exists: the serving hot path (serve::Session -> Cluster ->
-// kernels::run_pool) constructs the same few tensor geometries over and
+// kernels::make_outputs) constructs the same few tensor geometries over and
 // over -- the working set is exactly the plan cache's geometry keys -- so
 // after the first wave of requests every buffer acquire is a reuse. The
 // arena is deliberately content-agnostic: it pools raw byte capacity, and
@@ -19,9 +19,9 @@
 //    natural request boundaries.
 //  * acquire() never returns previously-zeroed memory: callers that need
 //    zero-fill (Tensor's default construction) memset themselves, and
-//    callers that overwrite every element (kernel outputs, the cluster's
-//    shard gather/scatter buffers) use Tensor's kUninitialized mode and
-//    skip it.
+//    callers that overwrite every element (the kernel outputs
+//    kernels::make_outputs does not zero-fill) use Tensor's
+//    kUninitialized mode and skip it.
 //  * set_poison(true) scribbles 0xA5 over every acquired buffer -- a test
 //    mode that makes any consumer silently relying on zero-fill fail
 //    loudly (tests/test_arena.cc runs the kernels under it).

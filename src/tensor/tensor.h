@@ -12,9 +12,9 @@
 //   Tensor(shape, fill_value)     filled with fill_value
 //   Tensor(shape, kUninitialized) storage only -- for outputs every
 //                                 element of which is overwritten before
-//                                 any read (kernel output tensors, the
-//                                 cluster's shard gather/scatter
-//                                 buffers).
+//                                 any read (the kernel outputs
+//                                 kernels::make_outputs does not
+//                                 zero-fill).
 //                                 Contents start as whatever the arena
 //                                 hands back; TensorArena poison mode
 //                                 exists to flush out misuse.

@@ -3,12 +3,13 @@
 // parallel) produces bit-identical tensors to a lone single-device run,
 // with VM streams on or off, with faults injected on one device, and for
 // batch members whose rows straddle shard boundaries. The redistribution
-// accounting must match the analytic slice volume exactly, a shard that
-// is one whole member must run on that member's tensors without a copy,
-// and the Session's placement hints must route (and fail) per-request
-// under the right block cap. A request that breaks the input contract
-// fails alone, before any copy. The davinci_prof render must name every
-// counter the session's serve_json() writes.
+// accounting must match the analytic slice volume exactly, every shard
+// must run on its members' tensors in place (no staging copy), a batch
+// whose members differ beyond N must throw before anything runs, and the
+// Session's placement hints must route (and fail) per-request under the
+// right block cap. A request that breaks the input contract fails alone.
+// The davinci_prof render must name every counter the session's
+// serve_json() writes.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -56,8 +57,8 @@ TensorF16 random_tensor(Shape shape, std::uint64_t seed) {
   return t;
 }
 
-// Poisons the process-wide arena for the scope: a staging or output
-// block that the shard path fails to write reads back as 0xA5 garbage.
+// Poisons the process-wide arena for the scope: an output block that the
+// shard path fails to write (or to zero-fill) reads back as 0xA5 garbage.
 struct PoisonedArena {
   PoisonedArena() { TensorArena::global().set_poison(true); }
   ~PoisonedArena() { TensorArena::global().set_poison(false); }
@@ -409,36 +410,50 @@ TEST(ClusterServe, DifferentlyPinnedRequestsNeverCoalesce) {
 }
 
 TEST(ClusterServe, MembersStraddlingShardsBitIdentical) {
-  // One paused window per placement launches three three-member batches
-  // (maxpool forward, maxpool_mask, maxpool_bwd on mask + grad). Members
-  // of n = 2, 3, 2 stack into 7 rows: data placement cuts them 3 | 2 | 2,
-  // so shard 0 gathers member 0 and a row of member 1, shard 1 the rest
-  // of member 1, and shard 2 is member 2 whole, read in place. Model
-  // placement cuts C1 = 5 into 2 | 2 | 1 channel blocks of every member.
-  // Every member must match a lone-device run bit for bit.
+  // One paused window per placement launches four three-member batches
+  // (maxpool forward, maxpool_mask, and maxpool_bwd on mask + grad for
+  // ih = 19 and for ih = 20, where row 19 is under no k3 s2 window and
+  // stays the zero gradient). Members of n = 2, 3, 2 stack into 7 rows:
+  // data placement cuts them 3 | 2 | 2, so shard 0 holds member 0 and a
+  // row of member 1, shard 1 the rest of member 1, and shard 2 is member
+  // 2 whole. Model placement cuts C1 = 5 into 2 | 2 | 1 channel blocks of
+  // every member. Every member must match a lone-device run bit for bit.
   const PoisonedArena poison;
   const Window2d w = Window2d::pool(3, 2);
-  const std::int64_t c1 = 5, h = 19;
+  const std::int64_t c1 = 5;
   const std::vector<std::int64_t> ns = {2, 3, 2};
-  std::vector<TensorF16> in, mask, grad;
-  for (std::size_t m = 0; m < ns.size(); ++m) {
-    in.push_back(random_tensor(Shape{ns[m], c1, h, h, kC0}, 50 + m));
-    mask.push_back(ref::maxpool_argmax_mask(in.back(), w));
-    grad.push_back(random_tensor(
-        Shape{ns[m], c1, w.out_h(h), w.out_w(h), kC0}, 60 + m));
+  struct Geometry {
+    std::int64_t h;
+    std::vector<TensorF16> in, mask, grad;
+  };
+  std::vector<Geometry> geoms(2);
+  geoms[0].h = 19;
+  geoms[1].h = 20;
+  for (Geometry& g : geoms) {
+    for (std::size_t m = 0; m < ns.size(); ++m) {
+      g.in.push_back(
+          random_tensor(Shape{ns[m], c1, g.h, g.h, kC0}, 50 + m + g.h));
+      g.mask.push_back(ref::maxpool_argmax_mask(g.in.back(), w));
+      g.grad.push_back(random_tensor(
+          Shape{ns[m], c1, w.out_h(g.h), w.out_w(g.h), kC0}, 60 + m + g.h));
+    }
   }
-  const std::vector<PoolOp> ops = {
-      {.kind = PoolOpKind::kMaxFwd, .window = w,
-       .fwd = akg::PoolImpl::kIm2col},
-      {.kind = PoolOpKind::kMaxMaskFwd, .window = w,
-       .fwd = akg::PoolImpl::kIm2col},
-      {.kind = PoolOpKind::kMaxBwd, .window = w,
-       .merge = kernels::MergeImpl::kCol2im}};
-  auto inputs = [&](const PoolOp& op, std::size_t m) {
+  const PoolOp bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
+                   .merge = kernels::MergeImpl::kCol2im};
+  const std::vector<std::pair<PoolOp, const Geometry*>> launches = {
+      {{.kind = PoolOpKind::kMaxFwd, .window = w,
+        .fwd = akg::PoolImpl::kIm2col},
+       &geoms[0]},
+      {{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+        .fwd = akg::PoolImpl::kIm2col},
+       &geoms[0]},
+      {bwd, &geoms[0]},
+      {bwd, &geoms[1]}};
+  auto inputs = [&](const PoolOp& op, const Geometry& g, std::size_t m) {
     return op.kind == PoolOpKind::kMaxBwd
-               ? PoolInputs{.mask = &mask[m], .grad = &grad[m], .ih = h,
-                            .iw = h}
-               : PoolInputs{.in = &in[m]};
+               ? PoolInputs{.mask = &g.mask[m], .grad = &g.grad[m],
+                            .ih = g.h, .iw = g.h}
+               : PoolInputs{.in = &g.in[m]};
   };
   Device lone;
   lone.set_double_buffer(true);
@@ -449,24 +464,34 @@ TEST(ClusterServe, MembersStraddlingShardsBitIdentical) {
                     SessionOptions{});
     session.pause();
     std::vector<std::future<PoolResult>> futures;
-    for (const PoolOp& op : ops) {
+    for (const auto& [op, g] : launches) {
       for (std::size_t m = 0; m < ns.size(); ++m) {
-        futures.push_back(session.submit(op, inputs(op, m)));
+        futures.push_back(session.submit(op, inputs(op, *g, m)));
       }
     }
     session.resume();
     session.drain();
     std::size_t f = 0;
-    for (const PoolOp& op : ops) {
+    for (const auto& [op, g] : launches) {
       for (std::size_t m = 0; m < ns.size(); ++m) {
-        SCOPED_TRACE(op.to_string() + " member " + std::to_string(m));
-        expect_same_result(futures[f++].get(),
-                           kernels::run_pool(lone, op, inputs(op, m)));
+        SCOPED_TRACE(op.to_string() + " h=" + std::to_string(g->h) +
+                     " member " + std::to_string(m));
+        const PoolResult got = futures[f++].get();
+        expect_same_result(got,
+                           kernels::run_pool(lone, op, inputs(op, *g, m)));
+        if (g->h != 20) continue;
+        // The uncovered last row is zero, not the poisoned arena's 0xA5.
+        for (std::int64_t b = 0; b < ns[m] * c1; ++b) {
+          for (std::int64_t i = 0; i < g->h * kC0; ++i) {
+            const std::int64_t at = (b * g->h + g->h - 1) * g->h * kC0 + i;
+            ASSERT_EQ(got.grad_in.flat(at).bits(), 0) << "slice " << b;
+          }
+        }
       }
     }
     const SessionStats s = session.stats();
-    EXPECT_EQ(s.launches, 3);  // one three-member launch per kind
-    EXPECT_EQ(s.cluster.sharded_launches, 3);
+    EXPECT_EQ(s.launches, 4);  // one three-member launch per batch key
+    EXPECT_EQ(s.cluster.sharded_launches, 4);
   }
 }
 
@@ -526,43 +551,102 @@ TEST(ClusterServe, MalformedBackwardFailsAloneBetweenGoodBatchmates) {
   }
 }
 
-TEST(ClusterServe, AlignedMembersRunInPlace) {
-  // Four n = 2 members on four data-placement devices: every shard is
-  // exactly one member, so the launch reads the members' tensors in place
-  // and hands each shard's output to its member. The only arena acquires
-  // are the four kernel outputs: nothing is staged or copied.
-  Session session(
-      Cluster(ClusterOptions{.devices = 4, .placement = Placement::kData}),
-      SessionOptions{});
-  std::vector<TensorF16> in;
-  for (int m = 0; m < 4; ++m) {
-    in.push_back(random_tensor(Shape{2, 3, 21, 21, kC0},
-                               70 + static_cast<std::uint64_t>(m)));
-  }
-  const PoolOp op{.kind = PoolOpKind::kMaxFwd,
-                  .window = Window2d::pool(3, 2),
-                  .fwd = akg::PoolImpl::kIm2col};
-  session.pause();
-  std::vector<std::future<PoolResult>> futures;
-  for (const TensorF16& t : in) {
-    futures.push_back(session.submit(op, PoolInputs{.in = &t}));
-  }
-  TensorArena& arena = TensorArena::global();
-  arena.reset_stats();
-  session.resume();
-  session.drain();
-  const TensorArena::Stats a = arena.stats();
-  EXPECT_EQ(a.allocs + a.reuses, 4);
-
-  const SessionStats s = session.stats();
-  EXPECT_EQ(s.launches, 1);
-  EXPECT_EQ(s.cluster.sharded_launches, 1);
+TEST(Cluster, ShardsRunOnTheMembersTensorsInPlace) {
+  // Three members on three devices, C1 = 5: n = 2, 2, 2 (aligned: each
+  // data-placement shard is one whole member) and n = 2, 3, 2
+  // (straddling: data placement cuts the 7 rows 3 | 2 | 2), in data and
+  // model placement (model cuts every member's C1 into 2 | 2 | 1). Every
+  // shard reads and writes the members' tensors in place, so a launch's
+  // only arena acquires are the members' own outputs -- 3 x {out, mask}
+  // for maxpool_mask, 3 x {out} or {grad_in} otherwise -- and each member
+  // matches a lone-device run.
+  const Window2d w = Window2d::pool(3, 2);
+  const std::int64_t c1 = 5, h = 19;
+  const std::vector<std::pair<PoolOp, std::int64_t>> ops = {
+      {{.kind = PoolOpKind::kMaxFwd, .window = w,
+        .fwd = akg::PoolImpl::kIm2col},
+       1},
+      {{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+        .fwd = akg::PoolImpl::kIm2col},
+       2},
+      {{.kind = PoolOpKind::kMaxBwd, .window = w,
+        .merge = kernels::MergeImpl::kCol2im},
+       1}};
   Device lone;
-  lone.set_double_buffer(true);
-  for (std::size_t m = 0; m < in.size(); ++m) {
-    SCOPED_TRACE("member " + std::to_string(m));
-    expect_same_result(futures[m].get(),
-                       kernels::run_pool(lone, op, PoolInputs{.in = &in[m]}));
+  TensorArena& arena = TensorArena::global();
+  for (const std::vector<std::int64_t>& ns :
+       {std::vector<std::int64_t>{2, 2, 2},
+        std::vector<std::int64_t>{2, 3, 2}}) {
+    std::vector<TensorF16> in, mask, grad;
+    for (std::size_t m = 0; m < ns.size(); ++m) {
+      in.push_back(random_tensor(Shape{ns[m], c1, h, h, kC0}, 70 + m));
+      mask.push_back(ref::maxpool_argmax_mask(in.back(), w));
+      grad.push_back(random_tensor(
+          Shape{ns[m], c1, w.out_h(h), w.out_w(h), kC0}, 74 + m));
+    }
+    for (const Placement p : {Placement::kData, Placement::kModel}) {
+      Cluster cluster(ClusterOptions{.devices = 3, .placement = p});
+      for (const auto& [op, produced] : ops) {
+        SCOPED_TRACE(op.to_string() + " " + to_string(p) + " n2=" +
+                     std::to_string(ns[1]));
+        std::vector<PoolInputs> members;
+        for (std::size_t m = 0; m < ns.size(); ++m) {
+          members.push_back(op.kind == PoolOpKind::kMaxBwd
+                                ? PoolInputs{.mask = &mask[m],
+                                             .grad = &grad[m], .ih = h,
+                                             .iw = h}
+                                : PoolInputs{.in = &in[m]});
+        }
+        const std::int64_t sharded = cluster.stats().sharded_launches;
+        arena.reset_stats();
+        const std::vector<PoolResult> got = cluster.run_batch(op, members);
+        const TensorArena::Stats a = arena.stats();
+        EXPECT_EQ(a.allocs + a.reuses,
+                  static_cast<std::int64_t>(members.size()) * produced);
+        EXPECT_EQ(cluster.stats().sharded_launches, sharded + 1);
+        for (std::size_t m = 0; m < members.size(); ++m) {
+          SCOPED_TRACE("member " + std::to_string(m));
+          expect_same_result(got[m], kernels::run_pool(lone, op, members[m]));
+        }
+      }
+    }
+  }
+}
+
+TEST(Cluster, MembersOfDifferentGeometryThrowBeforeRunning) {
+  // run_batch addresses every member with member 0's shapes, so a batch
+  // whose tensors differ beyond N (or, backward, in ih/iw) must throw
+  // before any shard runs, on one device and sharded over two. A Session
+  // never forms such batches: its batch key holds C1, ih, iw and the
+  // window. Probe 1: two maxpool_bwd members with 9x9 gradients, one for
+  // ih = 19 and one for ih = 20. Probe 2: two maxpool members of 19^2 and
+  // 20^2.
+  const Window2d w = Window2d::pool(3, 2);
+  ASSERT_EQ(w.out_h(19), w.out_h(20));
+  std::vector<TensorF16> in, mask, grad;
+  for (const std::int64_t h : {19, 20}) {
+    in.push_back(random_tensor(Shape{1, 2, h, h, kC0}, 90 + h));
+    mask.push_back(ref::maxpool_argmax_mask(in.back(), w));
+    grad.push_back(random_tensor(Shape{1, 2, 9, 9, kC0}, 95 + h));
+  }
+  const PoolOp bwd{.kind = PoolOpKind::kMaxBwd, .window = w,
+                   .merge = kernels::MergeImpl::kCol2im};
+  const PoolInputs bwd_members[] = {
+      {.mask = &mask[0], .grad = &grad[0], .ih = 19, .iw = 19},
+      {.mask = &mask[1], .grad = &grad[1], .ih = 20, .iw = 20}};
+  const PoolOp fwd{.kind = PoolOpKind::kMaxFwd, .window = w,
+                   .fwd = akg::PoolImpl::kIm2col};
+  const PoolInputs fwd_members[] = {{.in = &in[0]}, {.in = &in[1]}};
+  for (const int devices : {1, 2}) {
+    SCOPED_TRACE(std::to_string(devices) + " device(s)");
+    Cluster cluster(ClusterOptions{.devices = devices});
+    EXPECT_THROW(cluster.run_batch(bwd, bwd_members), Error);
+    EXPECT_THROW(cluster.run_batch(fwd, fwd_members), Error);
+    const Cluster::Stats s = cluster.stats();
+    EXPECT_EQ(s.launches, 0);
+    for (const Cluster::DeviceStats& d : s.devices) {
+      EXPECT_EQ(d.launches, 0);
+    }
   }
 }
 

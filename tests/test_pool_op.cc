@@ -1,8 +1,17 @@
 // The PoolOp entry point: a precomputed plan passed through PoolOp::plan
 // must reproduce the planner's own result exactly (the plan-cache identity
 // the serving layer relies on), invalid descriptor/input combinations are
-// rejected, and descriptors name themselves.
+// rejected, and descriptors name themselves. Every kind run through the
+// slice-map entry (run_pool_maps) on slices scattered in reverse order
+// between guard bytes must give the contiguous launch's bits and cycles
+// and touch nothing outside its slices.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "akg/tiling.h"
 #include "kernels/pooling.h"
@@ -99,6 +108,170 @@ TEST(PoolOpValidation, RejectsBadCombinations) {
                    dev, PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w},
                    PoolInputs{.in = &in}),
                Error);
+}
+
+// A tensor's slices copied into one buffer in reverse order, each with
+// kGuard 0xA5A5 elements on either side, and the slice map addressing
+// them.
+class Scattered {
+ public:
+  static constexpr std::int64_t kGuard = 40;
+  static constexpr std::uint16_t kGuardBits = 0xA5A5;
+
+  explicit Scattered(const TensorF16& t)
+      : shape_(t.shape()),
+        slices_(t.shape()[0] * t.shape()[1]),
+        elems_(t.shape().stride(1)),
+        store_(static_cast<std::size_t>(slices_ * (elems_ + kGuard) + kGuard),
+               Float16::from_bits(kGuardBits)) {
+    map_.shape = shape_;
+    for (std::int64_t b = 0; b < slices_; ++b) {
+      Float16* dst = slot(b);
+      std::copy(t.data() + b * elems_, t.data() + (b + 1) * elems_, dst);
+      map_.base.push_back(dst);
+    }
+  }
+
+  const kernels::SliceMap& map() const { return map_; }
+
+  // The slices gathered back in order.
+  TensorF16 gather() {
+    TensorF16 t(shape_, kUninitialized);
+    for (std::int64_t b = 0; b < slices_; ++b) {
+      std::copy(slot(b), slot(b) + elems_, t.data() + b * elems_);
+    }
+    return t;
+  }
+
+  // Index of the first guard element that changed, or -1.
+  std::int64_t first_broken_guard() const {
+    for (std::int64_t i = 0; i < static_cast<std::int64_t>(store_.size());
+         ++i) {
+      const std::int64_t in_slot = (i - kGuard) % (elems_ + kGuard);
+      const bool guard = i < kGuard || in_slot >= elems_;
+      if (guard && store_[static_cast<std::size_t>(i)].bits() != kGuardBits) {
+        return i;
+      }
+    }
+    return -1;
+  }
+
+ private:
+  Float16* slot(std::int64_t b) {
+    return store_.data() + kGuard + (slices_ - 1 - b) * (elems_ + kGuard);
+  }
+
+  Shape shape_;
+  std::int64_t slices_, elems_;
+  std::vector<Float16> store_;
+  kernels::SliceMap map_;
+};
+
+TEST(PoolOpMaps, ScatteredSlicesMatchTheContiguousLaunch) {
+  Device dev;
+  const Window2d w = Window2d::pool(3, 2);
+  using akg::PoolImpl;
+  struct Case {
+    PoolOp op;
+    std::int64_t h;
+  };
+  const std::vector<Case> cases = {
+      {{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = PoolImpl::kDirect},
+       21},
+      {{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = PoolImpl::kIm2col},
+       21},
+      {{.kind = PoolOpKind::kMaxFwd, .window = w,
+        .fwd = PoolImpl::kExpansion},
+       21},
+      {{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = PoolImpl::kXYSplit},
+       21},
+      // H-tiles: the slice offsets of later tiles are exercised.
+      {{.kind = PoolOpKind::kMaxFwd, .window = w, .fwd = PoolImpl::kIm2col},
+       95},
+      {{.kind = PoolOpKind::kAvgFwd, .window = w, .fwd = PoolImpl::kIm2col},
+       21},
+      {{.kind = PoolOpKind::kMinFwd, .window = w, .fwd = PoolImpl::kIm2col},
+       21},
+      {{.kind = PoolOpKind::kGlobalAvg}, 8},
+      {{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+        .fwd = PoolImpl::kDirect},
+       21},
+      {{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+        .fwd = PoolImpl::kIm2col},
+       21},
+      {{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = MergeImpl::kVadd},
+       19},
+      {{.kind = PoolOpKind::kMaxBwd, .window = w,
+        .merge = MergeImpl::kCol2im},
+       19},
+      {{.kind = PoolOpKind::kAvgBwd, .window = w, .merge = MergeImpl::kVadd},
+       19},
+      {{.kind = PoolOpKind::kAvgBwd, .window = w,
+        .merge = MergeImpl::kCol2im},
+       19},
+      // Row 19 is under no window: grad_in's zero-filled rows.
+      {{.kind = PoolOpKind::kMaxBwd, .window = w,
+        .merge = MergeImpl::kCol2im},
+       20},
+      // H-tiles, with seam rows read back from the slice.
+      {{.kind = PoolOpKind::kMaxBwd, .window = w,
+        .merge = MergeImpl::kCol2im},
+       63},
+  };
+  ASSERT_TRUE(akg::plan_fwd(PoolImpl::kIm2col, dev.arch(), w, 95, 95,
+                            /*with_mask=*/false, dev.double_buffer())
+                  .tiled());
+  ASSERT_TRUE(akg::plan_bwd(dev.arch(), w, 63, 63, dev.double_buffer())
+                  .tiled());
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.op.to_string() + " h=" + std::to_string(c.h));
+    const TensorF16 in = make_input(2, 3, c.h, c.h, 21);
+    std::optional<TensorF16> mask, grad;
+    PoolInputs inputs{.in = &in};
+    if (kernels::is_backward(c.op.kind)) {
+      mask = ref::maxpool_argmax_mask(in, w);
+      grad = make_input(2, 3, w.out_h(c.h), w.out_w(c.h), 22);
+      inputs = PoolInputs{
+          .mask = c.op.kind == PoolOpKind::kMaxBwd ? &*mask : nullptr,
+          .grad = &*grad, .ih = c.h, .iw = c.h};
+    }
+    const PoolResult want = kernels::run_pool(dev, c.op, inputs);
+
+    // Every tensor the kind reads or writes, scattered; outputs start as
+    // make_outputs' tensors (zeros where the zero-fill rule applies).
+    const PoolResult outs = kernels::make_outputs(c.op, inputs, false);
+    std::vector<Scattered> held;
+    held.reserve(6);
+    auto scatter = [&](const TensorF16* t) -> const kernels::SliceMap* {
+      if (t == nullptr || t->shape().rank() == 0) return nullptr;
+      held.emplace_back(*t);
+      return &held.back().map();
+    };
+    kernels::PoolMaps maps;
+    for (auto [t, m] : {std::pair{inputs.in, &maps.in},
+                        std::pair{inputs.mask, &maps.mask},
+                        std::pair{inputs.grad, &maps.grad},
+                        std::pair{&outs.out, &maps.out},
+                        std::pair{&outs.mask, &maps.out_mask},
+                        std::pair{&outs.grad_in, &maps.grad_in}}) {
+      if (const kernels::SliceMap* sm = scatter(t)) *m = *sm;
+    }
+    const Device::RunResult run =
+        kernels::run_pool_maps(dev, c.op, maps, {&inputs, 1});
+    EXPECT_EQ(run.device_cycles, want.run.device_cycles);
+    EXPECT_EQ(run.device_cycles_serial, want.run.device_cycles_serial);
+
+    std::size_t k = held.size() - 1;  // outputs were scattered last
+    for (const TensorF16* t : {&want.grad_in, &want.mask, &want.out}) {
+      if (t->shape().rank() == 0) continue;
+      expect_same_tensor(held[k].gather(), *t);
+      --k;
+    }
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      EXPECT_EQ(held[i].first_broken_guard(), -1) << "tensor " << i;
+    }
+  }
 }
 
 TEST(PoolOpDescriptor, ToStringNamesKindAndLowering) {
