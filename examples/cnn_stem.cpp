@@ -70,9 +70,9 @@ int main() {
     const auto& b = accel.layers[i];
     std::printf("%-18s %-22s %12lld %12lld\n", a.name.c_str(),
                 a.out_shape.to_string().c_str(),
-                static_cast<long long>(a.cycles),
-                static_cast<long long>(b.cycles));
-    pool_saved += a.cycles - b.cycles;
+                static_cast<long long>(a.run.device_cycles),
+                static_cast<long long>(b.run.device_cycles));
+    pool_saved += a.run.device_cycles - b.run.device_cycles;
   }
   std::printf("%s\n", std::string(68, '-').c_str());
   std::printf("%-18s %-22s %12lld %12lld\n", "total", "",

@@ -121,8 +121,8 @@ void direct_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
              [&] { core.mte().copy(gm_out, out, n_out); });
   sl.out_free = store_done;
   if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
+    core.note_tile(load_done, +1);
+    core.note_tile(store_done, -1);
   }
 }
 
@@ -166,8 +166,8 @@ void im2col_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
              [&] { core.mte().copy(gm_out, out, g.tile_patches() * kC0); });
   sl.out_free = store_done;
   if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
+    core.note_tile(load_done, +1);
+    core.note_tile(store_done, -1);
   }
 }
 
@@ -241,8 +241,8 @@ void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
              [&] { core.mte().copy(gm_out, out, g.tile_patches() * kC0); });
   sl.out_free = store_done;
   if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
+    core.note_tile(load_done, +1);
+    core.note_tile(store_done, -1);
   }
 }
 
@@ -321,8 +321,8 @@ void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
              [&] { core.mte().copy(gm_out, out, n_out); });
   sl.out_free = store_done;
   if (db) {
-    core.sched().note_tile(load_done, +1);
-    core.sched().note_tile(store_done, -1);
+    core.note_tile(load_done, +1);
+    core.note_tile(store_done, -1);
   }
 }
 

@@ -239,8 +239,8 @@ Device::RunResult pooling_backward_impl(Device& dev, const SliceMap* mask,
       sl.out_free = store_done;
       last_store = store_done;
       if (db) {
-        core.sched().note_tile(load_done, +1);
-        core.sched().note_tile(store_done, -1);
+        core.note_tile(load_done, +1);
+        core.note_tile(store_done, -1);
       }
     }
   });

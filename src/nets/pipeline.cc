@@ -69,10 +69,6 @@ Pipeline::Result Pipeline::run(Device& dev, const TensorF16& input,
     LayerRun run;
     run.name = layer.name;
     auto note = [&](auto& r) {
-      run.cycles = r.cycles();
-      run.serial_cycles = r.run.device_cycles_serial;
-      run.host_ns = r.run.host_ns;
-      run.profile = r.run.profile;
       run.run = r.run;
       result.faults += r.run.faults;
       cur = std::move(r.out);
@@ -110,10 +106,10 @@ Pipeline::Result Pipeline::run(Device& dev, const TensorF16& input,
         break;
     }
     run.out_shape = cur.shape();
-    result.total_cycles += run.cycles;
-    result.total_serial_cycles += run.serial_cycles;
-    result.total_host_ns += run.host_ns;
-    result.profile += run.profile;
+    result.total_cycles += run.run.device_cycles;
+    result.total_serial_cycles += run.run.device_cycles_serial;
+    result.total_host_ns += run.run.host_ns;
+    result.profile += run.run.profile;
     result.layers.push_back(std::move(run));
   }
   result.out = std::move(cur);
@@ -154,9 +150,10 @@ std::string Pipeline::Result::utilization_table() const {
                 "im2col", "col2im", "cube", "mte");
   out += header;
   out += std::string(std::strlen(header) - 1, '-') + "\n";
-  for (const LayerRun& run : layers) {
-    append_utilization_row(&out, run.name, run.cycles, run.serial_cycles,
-                           run.host_ns, run.profile);
+  for (const LayerRun& layer : layers) {
+    const Device::RunResult& r = layer.run;
+    append_utilization_row(&out, layer.name, r.device_cycles,
+                           r.device_cycles_serial, r.host_ns, r.profile);
   }
   append_utilization_row(&out, "total", total_cycles, total_serial_cycles,
                          total_host_ns, profile);

@@ -47,11 +47,9 @@ class Pipeline {
   struct LayerRun {
     std::string name;
     Shape out_shape;
-    std::int64_t cycles = 0;         // overlapped makespan
-    std::int64_t serial_cycles = 0;  // same instructions charged in order
-    std::int64_t host_ns = 0;        // host wall-clock of the device run
-    Profile profile;  // per-instruction occupancy, merged over cores
-    Device::RunResult run;  // full counters (traffic, attribution, ...)
+    // The layer's launch: cycles (overlapped and serial), host time,
+    // occupancy, traffic, attribution.
+    Device::RunResult run;
   };
 
   struct Result {

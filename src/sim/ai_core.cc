@@ -11,22 +11,15 @@ AiCore::AiCore(int id, const ArchConfig& arch, const CostModel& cost)
       l0b_(BufferKind::kL0B, arch.l0b_bytes),
       l0c_(BufferKind::kL0C, arch.l0c_bytes),
       ub_(BufferKind::kUnified, arch.ub_bytes),
-      vec_(arch_, cost_, &stats_, &profile_, &trace_, &sched_),
-      mte_(cost_, &stats_, &profile_, &trace_, &sched_),
-      scu_(arch_, cost_, &stats_, &profile_, &trace_, &sched_),
-      cube_(arch_, cost_, &stats_, &profile_, &trace_, &sched_) {
+      vec_(arch_, cost_, &ledger_),
+      mte_(cost_, &ledger_),
+      scu_(arch_, cost_, &ledger_),
+      cube_(arch_, cost_, &ledger_) {
   l1_.set_owner_core(id_);
   l0a_.set_owner_core(id_);
   l0b_.set_owner_core(id_);
   l0c_.set_owner_core(id_);
   ub_.set_owner_core(id_);
-}
-
-void AiCore::set_fault_state(CoreFaultState* fault) {
-  fault_ = fault;
-  mte_.set_fault_state(fault);
-  scu_.set_fault_state(fault);
-  vec_.set_fault_state(fault);
 }
 
 void AiCore::reset_scratch() {
@@ -47,20 +40,17 @@ void AiCore::scrub_scratch(std::byte pattern) {
 
 void AiCore::scalar_loop(std::int64_t iterations) {
   DV_CHECK_GE(iterations, 0);
-  const std::int64_t cycles = iterations * cost_.scalar_loop_cycles;
-  stats_.scalar_cycles += cycles;
   // Scalar control flow rides the Vector pipe on the overlap timeline:
   // on DaVinci the scalar unit issues the vector instructions.
-  sched_.issue(Pipe::kVector, cycles);
+  ledger_.sched.issue(Pipe::kVector, iterations * cost_.scalar_loop_cycles);
 }
 
 void AiCore::pipe_barrier() {
-  stats_.barrier_cycles += cost_.pipe_barrier_cycles;
   const PipeScheduler::Interval iv =
-      sched_.barrier(cost_.pipe_barrier_cycles);
-  if (trace_.enabled()) {
-    trace_.record(TraceKind::kBarrier, "pipe_barrier",
-                  cost_.pipe_barrier_cycles, 0, 0, iv.start);
+      ledger_.sched.barrier(cost_.pipe_barrier_cycles);
+  if (ledger_.trace.enabled()) {
+    ledger_.trace.record(TraceKind::kBarrier, "pipe_barrier",
+                         cost_.pipe_barrier_cycles, 0, 0, iv.start);
   }
 }
 
@@ -70,19 +60,18 @@ void AiCore::begin_stage(Pipe pipe, PipeScheduler::Event after) {
     // The cross-pipe dependency costs one flag-wait, exactly what
     // pipe_barrier charges -- but it only delays this stage's pipe
     // instead of synchronizing all of them. The scheduler attributes up
-    // to this many stall cycles to the flag bucket.
-    stats_.barrier_cycles += cost_.pipe_barrier_cycles;
+    // to this many stall cycles to the flag bucket, and counts all of
+    // them in its serial().
     after += cost_.pipe_barrier_cycles;
     flag_cycles = cost_.pipe_barrier_cycles;
   }
-  sched_.begin_stage(pipe, after, flag_cycles);
+  ledger_.sched.begin_stage(pipe, after, flag_cycles);
 }
 
-PipeScheduler::Event AiCore::end_stage() { return sched_.end_stage(); }
+PipeScheduler::Event AiCore::end_stage() { return ledger_.sched.end_stage(); }
 
 void AiCore::launch(std::int64_t cycles) {
-  stats_.launch_cycles += cycles;
-  sched_.issue(Pipe::kSync, cycles);
+  ledger_.sched.issue(Pipe::kSync, cycles);
 }
 
 template <typename F>

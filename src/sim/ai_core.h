@@ -1,5 +1,8 @@
 // One DaVinci AI Core (Figure 4): Cube, Vector and Scalar units, the SCU,
-// and the private scratch-pad buffers, with a shared cycle ledger.
+// and the private scratch-pad buffers, with one Ledger (sim/ledger.h)
+// that every unit books its charges in: the pipe timeline (the core's
+// only cycle count), the occupancy profile, the byte and Cube-MAC counts,
+// the optional instruction trace and the fault stream.
 //
 // Kernels (src/kernels/) are written against this class the way CCE-C
 // kernels are written against the hardware ISA: explicit buffer
@@ -15,13 +18,10 @@
 #include "arch/cost_model.h"
 #include "common/float16.h"
 #include "sim/cube_unit.h"
-#include "sim/fault.h"
+#include "sim/ledger.h"
 #include "sim/mte.h"
-#include "sim/pipe_schedule.h"
 #include "sim/scratch.h"
 #include "sim/scu.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 #include "sim/vector_unit.h"
 
 namespace davinci {
@@ -36,10 +36,10 @@ class AiCore {
   int id() const { return id_; }
   const ArchConfig& arch() const { return arch_; }
   const CostModel& cost() const { return cost_; }
-  CycleStats& stats() { return stats_; }
   // Per-instruction occupancy counters (always recorded; see sim/stats.h).
-  Profile& profile() { return profile_; }
-  const Profile& profile() const { return profile_; }
+  const Profile& profile() const { return ledger_.profile; }
+  // Bytes moved and Cube MACs issued since the last reset_stats().
+  const CoreCounts& counts() const { return ledger_.counts; }
 
   ScratchBuffer& l1() { return l1_; }
   ScratchBuffer& l0a() { return l0a_; }
@@ -53,13 +53,14 @@ class AiCore {
   CubeUnit& cube() { return cube_; }
 
   // Optional instruction trace (disabled by default; see sim/trace.h).
-  Trace& trace() { return trace_; }
+  // reset_stats() leaves it alone, so it accumulates across launches.
+  Trace& trace() { return ledger_.trace; }
 
-  // Pipe-overlap timeline of this core (see sim/pipe_schedule.h). Every
-  // charged cost is placed on it; kernels that never open a stage keep a
-  // makespan equal to their serial cycle total.
-  PipeScheduler& sched() { return sched_; }
-  const PipeScheduler& sched() const { return sched_; }
+  // Pipe-overlap timeline of this core (see sim/pipe_schedule.h): the
+  // core's only cycle count. Every charged cost is placed on it; kernels
+  // that never open a stage keep a makespan equal to its serial().
+  PipeScheduler& sched() { return ledger_.sched; }
+  const PipeScheduler& sched() const { return ledger_.sched; }
 
   // Opens a pipelined stage on `pipe`: until end_stage(), every cost this
   // core charges queues on that pipe in issue order, starting no earlier
@@ -71,6 +72,14 @@ class AiCore {
   // Closes the stage and returns its completion event.
   PipeScheduler::Event end_stage();
 
+  // Marks a ping-pong tile entering (+1, at its load's completion) or
+  // leaving (-1, at its store's completion) flight, on the timeline and
+  // in the trace.
+  void note_tile(PipeScheduler::Event cycle, int delta) {
+    ledger_.sched.note_tile(cycle, delta);
+    ledger_.trace.mark_tile(cycle, delta);
+  }
+
   // Charges the per-core kernel-launch overhead (called by Device at the
   // start of a run; on the Sync row of the overlap timeline).
   void launch(std::int64_t cycles);
@@ -80,17 +89,13 @@ class AiCore {
   // Overwrites every scratch buffer with `pattern` (see
   // ScratchBuffer::scrub); a host-side simulation step, charges no cycles.
   void scrub_scratch(std::byte pattern);
-  void reset_stats() {
-    stats_ = CycleStats{};
-    profile_ = Profile{};
-    sched_.reset();
-  }
+  // Zeroes the timeline and every count; the trace keeps its events.
+  void reset_stats() { ledger_.reset(); }
 
   // Attaches (or detaches, with nullptr) a fault-injection stream to this
-  // core and all its units. Owned by Device::run under a resilience
-  // policy; a core with no stream attached pays zero overhead.
-  void set_fault_state(CoreFaultState* fault);
-  CoreFaultState* fault_state() { return fault_; }
+  // core's units. Owned by Device::run under a resilience policy; a core
+  // with no stream attached pays zero overhead.
+  void set_fault_state(CoreFaultState* fault) { ledger_.fault = fault; }
 
   // Charges the Scalar Unit for `iterations` loop iterations of control
   // flow / address arithmetic around other instructions.
@@ -122,11 +127,7 @@ class AiCore {
   int id_;
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
-  Trace trace_;
-  PipeScheduler sched_;
-  CoreFaultState* fault_ = nullptr;
+  Ledger ledger_;
 
   ScratchBuffer l1_;
   ScratchBuffer l0a_;

@@ -46,23 +46,17 @@ void CubeUnit::mmad(Span<float> l0c, Span<Float16> l0a, Span<Float16> l0b,
   }
 
   const std::int64_t macs = m_frac * k_frac * n_frac;
-  stats_->cube_fractal_macs += macs;
+  ledger_->counts.cube_fractal_macs += macs;
   const std::int64_t cycles = cost_.cube_mmad(macs);
-  stats_->cube_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kCube, cycles).start;
   // Occupancy: fractal-MAC cycles vs charged cycles -- how well the
   // instruction amortizes its issue overhead over the MAC array.
   const std::int64_t mac_cycles = macs * cost_.cube_cycles_per_fractal_mac;
-  profile_->cube.instrs += 1;
-  profile_->cube.slots_used += mac_cycles;
-  profile_->cube.slots_capacity += cycles;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kCube,
-                   "mmad m=" + std::to_string(m_frac) + " k=" +
-                       std::to_string(k_frac) + " n=" + std::to_string(n_frac),
-                   cycles, mac_cycles, cycles, start);
-  }
+  ledger_->book(TraceKind::kCube, Pipe::kCube, cycles,
+                {1, mac_cycles, cycles, 0}, [&] {
+                  return "mmad m=" + std::to_string(m_frac) +
+                         " k=" + std::to_string(k_frac) +
+                         " n=" + std::to_string(n_frac);
+                });
 }
 
 }  // namespace davinci

@@ -7,7 +7,8 @@
 // which is exactly the paper's motivation for routing pooling through the
 // Vector Unit with an improved layout. The Cube Unit is implemented here
 // as the substrate that the Im2Col instruction was originally designed to
-// feed -- exercised by the conv2d kernel and the A3 ablation bench.
+// feed -- exercised by the conv2d kernel and the A3 ablation bench. Every
+// mmad is booked once in the core's Ledger (sim/ledger.h).
 #pragma once
 
 #include <cstdint>
@@ -15,20 +16,15 @@
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "common/float16.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/pipe_schedule.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace davinci {
 
 class CubeUnit {
  public:
-  CubeUnit(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-           Profile* profile, Trace* trace = nullptr,
-           PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), profile_(profile),
-        trace_(trace), sched_(sched) {}
+  CubeUnit(const ArchConfig& arch, const CostModel& cost, Ledger* ledger)
+      : arch_(arch), cost_(cost), ledger_(ledger) {}
 
   // C (+)= A x B on fractal-tiled operands:
   //   A: L0A, (m_frac x k_frac) fractals, each 16x16 row-major
@@ -46,10 +42,7 @@ class CubeUnit {
  private:
   const ArchConfig& arch_;
   const CostModel& cost_;
-  CycleStats* stats_;
-  Profile* profile_;
-  Trace* trace_;
-  PipeScheduler* sched_ = nullptr;
+  Ledger* ledger_;
 };
 
 }  // namespace davinci

@@ -252,7 +252,17 @@ Device::RunResult Device::run(std::int64_t num_blocks, const BlockFn& fn) {
     }
   }
 
-  for (int c = 0; c < num_cores(); ++c) cores_[c]->reset_stats();
+  // Every trace resumes where the furthest one ends, so traced launches
+  // run back to back on one clock.
+  std::int64_t trace_origin = 0;
+  for (const auto& core : cores_) {
+    trace_origin = std::max(trace_origin, core->trace().end());
+  }
+  for (const auto& core : cores_) {
+    core->reset_stats();
+    core->trace().begin_launch(launches_, trace_origin);
+  }
+  ++launches_;
   // Each used core pays its launch overhead once, however many rounds
   // its lane takes.
   for (int c = 0; c < cores_used; ++c) {
@@ -334,22 +344,19 @@ Device::RunResult Device::run(std::int64_t num_blocks, const BlockFn& fn) {
 Device::RunResult Device::collect_result(int cores_used) {
   RunResult result;
   result.cores_used = cores_used;
-  result.core_cycles.resize(static_cast<std::size_t>(cores_used));
   std::vector<const PipeScheduler*> scheds;
   scheds.reserve(static_cast<std::size_t>(cores_used));
   for (int c = 0; c < cores_used; ++c) {
-    AiCore& core = *cores_[static_cast<std::size_t>(c)];
-    const CycleStats& s = core.stats();
-    const std::int64_t makespan = core.sched().makespan();
-    result.core_cycles[static_cast<std::size_t>(c)] = makespan;
-    result.aggregate += s;
+    const AiCore& core = *cores_[static_cast<std::size_t>(c)];
+    const PipeScheduler& sched = core.sched();
+    result.aggregate += core.counts();
     result.profile += core.profile();
-    result.device_cycles = std::max(result.device_cycles, makespan);
+    result.device_cycles = std::max(result.device_cycles, sched.makespan());
     result.device_cycles_serial =
-        std::max(result.device_cycles_serial, s.total_cycles());
-    result.busiest_unit_cycles = std::max(
-        result.busiest_unit_cycles, core.sched().busiest_unit_busy());
-    scheds.push_back(&core.sched());
+        std::max(result.device_cycles_serial, sched.serial());
+    result.busiest_unit_cycles =
+        std::max(result.busiest_unit_cycles, sched.busiest_unit_busy());
+    scheds.push_back(&sched);
   }
   result.attribution = attribute_cores(scheds);
 

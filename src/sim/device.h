@@ -11,8 +11,9 @@
 // The device-level time of a kernel is the *maximum* per-core cycle count
 // (cores run concurrently) plus a per-core launch overhead. Per-core time
 // is the makespan of the core's pipe-overlap schedule
-// (sim/pipe_schedule.h); for kernels that never open a stage it equals
-// the serial cycle sum, which stays reported as device_cycles_serial.
+// (sim/pipe_schedule.h), the core's only cycle count; for kernels that
+// never open a stage it equals the schedule's serial(), which stays
+// reported as device_cycles_serial.
 //
 // Execution: block b is accounted to simulated core (b mod num_cores),
 // and each core runs its blocks from a FIFO queue seeded in increasing
@@ -76,8 +77,8 @@ class Device {
     std::int64_t device_cycles = 0;       // max over used cores of the
                                           // modeled overlapped makespan
                                           // (== serial for unstaged code)
-    std::int64_t device_cycles_serial = 0;  // max over used cores of the
-                                            // strictly serial cycle sum
+    std::int64_t device_cycles_serial = 0;  // max over used cores of
+                                            // PipeScheduler::serial()
     std::int64_t busiest_unit_cycles = 0;  // max over used cores of the
                                            // busiest single unit's busy
                                            // time (sandwich lower bound)
@@ -94,13 +95,13 @@ class Device {
     std::int64_t host_plan_ns = 0;      // akg::plan_fwd / plan_bwd
     std::int64_t host_validate_ns = 0;  // kernels::check_inputs
     std::int64_t host_execute_ns = 0;   // inside Device::run
-    CycleStats aggregate;                 // sum over used cores
+    CoreCounts aggregate;                 // sum over used cores
     Profile profile;                      // occupancy, merged over used cores
-    std::vector<std::int64_t> core_cycles;  // per-core overlapped makespan
     int cores_used = 0;
     FaultStats faults;                    // all-zero without a policy
-    // Per-pipe busy/wait/flag/idle buckets and the critical core's
-    // bounding chain (sim/metrics.h); attribution.horizon == device_cycles.
+    // Per-pipe busy/wait/flag/idle buckets, each used core's makespan and
+    // the critical core's bounding chain (sim/metrics.h);
+    // attribution.horizon == device_cycles.
     DeviceAttribution attribution;
     // When a VmStream is attached (set_vm_stream), the launch's scheduled
     // span on the cross-launch stream timeline; vm_end == 0 means the
@@ -113,7 +114,9 @@ class Device {
 
   // Executes blocks [0, num_blocks) with `fn(core, block_index)`, block b
   // on core (b mod num_cores). Scratch is reset before every block and
-  // core stats are reset before the run.
+  // core stats are reset before the run. Traced cores record the run after
+  // everything any core's trace already holds (one clock for all cores)
+  // and tag its events with the run's launch ordinal.
   //
   // Without a resilience policy any exception is a failure of its block:
   // that core's lane stops, and a parallel run rethrows one Error naming
@@ -209,6 +212,7 @@ class Device {
   std::string vm_label_;
   std::vector<vm::BufferId> vm_reads_;
   std::int64_t vm_write_seq_ = 0;
+  std::int64_t launches_ = 0;  // runs so far: the next trace ordinal
   // Lazily started on the first parallel run; workers persist for the
   // Device's lifetime (see sim/executor.h).
   WorkStealingPool pool_;

@@ -88,7 +88,7 @@ struct FaultPlan {
   std::string to_string() const;
 };
 
-// Counters surfaced next to CycleStats in Device::RunResult.
+// Counters surfaced next to the cycle counts in Device::RunResult.
 struct FaultStats {
   std::int64_t faults_injected = 0;   // all faults, every class
   std::int64_t silent_injected = 0;   // subset: silent corruption

@@ -3,6 +3,7 @@
 // Figure 4 of the paper). Transfers pay a startup latency plus a bandwidth
 // term, and strided (2-D) transfers pay an extra per-burst cost -- which is
 // what makes halo reloads and scattered stores visible in the cycle counts.
+// Every transfer is booked once in the core's Ledger (sim/ledger.h).
 #pragma once
 
 #include <algorithm>
@@ -12,23 +13,14 @@
 #include "arch/cost_model.h"
 #include "common/check.h"
 #include "common/float16.h"
-#include "sim/fault.h"
-#include "sim/pipe_schedule.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace davinci {
 
 class Mte {
  public:
-  Mte(const CostModel& cost, CycleStats* stats, Profile* profile,
-      Trace* trace = nullptr, PipeScheduler* sched = nullptr)
-      : cost_(cost), stats_(stats), profile_(profile), trace_(trace),
-        sched_(sched) {}
-
-  // Attaches/detaches the core's fault stream (resilient runs only).
-  void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
+  Mte(const CostModel& cost, Ledger* ledger) : cost_(cost), ledger_(ledger) {}
 
   // Contiguous copy of `count` elements. Exactly the legal datapaths are
   // accepted (see allowed()).
@@ -39,22 +31,23 @@ class Mte {
         << to_string(dst.kind());
     DV_CHECK_LE(count, src.size());
     DV_CHECK_LE(count, dst.size());
-    const std::int64_t moved = fault_ ? fault_->admit_transfer(count) : count;
+    CoreFaultState* const fault = ledger_->fault;
+    const std::int64_t moved = fault ? fault->admit_transfer(count) : count;
     // moved <= count <= both span sizes, so the bulk move is in bounds.
     std::memcpy(dst.data(), src.data(),
                 static_cast<std::size_t>(moved) * sizeof(T));
-    if (fault_) {
-      fault_->on_landing(dst.kind(), reinterpret_cast<std::byte*>(dst.data()),
-                         moved * static_cast<std::int64_t>(sizeof(T)));
+    if (fault) {
+      fault->on_landing(dst.kind(), reinterpret_cast<std::byte*>(dst.data()),
+                        moved * static_cast<std::int64_t>(sizeof(T)));
       // The store-path CRC covers the *addressed* region as it now stands
       // plus the delivered length, so a truncated transfer hashes
       // differently from a complete one -- and from a truncation of a
       // different length, even when the region contents coincide (the
       // correct prefix grows monotonically across retries).
-      if (dst.kind() == BufferKind::kGlobal && fault_->crc_enabled()) {
-        fault_->crc_update(dst.data(),
-                           count * static_cast<std::int64_t>(sizeof(T)));
-        fault_->crc_note(static_cast<std::uint64_t>(moved));
+      if (dst.kind() == BufferKind::kGlobal && fault->crc_enabled()) {
+        fault->crc_update(dst.data(),
+                          count * static_cast<std::int64_t>(sizeof(T)));
+        fault->crc_note(static_cast<std::uint64_t>(moved));
       }
     }
     charge(src.kind(), dst.kind(), count * static_cast<std::int64_t>(sizeof(T)),
@@ -73,7 +66,8 @@ class Mte {
     DV_CHECK_GE(rows, 0);
     DV_CHECK_GE(row_elems, 0);
     const std::int64_t total = rows * row_elems;
-    const std::int64_t moved = fault_ ? fault_->admit_transfer(total) : total;
+    CoreFaultState* const fault = ledger_->fault;
+    const std::int64_t moved = fault ? fault->admit_transfer(total) : total;
     if (moved > 0) {
       // One bounds check over the touched strided extent (exactly what the
       // per-element at() accesses enforced), then burst-wise memmove
@@ -99,19 +93,19 @@ class Mte {
         copied += burst;
       }
     }
-    if (fault_) {
+    if (fault) {
       if (rows > 0 && row_elems > 0) {
         const std::int64_t extent = (rows - 1) * dst_stride + row_elems;
-        fault_->on_landing(dst.kind(),
-                           reinterpret_cast<std::byte*>(dst.data()),
+        fault->on_landing(dst.kind(),
+                          reinterpret_cast<std::byte*>(dst.data()),
                            extent * static_cast<std::int64_t>(sizeof(T)));
       }
-      if (dst.kind() == BufferKind::kGlobal && fault_->crc_enabled()) {
+      if (dst.kind() == BufferKind::kGlobal && fault->crc_enabled()) {
         for (std::int64_t r = 0; r < rows; ++r) {
-          fault_->crc_update(dst.data() + r * dst_stride,
-                             row_elems * static_cast<std::int64_t>(sizeof(T)));
+          fault->crc_update(dst.data() + r * dst_stride,
+                            row_elems * static_cast<std::int64_t>(sizeof(T)));
         }
-        fault_->crc_note(static_cast<std::uint64_t>(moved));
+        fault->crc_note(static_cast<std::uint64_t>(moved));
       }
     }
     charge(src.kind(), dst.kind(),
@@ -126,11 +120,12 @@ class Mte {
         << "converting copy is L0C -> UB only";
     DV_CHECK_LE(count, src.size());
     DV_CHECK_LE(count, dst.size());
-    const std::int64_t moved = fault_ ? fault_->admit_transfer(count) : count;
+    CoreFaultState* const fault = ledger_->fault;
+    const std::int64_t moved = fault ? fault->admit_transfer(count) : count;
     for (std::int64_t i = 0; i < moved; ++i) dst.at(i) = Float16(src.at(i));
-    if (fault_) {
-      fault_->on_landing(dst.kind(), reinterpret_cast<std::byte*>(dst.data()),
-                         moved * 2);
+    if (fault) {
+      fault->on_landing(dst.kind(), reinterpret_cast<std::byte*>(dst.data()),
+                        moved * 2);
     }
     charge(src.kind(), dst.kind(), count * 4, /*bursts=*/1);
   }
@@ -146,7 +141,8 @@ class Mte {
         << "converting copy is L0C -> UB only";
     DV_CHECK_GE(rows, 0);
     const std::int64_t total = rows * row_elems;
-    const std::int64_t moved = fault_ ? fault_->admit_transfer(total) : total;
+    CoreFaultState* const fault = ledger_->fault;
+    const std::int64_t moved = fault ? fault->admit_transfer(total) : total;
     std::int64_t copied = 0;
     for (std::int64_t r = 0; r < rows && copied < moved; ++r) {
       for (std::int64_t i = 0; i < row_elems && copied < moved; ++i) {
@@ -154,10 +150,10 @@ class Mte {
         ++copied;
       }
     }
-    if (fault_ && rows > 0 && row_elems > 0) {
+    if (fault && rows > 0 && row_elems > 0) {
       const std::int64_t extent = (rows - 1) * dst_stride + row_elems;
-      fault_->on_landing(dst.kind(), reinterpret_cast<std::byte*>(dst.data()),
-                         extent * 2);
+      fault->on_landing(dst.kind(), reinterpret_cast<std::byte*>(dst.data()),
+                        extent * 2);
     }
     charge(src.kind(), dst.kind(), rows * row_elems * 4, rows);
   }
@@ -185,7 +181,7 @@ class Mte {
   // src/dst buffer pair (see allowed() for the legal paths).
   void route_bytes(BufferKind src, BufferKind dst, std::int64_t bytes) {
     using B = BufferKind;
-    MemTraffic& t = stats_->traffic;
+    MemTraffic& t = ledger_->counts.traffic;
     if (src == B::kGlobal) {
       (dst == B::kL1 ? t.gm_to_l1 : t.gm_to_ub) += bytes;
     } else if (dst == B::kGlobal) {
@@ -203,37 +199,25 @@ class Mte {
               std::int64_t bursts) {
     route_bytes(src, dst, bytes);
     const std::int64_t cycles = cost_.mte_copy(bytes, bursts);
-    stats_->mte_cycles += cycles;
-    // A transfer landing in global memory is an MTE-out (store) interval
-    // on the overlap timeline; everything else feeds the compute side.
-    std::int64_t start = -1;
-    if (sched_) {
-      const Pipe pipe =
-          dst == BufferKind::kGlobal ? Pipe::kMteOut : Pipe::kMteIn;
-      start = sched_->issue(pipe, cycles).start;
-    }
     // Occupancy: payload bandwidth cycles vs charged cycles -- the
     // fraction of the transfer time not spent on startup latency or
     // per-burst (strided-row) overhead.
     const std::int64_t payload = ceil_div(bytes, cost_.mte_bytes_per_cycle);
-    profile_->mte.instrs += 1;
-    profile_->mte.slots_used += payload;
-    profile_->mte.slots_capacity += cycles;
-    if (trace_ && trace_->enabled()) {
-      trace_->record(TraceKind::kMte,
-                     std::string(to_string(src)) + "->" + to_string(dst) +
-                         " bytes=" + std::to_string(bytes) +
-                         " bursts=" + std::to_string(bursts),
-                     cycles, payload, cycles, start);
-    }
+    // A transfer landing in global memory is an MTE-out (store) interval
+    // on the overlap timeline; everything else feeds the compute side.
+    const Pipe pipe =
+        dst == BufferKind::kGlobal ? Pipe::kMteOut : Pipe::kMteIn;
+    ledger_->book(TraceKind::kMte, pipe, cycles, {1, payload, cycles, 0},
+                  [&] {
+                    return std::string(to_string(src)) + "->" +
+                           to_string(dst) + " bytes=" +
+                           std::to_string(bytes) +
+                           " bursts=" + std::to_string(bursts);
+                  });
   }
 
   const CostModel& cost_;
-  CycleStats* stats_;
-  Profile* profile_;
-  Trace* trace_;
-  PipeScheduler* sched_ = nullptr;
-  CoreFaultState* fault_ = nullptr;
+  Ledger* ledger_;
 };
 
 }  // namespace davinci

@@ -4,9 +4,10 @@
 // charged cost also becomes an *interval* on a per-unit timeline here:
 // MTE-in, SCU, Vector (which absorbs the Scalar Unit that issues its
 // instructions), Cube, MTE-out, plus a Sync row for barriers and launch
-// overhead. The makespan of those intervals is the modeled overlapped
-// execution time that Device::RunResult reports as device_cycles; the
-// plain sum of charges stays available as device_cycles_serial.
+// overhead. This timeline is the core's only cycle count: the makespan of
+// its intervals is the modeled overlapped execution time that
+// Device::RunResult reports as device_cycles, and serial() -- every
+// charge in issue order -- is device_cycles_serial.
 //
 // Scheduling discipline:
 //
@@ -21,13 +22,14 @@
 //    "the reduction of tile t needs the Im2Col of tile t, not the MTE
 //    load of tile t+1", and how cross-pipe overlap emerges.
 //  * A stage with a nonzero dependency pays one pipe_barrier_cycles
-//    flag-wait (charged by AiCore::begin_stage into CycleStats and into
-//    the stage's start time here), mirroring the set_flag/wait_flag pair
-//    a real CCE kernel issues at that dependency.
+//    flag-wait, mirroring the set_flag/wait_flag pair a real CCE kernel
+//    issues at that dependency: AiCore::begin_stage folds it into the
+//    stage's dependency here, and serial() counts it even where the pipe
+//    is already past the dependency and the timeline absorbs it.
 //
 // Because every start time is bounded by the sum of all charges issued so
-// far, makespan() <= the serial cycle total always holds; and since busy
-// time accumulates per pipe, makespan() >= the busiest pipe's busy time.
+// far, makespan() <= serial() always holds; and since busy time
+// accumulates per pipe, makespan() >= the busiest pipe's busy time.
 // Tests assert this sandwich for every kernel.
 //
 // Cycle attribution (docs/OBSERVABILITY.md): every cycle of every pipe's
@@ -121,11 +123,13 @@ class PipeScheduler {
   // dependency). The flag-wait cost of the dependency is folded into
   // `after` by the caller (AiCore::begin_stage), which also reports it as
   // `flag_cycles` so the stall is attributed to the flag bucket rather
-  // than a generic dependency wait.
+  // than a generic dependency wait. serial() counts all `flag_cycles`,
+  // including any the pipe's own backlog absorbs.
   void begin_stage(Pipe pipe, Event after, std::int64_t flag_cycles = 0) {
     DV_CHECK(!stage_open_) << "begin_stage inside an open stage";
     DV_CHECK_GE(after, 0);
     DV_CHECK_GE(flag_cycles, 0);
+    flags_charged_ += flag_cycles;
     stage_open_ = true;
     stage_pipe_ = pipe;
     stage_dep_ = after;
@@ -149,7 +153,7 @@ class PipeScheduler {
 
   // Closes a stage a faulted block left open (the resilient scheduler
   // calls this before retrying); the failed attempt's charges stay
-  // accounted, exactly like its CycleStats.
+  // accounted.
   void abandon_stage() {
     stage_open_ = false;
     stage_flag_ = 0;
@@ -209,6 +213,14 @@ class PipeScheduler {
 
   // Modeled overlapped execution time so far.
   std::int64_t makespan() const { return frontier(); }
+
+  // The strictly serial cycle count: every charge in issue order, i.e.
+  // busy time over all pipes plus every stage flag-wait charged.
+  std::int64_t serial() const {
+    std::int64_t total = flags_charged_;
+    for (int i = 0; i < kNumPipes; ++i) total += busy_[i];
+    return total;
+  }
 
   // Busy (charged) cycles of one pipe.
   std::int64_t busy(Pipe p) const { return busy_[pipe_index(p)]; }
@@ -326,10 +338,10 @@ class PipeScheduler {
 
   // --- Ping-pong observability -------------------------------------------
   // The double-buffered drivers mark tiles entering (+1, at the load's
-  // completion) and leaving (-1, at the store's completion) flight; the
-  // trace exporter renders the running sum as a queue-depth counter track.
-  // Bounded like the instruction trace so a huge run cannot grow without
-  // limit.
+  // completion) and leaving (-1, at the store's completion) flight
+  // (AiCore::note_tile); the async VM renders the running sum of a
+  // launch's marks as a queue-depth counter track. Bounded like the
+  // instruction trace so a huge run cannot grow without limit.
   static constexpr std::size_t kMaxTileMarks = 1 << 16;
 
   void note_tile(Event cycle, int delta) {
@@ -349,6 +361,7 @@ class PipeScheduler {
       first_busy_[i] = -1;
       last_busy_[i] = 0;
     }
+    flags_charged_ = 0;
     stage_open_ = false;
     stage_dep_ = 0;
     stage_flag_ = 0;
@@ -393,6 +406,7 @@ class PipeScheduler {
   std::int64_t flag_[kNumPipes] = {};
   std::int64_t first_busy_[kNumPipes] = {-1, -1, -1, -1, -1, -1};
   std::int64_t last_busy_[kNumPipes] = {};
+  std::int64_t flags_charged_ = 0;  // stage flag-waits, absorbed or not
   bool stage_open_ = false;
   Pipe stage_pipe_ = Pipe::kVector;
   std::int64_t stage_dep_ = 0;

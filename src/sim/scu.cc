@@ -36,11 +36,11 @@ struct PatchCoords {
 }  // namespace
 
 void Scu::maybe_fault_result(Span<Float16> dst, std::int64_t elems) {
-  if (!fault_ || elems <= 0) return;
+  if (!ledger_->fault || elems <= 0) return;
   // SCU datapath corruption is its own site (scu_err); the bitflip sites
   // model upsets on MTE-landed data and do not double-dip here.
   auto* bytes = reinterpret_cast<std::byte*>(dst.data());
-  fault_->on_scu_result(bytes, elems * 2);
+  ledger_->fault->on_scu_result(bytes, elems * 2);
 }
 
 void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
@@ -112,22 +112,14 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
   const std::int64_t fractals = w.kh * w.kw * fractals_per_plane;
   // Fractal bytes written to the destination buffer (the L1 -> UB route
   // the paper's Im2Col pooling formulation rides).
-  stats_->traffic.im2col_bytes += args.output_elems() * 2;
-  profile_->im2col.instrs += instrs;
-  profile_->im2col.slots_used += fractals;
-  profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
-  profile_->im2col.saturated_instrs +=
-      w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
-  const std::int64_t cycles = cost_.im2col(instrs, fractals);
-  stats_->scu_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kScu, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kIm2col,
-                   "mode1 instrs=" + std::to_string(instrs) +
-                       " fractals=" + std::to_string(fractals),
-                   cycles, fractals, instrs * arch_.max_repeat, start);
-  }
+  ledger_->counts.traffic.im2col_bytes += args.output_elems() * 2;
+  ledger_->book(TraceKind::kIm2col, Pipe::kScu, cost_.im2col(instrs, fractals),
+                {instrs, fractals, instrs * arch_.max_repeat,
+                 w.kh * w.kw * (fractals_per_plane / arch_.max_repeat)},
+                [&] {
+                  return "mode1 instrs=" + std::to_string(instrs) +
+                         " fractals=" + std::to_string(fractals);
+                });
   maybe_fault_result(dst, args.output_elems());
 }
 
@@ -180,21 +172,14 @@ void Scu::im2col_load_mode0(Span<Float16> dst, Span<Float16> src,
   const std::int64_t instrs_per_group = ceil_div(kk, arch_.max_repeat);
   const std::int64_t instrs = groups * instrs_per_group;
   const std::int64_t fractals = groups * kk;
-  stats_->traffic.im2col_bytes += args.output_elems() * 2;
-  profile_->im2col.instrs += instrs;
-  profile_->im2col.slots_used += fractals;
-  profile_->im2col.slots_capacity += instrs * arch_.max_repeat;
-  profile_->im2col.saturated_instrs += groups * (kk / arch_.max_repeat);
-  const std::int64_t cycles = cost_.im2col(instrs, fractals);
-  stats_->scu_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kScu, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kIm2col,
-                   "mode0 instrs=" + std::to_string(instrs) +
-                       " fractals=" + std::to_string(fractals),
-                   cycles, fractals, instrs * arch_.max_repeat, start);
-  }
+  ledger_->counts.traffic.im2col_bytes += args.output_elems() * 2;
+  ledger_->book(TraceKind::kIm2col, Pipe::kScu, cost_.im2col(instrs, fractals),
+                {instrs, fractals, instrs * arch_.max_repeat,
+                 groups * (kk / arch_.max_repeat)},
+                [&] {
+                  return "mode0 instrs=" + std::to_string(instrs) +
+                         " fractals=" + std::to_string(fractals);
+                });
   maybe_fault_result(dst, args.output_elems());
 }
 
@@ -253,22 +238,14 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   const std::int64_t fractals = w.kh * w.kw * fractals_per_plane;
   // Gradient fractal bytes consumed from the UB column buffer (the
   // UB -> UB scatter-accumulate route of Figure 6).
-  stats_->traffic.col2im_bytes += args.output_elems() * 2;
-  profile_->col2im.instrs += instrs;
-  profile_->col2im.slots_used += fractals;
-  profile_->col2im.slots_capacity += instrs * arch_.max_repeat;
-  profile_->col2im.saturated_instrs +=
-      w.kh * w.kw * (fractals_per_plane / arch_.max_repeat);
-  const std::int64_t cycles = cost_.col2im(instrs, fractals);
-  stats_->scu_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kScu, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kCol2im,
-                   "instrs=" + std::to_string(instrs) +
-                       " fractals=" + std::to_string(fractals),
-                   cycles, fractals, instrs * arch_.max_repeat, start);
-  }
+  ledger_->counts.traffic.col2im_bytes += args.output_elems() * 2;
+  ledger_->book(TraceKind::kCol2im, Pipe::kScu, cost_.col2im(instrs, fractals),
+                {instrs, fractals, instrs * arch_.max_repeat,
+                 w.kh * w.kw * (fractals_per_plane / arch_.max_repeat)},
+                [&] {
+                  return "instrs=" + std::to_string(instrs) +
+                         " fractals=" + std::to_string(fractals);
+                });
   maybe_fault_result(out, args.input_elems());
 }
 

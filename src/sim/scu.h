@@ -19,6 +19,9 @@
 // fractal, *adds* it into the positions its patches came from (summing
 // overlaps -- Figure 6), and stores back. The output region must be
 // zero-initialized by the kernel first, exactly as the hardware requires.
+//
+// Every instruction group is booked once in the core's Ledger
+// (sim/ledger.h), on the SCU pipe.
 #pragma once
 
 #include <cstdint>
@@ -27,11 +30,8 @@
 #include "arch/cost_model.h"
 #include "common/align.h"
 #include "common/float16.h"
-#include "sim/fault.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/pipe_schedule.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 #include "tensor/fractal.h"
 #include "tensor/pool_geometry.h"
 
@@ -69,14 +69,8 @@ struct Im2colArgs {
 
 class Scu {
  public:
-  Scu(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-      Profile* profile, Trace* trace = nullptr,
-      PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), profile_(profile),
-        trace_(trace), sched_(sched) {}
-
-  // Attaches/detaches the core's fault stream (resilient runs only).
-  void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
+  Scu(const ArchConfig& arch, const CostModel& cost, Ledger* ledger)
+      : arch_(arch), cost_(cost), ledger_(ledger) {}
 
   // Im2Col load, repeat mode 1, transposed order. `src` is an L1 tile of
   // (ih, iw, C0) contiguous elements (one N/C1 slice); `dst` receives
@@ -109,11 +103,7 @@ class Scu {
 
   const ArchConfig& arch_;
   const CostModel& cost_;
-  CycleStats* stats_;
-  Profile* profile_;
-  Trace* trace_;
-  PipeScheduler* sched_ = nullptr;
-  CoreFaultState* fault_ = nullptr;
+  Ledger* ledger_;
 };
 
 }  // namespace davinci

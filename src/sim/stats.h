@@ -1,16 +1,21 @@
-// Cycle, instruction and traffic accounting, per AI Core.
+// Instruction, occupancy and traffic counts, per AI Core.
 //
 // The paper's only obtainable metric on the Ascend 910 was the hardware
 // cycle counter; the simulator's equivalent is the device makespan
-// (Device::RunResult::device_cycles). CycleStats breaks the serial cycle
-// sum down by pipe; Profile and MemTraffic count instructions, occupied
-// slots and bytes -- the extra observability the benches use to explain
-// *why* an implementation wins (issue counts and mask saturation, the
-// quantities Section V reasons about). Each count is declared once.
+// (Device::RunResult::device_cycles). Cycles live in one place, the
+// core's PipeScheduler (sim/pipe_schedule.h): its busy/wait/flag buckets
+// break the makespan down by pipe and its serial() is the strictly serial
+// cycle count. Profile and CoreCounts count instructions, occupied slots,
+// bytes and Cube MACs -- the extra observability the benches use to
+// explain *why* an implementation wins (issue counts and mask saturation,
+// the quantities Section V reasons about). All of them are booked through
+// the core's Ledger (sim/ledger.h). Each count is declared once.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "sim/trace.h"
 
 namespace davinci {
 
@@ -66,8 +71,9 @@ struct UnitOccupancy {
 //           (achieved-bandwidth fraction; saturated stays 0).
 struct Profile {
   // Histogram of the per-instruction active-lane count of the Vector
-  // Unit, in eight 16-lane buckets: bucket 0 counts instructions with
-  // 1..16 active lanes, bucket 7 counts 113..128 (the saturated bucket).
+  // Unit, in eight buckets of one eighth of the mask each: bucket 0
+  // counts instructions with 1..16 of 128 lanes active, bucket 7 counts
+  // 113..128 (the saturated bucket).
   static constexpr int kLaneBuckets = 8;
 
   UnitOccupancy vec;
@@ -77,15 +83,23 @@ struct Profile {
   UnitOccupancy mte;
   std::int64_t vec_lane_hist[kLaneBuckets] = {};
 
-  void count_vec_instr(int lanes, int total_lanes, std::int64_t repeat) {
-    vec.instrs += 1;
-    vec.slots_used += static_cast<std::int64_t>(lanes) * repeat;
-    vec.slots_capacity += static_cast<std::int64_t>(total_lanes) * repeat;
-    if (lanes == total_lanes) vec.saturated_instrs += 1;
-    if (lanes > 0) {
-      int bucket = (lanes - 1) / 16;
-      if (bucket >= kLaneBuckets) bucket = kLaneBuckets - 1;
-      vec_lane_hist[bucket] += 1;
+  // Adds one issue to its unit (Ledger::book). A vector issue is a single
+  // instruction, so slots_used / slots_capacity is its active-lane
+  // fraction and picks its histogram bucket.
+  void count(TraceKind unit, const UnitOccupancy& issued) {
+    switch (unit) {
+      case TraceKind::kVector:
+        vec += issued;
+        if (issued.slots_used > 0) {
+          vec_lane_hist[(kLaneBuckets * issued.slots_used - 1) /
+                        issued.slots_capacity] += 1;
+        }
+        return;
+      case TraceKind::kMte: mte += issued; return;
+      case TraceKind::kIm2col: im2col += issued; return;
+      case TraceKind::kCol2im: col2im += issued; return;
+      case TraceKind::kCube: cube += issued; return;
+      case TraceKind::kBarrier: return;
     }
   }
 
@@ -120,12 +134,12 @@ struct Profile {
   }
 };
 
-// Bytes moved per architectural route, charged at the same sites as the
-// cycle costs (Mte::charge by src/dst buffer kind, Scu for the fractal
-// payloads Im2Col produces / Col2Im consumes, VectorUnit for UB operand
-// traffic). Feeds the roofline classification in sim/metrics.h: achieved
-// bytes/cycle on each route vs the arch_config.h peak, and arithmetic
-// intensity = vector slots / bytes moved.
+// Bytes moved per architectural route, counted at the same sites that
+// book the cycle costs (Mte::charge by src/dst buffer kind, Scu for the
+// fractal payloads Im2Col produces / Col2Im consumes, VectorUnit for UB
+// operand traffic). Feeds the roofline classification in sim/metrics.h:
+// achieved bytes/cycle on each route vs the arch_config.h peak, and
+// arithmetic intensity = vector slots / bytes moved.
 struct MemTraffic {
   std::int64_t gm_to_l1 = 0;   // MTE inbound, feature-map loads
   std::int64_t gm_to_ub = 0;   // MTE inbound, direct-to-UB loads
@@ -169,19 +183,10 @@ struct MemTraffic {
   }
 };
 
-// Cycles by pipe, per AI Core. total_cycles is the strictly serial sum
-// (device_cycles_serial); the overlapped makespan comes from the core's
-// PipeScheduler (sim/pipe_schedule.h). Instruction, slot and byte counts
-// live in Profile and MemTraffic.
-struct CycleStats {
-  std::int64_t vector_cycles = 0;
-  std::int64_t scalar_cycles = 0;
-  std::int64_t mte_cycles = 0;
-  std::int64_t scu_cycles = 0;
-  std::int64_t cube_cycles = 0;
-  std::int64_t barrier_cycles = 0;
-  std::int64_t launch_cycles = 0;
-
+// Bytes and Cube MACs of one AI Core (summed over used cores in
+// Device::RunResult::aggregate). Cycles are not counted here: the core's
+// PipeScheduler holds them.
+struct CoreCounts {
   // Fractal MACs issued to the Cube Unit (Profile::cube counts the MAC
   // cycles instead).
   std::int64_t cube_fractal_macs = 0;
@@ -189,35 +194,10 @@ struct CycleStats {
   // Bytes moved per route (see MemTraffic above).
   MemTraffic traffic;
 
-  std::int64_t total_cycles() const {
-    return vector_cycles + scalar_cycles + mte_cycles + scu_cycles +
-           cube_cycles + barrier_cycles + launch_cycles;
-  }
-
-  CycleStats& operator+=(const CycleStats& o) {
-    vector_cycles += o.vector_cycles;
-    scalar_cycles += o.scalar_cycles;
-    mte_cycles += o.mte_cycles;
-    scu_cycles += o.scu_cycles;
-    cube_cycles += o.cube_cycles;
-    barrier_cycles += o.barrier_cycles;
-    launch_cycles += o.launch_cycles;
+  CoreCounts& operator+=(const CoreCounts& o) {
     cube_fractal_macs += o.cube_fractal_macs;
     traffic += o.traffic;
     return *this;
-  }
-
-  std::string summary() const {
-    std::string s;
-    s += "cycles=" + std::to_string(total_cycles());
-    s += " (vec=" + std::to_string(vector_cycles);
-    s += " scalar=" + std::to_string(scalar_cycles);
-    s += " mte=" + std::to_string(mte_cycles);
-    s += " scu=" + std::to_string(scu_cycles);
-    s += " cube=" + std::to_string(cube_cycles);
-    s += " barrier=" + std::to_string(barrier_cycles);
-    s += " launch=" + std::to_string(launch_cycles) + ")";
-    return s;
   }
 };
 

@@ -6,10 +6,16 @@
 //
 // Disabled by default; recording is bounded so a runaway kernel cannot
 // exhaust memory (the bound trips a `truncated` flag instead).
+//
+// A trace outlives launches: Device::run resets each core's pipe timeline
+// to cycle 0 but opens a new launch on the trace (begin_launch), so every
+// launch is drawn after everything the trace already holds and its
+// events carry the launch's ordinal.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace davinci {
@@ -43,15 +49,20 @@ struct TraceEvent {
   // currency (see Profile in sim/stats.h); 0/0 when not recorded.
   std::int64_t slots_used = 0;
   std::int64_t slots_capacity = 0;
-  // Scheduled start cycle on the pipe-overlap timeline (sim/pipe_schedule.h),
-  // or -1 for hand-built traces; the exporter then falls back to the
-  // serial running-sum placement.
-  std::int64_t start = -1;
+  // Start cycle on the trace's timeline: the launch's origin plus the
+  // start the core's pipe-overlap scheduler (sim/pipe_schedule.h) gave
+  // the instruction. Events recorded without a start follow the trace's
+  // end.
+  std::int64_t start = 0;
+  // Ordinal of the Device launch that issued the event (0 on a core
+  // driven outside Device::run).
+  std::int64_t launch = 0;
 };
 
 class Trace {
  public:
   static constexpr std::size_t kMaxEvents = 1 << 16;
+  static constexpr std::size_t kMaxTileMarks = 1 << 16;
 
   bool enabled() const { return enabled_; }
   void enable() { enabled_ = true; }
@@ -59,9 +70,24 @@ class Trace {
 
   void clear() {
     events_.clear();
+    tile_marks_.clear();
     truncated_ = false;
+    origin_ = 0;
+    end_ = 0;
   }
 
+  // Opens launch `ordinal`: its starts and tile marks are offset by
+  // `origin` (Device::run passes the furthest end() over its cores).
+  void begin_launch(std::int64_t ordinal, std::int64_t origin) {
+    launch_ = ordinal;
+    origin_ = origin;
+  }
+
+  // One past the last cycle any recorded event or tile mark occupies.
+  std::int64_t end() const { return end_; }
+
+  // `start` is the launch-relative start cycle, or -1 to append the event
+  // at the trace's end (hand-built traces).
   void record(TraceKind kind, std::string detail, std::int64_t cycles,
               std::int64_t slots_used = 0, std::int64_t slots_capacity = 0,
               std::int64_t start = -1) {
@@ -70,12 +96,25 @@ class Trace {
       truncated_ = true;
       return;
     }
-    events_.push_back(
-        TraceEvent{kind, std::move(detail), cycles, slots_used,
-                   slots_capacity, start});
+    const std::int64_t at = start >= 0 ? origin_ + start : end_;
+    events_.push_back(TraceEvent{kind, std::move(detail), cycles, slots_used,
+                                 slots_capacity, at, launch_});
+    if (at + cycles > end_) end_ = at + cycles;
+  }
+
+  // A ping-pong tile entering (+1) or leaving (-1) flight at the
+  // launch-relative `cycle` (see PipeScheduler::note_tile); the exporter
+  // renders the running sum as the "ub tiles in flight" counter.
+  void mark_tile(std::int64_t cycle, int delta) {
+    if (!enabled_ || tile_marks_.size() >= kMaxTileMarks) return;
+    tile_marks_.emplace_back(origin_ + cycle, delta);
+    if (origin_ + cycle > end_) end_ = origin_ + cycle;
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
+  const std::vector<std::pair<std::int64_t, int>>& tile_marks() const {
+    return tile_marks_;
+  }
   bool truncated() const { return truncated_; }
 
   std::int64_t count(TraceKind kind) const {
@@ -103,7 +142,11 @@ class Trace {
  private:
   bool enabled_ = false;
   bool truncated_ = false;
+  std::int64_t launch_ = 0;
+  std::int64_t origin_ = 0;
+  std::int64_t end_ = 0;
   std::vector<TraceEvent> events_;
+  std::vector<std::pair<std::int64_t, int>> tile_marks_;
 };
 
 }  // namespace davinci

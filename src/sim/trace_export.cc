@@ -175,13 +175,8 @@ void write_trace_file(const std::string& path, const std::string& json) {
 }  // namespace
 
 std::string chrome_trace_json(const std::vector<const Trace*>& traces,
-                              const std::vector<int>& core_ids,
-                              const std::vector<const PipeScheduler*>&
-                                  scheds) {
+                              const std::vector<int>& core_ids) {
   DV_CHECK_EQ(traces.size(), core_ids.size());
-  if (!scheds.empty()) {
-    DV_CHECK_EQ(scheds.size(), traces.size());
-  }
   std::string out = trace_header("davinci-sim");
 
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -197,19 +192,16 @@ std::string chrome_trace_json(const std::vector<const Trace*>& traces,
     append_meta(&out, pid, kTidCube, "thread_name", "Cube Unit");
     append_meta(&out, pid, kTidSync, "thread_name", "Sync");
 
-    // Events placed by the pipe-overlap scheduler carry their real start
-    // cycle; hand-built traces fall back to the serial running sum.
-    std::int64_t ts = 0;
     for (const TraceEvent& e : trace.events()) {
-      const std::int64_t ev_ts = e.start >= 0 ? e.start : ts;
       out += "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
              ",\"tid\":" + std::to_string(tid_of(e.kind)) +
-             ",\"ts\":" + std::to_string(ev_ts) +
+             ",\"ts\":" + std::to_string(e.start) +
              ",\"dur\":" + std::to_string(e.cycles) +
              ",\"name\":" + json::escape(event_name(e)) +
              ",\"cat\":" + json::escape(to_string(e.kind)) +
              ",\"args\":{\"detail\":" + json::escape(e.detail) +
-             ",\"cycles\":" + std::to_string(e.cycles);
+             ",\"cycles\":" + std::to_string(e.cycles) +
+             ",\"launch\":" + std::to_string(e.launch);
       if (e.slots_capacity > 0) {
         // json::number keeps the decimal separator '.' regardless of
         // LC_NUMERIC (snprintf "%f" would not).
@@ -227,21 +219,19 @@ std::string chrome_trace_json(const std::vector<const Trace*>& traces,
         const double lanes = 128.0 * static_cast<double>(e.slots_used) /
                              static_cast<double>(e.slots_capacity);
         out += "{\"ph\":\"C\",\"pid\":" + std::to_string(pid) +
-               ",\"ts\":" + std::to_string(ev_ts) +
+               ",\"ts\":" + std::to_string(e.start) +
                ",\"name\":\"vec active lanes\",\"args\":{\"lanes\":" +
                json::number(lanes) + "}},\n";
         out += "{\"ph\":\"C\",\"pid\":" + std::to_string(pid) +
-               ",\"ts\":" + std::to_string(ev_ts + e.cycles) +
+               ",\"ts\":" + std::to_string(e.start + e.cycles) +
                ",\"name\":\"vec active lanes\",\"args\":{\"lanes\":0}},\n";
       }
-      ts += e.cycles;
     }
 
     // Ping-pong queue depth: tiles loaded into a UB slot but not yet
-    // stored back to GM (see PipeScheduler::note_tile).
-    if (i < scheds.size() && scheds[i] != nullptr &&
-        !scheds[i]->tile_marks().empty()) {
-      auto marks = scheds[i]->tile_marks();
+    // stored back to GM (see AiCore::note_tile).
+    if (!trace.tile_marks().empty()) {
+      auto marks = trace.tile_marks();
       std::stable_sort(
           marks.begin(), marks.end(),
           [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -253,20 +243,18 @@ std::string chrome_trace_json(const std::vector<const Trace*>& traces,
                ",\"name\":\"ub tiles in flight\",\"args\":{\"tiles\":" +
                std::to_string(depth) + "}},\n";
       }
-      // Close the counter track at the end of the run; without this the
-      // viewer extends the last sample's value to infinity, which reads
-      // as tiles still in flight after the core has drained.
-      std::int64_t end_ts = scheds[i]->makespan();
-      if (end_ts < marks.back().first) end_ts = marks.back().first;
+      // Close the counter track at the end of the trace; without this
+      // the viewer extends the last sample's value to infinity, which
+      // reads as tiles still in flight after the core has drained.
       out += "{\"ph\":\"C\",\"pid\":" + std::to_string(pid) +
-             ",\"ts\":" + std::to_string(end_ts) +
+             ",\"ts\":" + std::to_string(trace.end()) +
              ",\"name\":\"ub tiles in flight\",\"args\":{\"tiles\":0}},\n";
     }
 
     if (trace.truncated()) {
       out += "{\"ph\":\"i\",\"s\":\"p\",\"pid\":" + std::to_string(pid) +
              ",\"tid\":" + std::to_string(kTidSync) +
-             ",\"ts\":" + std::to_string(ts) +
+             ",\"ts\":" + std::to_string(trace.end()) +
              ",\"name\":\"trace truncated (kMaxEvents reached)\"},\n";
     }
   }
@@ -280,16 +268,14 @@ std::string chrome_trace_json(const std::vector<const Trace*>& traces,
 std::string chrome_trace_json(Device& dev) {
   std::vector<const Trace*> traces;
   std::vector<int> ids;
-  std::vector<const PipeScheduler*> scheds;
   for (int c = 0; c < dev.num_cores(); ++c) {
     const Trace& t = dev.core(c).trace();
     if (!t.events().empty()) {
       traces.push_back(&t);
       ids.push_back(c);
-      scheds.push_back(&dev.core(c).sched());
     }
   }
-  return chrome_trace_json(traces, ids, scheds);
+  return chrome_trace_json(traces, ids);
 }
 
 void write_chrome_trace(const std::string& path, Device& dev) {

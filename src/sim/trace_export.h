@@ -3,13 +3,14 @@
 //
 // Each AI Core becomes one process track (pid = core id) and each
 // execution unit one thread row inside it (Vector, MTE, SCU, Cube, Sync).
-// An event's timestamp is the start cycle assigned by the core's
-// pipe-overlap scheduler (sim/pipe_schedule.h), so double-buffered
-// kernels render with genuinely overlapping per-unit intervals; events
-// recorded without a scheduled start (hand-built traces) fall back to the
-// serial running sum. One simulated cycle is exported as one microsecond
-// of trace time. Events carry their detail string, cycle cost and slot
-// occupancy in args, every Vector Unit instruction also emits an "active
+// An event's timestamp is its start on the trace's timeline (see
+// sim/trace.h): the start cycle the core's pipe-overlap scheduler
+// (sim/pipe_schedule.h) assigned, after every earlier launch the trace
+// holds, so double-buffered kernels render with genuinely overlapping
+// per-unit intervals and successive launches run back to back. One
+// simulated cycle is exported as one microsecond of trace time. Events
+// carry their detail string, cycle cost, slot occupancy and launch
+// ordinal in args, every Vector Unit instruction also emits an "active
 // lanes" counter sample so the 16-vs-128-lane difference the paper argues
 // about is visible as a counter track, and ping-pong kernels add a
 // "ub tiles in flight" counter (tiles loaded but not yet stored) that
@@ -17,14 +18,13 @@
 //
 // Tracing must be enabled per core (AiCore::trace().enable()) before the
 // run; cores with empty traces are skipped. A truncated trace (see
-// Trace::kMaxEvents) is exported with a terminal instant event marking
-// the cutoff.
+// Trace::kMaxEvents) is exported with an instant event at the trace's end
+// marking the cutoff.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "sim/pipe_schedule.h"
 #include "sim/trace.h"
 
 namespace davinci {
@@ -37,13 +37,9 @@ class Device;
 
 // Serializes the given per-core traces; entry i is rendered as the track
 // of core `core_ids[i]`. Returns a complete JSON object (trace_event
-// "JSON Object Format": {"traceEvents": [...], ...}). When `scheds` is
-// non-empty, entry i supplies core i's tile marks for the
-// "ub tiles in flight" counter track (nullptr entries are skipped).
+// "JSON Object Format": {"traceEvents": [...], ...}).
 std::string chrome_trace_json(const std::vector<const Trace*>& traces,
-                              const std::vector<int>& core_ids,
-                              const std::vector<const PipeScheduler*>&
-                                  scheds = {});
+                              const std::vector<int>& core_ids);
 
 // Serializes every core of `dev` that recorded at least one event.
 std::string chrome_trace_json(Device& dev);

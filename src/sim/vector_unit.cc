@@ -48,26 +48,23 @@ void VectorUnit::validate(const Span<Float16>& s, const VecConfig& cfg,
 }
 
 void VectorUnit::charge(const char* op, const VecConfig& cfg, int lanes) {
+  const std::int64_t used = std::int64_t{lanes} * cfg.repeat;
   // UB operand traffic: two bytes per active lane per repeat iteration --
   // the roofline's compute-side byte count.
-  stats_->traffic.ub_vector_bytes +=
-      static_cast<std::int64_t>(lanes) * cfg.repeat * 2;
-  profile_->count_vec_instr(lanes, arch_.vector_lanes, cfg.repeat);
-  const std::int64_t cycles = cost_.vector_instr(cfg.repeat);
-  stats_->vector_cycles += cycles;
-  std::int64_t start = -1;
-  if (sched_) start = sched_->issue(Pipe::kVector, cycles).start;
-  if (trace_ && trace_->enabled()) {
-    trace_->record(TraceKind::kVector,
-                   std::string(op) + " repeat=" + std::to_string(cfg.repeat) +
-                       " lanes=" + std::to_string(lanes),
-                   cycles, static_cast<std::int64_t>(lanes) * cfg.repeat,
-                   static_cast<std::int64_t>(arch_.vector_lanes) * cfg.repeat,
-                   start);
-  }
+  ledger_->counts.traffic.ub_vector_bytes += used * 2;
+  const std::int64_t capacity =
+      std::int64_t{arch_.vector_lanes} * cfg.repeat;
+  ledger_->book(TraceKind::kVector, Pipe::kVector,
+                cost_.vector_instr(cfg.repeat),
+                {1, used, capacity, lanes == arch_.vector_lanes ? 1 : 0},
+                [&] {
+                  return std::string(op) + " repeat=" +
+                         std::to_string(cfg.repeat) +
+                         " lanes=" + std::to_string(lanes);
+                });
   // The cycles above were really spent before the parity check tripped, so
-  // the fault hook runs after the ledger update. May throw TransientFault.
-  if (fault_) fault_->on_vector_instr(op);
+  // the fault hook runs after the booking. May throw TransientFault.
+  if (ledger_->fault) ledger_->fault->on_vector_instr(op);
 }
 
 namespace {

@@ -15,6 +15,7 @@
 // patch Kw"). The simulator executes repeats sequentially, so the
 // read-after-write behaviour is well defined. Within one repeat, every
 // lane reads its operands before any lane writes (sim/fp16_lanes.h).
+// Every instruction is booked once in the core's Ledger (sim/ledger.h).
 #pragma once
 
 #include <cstdint>
@@ -22,11 +23,8 @@
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "common/float16.h"
-#include "sim/fault.h"
+#include "sim/ledger.h"
 #include "sim/scratch.h"
-#include "sim/pipe_schedule.h"
-#include "sim/stats.h"
-#include "sim/trace.h"
 
 namespace davinci {
 
@@ -67,14 +65,8 @@ const char* to_string(VecOp op);
 
 class VectorUnit {
  public:
-  VectorUnit(const ArchConfig& arch, const CostModel& cost, CycleStats* stats,
-             Profile* profile, Trace* trace = nullptr,
-             PipeScheduler* sched = nullptr)
-      : arch_(arch), cost_(cost), stats_(stats), profile_(profile),
-        trace_(trace), sched_(sched) {}
-
-  // Attaches/detaches the core's fault stream (resilient runs only).
-  void set_fault_state(CoreFaultState* fault) { fault_ = fault; }
+  VectorUnit(const ArchConfig& arch, const CostModel& cost, Ledger* ledger)
+      : arch_(arch), cost_(cost), ledger_(ledger) {}
 
   // dst[i] = op(src0[i], src1[i]) per active lane, per repeat.
   void binary(VecOp op, Span<Float16> dst, Span<Float16> src0,
@@ -110,11 +102,7 @@ class VectorUnit {
 
   const ArchConfig& arch_;
   const CostModel& cost_;
-  CycleStats* stats_;
-  Profile* profile_;
-  Trace* trace_;
-  PipeScheduler* sched_ = nullptr;
-  CoreFaultState* fault_ = nullptr;
+  Ledger* ledger_;
 };
 
 }  // namespace davinci

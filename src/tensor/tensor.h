@@ -46,6 +46,8 @@ class Tensor {
   // types).
   static_assert(std::is_trivially_copyable_v<T>,
                 "Tensor elements must be trivially copyable");
+  // Shape::kMaxElements elements of at most 8 bytes fit int64 bytes.
+  static_assert(sizeof(T) <= 8, "Tensor elements are at most 8 bytes");
 
  public:
   Tensor() = default;

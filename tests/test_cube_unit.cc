@@ -19,12 +19,11 @@ class CubeTest : public ::testing::Test {
       : l0a_(BufferKind::kL0A, 256 * 1024),
         l0b_(BufferKind::kL0B, 256 * 1024),
         l0c_(BufferKind::kL0C, 1024 * 1024),
-        cube_(arch_, cost_, &stats_, &profile_) {}
+        cube_(arch_, cost_, &ledger_) {}
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
+  Ledger ledger_;
   ScratchBuffer l0a_, l0b_, l0c_;
   CubeUnit cube_;
 };
@@ -143,9 +142,9 @@ TEST_F(CubeTest, CycleAccounting) {
   auto b = l0b_.alloc<Float16>(3 * 2 * kFractalElems);
   auto c = l0c_.alloc<float>(2 * 2 * kFractalElems);
   cube_.mmad(c, a, b, 2, 3, 2, false);
-  EXPECT_EQ(profile_.cube.instrs, 1);
-  EXPECT_EQ(stats_.cube_fractal_macs, 12);
-  EXPECT_EQ(stats_.cube_cycles, cost_.cube_mmad(12));
+  EXPECT_EQ(ledger_.profile.cube.instrs, 1);
+  EXPECT_EQ(ledger_.counts.cube_fractal_macs, 12);
+  EXPECT_EQ(ledger_.sched.busy(Pipe::kCube), cost_.cube_mmad(12));
 }
 
 TEST_F(CubeTest, RejectsWrongBuffers) {

@@ -19,12 +19,11 @@ class Im2colMode0Test : public ::testing::Test {
   Im2colMode0Test()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_, &profile_) {}
+        scu_(arch_, cost_, &ledger_) {}
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
+  Ledger ledger_;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };
@@ -64,8 +63,8 @@ TEST_F(Im2colMode0Test, Figure5FractalOrder) {
   // One mode-0 instruction covers all four (xk, yk) steps of the single
   // patch group ("the input in Figure 5 can be fully loaded by issuing a
   // single Im2Col ... with repeat mode 0 to repeat four times").
-  EXPECT_EQ(profile_.im2col.instrs, 1);
-  EXPECT_EQ(profile_.im2col.slots_used, 4);
+  EXPECT_EQ(ledger_.profile.im2col.instrs, 1);
+  EXPECT_EQ(ledger_.profile.im2col.slots_used, 4);
 }
 
 TEST_F(Im2colMode0Test, IsAPermutationOfMode1) {
@@ -135,8 +134,8 @@ TEST_F(Im2colMode0Test, InstructionAccountingManyGroups) {
   auto src = l1_.alloc<Float16>(in.size());
   auto dst = ub_.alloc<Float16>(args.output_elems());
   scu_.im2col_load_mode0(dst, src, args);
-  EXPECT_EQ(profile_.im2col.instrs, 16);
-  EXPECT_EQ(profile_.im2col.slots_used, 16 * 9);
+  EXPECT_EQ(ledger_.profile.im2col.instrs, 16);
+  EXPECT_EQ(ledger_.profile.im2col.slots_used, 16 * 9);
 }
 
 TEST_F(Im2colMode0Test, RejectsWrongBuffers) {

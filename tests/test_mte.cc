@@ -18,11 +18,10 @@ class MteTest : public ::testing::Test {
         l1_(BufferKind::kL1, 64 * 1024),
         l0a_(BufferKind::kL0A, 64 * 1024),
         l0c_(BufferKind::kL0C, 64 * 1024),
-        mte_(cost_, &stats_, &profile_) {}
+        mte_(cost_, &ledger_) {}
 
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
+  Ledger ledger_;
   ScratchBuffer ub_, l1_, l0a_, l0c_;
   Mte mte_;
 };
@@ -34,9 +33,9 @@ TEST_F(MteTest, GmToUbCopy) {
   mte_.copy(dst, gm_span(host.data(), 64), 64);
   EXPECT_EQ(dst.at(0).to_float(), 0.0f);
   EXPECT_EQ(dst.at(63).to_float(), 63.0f);
-  EXPECT_EQ(profile_.mte.instrs, 1);
-  EXPECT_EQ(stats_.traffic.mte_total(), 128);
-  EXPECT_EQ(stats_.mte_cycles, cost_.mte_copy(128, 1));
+  EXPECT_EQ(ledger_.profile.mte.instrs, 1);
+  EXPECT_EQ(ledger_.counts.traffic.mte_total(), 128);
+  EXPECT_EQ(ledger_.sched.busy(Pipe::kMteIn), cost_.mte_copy(128, 1));
 }
 
 TEST_F(MteTest, AllLegalPaths) {
@@ -52,7 +51,7 @@ TEST_F(MteTest, AllLegalPaths) {
   mte_.copy(l0a, l1, 16);    // L1 -> L0A
   mte_.copy(gm, ub, 16);     // UB -> GM
   mte_.copy(gm, l1, 16);     // L1 -> GM
-  EXPECT_EQ(profile_.mte.instrs, 7);
+  EXPECT_EQ(ledger_.profile.mte.instrs, 7);
 }
 
 TEST_F(MteTest, IllegalPathsRejected) {
@@ -80,7 +79,7 @@ TEST_F(MteTest, StridedCopy2d) {
   EXPECT_EQ(dst.at(0).to_float(), 0.0f);
   EXPECT_EQ(dst.at(4).to_float(), 8.0f);
   EXPECT_EQ(dst.at(11).to_float(), 19.0f);
-  EXPECT_EQ(stats_.mte_cycles, cost_.mte_copy(24, 3));
+  EXPECT_EQ(ledger_.sched.busy(Pipe::kMteIn), cost_.mte_copy(24, 3));
 }
 
 TEST_F(MteTest, Copy2dScatter) {
@@ -113,7 +112,7 @@ TEST_F(MteTest, BandwidthTermScalesWithBytes) {
   auto dst = ub_.alloc<Float16>(8192);
   mte_.copy(dst, gm_span(host.data(), 8192), 8192);
   // 16384 bytes at 128 B/cycle = 128 cycles + startup + 1 burst.
-  EXPECT_EQ(stats_.mte_cycles,
+  EXPECT_EQ(ledger_.sched.busy(Pipe::kMteIn),
             cost_.mte_startup_cycles + 128 + cost_.mte_burst_cycles);
 }
 

@@ -57,10 +57,10 @@ TEST(Pipeline, BothStacksProduceIdenticalOutputs) {
   auto b = p.run(dev, in, PoolingStack::kAccelerated);
   testutil::expect_equal_f16(a.out, b.out, "stack equivalence");
   // ...but the accelerated stack spends fewer cycles on the pooling layer.
-  EXPECT_LT(b.layers[1].cycles, a.layers[1].cycles);
+  EXPECT_LT(b.layers[1].run.device_cycles, a.layers[1].run.device_cycles);
   // Conv and global-avgpool layers are identical in both stacks.
-  EXPECT_EQ(a.layers[0].cycles, b.layers[0].cycles);
-  EXPECT_EQ(a.layers[2].cycles, b.layers[2].cycles);
+  EXPECT_EQ(a.layers[0].run.device_cycles, b.layers[0].run.device_cycles);
+  EXPECT_EQ(a.layers[2].run.device_cycles, b.layers[2].run.device_cycles);
 }
 
 TEST(Pipeline, PerLayerAccounting) {
@@ -75,9 +75,10 @@ TEST(Pipeline, PerLayerAccounting) {
   ASSERT_EQ(run.layers.size(), 2u);
   EXPECT_EQ(run.layers[0].name, "c1");
   EXPECT_EQ(run.layers[1].name, "a1");
-  EXPECT_GT(run.layers[0].cycles, 0);
-  EXPECT_GT(run.layers[1].cycles, 0);
-  EXPECT_EQ(run.total_cycles, run.layers[0].cycles + run.layers[1].cycles);
+  EXPECT_GT(run.layers[0].run.device_cycles, 0);
+  EXPECT_GT(run.layers[1].run.device_cycles, 0);
+  EXPECT_EQ(run.total_cycles, run.layers[0].run.device_cycles +
+                                  run.layers[1].run.device_cycles);
   EXPECT_EQ(run.layers[0].out_shape, Shape({1, 1, 10, 10, kC0}));
   EXPECT_EQ(run.layers[1].out_shape, Shape({1, 1, 5, 5, kC0}));
 }

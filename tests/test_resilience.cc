@@ -45,6 +45,17 @@ void expect_stats_equal(const FaultStats& a, const FaultStats& b) {
   EXPECT_EQ(a.cores_quarantined, b.cores_quarantined);
 }
 
+// Every used core's overlapped makespan matches.
+void expect_makespans_equal(const Device::RunResult& a,
+                            const Device::RunResult& b) {
+  const auto& ac = a.attribution.cores;
+  const auto& bc = b.attribution.cores;
+  ASSERT_EQ(ac.size(), bc.size());
+  for (std::size_t c = 0; c < ac.size(); ++c) {
+    EXPECT_EQ(ac[c].makespan, bc[c].makespan) << "core " << c;
+  }
+}
+
 // --- FaultPlan spec grammar ---
 
 TEST(FaultPlan, ParsesFullGrammar) {
@@ -129,9 +140,7 @@ TEST(Resilience, EmptyPlanMatchesPlainRunExactly) {
   expect_bits_equal(base.out, r.out);
   EXPECT_EQ(base.run.device_cycles, r.run.device_cycles);
   EXPECT_EQ(base.run.device_cycles_serial, r.run.device_cycles_serial);
-  EXPECT_EQ(base.run.aggregate.total_cycles(),
-            r.run.aggregate.total_cycles());
-  EXPECT_EQ(base.run.core_cycles, r.run.core_cycles);
+  expect_makespans_equal(base.run, r.run);
   expect_stats_equal(r.run.faults, FaultStats{});
 }
 
@@ -307,8 +316,8 @@ TEST(Resilience, MidRunQuarantineRefillsDrainedLanes) {
   }
   expect_stats_equal(par.pool.run.faults, ser.pool.run.faults);
   expect_stats_equal(par.raw.faults, ser.raw.faults);
-  EXPECT_EQ(par.pool.run.core_cycles, ser.pool.run.core_cycles);
-  EXPECT_EQ(par.raw.core_cycles, ser.raw.core_cycles);
+  expect_makespans_equal(par.pool.run, ser.pool.run);
+  expect_makespans_equal(par.raw, ser.raw);
 }
 
 TEST(Resilience, DelayedTriggerQuarantinesMidRun) {

@@ -65,12 +65,11 @@ class ScuSweep : public ::testing::TestWithParam<ScuConfig> {
   ScuSweep()
       : ub_(BufferKind::kUnified, 4 * 1024 * 1024),
         l1_(BufferKind::kL1, 4 * 1024 * 1024),
-        scu_(arch_, cost_, &stats_, &profile_) {}
+        scu_(arch_, cost_, &ledger_) {}
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
+  Ledger ledger_;
   ScratchBuffer ub_, l1_;
   Scu scu_;
 };
@@ -150,9 +149,10 @@ TEST_P(ScuSweep, AccountingConsistent) {
   auto src = l1_.alloc<Float16>(args.input_elems());
   auto dst = ub_.alloc<Float16>(args.output_elems());
   scu_.im2col_load(dst, src, args);
-  EXPECT_EQ(profile_.im2col.slots_used, c.kh * c.kw * args.patch_fractals());
-  EXPECT_EQ(stats_.scu_cycles, cost_.im2col(profile_.im2col.instrs,
-                                            profile_.im2col.slots_used));
+  const UnitOccupancy& im2col = ledger_.profile.im2col;
+  EXPECT_EQ(im2col.slots_used, c.kh * c.kw * args.patch_fractals());
+  EXPECT_EQ(ledger_.sched.busy(Pipe::kScu),
+            cost_.im2col(im2col.instrs, im2col.slots_used));
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, ScuSweep, ::testing::ValuesIn(make_grid()),

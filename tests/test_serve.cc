@@ -778,7 +778,8 @@ TEST(PipelineOverride, PerLayerPoolOpWinsOverStack) {
   const auto want = plain.run(d1, in, nets::PoolingStack::kAccelerated);
   const auto got = overridden.run(d2, in, nets::PoolingStack::kStandard);
   ASSERT_EQ(got.layers.size(), 1u);
-  EXPECT_EQ(got.layers[0].cycles, want.layers[0].cycles);
+  EXPECT_EQ(got.layers[0].run.device_cycles,
+            want.layers[0].run.device_cycles);
   expect_same_tensor(got.out, want.out);
 }
 

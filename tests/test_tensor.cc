@@ -42,6 +42,24 @@ TEST(Shape, OutOfRangeDimThrows) {
   EXPECT_THROW(s.dim(-1), Error);
 }
 
+TEST(Shape, UnrepresentableShapesThrowWhereBuilt) {
+  // 10^24 * 16 elements: the element count would overflow int64.
+  EXPECT_THROW(Shape({1000000, 1000000, 1000000, 1000000, 16}), Error);
+  EXPECT_THROW(TensorF16(Shape{1000000, 1000000, 1000000, 1000000, 16}),
+               Error);
+  // Representable in elements, but not in bytes at 8 bytes per element.
+  EXPECT_THROW(Shape({Shape::kMaxElements, 2}), Error);
+  EXPECT_NO_THROW(Shape({Shape::kMaxElements, 1}));
+  // A zero dimension empties the shape but not its strides.
+  EXPECT_THROW(Shape({0, 1000000000000, 1000000000000}), Error);
+
+  Shape s{1000000, 1000000, 16};
+  EXPECT_THROW(s.set_dim(1, 1000000000000), Error);
+  EXPECT_EQ(s, Shape({1000000, 1000000, 16}));  // unchanged on failure
+  s.set_dim(1, 2);
+  EXPECT_EQ(s.num_elements(), 1000000 * 2 * 16);
+}
+
 TEST(Tensor, IndexingRoundTrip) {
   TensorF32 t(Shape{2, 3, 4});
   float v = 0;

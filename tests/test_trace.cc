@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "kernels/pooling.h"
 #include "sim/ai_core.h"
+#include "sim/device.h"
 #include "sim/scu.h"
 #include "test_util.h"
 
@@ -107,13 +111,69 @@ TEST(Trace, ExplainsTheListing1VsListing2Difference) {
   dev.core(0).trace().disable();
 }
 
+TEST(Trace, LaunchesOfATracedDeviceRunBackToBack) {
+  // Two launches on one traced device, as davinci_pool_cli --compare
+  // --profile records them: every core's second launch starts after its
+  // first one ends, and each event carries its launch's ordinal.
+  Device dev;
+  for (int c = 0; c < dev.num_cores(); ++c) dev.core(c).trace().enable();
+  const TensorF16 in = testutil::random_int_nc1hwc0(1, 4, 35, 35, 3);
+  for (akg::PoolImpl impl : {akg::PoolImpl::kIm2col, akg::PoolImpl::kDirect}) {
+    kernels::run_pool(dev,
+                      PoolOp{.kind = PoolOpKind::kMaxFwd,
+                             .window = Window2d::pool(3, 2), .fwd = impl},
+                      PoolInputs{.in = &in});
+  }
+  int traced = 0;
+  for (int c = 0; c < dev.num_cores(); ++c) {
+    const Trace& t = dev.core(c).trace();
+    if (t.events().empty()) continue;
+    ++traced;
+    std::int64_t end0 = 0, n1 = 0;
+    std::int64_t first1 = std::numeric_limits<std::int64_t>::max();
+    for (const TraceEvent& e : t.events()) {
+      ASSERT_TRUE(e.launch == 0 || e.launch == 1) << e.launch;
+      if (e.launch == 0) {
+        EXPECT_EQ(n1, 0) << "core " << c << ": launch 0 after launch 1";
+        end0 = std::max(end0, e.start + e.cycles);
+      } else {
+        ++n1;
+        first1 = std::min(first1, e.start);
+      }
+    }
+    ASSERT_GT(n1, 0) << "core " << c;
+    EXPECT_GE(first1, end0) << "core " << c;
+  }
+  EXPECT_GT(traced, 1);
+}
+
 TEST(Trace, ClearResets) {
   Trace t;
   t.enable();
   t.record(TraceKind::kVector, "x", 1);
+  t.mark_tile(5, +1);
   t.clear();
   EXPECT_TRUE(t.events().empty());
+  EXPECT_TRUE(t.tile_marks().empty());
+  EXPECT_EQ(t.end(), 0);
   EXPECT_FALSE(t.truncated());
+}
+
+TEST(Trace, HandBuiltEventsFollowTheTraceEnd) {
+  Trace t;
+  t.enable();
+  t.record(TraceKind::kVector, "a", 3);
+  t.record(TraceKind::kMte, "b", 5, 0, 0, /*start=*/10);
+  t.record(TraceKind::kVector, "c", 2);
+  ASSERT_EQ(t.events().size(), 3u);
+  EXPECT_EQ(t.events()[0].start, 0);
+  EXPECT_EQ(t.events()[1].start, 10);
+  EXPECT_EQ(t.events()[2].start, 15);
+  EXPECT_EQ(t.end(), 17);
+  t.begin_launch(1, t.end());
+  t.record(TraceKind::kVector, "d", 1, 0, 0, /*start=*/4);
+  EXPECT_EQ(t.events()[3].start, 21);
+  EXPECT_EQ(t.events()[3].launch, 1);
 }
 
 TEST(Trace, BoundedRecording) {

@@ -19,7 +19,7 @@ class VectorUnitTest : public ::testing::Test {
  protected:
   VectorUnitTest()
       : ub_(BufferKind::kUnified, 64 * 1024),
-        vec_(arch_, cost_, &stats_, &profile_) {}
+        vec_(arch_, cost_, &ledger_) {}
 
   Span<Float16> alloc_filled(std::int64_t n, float v) {
     auto s = ub_.alloc<Float16>(n);
@@ -29,8 +29,7 @@ class VectorUnitTest : public ::testing::Test {
 
   ArchConfig arch_;
   CostModel cost_;
-  CycleStats stats_;
-  Profile profile_;
+  Ledger ledger_;
   ScratchBuffer ub_;
   VectorUnit vec_;
 };
@@ -148,11 +147,11 @@ TEST_F(VectorUnitTest, CycleAccounting) {
   VecConfig cfg = VecConfig::flat(2);
   cfg.mask = VecMask::first_n(16);
   vec_.binary(VecOp::kAdd, d, a, a, cfg);
-  EXPECT_EQ(profile_.vec.instrs, 1);
-  EXPECT_EQ(profile_.vec.slots_capacity, 2 * 128);  // two repeats
-  EXPECT_EQ(profile_.vec.slots_used, 32);
-  EXPECT_EQ(stats_.vector_cycles, cost_.vec_issue_overhead + 2);
-  EXPECT_NEAR(profile_.vec_lane_utilization(), 16.0 / 128.0, 1e-9);
+  EXPECT_EQ(ledger_.profile.vec.instrs, 1);
+  EXPECT_EQ(ledger_.profile.vec.slots_capacity, 2 * 128);  // two repeats
+  EXPECT_EQ(ledger_.profile.vec.slots_used, 32);
+  EXPECT_EQ(ledger_.sched.busy(Pipe::kVector), cost_.vec_issue_overhead + 2);
+  EXPECT_NEAR(ledger_.profile.vec_lane_utilization(), 16.0 / 128.0, 1e-9);
 }
 
 TEST_F(VectorUnitTest, RejectsNonUbOperands) {

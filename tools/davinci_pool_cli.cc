@@ -1,6 +1,7 @@
 // Command-line driver: run any pooling configuration on the simulated
-// device, verify it against the reference, and print cycles, per-pipe
-// breakdown and (optionally) the instruction trace.
+// device, verify it against the reference, and print cycles, the
+// critical core's per-pipe breakdown and (optionally) the instruction
+// trace.
 //
 //   davinci_pool_cli --op=maxpool --impl=im2col --h=71 --w=71 --c=192
 //                    --k=3 --s=2 [--pad=1] [--trace] [--compare]
@@ -19,7 +20,8 @@
 //   --profile  record the instruction timeline of every core and write it
 //              as Chrome trace_event JSON, viewable in chrome://tracing or
 //              https://ui.perfetto.dev (see docs/PROFILING.md); with
-//              --compare the file contains both runs back to back
+//              --compare the file contains both runs back to back, each
+//              event tagged with its run's launch ordinal
 //   --metrics  write the versioned cycle-attribution / roofline metrics
 //              JSON (davinci.metrics schema, one entry per reported run;
 //              render or diff it with davinci_prof -- see
@@ -101,7 +103,22 @@ void report(const char* what, const Device::RunResult& run, bool show_faults,
   std::printf("%-14s %10lld cycles  (serial %lld)\n", what,
               static_cast<long long>(run.device_cycles),
               static_cast<long long>(run.device_cycles_serial));
-  std::printf("  %s\n", run.aggregate.summary().c_str());
+  const DeviceAttribution& attr = run.attribution;
+  if (attr.critical_core >= 0) {
+    const CoreAttribution& crit =
+        attr.cores[static_cast<std::size_t>(attr.critical_core)];
+    std::printf("  critical core %d by pipe (busy/wait/flag/idle):",
+                crit.core);
+    for (int p = 0; p < PipeScheduler::kNumPipes; ++p) {
+      const PipeBuckets& b = crit.pipes[p];
+      std::printf(" %s=%lld/%lld/%lld/%lld", to_string(static_cast<Pipe>(p)),
+                  static_cast<long long>(b.busy),
+                  static_cast<long long>(b.wait),
+                  static_cast<long long>(b.flag),
+                  static_cast<long long>(b.idle));
+    }
+    std::printf("\n");
+  }
   std::printf("  occupancy: %s\n", run.profile.summary().c_str());
   const Roofline roof = compute_roofline(run.aggregate.traffic, run.profile,
                                          arch, run.device_cycles,

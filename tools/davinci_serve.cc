@@ -64,12 +64,14 @@
 // with what only this tool measures: wall time, requests/s, the
 // per-request host-phase sums and the measured replay's trace-id range.
 //
-// Exit codes: 0 success, 2 usage, 3 trace error, 4 any request failed
+// Exit codes: 0 success, 2 usage, 3 trace error (unreadable or malformed,
+// or a line whose tensors cannot be materialized), 4 any request failed
 // (launch failure, expired deadline, or shed by the overload policy).
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <future>
 #include <mutex>
 #include <string>
@@ -305,7 +307,9 @@ int main(int argc, char** argv) {
   }
 
   // Materialize every request up front so the replay loop measures the
-  // serving path, not input generation.
+  // serving path, not input generation. A line whose tensors cannot be
+  // built (a shape too large to represent, or to allocate) is a trace
+  // error.
   struct LineRuns {
     std::size_t entry = 0;
     std::vector<std::future<kernels::PoolResult>> futures;
@@ -313,10 +317,18 @@ int main(int argc, char** argv) {
   std::vector<serve::MaterializedRequest> requests;
   std::vector<std::size_t> request_line;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (int r = 0; r < entries[i].repeat; ++r) {
-      requests.push_back(
-          serve::materialize(entries[i], i * 1000 + std::uint64_t(r)));
-      request_line.push_back(i);
+    try {
+      for (int r = 0; r < entries[i].repeat; ++r) {
+        requests.push_back(
+            serve::materialize(entries[i], i * 1000 + std::uint64_t(r)));
+        request_line.push_back(i);
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr,
+                   "davinci_serve: trace line '%s': cannot materialize its "
+                   "tensors: %s\n",
+                   serve::to_line(entries[i]).c_str(), e.what());
+      return 3;
     }
   }
 
