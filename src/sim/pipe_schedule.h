@@ -116,6 +116,9 @@ class PipeScheduler {
     std::int64_t start = 0;
     std::int64_t end = 0;
     Pipe pipe = Pipe::kSync;
+    // Log index of the same pipe's previous logged interval, -1 for its
+    // first (fits the struct's padding; the log holds < 2^31 entries).
+    std::int32_t prev = -1;
   };
 
   // Opens a stage on `pipe`; operations issued until end_stage() land on
@@ -289,23 +292,16 @@ class PipeScheduler {
     if (log_truncated_) return path;
     std::int64_t cur = makespan();
     if (cur == 0) return path;
+    // Every busy link is a logged interval; a serial schedule's path is
+    // all of them and no stall, so this is that path's exact size.
+    path.reserve(log_.size() + 1);
     // Each pipe's logged intervals are disjoint and in time order, so a
     // backward walk needs one cursor per pipe: at[p] is the log index of
     // pipe p's latest interval ending at or below cur (-1 once none is
-    // left). The cursors only move backward, so the walk is linear.
-    const auto n = static_cast<std::ptrdiff_t>(log_.size());
-    std::ptrdiff_t at[kNumPipes];
-    const auto retreat = [&](int p) {
-      std::ptrdiff_t i = at[p];
-      do {
-        --i;
-      } while (i >= 0 && pipe_index(log_[i].pipe) != p);
-      at[p] = i;
-    };
-    for (int p = 0; p < kNumPipes; ++p) {
-      at[p] = n;
-      retreat(p);
-    }
+    // left). The cursors only move backward, one prev link at a time, so
+    // the walk is linear in the path it visits.
+    std::int32_t at[kNumPipes];
+    for (int p = 0; p < kNumPipes; ++p) at[p] = last_logged_[p];
     while (cur > 0) {
       // The latest end at or below cur, and among intervals ending
       // exactly at cur the earliest start (then lowest pipe index) -- the
@@ -313,7 +309,7 @@ class PipeScheduler {
       std::int64_t best_end = 0;
       const LoggedInterval* pick = nullptr;
       for (int p = 0; p < kNumPipes; ++p) {
-        while (at[p] >= 0 && log_[at[p]].end > cur) retreat(p);
+        while (at[p] >= 0 && log_[at[p]].end > cur) at[p] = log_[at[p]].prev;
         if (at[p] < 0) continue;
         const LoggedInterval& iv = log_[at[p]];
         best_end = std::max(best_end, iv.end);
@@ -360,6 +356,7 @@ class PipeScheduler {
       flag_[i] = 0;
       first_busy_[i] = -1;
       last_busy_[i] = 0;
+      last_logged_[i] = -1;
     }
     flags_charged_ = 0;
     stage_open_ = false;
@@ -377,6 +374,8 @@ class PipeScheduler {
   // critical_path() degrades (to empty, flagged via
   // interval_log_truncated()).
   static constexpr std::size_t kMaxLoggedIntervals = 1 << 18;
+  static_assert(kMaxLoggedIntervals <= std::size_t{INT32_MAX},
+                "LoggedInterval::prev is an int32 log index");
 
   static int pipe_index(Pipe p) { return static_cast<int>(p); }
 
@@ -389,7 +388,8 @@ class PipeScheduler {
       log_truncated_ = true;
       return;
     }
-    log_.push_back({iv.start, iv.end, p});
+    log_.push_back({iv.start, iv.end, p, last_logged_[pi]});
+    last_logged_[pi] = static_cast<std::int32_t>(log_.size() - 1);
   }
 
   std::int64_t frontier() const {
@@ -406,6 +406,8 @@ class PipeScheduler {
   std::int64_t flag_[kNumPipes] = {};
   std::int64_t first_busy_[kNumPipes] = {-1, -1, -1, -1, -1, -1};
   std::int64_t last_busy_[kNumPipes] = {};
+  // Log index of each pipe's latest logged interval (-1: none yet).
+  std::int32_t last_logged_[kNumPipes] = {-1, -1, -1, -1, -1, -1};
   std::int64_t flags_charged_ = 0;  // stage flag-waits, absorbed or not
   bool stage_open_ = false;
   Pipe stage_pipe_ = Pipe::kVector;

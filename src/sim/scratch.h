@@ -11,8 +11,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
 #include "common/float16.h"
@@ -91,10 +91,27 @@ Span<T> gm_span(T* data, std::int64_t len) {
   return Span<T>(data, len, BufferKind::kGlobal);
 }
 
+namespace detail {
+
+// `bytes` of zeros whose pages the OS materializes on first touch (an
+// anonymous mapping; nullptr for 0 bytes), and its release. A guard page
+// follows the last page: access past a capacity that is a whole number of
+// pages (every on-chip buffer's) faults at once. Throws on a negative size
+// or when the OS has no room.
+std::byte* map_zero_pages(std::int64_t bytes);
+void unmap_pages(std::byte* p, std::size_t bytes);
+
+}  // namespace detail
+
 class ScratchBuffer {
  public:
+  // The buffer starts all-zero, but costs no memory until kernels touch
+  // it: a device's cores hold 1.625 MB each, most of which a typical
+  // launch never uses.
   ScratchBuffer(BufferKind kind, std::int64_t capacity_bytes)
-      : kind_(kind), storage_(static_cast<std::size_t>(capacity_bytes)) {}
+      : kind_(kind),
+        storage_(detail::map_zero_pages(capacity_bytes),
+                 Unmap{static_cast<std::size_t>(capacity_bytes)}) {}
 
   // Which AI Core owns this buffer; -1 for free-standing buffers (tests).
   // Only used to make overflow diagnostics actionable on a 32-core run.
@@ -103,7 +120,7 @@ class ScratchBuffer {
 
   BufferKind kind() const { return kind_; }
   std::int64_t capacity_bytes() const {
-    return static_cast<std::int64_t>(storage_.size());
+    return static_cast<std::int64_t>(storage_.get_deleter().bytes);
   }
   std::int64_t bytes_used() const { return offset_; }
   std::int64_t bytes_free() const { return capacity_bytes() - offset_; }
@@ -123,7 +140,7 @@ class ScratchBuffer {
         << ", available " << (capacity_bytes() - aligned) << " B of "
         << capacity_bytes() << " B capacity"
         << " (tile too large; adjust the tiling plan)";
-    T* p = reinterpret_cast<T*>(storage_.data() + aligned);
+    T* p = reinterpret_cast<T*>(storage_.get() + aligned);
     offset_ = aligned + bytes;
     if (offset_ > high_water_) high_water_ = offset_;
     return Span<T>(p, count, kind_);
@@ -139,13 +156,18 @@ class ScratchBuffer {
   // truncated reload is masked by the previous attempt's (identical)
   // stale data and redundant execution cannot detect it.
   void scrub(std::byte pattern) {
-    std::fill(storage_.begin(), storage_.end(), pattern);
+    std::fill_n(storage_.get(), capacity_bytes(), pattern);
   }
 
  private:
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::byte* p) const { detail::unmap_pages(p, bytes); }
+  };
+
   BufferKind kind_;
   int owner_core_ = -1;
-  std::vector<std::byte> storage_;
+  std::unique_ptr<std::byte[], Unmap> storage_;
   std::int64_t offset_ = 0;
   std::int64_t high_water_ = 0;
 };

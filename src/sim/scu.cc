@@ -200,10 +200,12 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   // Functional semantics (Figure 6): for each fractal, load the 16 target
   // positions from `out`, add the input fractal, store back. Overlapping
   // patches accumulate because execution is sequential; every add rounds
-  // to fp16 like the hardware's 16-bit vector adder. The raw-pointer loop
-  // keeps that exact per-element accumulation order (it is load-bearing
-  // for bit-identity); only the per-access bounds checks are hoisted into
-  // the size checks above.
+  // to fp16 like the hardware's 16-bit vector adder. The (xk, yk, oy)
+  // order below is that accumulation order, and it is load-bearing for
+  // bit-identity. Within one output row the in-image patches hit distinct
+  // columns, so the row's adds are one fp16_lanes call: C0 lanes per
+  // patch, `out` advancing Sw*C0 and `src` C0 per patch. The size checks
+  // above bound every access.
   Float16* const o = out.data();
   const Float16* const s = src.data();
   const std::int64_t ow = coords.ow;
@@ -211,20 +213,22 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   for (std::int64_t xk = 0; xk < w.kh; ++xk) {
     for (std::int64_t yk = 0; yk < w.kw; ++yk) {
       const std::int64_t plane = (xk * w.kw + yk) * padded * kC0;
-      const Float16* srow = s + plane;
+      // Patch ox reads column x0 + ox*Sw; [first, last) are the patches
+      // whose column lies inside the image -- gradient into the padding
+      // border is dropped.
+      const std::int64_t x0 = yk - w.pl;
+      const std::int64_t first = x0 < 0 ? ceil_div(-x0, w.sw) : 0;
+      const std::int64_t last =
+          x0 >= args.iw ? 0 : std::min(ow, (args.iw - 1 - x0) / w.sw + 1);
+      if (first >= last) continue;
+      const fp16_lanes::Rows row{static_cast<int>(last - first), kC0,
+                                 w.sw * kC0, w.sw * kC0, kC0};
       for (std::int64_t oy = 0; oy < oh; ++oy) {
         const std::int64_t y = oy * w.sh + xk - w.pt;
-        if (y < 0 || y >= args.ih) {
-          srow += ow * kC0;  // gradient into the padding border is dropped
-          continue;
-        }
-        Float16* const obase = o + y * args.iw * kC0;
-        std::int64_t x = yk - w.pl;
-        for (std::int64_t ox = 0; ox < ow; ++ox, x += w.sw, srow += kC0) {
-          if (x < 0 || x >= args.iw) continue;
-          Float16* const orow = obase + x * kC0;
-          fp16_lanes::run(fp16_lanes::Op::kAdd, orow, orow, srow, kC0);
-        }
+        if (y < 0 || y >= args.ih) continue;
+        Float16* const orow = o + (y * args.iw + x0 + first * w.sw) * kC0;
+        const Float16* const srow = s + plane + (oy * ow + first) * kC0;
+        fp16_lanes::run(fp16_lanes::Op::kAdd, orow, orow, srow, row);
       }
     }
   }

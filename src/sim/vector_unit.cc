@@ -93,15 +93,15 @@ inline void check_extent(const Span<Float16>& s, const VecConfig& cfg,
       << s.size();
 }
 
-// The element work of one instruction with sources a and b: lanes(d, x, y,
-// n) computes n consecutive lanes of one repeat (fp16_lanes::run's
-// contract). Repeats run in order, each as one call on lanes [0, n) for a
-// prefix mask -- the path every kernel takes -- or as one call per active
-// lane for any other mask. Returns the active lane count.
-template <class Lanes>
+// The element work of one instruction with sources a and b: rows(d, x, y,
+// shape) computes rows of lanes with fp16_lanes::run's contract. A prefix
+// mask -- the path every kernel takes -- is one call for the whole
+// instruction, with the repeats as rows; any other mask is one call per
+// active lane, repeat after repeat. Returns the active lane count.
+template <class RowsFn>
 int each_repeat(const VecConfig& cfg, Span<Float16> dst, Span<Float16> a,
                 std::int64_t a_stride, Span<Float16> b, std::int64_t b_stride,
-                Lanes&& lanes) {
+                RowsFn&& rows) {
   const VecMask& m = cfg.mask;
   const int pfx = prefix_lanes(m);
   const int end =  // one past the highest active lane
@@ -112,19 +112,22 @@ int each_repeat(const VecConfig& cfg, Span<Float16> dst, Span<Float16> a,
   check_extent(dst, cfg, cfg.dst_rep_stride, end);
   check_extent(a, cfg, a_stride, end);
   check_extent(b, cfg, b_stride, end);
+  if (pfx >= 0) {
+    rows(dst.data(), a.data(), b.data(),
+         fp16_lanes::Rows{cfg.repeat, pfx, cfg.dst_rep_stride, a_stride,
+                          b_stride});
+    return pfx;
+  }
+  const fp16_lanes::Rows one_lane{1, 1};
   for (int rep = 0; rep < cfg.repeat; ++rep) {
     Float16* const d = dst.data() + rep * cfg.dst_rep_stride;
     const Float16* const x = a.data() + rep * a_stride;
     const Float16* const y = b.data() + rep * b_stride;
-    if (pfx >= 0) {
-      lanes(d, x, y, pfx);
-      continue;
-    }
     for (int lane = 0; lane < end; ++lane) {
-      if (m.lane(lane)) lanes(d + lane, x + lane, y + lane, 1);
+      if (m.lane(lane)) rows(d + lane, x + lane, y + lane, one_lane);
     }
   }
-  return pfx >= 0 ? pfx : m.count();
+  return m.count();
 }
 
 fp16_lanes::Op lane_op(VecOp op) {
@@ -148,11 +151,10 @@ void VectorUnit::binary(VecOp op, Span<Float16> dst, Span<Float16> src0,
   validate(src0, cfg, cfg.src0_rep_stride);
   validate(src1, cfg, cfg.src1_rep_stride);
   const fp16_lanes::Op lop = lane_op(op);
-  const int lanes =
-      each_repeat(cfg, dst, src0, cfg.src0_rep_stride, src1,
-                  cfg.src1_rep_stride,
-                  [lop](Float16* d, const Float16* a, const Float16* b,
-                        int n) { fp16_lanes::run(lop, d, a, b, n); });
+  const int lanes = each_repeat(
+      cfg, dst, src0, cfg.src0_rep_stride, src1, cfg.src1_rep_stride,
+      [lop](Float16* d, const Float16* a, const Float16* b,
+            const fp16_lanes::Rows& r) { fp16_lanes::run(lop, d, a, b, r); });
   charge(to_string(op), cfg, lanes);
 }
 
@@ -161,8 +163,19 @@ void VectorUnit::dup(Span<Float16> dst, Float16 value, const VecConfig& cfg) {
   // No source: dst stands in for both of each_repeat's operands.
   const int lanes = each_repeat(
       cfg, dst, dst, cfg.dst_rep_stride, dst, cfg.dst_rep_stride,
-      [value](Float16* d, const Float16*, const Float16*, int n) {
-        std::fill_n(d, n, value);
+      [bits = value.bits()](Float16* d, const Float16*, const Float16*,
+                            const fp16_lanes::Rows& r) {
+        // The value as a captured 16-bit integer, which no store through d
+        // can alias: the compiler vectorizes this loop, where std::fill_n
+        // of a Float16 stores one element at a time.
+        const auto fill = [bits](Float16* p, std::int64_t n) {
+          for (std::int64_t i = 0; i < n; ++i) p[i] = Float16::from_bits(bits);
+        };
+        if (r.count == 1 || r.dst_stride == r.lanes) {
+          fill(d, std::int64_t{r.count} * r.lanes);
+          return;
+        }
+        for (int i = 0; i < r.count; ++i) fill(d + i * r.dst_stride, r.lanes);
       });
   charge("vector_dup", cfg, lanes);
 }
@@ -174,8 +187,9 @@ void VectorUnit::adds(Span<Float16> dst, Span<Float16> src, Float16 s,
   // One source: it stands in for both of each_repeat's operands.
   const int lanes = each_repeat(
       cfg, dst, src, cfg.src0_rep_stride, src, cfg.src0_rep_stride,
-      [s](Float16* d, const Float16* a, const Float16*, int n) {
-        fp16_lanes::run_scalar(fp16_lanes::Op::kAdd, d, a, s, n);
+      [s](Float16* d, const Float16* a, const Float16*,
+          const fp16_lanes::Rows& r) {
+        fp16_lanes::run_scalar(fp16_lanes::Op::kAdd, d, a, s, r);
       });
   charge("vadds", cfg, lanes);
 }
@@ -186,8 +200,9 @@ void VectorUnit::muls(Span<Float16> dst, Span<Float16> src, Float16 s,
   validate(src, cfg, cfg.src0_rep_stride);
   const int lanes = each_repeat(
       cfg, dst, src, cfg.src0_rep_stride, src, cfg.src0_rep_stride,
-      [s](Float16* d, const Float16* a, const Float16*, int n) {
-        fp16_lanes::run_scalar(fp16_lanes::Op::kMul, d, a, s, n);
+      [s](Float16* d, const Float16* a, const Float16*,
+          const fp16_lanes::Rows& r) {
+        fp16_lanes::run_scalar(fp16_lanes::Op::kMul, d, a, s, r);
       });
   charge("vmuls", cfg, lanes);
 }
@@ -199,8 +214,9 @@ void VectorUnit::cmpv_eq(Span<Float16> dst, Span<Float16> src0,
   validate(src1, cfg, cfg.src1_rep_stride);
   const int lanes = each_repeat(
       cfg, dst, src0, cfg.src0_rep_stride, src1, cfg.src1_rep_stride,
-      [](Float16* d, const Float16* a, const Float16* b, int n) {
-        fp16_lanes::run(fp16_lanes::Op::kEq, d, a, b, n);
+      [](Float16* d, const Float16* a, const Float16* b,
+         const fp16_lanes::Rows& r) {
+        fp16_lanes::run(fp16_lanes::Op::kEq, d, a, b, r);
       });
   charge("vcmpv_eq", cfg, lanes);
 }

@@ -14,8 +14,11 @@
 // vmax uses repetition to obtain the maximum value across the width of a
 // patch Kw"). The simulator executes repeats sequentially, so the
 // read-after-write behaviour is well defined. Within one repeat, every
-// lane reads its operands before any lane writes (sim/fp16_lanes.h).
-// Every instruction is booked once in the core's Ledger (sim/ledger.h).
+// lane reads its operands before any lane writes. On the host a
+// prefix-masked instruction is one sim/fp16_lanes.h call with its repeats
+// as rows, which keeps both rules; any other mask runs lane by lane.
+// vector_dup fills its lanes as 16-bit integers. Every instruction is
+// booked once in the core's Ledger (sim/ledger.h).
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,17 @@
-// Tests for sim/fp16_lanes: both arithmetic implementations and the
-// bits-domain max/min/eq against the scalar Float16 operators, fmax16,
-// fmin16 and operator==, plus the module's lane-range and
-// read-before-write contract.
+// Tests for sim/fp16_lanes: every implementation the CPU can run (its
+// arithmetic and the bits-domain max/min/eq they share) against the scalar
+// Float16 operators, fmax16, fmin16 and operator==, plus the module's
+// lane-range, read-before-write and row contracts.
 #include "sim/fp16_lanes.h"
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,13 +22,23 @@ namespace {
 using fp16_lanes::ArithImpl;
 using fp16_lanes::kMaxLanes;
 using fp16_lanes::Op;
+using fp16_lanes::Rows;
 
 // Signature shared by fp16_lanes::run and ArithImpl::run.
-using LaneFn = void (*)(Op, Float16*, const Float16*, const Float16*, int);
+using RowsFn = void (*)(Op, Float16*, const Float16*, const Float16*,
+                        const Rows&);
 
-// Call widths the sweeps cycle through: a full repeat, a width that is not
-// a multiple of 8, and one C0 row.
-constexpr int kWidths[] = {128, 37, 16};
+// Contiguous rows in one call: `count` rows of `lanes` lanes, every stride
+// equal to `lanes`, so the module runs them as one span.
+constexpr Rows dense(int count, int lanes) {
+  return Rows{count, lanes, lanes, lanes, lanes};
+}
+
+// Call shapes the sweeps cycle through: a full row, a width that is not a
+// multiple of 8 or 32, one C0 row, and spans of 4 x 128 and 3 x 37 lanes.
+constexpr Rows kShapes[] = {dense(1, 128), dense(1, 37), dense(1, 16),
+                            dense(4, 128), dense(3, 37)};
+constexpr int kShapeLanes = 4 * 128;  // the longest span
 
 // The scalar reference each lane must match bit for bit. Two NaN operands
 // of add or mul give a's NaN (the module's rule): there the Float16
@@ -73,14 +87,29 @@ const char* name(Op op) {
   return "?";
 }
 
-// The arithmetic implementations this CPU can run: always the portable
-// one, plus the F16C one when the CPU reports AVX2 and F16C.
+// The implementations this CPU can run: always the portable one, plus the
+// F16C one when the CPU reports AVX2 and F16C and the AVX-512 FP16 one when
+// it reports AVX-512 FP16 and AVX-512BW (and the compiler built it). All
+// three share one compare loop. A case that sweeps them names in its output
+// each one this build lacks.
 std::vector<const ArithImpl*> arith_impls() {
   std::vector<const ArithImpl*> impls{&fp16_lanes::portable_arith()};
-  if (fp16_lanes::f16c_arith() != nullptr) {
-    impls.push_back(fp16_lanes::f16c_arith());
+  const std::pair<const ArithImpl*, const char*> optional[] = {
+      {fp16_lanes::f16c_arith(), "f16c (AVX2 + F16C)"},
+      {fp16_lanes::avx512fp16_arith(), "avx512fp16 (AVX-512 FP16 + BW)"}};
+  for (const auto& [impl, what] : optional) {
+    if (impl != nullptr) {
+      impls.push_back(impl);
+    } else {
+      std::printf("[ note ] this build cannot run %s: not tested here\n",
+                  what);
+    }
   }
   return impls;
+}
+
+bool is_compare(Op op) {
+  return op == Op::kMax || op == Op::kMin || op == Op::kEq;
 }
 
 // Every class of binary16 operand: both zeros, subnormals, both ends of
@@ -158,49 +187,60 @@ std::vector<Mismatches> over_every_a(std::size_t impls, Slice slice) {
 struct Check {
   const char* impl;
   Op op;
-  LaneFn fn;
+  RowsFn fn;
 };
 
-// Arithmetic ops run on every implementation, max/min/eq through run().
+// Every op on every implementation.
 std::vector<Check> checks_of(std::initializer_list<Op> ops) {
+  const std::vector<const ArithImpl*> impls = arith_impls();
   std::vector<Check> checks;
   for (const Op op : ops) {
-    if (op == Op::kMax || op == Op::kMin || op == Op::kEq) {
-      checks.push_back({"bits-domain", op, fp16_lanes::run});
-      continue;
-    }
-    for (const ArithImpl* impl : arith_impls()) {
+    for (const ArithImpl* impl : impls) {
       checks.push_back({impl->name, op, impl->run});
     }
   }
   return checks;
 }
 
+// A call's shape cut down to the `left` lanes the sweep still has: whole
+// rows while they fit, else one row of what is left.
+Rows clip(const Rows& r, std::size_t left) {
+  if (static_cast<std::size_t>(r.count) * r.lanes <= left) return r;
+  if (static_cast<std::size_t>(r.lanes) <= left) {
+    return dense(static_cast<int>(left / r.lanes), r.lanes);
+  }
+  return dense(1, static_cast<int>(left));
+}
+
 // Checks every pair (a, b) with a in [lo, hi) and b in `bs` against the
 // references of kOps, which are computed together so that they can share
 // the pair's operand conversions. The lanes of one call share a and walk
-// through b, with call widths cycling through kWidths. Returns one
+// through b, with call shapes cycling through kShapes. Returns one
 // Mismatches per check.
 template <Op... kOps>
 std::vector<Mismatches> check_pairs(const std::vector<Check>& checks,
                                     std::uint32_t lo, std::uint32_t hi,
                                     const std::vector<Float16>& bs) {
   std::vector<Mismatches> m(checks.size());
-  std::array<Float16, kMaxLanes> a{}, got{};
-  std::array<std::array<Float16, kMaxLanes>, 7> want{};  // by Op
+  std::array<Float16, kShapeLanes> a{}, got{};
+  std::array<std::array<Float16, kShapeLanes>, 7> want{};  // by Op
   std::size_t w = 0;
   for (std::uint32_t x = lo; x < hi; ++x) {
     a.fill(Float16::from_bits(static_cast<std::uint16_t>(x)));
     for (std::size_t j = 0; j < bs.size();) {
-      const int n = static_cast<int>(
-          std::min<std::size_t>(kWidths[w++ % 3], bs.size() - j));
+      const Rows shape =
+          clip(kShapes[w++ % std::size(kShapes)], bs.size() - j);
+      const int n = shape.count * shape.lanes;
       const Float16* const b = bs.data() + j;
       for (int i = 0; i < n; ++i) {
         ((want[static_cast<int>(kOps)][i] = reference<kOps>(a[0], b[i])), ...);
       }
       for (std::size_t c = 0; c < checks.size(); ++c) {
-        checks[c].fn(checks[c].op, got.data(), a.data(), b, n);
+        checks[c].fn(checks[c].op, got.data(), a.data(), b, shape);
         const auto& ref = want[static_cast<int>(checks[c].op)];
+        if (std::memcmp(got.data(), ref.data(), n * sizeof(Float16)) == 0) {
+          continue;  // the common case, without a branch per lane
+        }
         for (int i = 0; i < n; ++i) {
           if (got[i].bits() != ref[i].bits()) {
             m[c].add(a[0], b[i], got[i], ref[i]);
@@ -229,16 +269,30 @@ std::vector<Float16> every_half() {
 }
 
 TEST(Fp16Lanes, ActiveImplementationFollowsTheCpu) {
+  // The widest implementation the CPU reports: AVX-512 FP16 (where the
+  // compiler built it), else F16C, else the portable loop.
 #if defined(__x86_64__)
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c")) {
-    ASSERT_NE(fp16_lanes::f16c_arith(), nullptr);
-    EXPECT_EQ(&fp16_lanes::active_arith(), fp16_lanes::f16c_arith());
-    return;
-  }
+  const bool f16c =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+#else
+  const bool f16c = false;
 #endif
-  EXPECT_EQ(fp16_lanes::f16c_arith(), nullptr);
-  EXPECT_EQ(&fp16_lanes::active_arith(), &fp16_lanes::portable_arith());
+#if DAVINCI_FP16_LANES_AVX512FP16
+  const bool avx512fp16 = __builtin_cpu_supports("avx512fp16") &&
+                          __builtin_cpu_supports("avx512bw");
+#else
+  const bool avx512fp16 = false;
+  std::printf("[ note ] this compiler does not build the avx512fp16 lanes\n");
+#endif
+  EXPECT_EQ(fp16_lanes::avx512fp16_arith() != nullptr, avx512fp16);
+  EXPECT_EQ(fp16_lanes::f16c_arith() != nullptr, f16c);
+  const ArithImpl* const want = avx512fp16 ? fp16_lanes::avx512fp16_arith()
+                                : f16c     ? fp16_lanes::f16c_arith()
+                                           : &fp16_lanes::portable_arith();
+  EXPECT_EQ(&fp16_lanes::active_arith(), want);
+  std::printf("[ note ] active fp16 lane implementation: %s\n",
+              fp16_lanes::active_arith().name);
 }
 
 TEST(Fp16Lanes, KernelOpsMatchFloat16OnEveryPair) {
@@ -269,13 +323,14 @@ TEST(Fp16Lanes, BroadcastScalarMatchesFloat16OnEveryOperandClass) {
   for (const ArithImpl* impl : arith_impls()) {
     for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv}) {
       Mismatches m;
-      std::array<Float16, kMaxLanes> got{};
+      std::array<Float16, kShapeLanes> got{};
       std::size_t w = 0;
       for (const Float16 s : classes) {
         for (std::size_t j = 0; j < all.size();) {
-          const int n = static_cast<int>(
-              std::min<std::size_t>(kWidths[w++ % 3], all.size() - j));
-          impl->run_scalar(op, got.data(), all.data() + j, s, n);
+          const Rows shape =
+              clip(kShapes[w++ % std::size(kShapes)], all.size() - j);
+          const int n = shape.count * shape.lanes;
+          impl->run_scalar(op, got.data(), all.data() + j, s, shape);
           for (int i = 0; i < n; ++i) {
             const Float16 want = reference(op, all[j + i], s);
             if (got[i].bits() != want.bits()) {
@@ -291,8 +346,8 @@ TEST(Fp16Lanes, BroadcastScalarMatchesFloat16OnEveryOperandClass) {
 }
 
 TEST(Fp16Lanes, LanesPastTheCountStayUntouched) {
-  // Widths 0..128, including every width that is not a multiple of 8:
-  // only lanes [0, n) of the destination change.
+  // Widths 0..128, including every width that is not a multiple of 8 or
+  // 32: only lanes [0, n) of the destination change.
   const Float16 guard = Float16::from_bits(0x5A5A);
   std::array<Float16, kMaxLanes + 8> a{}, b{}, dst{};
   for (int i = 0; i < kMaxLanes + 8; ++i) {
@@ -301,33 +356,24 @@ TEST(Fp16Lanes, LanesPastTheCountStayUntouched) {
   }
   for (const ArithImpl* impl : arith_impls()) {
     for (int n = 0; n <= kMaxLanes; ++n) {
-      for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv}) {
+      for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMax,
+                          Op::kMin, Op::kEq}) {
         dst.fill(guard);
-        impl->run(op, dst.data(), a.data(), b.data(), n);
+        impl->run(op, dst.data(), a.data(), b.data(), dense(1, n));
         for (int i = 0; i < kMaxLanes + 8; ++i) {
           const Float16 want = i < n ? reference(op, a[i], b[i]) : guard;
           ASSERT_EQ(dst[i].bits(), want.bits())
               << impl->name << " " << name(op) << " n=" << n << " lane " << i;
         }
+        if (is_compare(op)) continue;
         dst.fill(guard);
-        impl->run_scalar(op, dst.data(), a.data(), b[3], n);
+        impl->run_scalar(op, dst.data(), a.data(), b[3], dense(1, n));
         for (int i = 0; i < kMaxLanes + 8; ++i) {
           const Float16 want = i < n ? reference(op, a[i], b[3]) : guard;
           ASSERT_EQ(dst[i].bits(), want.bits())
               << impl->name << " scalar " << name(op) << " n=" << n
               << " lane " << i;
         }
-      }
-    }
-  }
-  for (int n = 0; n <= kMaxLanes; ++n) {
-    for (const Op op : {Op::kMax, Op::kMin, Op::kEq}) {
-      dst.fill(guard);
-      fp16_lanes::run(op, dst.data(), a.data(), b.data(), n);
-      for (int i = 0; i < kMaxLanes + 8; ++i) {
-        const Float16 want = i < n ? reference(op, a[i], b[i]) : guard;
-        ASSERT_EQ(dst[i].bits(), want.bits())
-            << name(op) << " n=" << n << " lane " << i;
       }
     }
   }
@@ -357,28 +403,22 @@ TEST(Fp16Lanes, ReadsEveryLaneBeforeWritingAny) {
         }
       };
       for (const ArithImpl* impl : arith_impls()) {
-        for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv}) {
+        for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMax,
+                            Op::kMin, Op::kEq}) {
           expect_all_reads_first(
               impl->name, op,
               [&](Float16* d, const Float16* a) {
-                impl->run(op, d, a, other.data(), n);
+                impl->run(op, d, a, other.data(), dense(1, n));
               },
               false);
+          if (is_compare(op)) continue;
           expect_all_reads_first(
               impl->name, op,
               [&](Float16* d, const Float16* a) {
-                impl->run_scalar(op, d, a, other[5], n);
+                impl->run_scalar(op, d, a, other[5], dense(1, n));
               },
               true);
         }
-      }
-      for (const Op op : {Op::kMax, Op::kMin, Op::kEq}) {
-        expect_all_reads_first(
-            "bits-domain", op,
-            [&](Float16* d, const Float16* a) {
-              fp16_lanes::run(op, d, a, other.data(), n);
-            },
-            false);
       }
     }
   }
@@ -392,13 +432,151 @@ TEST(Fp16Lanes, DestinationMayBeTheSecondSource) {
     a[i] = Float16(static_cast<float>(i) - 60.0f);
     b[i] = Float16(static_cast<float>(i % 9) + 0.5f);
   }
-  for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMax,
-                      Op::kMin, Op::kEq}) {
-    std::array<Float16, kMaxLanes> d = b;
-    fp16_lanes::run(op, d.data(), a.data(), d.data(), kMaxLanes);
-    for (int i = 0; i < kMaxLanes; ++i) {
-      ASSERT_EQ(d[i].bits(), reference(op, a[i], b[i]).bits())
-          << name(op) << " lane " << i;
+  for (const ArithImpl* impl : arith_impls()) {
+    for (const Op op : {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv, Op::kMax,
+                        Op::kMin, Op::kEq}) {
+      std::array<Float16, kMaxLanes> d = b;
+      impl->run(op, d.data(), a.data(), d.data(), dense(1, kMaxLanes));
+      for (int i = 0; i < kMaxLanes; ++i) {
+        ASSERT_EQ(d[i].bits(), reference(op, a[i], b[i]).bits())
+            << impl->name << " " << name(op) << " lane " << i;
+      }
+    }
+  }
+}
+
+// --- Whole instructions ---------------------------------------------------
+
+// One row call's operand layout in the sweep below: where the destination
+// sits relative to the sources.
+enum class Layout : std::uint8_t {
+  kDisjoint,
+  kDstIsA,           // dst == a, row for row (dst stride = a stride)
+  kDstIsB,           // dst == b, row for row
+  kDstAtAOwnStride,  // dst == a at row 0, each with its own stride
+  kDstNearA,         // dst = a + offset
+  kDstNearB,         // dst = b + offset
+  kReduction,        // dst == a, both stride 0: the reduction idiom
+  kCount,
+};
+
+const char* name(Layout l) {
+  switch (l) {
+    case Layout::kDisjoint: return "disjoint";
+    case Layout::kDstIsA: return "dst==a";
+    case Layout::kDstIsB: return "dst==b";
+    case Layout::kDstAtAOwnStride: return "dst@a";
+    case Layout::kDstNearA: return "dst=a+off";
+    case Layout::kDstNearB: return "dst=b+off";
+    case Layout::kReduction: return "reduction";
+    case Layout::kCount: break;
+  }
+  return "?";
+}
+
+// The row semantics of sim/fp16_lanes.h spelled out: rows in order, each
+// row's operand lanes copied before any of its destination lanes is
+// written. `scalar` replaces b when the op is a broadcast.
+void per_row_oracle(Op op, Float16* dst, const Float16* a, const Float16* b,
+                    const Float16* scalar, const Rows& r) {
+  for (int row = 0; row < r.count; ++row) {
+    Float16 x[kMaxLanes], y[kMaxLanes];
+    for (int i = 0; i < r.lanes; ++i) {
+      x[i] = a[row * r.a_stride + i];
+      y[i] = scalar != nullptr ? *scalar : b[row * r.b_stride + i];
+    }
+    for (int i = 0; i < r.lanes; ++i) {
+      dst[row * r.dst_stride + i] = reference(op, x[i], y[i]);
+    }
+  }
+}
+
+TEST(Fp16Lanes, RowCallsMatchThePerRowOracle) {
+  // Seeded sweep of single row calls -- 1..255 rows of 1..128 lanes,
+  // operand strides 0, 16, 128, 256 or the row width (all three the row
+  // width in every third case, the layout that may run as one span), every
+  // op and its broadcast form, and destinations that equal, miss, or
+  // overlap a source at +-1, +-9 and +-128 lanes -- against the oracle
+  // above, on every implementation. The whole buffer is compared, so a
+  // write outside the instruction's lanes fails too.
+  constexpr std::int64_t kRegion = 254 * 256 + 128 + 256;  // + offsets
+  constexpr std::int64_t kA = 256, kB = kA + kRegion, kD = kB + kRegion;
+  std::vector<Float16> init(static_cast<std::size_t>(kD + kRegion));
+  std::mt19937 rng(20211);
+  const std::vector<Float16> classes = operand_classes();
+  for (Float16& v : init) {
+    // Mostly ordinary values, so rounding and order matter; one in eight
+    // from the special classes (zeros, subnormals, infinities, NaNs).
+    v = rng() % 8 == 0 ? classes[rng() % classes.size()]
+                       : Float16(static_cast<float>(
+                             static_cast<int>(rng() % 2001) - 1000) /
+                         64.0f);
+  }
+  const Op kOps[] = {Op::kAdd, Op::kSub, Op::kMul, Op::kDiv,
+                     Op::kMax, Op::kMin, Op::kEq};
+  const int kOffsets[] = {1, -1, 9, -9, 128, -128};
+  constexpr int kCases = 1200;
+  std::vector<Float16> got(init.size()), want(init.size());
+  for (const ArithImpl* impl : arith_impls()) {
+    std::mt19937 pick(7);  // the same cases for every implementation
+    for (int c = 0; c < kCases; ++c) {
+      const auto layout =
+          static_cast<Layout>(c % static_cast<int>(Layout::kCount));
+      Rows r;
+      r.count = c % 11 == 0 ? (c % 22 == 0 ? 1 : 255)
+                            : 1 + static_cast<int>(pick() % 255);
+      r.lanes = c % 13 == 0 ? (c % 26 == 0 ? 1 : kMaxLanes)
+                            : 1 + static_cast<int>(pick() % kMaxLanes);
+      const auto stride = [&] {
+        const std::int64_t choices[] = {0, 16, 128, 256, r.lanes};
+        return choices[pick() % 5];
+      };
+      r.a_stride = stride();
+      r.b_stride = stride();
+      r.dst_stride = stride();
+      if (c % 3 == 0) {  // rows contiguous in every operand: one span?
+        r.a_stride = r.b_stride = r.dst_stride = r.lanes;
+      }
+      const bool scalar = pick() % 4 == 0;
+      const Op op = scalar ? kOps[pick() % 4] : kOps[pick() % 7];
+      const int offset = kOffsets[pick() % 6];
+      std::int64_t d = kD;
+      switch (layout) {
+        case Layout::kDisjoint: break;
+        case Layout::kDstIsA: d = kA; r.dst_stride = r.a_stride; break;
+        case Layout::kDstIsB: d = kB; r.dst_stride = r.b_stride; break;
+        case Layout::kDstAtAOwnStride: d = kA; break;
+        case Layout::kDstNearA: d = kA + offset; break;
+        case Layout::kDstNearB: d = kB + offset; break;
+        case Layout::kReduction:
+          d = kA;
+          r.dst_stride = r.a_stride = 0;
+          break;
+        case Layout::kCount: break;
+      }
+      const Float16 s = init[pick() % init.size()];
+      want = init;
+      per_row_oracle(op, want.data() + d, want.data() + kA, want.data() + kB,
+                     scalar ? &s : nullptr, r);
+      got = init;
+      if (scalar) {
+        impl->run_scalar(op, got.data() + d, got.data() + kA, s, r);
+      } else {
+        impl->run(op, got.data() + d, got.data() + kA, got.data() + kB, r);
+      }
+      if (std::memcmp(got.data(), want.data(),
+                      got.size() * sizeof(Float16)) == 0) {
+        continue;
+      }
+      std::size_t i = 0;
+      while (got[i].bits() == want[i].bits()) ++i;
+      FAIL() << impl->name << " case " << c << ": " << (scalar ? "scalar " : "")
+             << name(op) << " " << name(layout) << " offset " << offset
+             << " rows " << r.count << " x " << r.lanes << " strides d/a/b "
+             << r.dst_stride << "/" << r.a_stride << "/" << r.b_stride
+             << ": element " << static_cast<std::int64_t>(i) - d
+             << " from dst got 0x" << std::hex << got[i].bits() << " want 0x"
+             << want[i].bits();
     }
   }
 }
@@ -415,14 +593,18 @@ TEST(Fp16Lanes, FirstDispatchFromFourThreads) {
     std::vector<std::jthread> threads;
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&seen, &wrong, t] {
-        std::array<Float16, kMaxLanes> a{}, b{}, d{};
-        for (int i = 0; i < kMaxLanes; ++i) {
+        std::array<Float16, 2 * kMaxLanes> a{}, b{}, d{}, m{};
+        for (int i = 0; i < 2 * kMaxLanes; ++i) {
           a[i] = Float16(static_cast<float>(i + t) * 0.5f);
           b[i] = Float16(static_cast<float>(i % 5) - 2.0f);
         }
-        fp16_lanes::run(Op::kAdd, d.data(), a.data(), b.data(), kMaxLanes);
-        for (int i = 0; i < kMaxLanes; ++i) {
+        fp16_lanes::run(Op::kAdd, d.data(), a.data(), b.data(),
+                        dense(2, kMaxLanes));
+        fp16_lanes::run(Op::kMax, m.data(), a.data(), b.data(),
+                        dense(2, kMaxLanes));
+        for (int i = 0; i < 2 * kMaxLanes; ++i) {
           wrong[t] += d[i].bits() != (a[i] + b[i]).bits();
+          wrong[t] += m[i].bits() != fmax16(a[i], b[i]).bits();
         }
         seen[t] = &fp16_lanes::active_arith();
       });

@@ -98,6 +98,41 @@ TEST(Span, GmSpanWrapsHostMemory) {
   EXPECT_EQ(data[3].to_float(), 9.0f);
 }
 
+TEST(ScratchBuffer, StartsZeroAndScrubFillsEveryByte) {
+  // The storage is mapped lazily, but reads as zero over the whole
+  // capacity (not a page multiple here), and scrub() reaches every byte.
+  constexpr std::int64_t kBytes = (1 << 20) + 96;
+  ScratchBuffer buf(BufferKind::kL1, kBytes);
+  EXPECT_EQ(buf.capacity_bytes(), kBytes);
+  auto all = buf.alloc<std::uint8_t>(kBytes);
+  for (std::int64_t i = 0; i < kBytes; ++i) {
+    ASSERT_EQ(all.at(i), 0u) << "byte " << i;
+  }
+  all.at(12345) = 7;
+  buf.scrub(std::byte{0xA5});
+  for (std::int64_t i = 0; i < kBytes; ++i) {
+    ASSERT_EQ(all.at(i), 0xA5u) << "byte " << i;
+  }
+  EXPECT_THROW(buf.alloc<std::uint8_t>(1), Error);  // still full
+
+  ScratchBuffer empty(BufferKind::kUnified, 0);
+  EXPECT_EQ(empty.capacity_bytes(), 0);
+  EXPECT_EQ(empty.alloc<Float16>(0).size(), 0);
+  EXPECT_THROW(empty.alloc<Float16>(1), Error);
+  empty.scrub(std::byte{0xA5});
+}
+
+TEST(ScratchBufferDeathTest, AccessPastTheCapacityFaults) {
+  // A guard page follows a capacity of whole pages, so a write one byte
+  // past the end faults in every build instead of landing in whatever the
+  // OS mapped next (perhaps another buffer).
+  constexpr std::int64_t kBytes = 256 * 1024;
+  ScratchBuffer ub(BufferKind::kUnified, kBytes);
+  std::uint8_t* const end = ub.alloc<std::uint8_t>(kBytes).data() + kBytes;
+  end[-1] = 1;  // the last byte is the buffer's
+  EXPECT_DEATH(*static_cast<volatile std::uint8_t*>(end) = 1, "");
+}
+
 TEST(ScratchBuffer, BufferKindNames) {
   EXPECT_STREQ(to_string(BufferKind::kUnified), "UB");
   EXPECT_STREQ(to_string(BufferKind::kL1), "L1");

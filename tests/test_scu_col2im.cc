@@ -2,6 +2,9 @@
 // overlapping patches, zero-init requirement, padding drop, accounting.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "common/check.h"
@@ -145,6 +148,62 @@ TEST_F(ScuCol2imTest, InstructionAccounting) {
   EXPECT_EQ(ledger_.profile.col2im.instrs, 9);
   EXPECT_EQ(ledger_.profile.col2im.slots_used, 9);
   EXPECT_EQ(ledger_.sched.busy(Pipe::kScu), cost_.col2im(9, 9));
+}
+
+TEST_F(ScuCol2imTest, RowCallsMatchLaneByLaneAccumulate) {
+  // Col2Im adds each output row's patches in one call. Against the
+  // element loop it replaced -- (xk, yk, patch, lane) in order, one fp16
+  // add at a time -- on Sw = 1, 2, 3, with and without padding, into a
+  // non-zero `out`: the values are multiples of 1/7, so every add rounds
+  // and a change of accumulation order changes bits.
+  std::mt19937 rng(33);
+  const auto value = [&] {
+    return Float16(static_cast<float>(static_cast<int>(rng() % 200) - 100) /
+                   7.0f);
+  };
+  for (const std::int64_t sw : {1, 2, 3}) {
+    for (const std::int64_t pad : {0, 1}) {
+      for (const std::int64_t sh : {1, 2}) {
+        Window2d w = Window2d::pool(3, 1);
+        w.sh = sh;
+        w.sw = sw;
+        w.pt = w.pb = w.pl = w.pr = pad;
+        Im2colArgs args;
+        args.window = w;
+        args.ih = 9;
+        args.iw = 11;
+        auto src = ub_.alloc<Float16>(args.output_elems());
+        auto out = ub_.alloc<Float16>(args.input_elems());
+        for (std::int64_t i = 0; i < src.size(); ++i) src.at(i) = value();
+        std::vector<Float16> want(static_cast<std::size_t>(out.size()));
+        for (std::int64_t i = 0; i < out.size(); ++i) {
+          out.at(i) = want[i] = value();
+        }
+        const std::int64_t ow = args.ow();
+        for (std::int64_t xk = 0; xk < w.kh; ++xk) {
+          for (std::int64_t yk = 0; yk < w.kw; ++yk) {
+            for (std::int64_t p = 0; p < args.patches(); ++p) {
+              const std::int64_t y = p / ow * w.sh + xk - w.pt;
+              const std::int64_t x = p % ow * w.sw + yk - w.pl;
+              if (y < 0 || y >= args.ih || x < 0 || x >= args.iw) continue;
+              for (std::int64_t c = 0; c < kC0; ++c) {
+                Float16& o = want[(y * args.iw + x) * kC0 + c];
+                o = o + src.at(((xk * w.kw + yk) * args.padded_patches() + p) *
+                                   kC0 + c);
+              }
+            }
+          }
+        }
+        scu_.col2im(out, src, args);
+        for (std::int64_t i = 0; i < out.size(); ++i) {
+          ASSERT_EQ(out.at(i).bits(), want[i].bits())
+              << "sw " << sw << " sh " << sh << " pad " << pad << " element "
+              << i;
+        }
+        ub_.reset();
+      }
+    }
+  }
 }
 
 TEST_F(ScuCol2imTest, RequiresUnifiedBufferOperands) {

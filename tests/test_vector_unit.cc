@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <iterator>
+#include <random>
+#include <vector>
 
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
@@ -215,6 +217,112 @@ TEST_F(VectorUnitTest, MaxMinFastPathMatchesReferenceOnSpecialValues) {
       vec_.binary(VecOp::kMin, d, a, b, VecConfig::flat(1));
       EXPECT_EQ(d.at(0).bits(), fmin16(x, y).bits())
           << "vmin " << specials[i] << " vs " << specials[j];
+    }
+  }
+}
+
+// One Vector Unit instruction of the sweep below.
+enum class Instr : std::uint8_t {
+  kBinary, kAdds, kMuls, kCmpvEq, kDup, kCount
+};
+
+// The instruction semantics of sim/vector_unit.h spelled out, repeat by
+// repeat and active lane by active lane, on the layouts kernels issue (a
+// destination equal to a source, or disjoint from it), where every lane
+// reads its operands before it writes.
+void lane_by_lane(Instr instr, VecOp op, Float16* dst, const Float16* a,
+                  const Float16* b, Float16 s, const VecConfig& cfg) {
+  for (int rep = 0; rep < cfg.repeat; ++rep) {
+    for (int lane = 0; lane < 128; ++lane) {
+      if (!cfg.mask.lane(lane)) continue;
+      const Float16 x = a[rep * cfg.src0_rep_stride + lane];
+      const Float16 y = b[rep * cfg.src1_rep_stride + lane];
+      Float16& d = dst[rep * cfg.dst_rep_stride + lane];
+      switch (instr) {
+        case Instr::kAdds: d = x + s; break;
+        case Instr::kMuls: d = x * s; break;
+        case Instr::kCmpvEq: d = Float16(x == y ? 1.0f : 0.0f); break;
+        case Instr::kDup: d = s; break;
+        case Instr::kBinary:
+          switch (op) {
+            case VecOp::kMax: d = fmax16(x, y); break;
+            case VecOp::kMin: d = fmin16(x, y); break;
+            case VecOp::kAdd: d = x + y; break;
+            case VecOp::kSub: d = x - y; break;
+            case VecOp::kMul: d = x * y; break;
+            case VecOp::kDiv: d = x / y; break;
+          }
+          break;
+        case Instr::kCount: break;
+      }
+    }
+  }
+}
+
+TEST_F(VectorUnitTest, WholeInstructionsMatchLaneByLane) {
+  // Seeded sweep: every instruction form, 1..255 repeats, repeat strides
+  // 0, 16, 128 or 256 per operand, prefix and scattered masks, and a
+  // destination that is disjoint, src0 itself or the stride-0 reduction
+  // accumulator. Values are multiples of 1/7, so sums and products round
+  // and the reduction order shows in the bits.
+  ScratchBuffer ub(BufferKind::kUnified, 1 << 20);
+  constexpr std::int64_t kLen = 254 * 256 + 128;
+  Span<Float16> a = ub.alloc<Float16>(kLen);
+  Span<Float16> b = ub.alloc<Float16>(kLen);
+  Span<Float16> d = ub.alloc<Float16>(kLen);
+  std::mt19937 rng(2021);
+  const auto value = [&] {
+    return Float16(static_cast<float>(static_cast<int>(rng() % 64) - 32) /
+                   7.0f);
+  };
+  std::vector<Float16> a0(kLen), b0(kLen), d0(kLen);
+  for (std::int64_t i = 0; i < kLen; ++i) {
+    a0[i] = value();
+    b0[i] = value();
+    d0[i] = value();
+  }
+  const VecOp kOps[] = {VecOp::kMax, VecOp::kMin, VecOp::kAdd,
+                        VecOp::kSub, VecOp::kMul, VecOp::kDiv};
+  const std::int64_t kStrides[] = {0, 16, 128, 256};
+  for (int c = 0; c < 600; ++c) {
+    const auto instr = static_cast<Instr>(c % static_cast<int>(Instr::kCount));
+    const VecOp op = kOps[rng() % 6];
+    VecConfig cfg;
+    cfg.repeat = c % 7 == 0 ? 255 : 1 + static_cast<int>(rng() % 255);
+    if (c % 3 == 0) {
+      cfg.mask.lo = (std::uint64_t{rng()} << 32) | rng();
+      cfg.mask.hi = (std::uint64_t{rng()} << 32) | rng();
+    } else {
+      cfg.mask = VecMask::first_n(1 + static_cast<int>(rng() % 128));
+    }
+    cfg.dst_rep_stride = kStrides[rng() % 4];
+    cfg.src0_rep_stride = kStrides[rng() % 4];
+    cfg.src1_rep_stride = kStrides[rng() % 4];
+    const int layout = (c / 5) % 3;  // 0 disjoint, 1 dst == src0, 2 reduction
+    if (layout == 1) cfg.dst_rep_stride = cfg.src0_rep_stride;
+    if (layout == 2) cfg.dst_rep_stride = cfg.src0_rep_stride = 0;
+    const Float16 s = value();
+    std::copy(a0.begin(), a0.end(), a.data());
+    std::copy(b0.begin(), b0.end(), b.data());
+    std::copy(d0.begin(), d0.end(), d.data());
+    std::vector<Float16> wa = a0, wd = d0;
+    Float16* const want = layout == 0 ? wd.data() : wa.data();
+    lane_by_lane(instr, op, want, wa.data(), b0.data(), s, cfg);
+    Span<Float16> dst = layout == 0 ? d : a;
+    switch (instr) {
+      case Instr::kBinary: vec_.binary(op, dst, a, b, cfg); break;
+      case Instr::kAdds: vec_.adds(dst, a, s, cfg); break;
+      case Instr::kMuls: vec_.muls(dst, a, s, cfg); break;
+      case Instr::kCmpvEq: vec_.cmpv_eq(dst, a, b, cfg); break;
+      case Instr::kDup: vec_.dup(dst, s, cfg); break;
+      case Instr::kCount: break;
+    }
+    for (std::int64_t i = 0; i < kLen; ++i) {
+      ASSERT_EQ(dst.at(i).bits(), want[i].bits())
+          << "case " << c << " instr " << static_cast<int>(instr) << " "
+          << to_string(op) << " layout " << layout << " repeat " << cfg.repeat
+          << " strides " << cfg.dst_rep_stride << "/" << cfg.src0_rep_stride
+          << "/" << cfg.src1_rep_stride << " element " << i;
     }
   }
 }

@@ -61,8 +61,9 @@
 //
 // The console prints one row per trace line, then the "serve" object
 // through davinci_prof's renderer (render_object), then one "host" line
-// with what only this tool measures: wall time, requests/s, the
-// per-request host-phase sums and the measured replay's trace-id range.
+// with what only this tool measures: wall time, requests/s, the fp16 lane
+// implementation this CPU runs (sim/fp16_lanes.h), the per-request
+// host-phase sums and the measured replay's trace-id range.
 //
 // Exit codes: 0 success, 2 usage, 3 trace error (unreadable or malformed,
 // or a line whose tensors cannot be materialized), 4 any request failed
@@ -82,6 +83,7 @@
 #include "common/json.h"
 #include "serve/session.h"
 #include "serve/trace.h"
+#include "sim/fp16_lanes.h"
 #include "sim/metrics_registry.h"
 #include "sim/prof_report.h"
 #include "sim/trace_export.h"
@@ -474,13 +476,15 @@ int main(int argc, char** argv) {
   const std::int64_t ok_requests =
       static_cast<std::int64_t>(requests.size()) - failed_requests -
       expired_requests - shed_requests;
-  std::printf("host: %.1f ms wall, %.0f requests/s; per-request phase sums "
-              "alloc %.2f ms, plan %.2f ms, validate %.2f ms, execute %.2f "
-              "ms; trace ids %lld..%lld\n",
+  // Host time depends on which fp16 lane implementation this CPU runs.
+  std::printf("host: %.1f ms wall, %.0f requests/s, fp16 lanes %s; "
+              "per-request phase sums alloc %.2f ms, plan %.2f ms, validate "
+              "%.2f ms, execute %.2f ms; trace ids %lld..%lld\n",
               host_ms,
               host_ms > 0.0
                   ? 1000.0 * static_cast<double>(ok_requests) / host_ms
                   : 0.0,
+              fp16_lanes::active_arith().name,
               static_cast<double>(host_alloc_ns) / 1e6,
               static_cast<double>(host_plan_ns) / 1e6,
               static_cast<double>(host_validate_ns) / 1e6,
