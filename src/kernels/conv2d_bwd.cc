@@ -159,31 +159,16 @@ Conv2dBwdResult conv2d_backward_input(Device& dev, const TensorF16& grad_out,
       core.vdup_flat(out, Float16(), in_rows * iw * kC0);
       core.pipe_barrier();
 
+      Im2colArgs args;
+      args.window = wt;
+      args.ih = in_rows;
+      args.iw = iw;
+      DV_CHECK_EQ(args.patches(), tp);
       if (merge == MergeImpl::kCol2im) {
-        Im2colArgs args;
-        args.window = wt;
-        args.ih = in_rows;
-        args.iw = iw;
-        DV_CHECK_EQ(args.patches(), tp);
         core.scu().col2im(out, cols, args);
       } else {
         // Baseline merge: per-patch 16-lane vadd scatter, no repetition.
-        for (std::int64_t kh = 0; kh < w.kh; ++kh) {
-          for (std::int64_t kw = 0; kw < w.kw; ++kw) {
-            const std::int64_t pbase = (kh * w.kw + kw) * plane;
-            for (std::int64_t p = 0; p < tp; ++p) {
-              const std::int64_t y = (p / ow) * w.sh + kh - wt.pt;
-              const std::int64_t x = (p % ow) * w.sw + kw - wt.pl;
-              if (y < 0 || y >= in_rows || x < 0 || x >= iw) continue;
-              VecConfig cfg;
-              cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-              auto dst = out.sub((y * iw + x) * kC0, kC0);
-              core.vec().binary(VecOp::kAdd, dst, dst,
-                                cols.sub(pbase + p * kC0, kC0), cfg);
-              core.scalar_loop(1);
-            }
-          }
-        }
+        detail::vadd_merge(core, out, cols, plane, args);
       }
 
       // Seam accumulation with the previous tile, then store.

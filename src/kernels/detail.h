@@ -139,6 +139,74 @@ inline void strided16_copy(AiCore& core, Span<Float16> dst,
   row_strided_copy(core, dst, dst_stride, src, src_stride, count, kC0);
 }
 
+// The direct baselines' reduction (Listing 1): out[oy, ox] = op over the
+// (Kh, Kw) window of the unpadded (rows, iw, C0) tile `in`, for `oh` x
+// `ow` outputs. One 16-lane instruction per (oy, ox, kh), its repeat
+// walking Kw into the stride-0 accumulator -- issued Oh*Ow*Kh times, each
+// followed by one scalar-loop iteration. The instructions of one (oy, kh)
+// are one run over ox: every issue costs the same and the destinations
+// are disjoint, so bits, intervals and trace events are those of the
+// (oy, ox, kh) loop.
+inline void patch_reduce(AiCore& core, VecOp op, Span<Float16> out,
+                         Span<Float16> in, const Window2d& w, std::int64_t oh,
+                         std::int64_t ow, std::int64_t iw) {
+  VecConfig cfg;
+  cfg.mask = VecMask::first_n(static_cast<int>(kC0));
+  cfg.repeat = static_cast<int>(w.kw);
+  cfg.dst_rep_stride = 0;  // reduction idiom
+  cfg.src0_rep_stride = 0;
+  cfg.src1_rep_stride = kC0;
+  const VecRun run{.count = static_cast<int>(ow),
+                   .dst_step = kC0,
+                   .src0_step = kC0,
+                   .src1_step = w.sw * kC0,
+                   .scalar_iters = 1};
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    auto dst = out.drop_front(oy * ow * kC0);
+    for (std::int64_t kh = 0; kh < w.kh; ++kh) {
+      core.vec().binary(op, dst, dst,
+                        in.drop_front((oy * w.sh + kh) * iw * kC0), cfg, run);
+    }
+  }
+}
+
+// The baselines' vadd merge (Section V-B): adds the (Kh, Kw, PP, C0)
+// contribution planes, `plane_stride` elements apart (0: every kernel
+// position reads the first), into the (ih, iw, C0) tile `out` that `args`
+// describes. One 16-lane vadd per in-image patch, no repetition, each
+// followed by one scalar-loop iteration -- the baseline's "very poor usage
+// of the Vector Unit". Walks (kh, kw, output row) like Scu::col2im, one
+// run over each row's in-image patches, so the adds into every element
+// keep their order.
+inline void vadd_merge(AiCore& core, Span<Float16> out, Span<Float16> planes,
+                       std::int64_t plane_stride, const Im2colArgs& args) {
+  const Window2d& w = args.window;
+  const std::int64_t ow = args.ow();
+  VecConfig cfg;
+  cfg.mask = VecMask::first_n(static_cast<int>(kC0));
+  for (std::int64_t kh = 0; kh < w.kh; ++kh) {
+    for (std::int64_t kw = 0; kw < w.kw; ++kw) {
+      const auto [first, last] = args.in_image_cols(kw);
+      if (first == last) continue;
+      const VecRun run{.count = static_cast<int>(last - first),
+                       .dst_step = w.sw * kC0,
+                       .src0_step = w.sw * kC0,
+                       .src1_step = kC0,
+                       .scalar_iters = 1};
+      const std::int64_t x_first = first * w.sw + kw - w.pl;
+      const std::int64_t pbase = (kh * w.kw + kw) * plane_stride;
+      for (std::int64_t oy = 0; oy < args.oh(); ++oy) {
+        const std::int64_t y = oy * w.sh + kh - w.pt;
+        if (y < 0 || y >= args.ih) continue;
+        auto dst = out.drop_front((y * args.iw + x_first) * kC0);
+        core.vec().binary(VecOp::kAdd, dst, dst,
+                          planes.drop_front(pbase + (oy * ow + first) * kC0),
+                          cfg, run);
+      }
+    }
+  }
+}
+
 // Full-mask reduction of `planes` consecutive (plane_elems)-sized planes
 // of `cols` into `acc` -- the proposed Listing-2 reduction: one
 // instruction sequence per (kh, kw) plane with a saturated mask.

@@ -68,23 +68,7 @@ void direct_reduce(AiCore& core, VecOp op, Span<Float16> out,
   } else {
     // General case: 16 of 128 mask lanes, repeat over Kw, one instruction
     // per (oh, ow, kh).
-    for (std::int64_t oh = 0; oh < g.oh_t; ++oh) {
-      for (std::int64_t ow = 0; ow < g.ow; ++ow) {
-        auto dst = out.sub((oh * g.ow + ow) * kC0, kC0);
-        for (std::int64_t kh = 0; kh < g.w.kh; ++kh) {
-          VecConfig cfg;
-          cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-          cfg.repeat = static_cast<int>(g.w.kw);
-          cfg.dst_rep_stride = 0;   // reduction idiom
-          cfg.src0_rep_stride = 0;
-          cfg.src1_rep_stride = kC0;
-          auto src = in.sub(
-              ((oh * g.w.sh + kh) * g.iw + ow * g.w.sw) * kC0, g.w.kw * kC0);
-          core.vec().binary(op, dst, dst, src, cfg);
-          core.scalar_loop(1);
-        }
-      }
-    }
+    detail::patch_reduce(core, op, out, in, g.w, g.oh_t, g.ow, g.iw);
   }
 }
 
@@ -254,38 +238,34 @@ void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
 // overcome the scattered memory problems of pooling".
 void xysplit_reduce(AiCore& core, VecOp op, Span<Float16> tmp,
                     Span<Float16> out, Span<Float16> in, const TileGeom& g) {
+  VecConfig cfg;
+  cfg.mask = VecMask::first_n(static_cast<int>(kC0));
+  cfg.dst_rep_stride = 0;
+  cfg.src0_rep_stride = 0;
+  // Each row's instructions are one run over ow, each issue followed by
+  // one scalar-loop iteration.
+  VecRun run{.count = static_cast<int>(g.ow),
+             .dst_step = kC0,
+             .src0_step = kC0,
+             .scalar_iters = 1};
   // Stage 1: tmp[h, ow, :] = reduce over kw of in[h, ow*Sw + kw, :];
   // issued In_rows*Ow times, repeat over Kw.
+  cfg.repeat = static_cast<int>(g.w.kw);
+  cfg.src1_rep_stride = kC0;
+  run.src1_step = g.w.sw * kC0;
   for (std::int64_t h = 0; h < g.in_rows; ++h) {
-    for (std::int64_t ow = 0; ow < g.ow; ++ow) {
-      VecConfig cfg;
-      cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-      cfg.repeat = static_cast<int>(g.w.kw);
-      cfg.dst_rep_stride = 0;
-      cfg.src0_rep_stride = 0;
-      cfg.src1_rep_stride = kC0;
-      auto dst = tmp.sub((h * g.ow + ow) * kC0, kC0);
-      auto src = in.sub((h * g.iw + ow * g.w.sw) * kC0, g.w.kw * kC0);
-      core.vec().binary(op, dst, dst, src, cfg);
-      core.scalar_loop(1);
-    }
+    auto dst = tmp.drop_front(h * g.ow * kC0);
+    core.vec().binary(op, dst, dst, in.drop_front(h * g.iw * kC0), cfg, run);
   }
   // Stage 2: out[oh, ow, :] = reduce over kh of tmp[oh*Sh + kh, ow, :];
   // issued Oh*Ow times, repeat over Kh with a row-sized stride.
+  cfg.repeat = static_cast<int>(g.w.kh);
+  cfg.src1_rep_stride = g.ow * kC0;
+  run.src1_step = kC0;
   for (std::int64_t oh = 0; oh < g.oh_t; ++oh) {
-    for (std::int64_t ow = 0; ow < g.ow; ++ow) {
-      VecConfig cfg;
-      cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-      cfg.repeat = static_cast<int>(g.w.kh);
-      cfg.dst_rep_stride = 0;
-      cfg.src0_rep_stride = 0;
-      cfg.src1_rep_stride = g.ow * kC0;
-      auto dst = out.sub((oh * g.ow + ow) * kC0, kC0);
-      auto src = tmp.sub((oh * g.w.sh * g.ow + ow) * kC0,
-                         ((g.w.kh - 1) * g.ow + 1) * kC0);
-      core.vec().binary(op, dst, dst, src, cfg);
-      core.scalar_loop(1);
-    }
+    auto dst = out.drop_front(oh * g.ow * kC0);
+    core.vec().binary(op, dst, dst,
+                      tmp.drop_front(oh * g.w.sh * g.ow * kC0), cfg, run);
   }
 }
 

@@ -106,47 +106,32 @@ Device::RunResult maxpool_mask_fwd_impl(Device& dev, const SliceMap& in,
         core.pipe_barrier();
 
         // Direct reduction: Oh*Ow*Kh issues, 16 active lanes, repeat = Kw.
-        for (std::int64_t i = 0; i < oh_t; ++i) {
-          for (std::int64_t j = 0; j < ow; ++j) {
-            auto dst = acc.sub((i * ow + j) * kC0, kC0);
-            for (std::int64_t kh = 0; kh < w.kh; ++kh) {
-              VecConfig cfg;
-              cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-              cfg.repeat = static_cast<int>(w.kw);
-              cfg.dst_rep_stride = 0;
-              cfg.src0_rep_stride = 0;
-              cfg.src1_rep_stride = kC0;
-              auto src = ubin.sub(((i * w.sh + kh) * iw + j * w.sw) * kC0,
-                                  w.kw * kC0);
-              core.vec().binary(VecOp::kMax, dst, dst, src, cfg);
-              core.scalar_loop(1);
-            }
-          }
-        }
+        detail::patch_reduce(core, VecOp::kMax, acc, ubin, w, oh_t, ow, iw);
         core.pipe_barrier();
 
         // Mask production against the original layout: one comparison per
         // (oh, ow, kh) with repeat over Kw; the destinations for the Kw
-        // repeats are strided across whole (kh, kw) planes.
+        // repeats are strided across whole (kh, kw) planes. The
+        // comparisons of one (oh, kh) are one run over ow, as in the
+        // reduction.
         auto msk = core.ub().alloc<Float16>(w.kh * w.kw * plane);
+        VecConfig cfg;
+        cfg.mask = VecMask::first_n(static_cast<int>(kC0));
+        cfg.repeat = static_cast<int>(w.kw);
+        cfg.dst_rep_stride = plane;  // consecutive kw -> next plane
+        cfg.src0_rep_stride = kC0;
+        cfg.src1_rep_stride = 0;
+        const VecRun run{.count = static_cast<int>(ow),
+                         .dst_step = kC0,
+                         .src0_step = w.sw * kC0,
+                         .src1_step = kC0,
+                         .scalar_iters = 1};
         for (std::int64_t i = 0; i < oh_t; ++i) {
-          for (std::int64_t j = 0; j < ow; ++j) {
-            const std::int64_t p = i * ow + j;
-            auto maxv = acc.sub(p * kC0, kC0);
-            for (std::int64_t kh = 0; kh < w.kh; ++kh) {
-              VecConfig cfg;
-              cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-              cfg.repeat = static_cast<int>(w.kw);
-              cfg.dst_rep_stride = plane;  // consecutive kw -> next plane
-              cfg.src0_rep_stride = kC0;
-              cfg.src1_rep_stride = 0;
-              auto dst = msk.sub((kh * w.kw * pp + p) * kC0,
-                                 ((w.kw - 1) * pp + 1) * kC0);
-              auto src = ubin.sub(((i * w.sh + kh) * iw + j * w.sw) * kC0,
-                                  w.kw * kC0);
-              core.vec().cmpv_eq(dst, src, maxv, cfg);
-              core.scalar_loop(1);
-            }
+          auto maxv = acc.drop_front(i * ow * kC0);
+          for (std::int64_t kh = 0; kh < w.kh; ++kh) {
+            core.vec().cmpv_eq(msk.drop_front((kh * w.kw * pp + i * ow) * kC0),
+                               ubin.drop_front((i * w.sh + kh) * iw * kC0),
+                               maxv, cfg, run);
           }
         }
         core.pipe_barrier();

@@ -173,40 +173,24 @@ Device::RunResult pooling_backward_impl(Device& dev, const SliceMap* mask,
       }
       if (!in_place) sl.grad_free = planes_done;
 
-      Event merge_done;
-      if (merge == MergeImpl::kCol2im) {
-        Im2colArgs args;
-        args.window = wt;
-        args.ih = in_rows;
-        args.iw = iw;
-        DV_CHECK_EQ(args.patches(), tp);
-        merge_done =
-            staged(core, db, Pipe::kScu, std::max(planes_done, init_done),
-                   [&] { core.scu().col2im(out, planes, args); });
-      } else {
-        // Baseline merge: one 16-lane vadd per (kh, kw, patch), no
-        // repetition (Section V-B).
-        const std::int64_t stride = in_place ? 0 : plane;
-        merge_done = staged(
-            core, db, Pipe::kVector, std::max(planes_done, init_done), [&] {
-              for (std::int64_t kh = 0; kh < w.kh; ++kh) {
-                for (std::int64_t kw = 0; kw < w.kw; ++kw) {
-                  const std::int64_t pbase = (kh * w.kw + kw) * stride;
-                  for (std::int64_t p = 0; p < tp; ++p) {
-                    const std::int64_t y = (p / ow) * w.sh + kh - wt.pt;
-                    const std::int64_t x = (p % ow) * w.sw + kw - wt.pl;
-                    if (y < 0 || y >= in_rows || x < 0 || x >= iw) continue;
-                    VecConfig cfg;
-                    cfg.mask = VecMask::first_n(static_cast<int>(kC0));
-                    auto dst = out.sub((y * iw + x) * kC0, kC0);
-                    core.vec().binary(VecOp::kAdd, dst, dst,
-                                      planes.sub(pbase + p * kC0, kC0), cfg);
-                    core.scalar_loop(1);
-                  }
-                }
-              }
-            });
-      }
+      Im2colArgs args;
+      args.window = wt;
+      args.ih = in_rows;
+      args.iw = iw;
+      DV_CHECK_EQ(args.patches(), tp);
+      // The merge: Col2Im on the SCU, or the baseline's one 16-lane vadd
+      // per (kh, kw, patch), no repetition (Section V-B).
+      const bool col2im = merge == MergeImpl::kCol2im;
+      const Event merge_done =
+          staged(core, db, col2im ? Pipe::kScu : Pipe::kVector,
+                 std::max(planes_done, init_done), [&] {
+                   if (col2im) {
+                     core.scu().col2im(out, planes, args);
+                   } else {
+                     detail::vadd_merge(core, out, planes,
+                                        in_place ? 0 : plane, args);
+                   }
+                 });
       (in_place ? sl.grad_free : sl.planes_free) = merge_done;
 
       // Seam accumulation: re-read the rows this tile shares with the

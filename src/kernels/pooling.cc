@@ -5,6 +5,8 @@
 // the outputs (make_outputs) and runs on whole-tensor maps.
 #include "kernels/pooling.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "kernels/detail.h"
 #include "kernels/pool_fwd_driver.h"
@@ -182,9 +184,17 @@ PoolResult make_outputs(const PoolOp& op, const PoolInputs& in,
     const std::int64_t oh = w.out_h(s[2]), ow = w.out_w(s[3]);
     res.out = make(Shape{s[0], s[1], oh, ow, kC0}, false);
     if (op.kind == PoolOpKind::kMaxMaskFwd) {
-      res.mask = make(Shape{s[0], s[1], w.kh, w.kw,
-                            round_up(oh * ow, kFractalRows), kC0},
-                      true);
+      const std::int64_t pp = round_up(oh * ow, kFractalRows);
+      res.mask = make(Shape{s[0], s[1], w.kh, w.kw, pp, kC0}, false);
+      if (!resilient) {
+        // The kernels store rows [0, Oh*Ow) of every (kh, kw) plane; only
+        // the fractal tail rows up to PP are left to zero.
+        const std::int64_t planes = s[0] * s[1] * w.kh * w.kw;
+        for (std::int64_t p = 0; p < planes; ++p) {
+          std::fill_n(res.mask.data() + (p * pp + oh * ow) * kC0,
+                      (pp - oh * ow) * kC0, Float16());
+        }
+      }
     }
     return res;
   }

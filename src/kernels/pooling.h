@@ -162,8 +162,9 @@ PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in);
 // documents; `run` stays empty. The one owner of the output shapes and
 // of the zero-fill rule. Storage starts uninitialized (arena reuse, no
 // memset) because the kernels store every element, except
-//  * the mask, whose fractal padding rows no kernel stores (they are
-//    compared by result checks and read by the backward pass);
+//  * the mask's fractal tail rows (PP - Oh*Ow per (kh, kw) plane), which
+//    no kernel stores (they are compared by result checks and read by the
+//    backward pass): only those rows are zeroed;
 //  * a backward grad_in whose tile stores leave input rows uncovered
 //    (Sh > Kh gaps, or windows that stop short of Ih): those rows are
 //    the zero gradient;

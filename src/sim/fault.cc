@@ -257,9 +257,17 @@ void CoreFaultState::on_scu_result(std::byte* data, std::int64_t bytes) {
   attempt_silent_ += 1;
 }
 
-void CoreFaultState::on_vector_instr(const char* op) {
-  if (!fire(FaultSite::kVecTransient, 1.0)) return;
-  stats_.faults_injected += 1;
+std::int64_t CoreFaultState::vector_fault_at(std::int64_t issues) {
+  for (std::int64_t i = 0; i < issues; ++i) {
+    if (fire(FaultSite::kVecTransient, 1.0)) {
+      stats_.faults_injected += 1;
+      return i;
+    }
+  }
+  return issues;
+}
+
+void CoreFaultState::throw_vector_fault(const char* op) const {
   throw TransientFault("transient vector-unit fault on core " +
                        std::to_string(core_) + " during '" + op +
                        "' (block " + std::to_string(block_) +

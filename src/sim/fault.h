@@ -103,6 +103,7 @@ struct FaultStats {
 
   FaultStats& operator+=(const FaultStats& o);
   std::string summary() const;
+  friend bool operator==(const FaultStats&, const FaultStats&) = default;
 };
 
 // A transient, *detected* fault (parity/ECC style): the instruction's
@@ -171,8 +172,13 @@ class CoreFaultState {
   // one fp16 element (fractal error).
   void on_scu_result(std::byte* data, std::int64_t bytes);
 
-  // A vector instruction issued: may throw TransientFault.
-  void on_vector_instr(const char* op);
+  // The vec_fault draws of `issues` vector instructions issued in order
+  // (an instruction run, sim/vector_unit.h): one draw per issue, stopping
+  // at the first that fires, which counts as injected. Returns that
+  // issue's index, or `issues` when none fires.
+  std::int64_t vector_fault_at(std::int64_t issues);
+  // The TransientFault of the vector instruction `op` a draw hit.
+  [[noreturn]] void throw_vector_fault(const char* op) const;
 
   // --- store-path CRC (output-region verification) ---
   bool crc_enabled() const { return record_crc_; }

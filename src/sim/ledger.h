@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "sim/fault.h"
 #include "sim/pipe_schedule.h"
@@ -29,14 +30,25 @@ struct Ledger {
   // occupancy (in the unit's slot currency, see Profile) to the unit's,
   // and, when tracing, records an event at the interval's start with the
   // text detail() returns.
+  //
+  // With `issues` > 1 or `then` > 0 it books an instruction run
+  // (sim/vector_unit.h) in one step: `issues` back-to-back issues, each
+  // followed by `then` cycles of scalar-loop work on the same pipe, with
+  // exactly the intervals, counts and trace events (one per issue, at its
+  // start) that booking the issues and their scalar iterations one at a
+  // time appends.
   template <class Detail>
   void book(TraceKind unit, Pipe pipe, std::int64_t cycles,
-            const UnitOccupancy& occ, Detail&& detail) {
-    const PipeScheduler::Interval iv = sched.issue(pipe, cycles);
-    profile.count(unit, occ);
+            const UnitOccupancy& occ, Detail&& detail,
+            std::int64_t issues = 1, std::int64_t then = 0) {
+    const PipeScheduler::Interval iv = sched.issue(pipe, cycles, issues, then);
+    profile.count(unit, occ, issues);
     if (trace.enabled()) {
-      trace.record(unit, detail(), cycles, occ.slots_used,
-                   occ.slots_capacity, iv.start);
+      const std::string text = detail();
+      for (std::int64_t i = 0; i < issues; ++i) {
+        trace.record(unit, text, cycles, occ.slots_used, occ.slots_capacity,
+                     iv.start + i * (cycles + then));
+      }
     }
   }
 

@@ -119,6 +119,9 @@ class PipeScheduler {
     // Log index of the same pipe's previous logged interval, -1 for its
     // first (fits the struct's padding; the log holds < 2^31 entries).
     std::int32_t prev = -1;
+
+    friend bool operator==(const LoggedInterval&,
+                           const LoggedInterval&) = default;
   };
 
   // Opens a stage on `pipe`; operations issued until end_stage() land on
@@ -169,8 +172,20 @@ class PipeScheduler {
   // up to stage_flag_ cycles of a stage-dependency gap count as flag
   // stall (the modeled wait_flag spin), the remainder as event wait; a
   // serial-frontier gap is all event wait.
-  Interval issue(Pipe natural_pipe, std::int64_t cycles) {
+  //
+  // With `count` > 1 or `then` > 0 this schedules an instruction run
+  // (sim/vector_unit.h): `count` back-to-back issues of `cycles`, each
+  // followed by `then` cycles of scalar-loop work on the same pipe. Only
+  // the first issue can wait: it leaves its pipe at the frontier (outside
+  // a stage) or past the stage dependency (inside one), so every later
+  // interval starts where the previous one ended. The log, buckets and
+  // frontier are exactly those of 2 * count single issues (the zero-length
+  // ones logging nothing). Returns the first issue's interval.
+  Interval issue(Pipe natural_pipe, std::int64_t cycles,
+                 std::int64_t count = 1, std::int64_t then = 0) {
     DV_CHECK_GE(cycles, 0);
+    DV_CHECK_GE(count, 1);
+    DV_CHECK_GE(then, 0);
     const Pipe pipe = stage_open_ ? stage_pipe_ : natural_pipe;
     const int pi = pipe_index(pipe);
     std::int64_t start;
@@ -187,11 +202,17 @@ class PipeScheduler {
       start = frontier();
       wait_[pi] += start - ready_[pi];
     }
-    Interval iv{start, start + cycles};
-    ready_[pi] = iv.end;
-    busy_[pi] += cycles;
-    log_interval(pipe, iv);
-    return iv;
+    // Each issue's interval, then its scalar iterations'.
+    std::int64_t at = start;
+    for (std::int64_t i = 0; i < count; ++i) {
+      log_interval(pipe, {at, at + cycles});
+      at += cycles;
+      log_interval(pipe, {at, at + then});
+      at += then;
+    }
+    ready_[pi] = at;
+    busy_[pi] += at - start;
+    return {start, start + cycles};
   }
 
   // A full synchronization costing `cycles`: starts at the global

@@ -9,10 +9,10 @@ namespace davinci {
 
 namespace {
 
-// The (xk, yk) -> (y, x) source-coordinate mapping shared by both Im2Col
-// iteration orders and Col2Im: patch p's (xk, yk) element comes from input
-// position (p / Ow * Sh + xk - pad_top, p % Ow * Sw + yk - pad_left), and
-// positions outside the input image are the virtual zero-padding border.
+// The (xk, yk) -> (y, x) source-coordinate mapping of the mode-0 Im2Col:
+// patch p's (xk, yk) element comes from input position
+// (p / Ow * Sh + xk - pad_top, p % Ow * Sw + yk - pad_left), and positions
+// outside the input image are the virtual zero-padding border.
 struct PatchCoords {
   explicit PatchCoords(const Im2colArgs& args)
       : w(args.window), ow(args.ow()), ih(args.ih), iw(args.iw) {}
@@ -55,7 +55,6 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
   DV_CHECK_LE(args.output_elems(), dst.size());
 
   const Window2d& w = args.window;
-  const PatchCoords coords(args);
   const std::int64_t patches = args.patches();
   const std::int64_t padded = args.padded_patches();
   const std::int64_t fractals_per_plane = args.patch_fractals();
@@ -64,36 +63,41 @@ void Scu::im2col_load(Span<Float16> dst, Span<Float16> src,
   // instruction walks 16 consecutive patches per fractal, loading the
   // (xk, yk) element of each patch together with its whole C0 row. The
   // size checks above bound every access, so the loop runs on raw
-  // pointers and moves each C0 row as one 32-byte block.
+  // pointers: each plane's in-image patch columns are computed once, the
+  // padding columns of a row are zero-filled, and its in-image patches
+  // are one memcpy at Sw = 1 (they are adjacent in the input row), one
+  // 32-byte C0 row each otherwise.
   Float16* const d = dst.data();
   const Float16* const s = src.data();
   constexpr std::size_t kRowBytes = kC0 * sizeof(Float16);
-  const std::int64_t ow = coords.ow;
+  const std::int64_t ow = args.ow();
   const std::int64_t oh = patches / ow;
   for (std::int64_t xk = 0; xk < w.kh; ++xk) {
     for (std::int64_t yk = 0; yk < w.kw; ++yk) {
       const std::int64_t plane = (xk * w.kw + yk) * padded * kC0;
-      Float16* drow = d + plane;
+      const auto [first, last] = args.in_image_cols(yk);
+      const std::int64_t x_first = first * w.sw + yk - w.pl;
       // Patches walk row-major: patch oy*Ow + ox reads input position
-      // (oy*Sh + xk - pt, ox*Sw + yk - pl) -- iterate the output grid
-      // directly so the source coordinates advance incrementally.
+      // (oy*Sh + xk - pt, ox*Sw + yk - pl).
       for (std::int64_t oy = 0; oy < oh; ++oy) {
+        Float16* const drow = d + plane + oy * ow * kC0;
         const std::int64_t y = oy * w.sh + xk - w.pt;
-        if (y < 0 || y >= args.ih) {
+        if (y < 0 || y >= args.ih || first == last) {
           // Whole row falls in the zero-padding border.
           std::fill_n(drow, ow * kC0, Float16());
-          drow += ow * kC0;
           continue;
         }
-        const Float16* const srow = s + y * args.iw * kC0;
-        std::int64_t x = yk - w.pl;
-        for (std::int64_t ox = 0; ox < ow; ++ox, x += w.sw, drow += kC0) {
-          if (x < 0 || x >= args.iw) {
-            std::fill_n(drow, kC0, Float16());
-          } else {
-            std::memcpy(drow, srow + x * kC0, kRowBytes);
+        std::fill_n(drow, first * kC0, Float16());
+        const Float16* const srow = s + (y * args.iw + x_first) * kC0;
+        if (w.sw == 1) {
+          std::memcpy(drow + first * kC0, srow, (last - first) * kRowBytes);
+        } else {
+          for (std::int64_t ox = first; ox < last; ++ox) {
+            std::memcpy(drow + ox * kC0, srow + (ox - first) * w.sw * kC0,
+                        kRowBytes);
           }
         }
+        std::fill_n(drow + last * kC0, (ow - last) * kC0, Float16());
       }
       // Tail rows of the last fractal.
       if (padded > patches) {
@@ -192,7 +196,6 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   DV_CHECK_LE(args.output_elems(), src.size());
 
   const Window2d& w = args.window;
-  const PatchCoords coords(args);
   const std::int64_t patches = args.patches();
   const std::int64_t padded = args.padded_patches();
   const std::int64_t fractals_per_plane = args.patch_fractals();
@@ -208,25 +211,22 @@ void Scu::col2im(Span<Float16> out, Span<Float16> src, const Im2colArgs& args) {
   // above bound every access.
   Float16* const o = out.data();
   const Float16* const s = src.data();
-  const std::int64_t ow = coords.ow;
+  const std::int64_t ow = args.ow();
   const std::int64_t oh = patches / ow;
   for (std::int64_t xk = 0; xk < w.kh; ++xk) {
     for (std::int64_t yk = 0; yk < w.kw; ++yk) {
       const std::int64_t plane = (xk * w.kw + yk) * padded * kC0;
-      // Patch ox reads column x0 + ox*Sw; [first, last) are the patches
-      // whose column lies inside the image -- gradient into the padding
-      // border is dropped.
-      const std::int64_t x0 = yk - w.pl;
-      const std::int64_t first = x0 < 0 ? ceil_div(-x0, w.sw) : 0;
-      const std::int64_t last =
-          x0 >= args.iw ? 0 : std::min(ow, (args.iw - 1 - x0) / w.sw + 1);
-      if (first >= last) continue;
+      // Gradient into the padding border is dropped: only the in-image
+      // patch columns [first, last) accumulate.
+      const auto [first, last] = args.in_image_cols(yk);
+      if (first == last) continue;
       const fp16_lanes::Rows row{static_cast<int>(last - first), kC0,
                                  w.sw * kC0, w.sw * kC0, kC0};
+      const std::int64_t x_first = first * w.sw + yk - w.pl;
       for (std::int64_t oy = 0; oy < oh; ++oy) {
         const std::int64_t y = oy * w.sh + xk - w.pt;
         if (y < 0 || y >= args.ih) continue;
-        Float16* const orow = o + (y * args.iw + x0 + first * w.sw) * kC0;
+        Float16* const orow = o + (y * args.iw + x_first) * kC0;
         const Float16* const srow = s + plane + (oy * ow + first) * kC0;
         fp16_lanes::run(fp16_lanes::Op::kAdd, orow, orow, srow, row);
       }

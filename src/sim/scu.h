@@ -24,6 +24,7 @@
 // (sim/ledger.h), on the SCU pipe.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "arch/arch_config.h"
@@ -65,6 +66,23 @@ struct Im2colArgs {
     return window.kh * window.kw * padded_patches() * kC0;
   }
   std::int64_t input_elems() const { return ih * iw * kC0; }
+
+  // The patches [first, last) of an output row whose (., yk) element lies
+  // inside the input image: patch ox reads column ox * Sw + yk - pl, and
+  // the others fall into the zero-padding border. first <= last <= Ow;
+  // first == last when none does.
+  struct Cols {
+    std::int64_t first = 0;
+    std::int64_t last = 0;
+  };
+  Cols in_image_cols(std::int64_t yk) const {
+    const std::int64_t x0 = yk - window.pl;
+    const std::int64_t first =
+        std::min(ow(), x0 < 0 ? ceil_div(-x0, window.sw) : 0);
+    return {first, x0 >= iw ? first
+                            : std::clamp((iw - 1 - x0) / window.sw + 1,
+                                         first, ow())};
+  }
 };
 
 class Scu {

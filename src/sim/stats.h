@@ -50,6 +50,8 @@ struct UnitOccupancy {
     saturated_instrs += o.saturated_instrs;
     return *this;
   }
+  friend bool operator==(const UnitOccupancy&,
+                         const UnitOccupancy&) = default;
 };
 
 // Per-instruction utilization breakdown of one AI Core (merged over cores
@@ -83,22 +85,26 @@ struct Profile {
   UnitOccupancy mte;
   std::int64_t vec_lane_hist[kLaneBuckets] = {};
 
-  // Adds one issue to its unit (Ledger::book). A vector issue is a single
-  // instruction, so slots_used / slots_capacity is its active-lane
-  // fraction and picks its histogram bucket.
-  void count(TraceKind unit, const UnitOccupancy& issued) {
+  // Adds `times` equal issues to their unit (Ledger::book). A vector
+  // issue is a single instruction, so slots_used / slots_capacity is its
+  // active-lane fraction and picks its histogram bucket.
+  void count(TraceKind unit, const UnitOccupancy& issued,
+             std::int64_t times = 1) {
+    const UnitOccupancy all{issued.instrs * times, issued.slots_used * times,
+                            issued.slots_capacity * times,
+                            issued.saturated_instrs * times};
     switch (unit) {
       case TraceKind::kVector:
-        vec += issued;
+        vec += all;
         if (issued.slots_used > 0) {
           vec_lane_hist[(kLaneBuckets * issued.slots_used - 1) /
-                        issued.slots_capacity] += 1;
+                        issued.slots_capacity] += times;
         }
         return;
-      case TraceKind::kMte: mte += issued; return;
-      case TraceKind::kIm2col: im2col += issued; return;
-      case TraceKind::kCol2im: col2im += issued; return;
-      case TraceKind::kCube: cube += issued; return;
+      case TraceKind::kMte: mte += all; return;
+      case TraceKind::kIm2col: im2col += all; return;
+      case TraceKind::kCol2im: col2im += all; return;
+      case TraceKind::kCube: cube += all; return;
       case TraceKind::kBarrier: return;
     }
   }
@@ -118,6 +124,7 @@ struct Profile {
     }
     return *this;
   }
+  friend bool operator==(const Profile&, const Profile&) = default;
 
   std::string summary() const {
     auto pct = [](double v) {
@@ -181,6 +188,7 @@ struct MemTraffic {
     ub_vector_bytes += o.ub_vector_bytes;
     return *this;
   }
+  friend bool operator==(const MemTraffic&, const MemTraffic&) = default;
 };
 
 // Bytes and Cube MACs of one AI Core (summed over used cores in
@@ -199,6 +207,7 @@ struct CoreCounts {
     traffic += o.traffic;
     return *this;
   }
+  friend bool operator==(const CoreCounts&, const CoreCounts&) = default;
 };
 
 }  // namespace davinci

@@ -57,6 +57,8 @@ struct TraceEvent {
   // Ordinal of the Device launch that issued the event (0 on a core
   // driven outside Device::run).
   std::int64_t launch = 0;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 class Trace {

@@ -1,7 +1,9 @@
 #include "sim/vector_unit.h"
 
-#include <algorithm>
 #include <bit>
+#include <functional>
+#include <initializer_list>
+#include <string>
 
 #include "sim/fp16_lanes.h"
 
@@ -36,36 +38,26 @@ const char* to_string(VecOp op) {
   return "?";
 }
 
-void VectorUnit::validate(const Span<Float16>& s, const VecConfig& cfg,
-                          std::int64_t rep_stride) const {
-  DV_CHECK(s.kind() == BufferKind::kUnified)
-      << "vector operands must live in the Unified Buffer, got "
-      << davinci::to_string(s.kind());
-  DV_CHECK(cfg.repeat >= 1 && cfg.repeat <= arch_.max_repeat)
-      << "repeat " << cfg.repeat << " out of range (max " << arch_.max_repeat
-      << "); the surrounding kernel loop must reissue";
-  DV_CHECK_GE(rep_stride, 0);
-}
+struct VecOperand {
+  VecOperand(Span<Float16> s, std::int64_t stride, std::int64_t advance)
+      : span(s), base(s.data()), rep_stride(stride), step(advance) {}
 
-void VectorUnit::charge(const char* op, const VecConfig& cfg, int lanes) {
-  const std::int64_t used = std::int64_t{lanes} * cfg.repeat;
-  // UB operand traffic: two bytes per active lane per repeat iteration --
-  // the roofline's compute-side byte count.
-  ledger_->counts.traffic.ub_vector_bytes += used * 2;
-  const std::int64_t capacity =
-      std::int64_t{arch_.vector_lanes} * cfg.repeat;
-  ledger_->book(TraceKind::kVector, Pipe::kVector,
-                cost_.vector_instr(cfg.repeat),
-                {1, used, capacity, lanes == arch_.vector_lanes ? 1 : 0},
-                [&] {
-                  return std::string(op) + " repeat=" +
-                         std::to_string(cfg.repeat) +
-                         " lanes=" + std::to_string(lanes);
-                });
-  // The cycles above were really spent before the parity check tripped, so
-  // the fault hook runs after the booking. May throw TransientFault.
-  if (ledger_->fault) ledger_->fault->on_vector_instr(op);
-}
+  Span<Float16> span;
+  Float16* base;  // span.data()
+  std::int64_t rep_stride;
+  std::int64_t step;
+
+  // Repeat `rep` of issue `i`.
+  Float16* at(std::int64_t i, int rep) const {
+    return base + i * step + rep * rep_stride;
+  }
+  // One past the highest element lanes [0, end) of `issues` issues touch.
+  std::int64_t extent(const VecConfig& cfg, std::int64_t issues,
+                      int end) const {
+    return (issues - 1) * step +
+           static_cast<std::int64_t>(cfg.repeat - 1) * rep_stride + end;
+  }
+};
 
 namespace {
 
@@ -82,52 +74,65 @@ inline int prefix_lanes(const VecMask& m) {
   return hi == 64 || (m.hi >> hi) == 0 ? 64 + hi : -1;
 }
 
-// One hoisted bounds check replacing the per-access Span::at checks of a
-// masked op: the highest element touched is (repeat-1)*stride + end - 1.
-inline void check_extent(const Span<Float16>& s, const VecConfig& cfg,
-                         std::int64_t stride, int end) {
-  const std::int64_t need =
-      static_cast<std::int64_t>(cfg.repeat - 1) * stride + end;
-  DV_CHECK_LE(need, s.size())
-      << to_string(s.kind()) << " vector operand extent " << need << " of "
-      << s.size();
-}
-
-// The element work of one instruction with sources a and b: rows(d, x, y,
-// shape) computes rows of lanes with fp16_lanes::run's contract. A prefix
-// mask -- the path every kernel takes -- is one call for the whole
-// instruction, with the repeats as rows; any other mask is one call per
-// active lane, repeat after repeat. Returns the active lane count.
-template <class RowsFn>
-int each_repeat(const VecConfig& cfg, Span<Float16> dst, Span<Float16> a,
-                std::int64_t a_stride, Span<Float16> b, std::int64_t b_stride,
-                RowsFn&& rows) {
-  const VecMask& m = cfg.mask;
-  const int pfx = prefix_lanes(m);
-  const int end =  // one past the highest active lane
-      pfx >= 0 ? pfx
-      : m.hi != 0 ? 128 - std::countl_zero(m.hi)
-                  : 64 - std::countl_zero(m.lo);
-  if (end == 0) return 0;
-  check_extent(dst, cfg, cfg.dst_rep_stride, end);
-  check_extent(a, cfg, a_stride, end);
-  check_extent(b, cfg, b_stride, end);
-  if (pfx >= 0) {
-    rows(dst.data(), a.data(), b.data(),
-         fp16_lanes::Rows{cfg.repeat, pfx, cfg.dst_rep_stride, a_stride,
-                          b_stride});
-    return pfx;
+// True when no issue of a run touches another issue's destination, so
+// the issues' repeats may interleave in any order that keeps each issue's
+// own repeats in order. The destinations are each issue's own when whole
+// issue extents are disjoint, or when every repeat's rows of all issues
+// fit below the next repeat's; each source is then the destination
+// itself (same start, stride and step) or disjoint from every
+// destination. A layout this cannot show independent runs issue by issue.
+bool independent(const VecConfig& cfg, std::int64_t issues, int end,
+                 const VecOperand& d, const VecOperand& a,
+                 const VecOperand& b) {
+  const std::int64_t one = d.extent(cfg, 1, end);
+  if (!(d.step >= one ||
+        (d.step >= end && (issues - 1) * d.step + end <= d.rep_stride))) {
+    return false;
   }
-  const fp16_lanes::Rows one_lane{1, 1};
-  for (int rep = 0; rep < cfg.repeat; ++rep) {
-    Float16* const d = dst.data() + rep * cfg.dst_rep_stride;
-    const Float16* const x = a.data() + rep * a_stride;
-    const Float16* const y = b.data() + rep * b_stride;
-    for (int lane = 0; lane < end; ++lane) {
-      if (m.lane(lane)) rows(d + lane, x + lane, y + lane, one_lane);
+  const std::less<const Float16*> before;
+  const Float16* const d_lo = d.span.data();
+  const Float16* const d_hi = d_lo + d.extent(cfg, issues, end);
+  for (const VecOperand* s : {&a, &b}) {
+    const Float16* const lo = s->span.data();
+    if (lo == d_lo && s->step == d.step && s->rep_stride == d.rep_stride) {
+      continue;
+    }
+    if (before(lo, d_hi) && before(d_lo, lo + s->extent(cfg, issues, end))) {
+      return false;
     }
   }
-  return m.count();
+  return true;
+}
+
+// Issues [0, n) of a prefix-masked run (`lanes` lanes) as fp16_lanes
+// calls: the issues are the rows at repeat 1; repeat-major, repeat r of
+// every issue per call, where that makes fewer calls and the issues are
+// independent; else issue by issue, each with its repeats as rows.
+template <class RowsFn>
+void prefix_rows(const VecConfig& cfg, std::int64_t n, int lanes,
+                 const VecOperand& d, const VecOperand& a, const VecOperand& b,
+                 RowsFn& rows) {
+  const fp16_lanes::Rows issues{static_cast<int>(n), lanes, d.step, a.step,
+                                b.step};
+  if (cfg.repeat == 1) {
+    rows(d.at(0, 0), a.at(0, 0), b.at(0, 0), issues);
+  } else if (n > cfg.repeat && independent(cfg, n, lanes, d, a, b)) {
+    for (int rep = 0; rep < cfg.repeat; ++rep) {
+      rows(d.at(0, rep), a.at(0, rep), b.at(0, rep), issues);
+    }
+  } else {
+    const fp16_lanes::Rows repeats{cfg.repeat, lanes, d.rep_stride,
+                                   a.rep_stride, b.rep_stride};
+    for (std::int64_t i = 0; i < n; ++i) {
+      rows(d.at(i, 0), a.at(i, 0), b.at(i, 0), repeats);
+    }
+  }
+}
+
+// One past the highest active lane of `m`.
+inline int end_lane(const VecMask& m) {
+  return m.hi != 0 ? 128 - std::countl_zero(m.hi)
+                   : 64 - std::countl_zero(m.lo);
 }
 
 fp16_lanes::Op lane_op(VecOp op) {
@@ -145,24 +150,118 @@ fp16_lanes::Op lane_op(VecOp op) {
 
 }  // namespace
 
+void VectorUnit::validate(const VecConfig& cfg, const VecRun& run, int end,
+                          std::initializer_list<const VecOperand*> ops) const {
+  DV_CHECK(cfg.repeat >= 1 && cfg.repeat <= arch_.max_repeat)
+      << "repeat " << cfg.repeat << " out of range (max " << arch_.max_repeat
+      << "); the surrounding kernel loop must reissue";
+  DV_CHECK(run.count >= 1 && run.scalar_iters >= 0)
+      << "run of " << run.count << " issues, " << run.scalar_iters
+      << " scalar iterations each";
+  for (const VecOperand* o : ops) {
+    DV_CHECK(o->span.kind() == BufferKind::kUnified)
+        << "vector operands must live in the Unified Buffer, got "
+        << davinci::to_string(o->span.kind());
+    DV_CHECK(o->rep_stride >= 0 && o->step >= 0)
+        << "operand repeat stride " << o->rep_stride << ", step " << o->step;
+    // One hoisted bounds check replacing the per-access Span::at checks
+    // of the whole run. An empty mask touches nothing.
+    if (end == 0) continue;
+    const std::int64_t need = o->extent(cfg, run.count, end);
+    DV_CHECK_LE(need, o->span.size())
+        << to_string(o->span.kind()) << " vector operand extent " << need
+        << " of " << o->span.size();
+  }
+}
+
+template <class Work>
+void VectorUnit::issue(const char* op, const VecConfig& cfg,
+                       const VecRun& run, int lanes, Work&& work) {
+  // A vec_fault stops the run at the issue it hits: that issue and the
+  // ones before it execute and are booked, but not its scalar iterations,
+  // then the fault is raised -- the cycles were really spent before the
+  // parity check tripped, and the kernel's loop never got further.
+  const std::int64_t hit = ledger_->fault != nullptr
+                               ? ledger_->fault->vector_fault_at(run.count)
+                               : run.count;
+  work(hit < run.count ? hit + 1 : hit);
+  const std::int64_t used = std::int64_t{lanes} * cfg.repeat;
+  const std::int64_t capacity =
+      std::int64_t{arch_.vector_lanes} * cfg.repeat;
+  const auto book = [&](std::int64_t issues, std::int64_t then) {
+    // UB operand traffic: two bytes per active lane per repeat iteration
+    // -- the roofline's compute-side byte count.
+    ledger_->counts.traffic.ub_vector_bytes += used * 2 * issues;
+    ledger_->book(TraceKind::kVector, Pipe::kVector,
+                  cost_.vector_instr(cfg.repeat),
+                  {1, used, capacity, lanes == arch_.vector_lanes ? 1 : 0},
+                  [&] {
+                    return std::string(op) + " repeat=" +
+                           std::to_string(cfg.repeat) +
+                           " lanes=" + std::to_string(lanes);
+                  },
+                  issues, then);
+  };
+  const std::int64_t then = run.scalar_iters * cost_.scalar_loop_cycles;
+  if (hit == run.count) {
+    book(run.count, then);
+    return;
+  }
+  if (hit > 0) book(hit, then);
+  book(1, 0);
+  ledger_->fault->throw_vector_fault(op);
+}
+
+template <class RowsFn>
+void VectorUnit::elementwise(const char* op, const VecConfig& cfg,
+                             const VecRun& run, const VecOperand& d,
+                             const VecOperand& a, const VecOperand& b,
+                             RowsFn&& rows) {
+  const VecMask& m = cfg.mask;
+  const int pfx = prefix_lanes(m);
+  const int end = pfx >= 0 ? pfx : end_lane(m);
+  validate(cfg, run, end, {&d, &a, &b});
+  issue(op, cfg, run, pfx >= 0 ? pfx : m.count(), [&](std::int64_t n) {
+    if (end == 0) return;
+    if (pfx >= 0) {
+      prefix_rows(cfg, n, pfx, d, a, b, rows);
+      return;
+    }
+    // Any other mask: one call per active lane, repeat after repeat,
+    // issue after issue.
+    const fp16_lanes::Rows one_lane{1, 1};
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (int rep = 0; rep < cfg.repeat; ++rep) {
+        Float16* const dr = d.at(i, rep);
+        const Float16* const x = a.at(i, rep);
+        const Float16* const y = b.at(i, rep);
+        for (int lane = 0; lane < end; ++lane) {
+          if (m.lane(lane)) rows(dr + lane, x + lane, y + lane, one_lane);
+        }
+      }
+    }
+  });
+}
+
 void VectorUnit::binary(VecOp op, Span<Float16> dst, Span<Float16> src0,
-                        Span<Float16> src1, const VecConfig& cfg) {
-  validate(dst, cfg, cfg.dst_rep_stride);
-  validate(src0, cfg, cfg.src0_rep_stride);
-  validate(src1, cfg, cfg.src1_rep_stride);
+                        Span<Float16> src1, const VecConfig& cfg,
+                        const VecRun& run) {
   const fp16_lanes::Op lop = lane_op(op);
-  const int lanes = each_repeat(
-      cfg, dst, src0, cfg.src0_rep_stride, src1, cfg.src1_rep_stride,
-      [lop](Float16* d, const Float16* a, const Float16* b,
-            const fp16_lanes::Rows& r) { fp16_lanes::run(lop, d, a, b, r); });
-  charge(to_string(op), cfg, lanes);
+  elementwise(to_string(op), cfg, run,
+              {dst, cfg.dst_rep_stride, run.dst_step},
+              {src0, cfg.src0_rep_stride, run.src0_step},
+              {src1, cfg.src1_rep_stride, run.src1_step},
+              [lop](Float16* d, const Float16* a, const Float16* b,
+                    const fp16_lanes::Rows& r) {
+                fp16_lanes::run(lop, d, a, b, r);
+              });
 }
 
 void VectorUnit::dup(Span<Float16> dst, Float16 value, const VecConfig& cfg) {
-  validate(dst, cfg, cfg.dst_rep_stride);
-  // No source: dst stands in for both of each_repeat's operands.
-  const int lanes = each_repeat(
-      cfg, dst, dst, cfg.dst_rep_stride, dst, cfg.dst_rep_stride,
+  // No source: dst stands in for both of elementwise's operands.
+  const VecOperand o{dst, cfg.dst_rep_stride, 0};
+  elementwise(
+      "vector_dup", cfg, VecRun{}, o, o, o,
       [bits = value.bits()](Float16* d, const Float16*, const Float16*,
                             const fp16_lanes::Rows& r) {
         // The value as a captured 16-bit integer, which no store through d
@@ -177,67 +276,59 @@ void VectorUnit::dup(Span<Float16> dst, Float16 value, const VecConfig& cfg) {
         }
         for (int i = 0; i < r.count; ++i) fill(d + i * r.dst_stride, r.lanes);
       });
-  charge("vector_dup", cfg, lanes);
 }
 
 void VectorUnit::adds(Span<Float16> dst, Span<Float16> src, Float16 s,
                       const VecConfig& cfg) {
-  validate(dst, cfg, cfg.dst_rep_stride);
-  validate(src, cfg, cfg.src0_rep_stride);
-  // One source: it stands in for both of each_repeat's operands.
-  const int lanes = each_repeat(
-      cfg, dst, src, cfg.src0_rep_stride, src, cfg.src0_rep_stride,
-      [s](Float16* d, const Float16* a, const Float16*,
-          const fp16_lanes::Rows& r) {
-        fp16_lanes::run_scalar(fp16_lanes::Op::kAdd, d, a, s, r);
-      });
-  charge("vadds", cfg, lanes);
+  // One source: it stands in for both of elementwise's operands.
+  const VecOperand a{src, cfg.src0_rep_stride, 0};
+  elementwise("vadds", cfg, VecRun{}, {dst, cfg.dst_rep_stride, 0}, a, a,
+              [s](Float16* d, const Float16* x, const Float16*,
+                  const fp16_lanes::Rows& r) {
+                fp16_lanes::run_scalar(fp16_lanes::Op::kAdd, d, x, s, r);
+              });
 }
 
 void VectorUnit::muls(Span<Float16> dst, Span<Float16> src, Float16 s,
                       const VecConfig& cfg) {
-  validate(dst, cfg, cfg.dst_rep_stride);
-  validate(src, cfg, cfg.src0_rep_stride);
-  const int lanes = each_repeat(
-      cfg, dst, src, cfg.src0_rep_stride, src, cfg.src0_rep_stride,
-      [s](Float16* d, const Float16* a, const Float16*,
-          const fp16_lanes::Rows& r) {
-        fp16_lanes::run_scalar(fp16_lanes::Op::kMul, d, a, s, r);
-      });
-  charge("vmuls", cfg, lanes);
+  const VecOperand a{src, cfg.src0_rep_stride, 0};
+  elementwise("vmuls", cfg, VecRun{}, {dst, cfg.dst_rep_stride, 0}, a, a,
+              [s](Float16* d, const Float16* x, const Float16*,
+                  const fp16_lanes::Rows& r) {
+                fp16_lanes::run_scalar(fp16_lanes::Op::kMul, d, x, s, r);
+              });
 }
 
 void VectorUnit::cmpv_eq(Span<Float16> dst, Span<Float16> src0,
-                         Span<Float16> src1, const VecConfig& cfg) {
-  validate(dst, cfg, cfg.dst_rep_stride);
-  validate(src0, cfg, cfg.src0_rep_stride);
-  validate(src1, cfg, cfg.src1_rep_stride);
-  const int lanes = each_repeat(
-      cfg, dst, src0, cfg.src0_rep_stride, src1, cfg.src1_rep_stride,
-      [](Float16* d, const Float16* a, const Float16* b,
-         const fp16_lanes::Rows& r) {
-        fp16_lanes::run(fp16_lanes::Op::kEq, d, a, b, r);
-      });
-  charge("vcmpv_eq", cfg, lanes);
+                         Span<Float16> src1, const VecConfig& cfg,
+                         const VecRun& run) {
+  elementwise("vcmpv_eq", cfg, run, {dst, cfg.dst_rep_stride, run.dst_step},
+              {src0, cfg.src0_rep_stride, run.src0_step},
+              {src1, cfg.src1_rep_stride, run.src1_step},
+              [](Float16* d, const Float16* a, const Float16* b,
+                 const fp16_lanes::Rows& r) {
+                fp16_lanes::run(fp16_lanes::Op::kEq, d, a, b, r);
+              });
 }
 
 void VectorUnit::sel(Span<Float16> dst, Span<Float16> cond, Span<Float16> a,
                      Span<Float16> b, const VecConfig& cfg) {
-  validate(dst, cfg, cfg.dst_rep_stride);
-  validate(cond, cfg, cfg.src0_rep_stride);
-  validate(a, cfg, cfg.src0_rep_stride);
-  validate(b, cfg, cfg.src1_rep_stride);
-  for (int rep = 0; rep < cfg.repeat; ++rep) {
-    const std::int64_t d = rep * cfg.dst_rep_stride;
-    const std::int64_t ca = rep * cfg.src0_rep_stride;
-    const std::int64_t cb = rep * cfg.src1_rep_stride;
-    for (int lane = 0; lane < arch_.vector_lanes; ++lane) {
-      if (!cfg.mask.lane(lane)) continue;
-      const bool c = !cond.at(ca + lane).is_zero();
-      dst.at(d + lane) = c ? a.at(ca + lane) : b.at(cb + lane);
+  const VecOperand od{dst, cfg.dst_rep_stride, 0};
+  const VecOperand oc{cond, cfg.src0_rep_stride, 0};
+  const VecOperand oa{a, cfg.src0_rep_stride, 0};
+  const VecOperand ob{b, cfg.src1_rep_stride, 0};
+  const int end = end_lane(cfg.mask);
+  const VecRun one;
+  validate(cfg, one, end, {&od, &oc, &oa, &ob});
+  issue("vsel", cfg, one, cfg.mask.count(), [&](std::int64_t) {
+    for (int rep = 0; rep < cfg.repeat; ++rep) {
+      for (int lane = 0; lane < end; ++lane) {
+        if (!cfg.mask.lane(lane)) continue;
+        const bool c = !oc.at(0, rep)[lane].is_zero();
+        od.at(0, rep)[lane] = c ? oa.at(0, rep)[lane] : ob.at(0, rep)[lane];
+      }
     }
-  }
-  charge("vsel", cfg, cfg.mask.count());
+  });
 }
 
 }  // namespace davinci

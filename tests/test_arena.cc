@@ -12,6 +12,7 @@
 
 #include "common/check.h"
 #include "kernels/pooling.h"
+#include "ref/pooling_ref.h"
 #include "tensor/arena.h"
 #include "tensor/fractal.h"
 #include "tensor/tensor.h"
@@ -125,6 +126,44 @@ TEST(TensorArena, KernelOutputsBitIdenticalAcrossArenaModes) {
 
   EXPECT_EQ(on, off);
   EXPECT_EQ(on, poisoned);
+}
+
+// make_outputs leaves the mask uninitialized except its fractal tail rows
+// (PP - Oh*Ow per (kh, kw) plane), which no kernel stores. A mask launch
+// that lands on a recycled buffer full of stale NaNs must still return
+// zero tail rows and exactly the reference mask, for both lowerings.
+TEST(TensorArena, MaskOnARecycledDirtyBufferHasZeroTailRows) {
+  ArenaGuard guard;
+  TensorArena& arena = TensorArena::global();
+  const Window2d w = Window2d::pool(3, 2);
+  TensorF16 in(Shape{2, 3, 23, 23, kC0});
+  in.fill_random_ints(8);
+  const TensorF16 want = ref::maxpool_argmax_mask(in, w);
+  const std::int64_t patches = w.out_h(23) * w.out_w(23);  // 121
+  const std::int64_t pp = want.shape()[4];                 // 128
+  ASSERT_GT(pp, patches);
+  for (akg::PoolImpl impl : {akg::PoolImpl::kIm2col, akg::PoolImpl::kDirect}) {
+    SCOPED_TRACE(akg::to_string(impl));
+    arena.trim();
+    { TensorF16 dirty(want.shape(), Float16::from_bits(0x7E00)); }
+    arena.reset_stats();
+    Device dev;
+    const kernels::PoolResult got = kernels::run_pool(
+        dev,
+        kernels::PoolOp{.kind = kernels::PoolOpKind::kMaxMaskFwd,
+                        .window = w,
+                        .fwd = impl},
+        kernels::PoolInputs{.in = &in});
+    EXPECT_GE(arena.stats().reuses, 1) << "the mask must reuse the buffer";
+    const std::int64_t planes = 2 * 3 * w.kh * w.kw;
+    for (std::int64_t p = 0; p < planes; ++p) {
+      for (std::int64_t e = patches * kC0; e < pp * kC0; ++e) {
+        ASSERT_EQ(got.mask.flat(p * pp * kC0 + e).bits(), 0)
+            << "plane " << p << " element " << e;
+      }
+    }
+    EXPECT_EQ(bits_of(got.mask), bits_of(want));
+  }
 }
 
 TEST(FillRandomInts, ExtremeBoundsDoNotOverflow) {

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "common/check.h"
+#include "sim/ai_core.h"
+#include "sim/fault.h"
 #include "sim/scratch.h"
 
 namespace davinci {
@@ -325,6 +329,272 @@ TEST_F(VectorUnitTest, WholeInstructionsMatchLaneByLane) {
           << "/" << cfg.src1_rep_stride << " element " << i;
     }
   }
+}
+
+// The instruction-run oracle: two AI Cores receive the same instructions,
+// `run` as instruction runs and `one` one issue at a time, each issue
+// followed by its scalar-loop iterations.
+class RunOracle {
+ public:
+  // Elements per operand region; every run of the sweeps fits one.
+  static constexpr std::int64_t kLen = 40000;
+
+  enum class Instr : std::uint8_t { kAdd, kMax, kMul, kCmpvEq };
+
+  struct Case {
+    Instr instr = Instr::kAdd;
+    VecConfig cfg;
+    VecRun run;
+    // Operands as (region, offset): regions 0..2 are a, b, d.
+    int dst_region = 2, src0_region = 0, src1_region = 1;
+    std::int64_t dst_offset = 0;
+  };
+
+  RunOracle() : run_(0, big_ub(), CostModel{}), one_(1, big_ub(), CostModel{}) {
+    for (AiCore* core : {&run_, &one_}) {
+      for (int r = 0; r < 3; ++r) {
+        regions_[core == &one_][r] = core->ub().alloc<Float16>(kLen);
+      }
+    }
+  }
+
+  AiCore& run_core() { return run_; }
+  AiCore& one_core() { return one_; }
+
+  // Gives both cores the same region contents.
+  void fill(std::mt19937& rng) {
+    for (int r = 0; r < 3; ++r) {
+      for (std::int64_t i = 0; i < kLen; ++i) {
+        const Float16 v(static_cast<float>(static_cast<int>(rng() % 64) - 32) /
+                        7.0f);
+        regions_[0][r].at(i) = v;
+        regions_[1][r].at(i) = v;
+      }
+    }
+  }
+
+  // Issues `c` on both cores; a TransientFault each raises is returned as
+  // its message.
+  void issue(const Case& c, std::string* run_fault, std::string* one_fault) {
+    try {
+      issue_on(run_, 0, c, c.run);
+    } catch (const TransientFault& e) {
+      *run_fault = e.what();
+    }
+    try {
+      VecRun single;
+      for (int i = 0; i < c.run.count; ++i) {
+        Case at = c;
+        at.dst_offset += i * c.run.dst_step;
+        issue_on(one_, 1, at, single, i * c.run.src0_step,
+                 i * c.run.src1_step);
+        if (c.run.scalar_iters > 0) one_.scalar_loop(c.run.scalar_iters);
+      }
+    } catch (const TransientFault& e) {
+      *one_fault = e.what();
+    }
+  }
+
+  // Every byte of the regions and everything the cores' ledgers record.
+  void expect_same(const std::string& what) {
+    for (int r = 0; r < 3; ++r) {
+      ASSERT_EQ(std::memcmp(regions_[0][r].data(), regions_[1][r].data(),
+                            kLen * sizeof(Float16)),
+                0)
+          << what << ": region " << r;
+    }
+    const PipeScheduler& a = run_.sched();
+    const PipeScheduler& b = one_.sched();
+    ASSERT_EQ(a.intervals().size(), b.intervals().size()) << what;
+    EXPECT_TRUE(a.intervals() == b.intervals()) << what;
+    for (int p = 0; p < PipeScheduler::kNumPipes; ++p) {
+      const Pipe pipe = static_cast<Pipe>(p);
+      EXPECT_EQ(a.busy(pipe), b.busy(pipe)) << what << " " << to_string(pipe);
+      EXPECT_EQ(a.wait(pipe), b.wait(pipe)) << what << " " << to_string(pipe);
+      EXPECT_EQ(a.flag(pipe), b.flag(pipe)) << what << " " << to_string(pipe);
+      EXPECT_EQ(a.ready(pipe), b.ready(pipe)) << what << " " << to_string(pipe);
+    }
+    EXPECT_EQ(a.serial(), b.serial()) << what;
+    EXPECT_EQ(a.makespan(), b.makespan()) << what;
+    EXPECT_TRUE(run_.profile() == one_.profile()) << what;
+    EXPECT_TRUE(run_.counts() == one_.counts()) << what;
+    ASSERT_EQ(run_.trace().events().size(), one_.trace().events().size())
+        << what;
+    EXPECT_TRUE(run_.trace().events() == one_.trace().events()) << what;
+  }
+
+ private:
+  static ArchConfig big_ub() {
+    ArchConfig arch;
+    arch.ub_bytes = 1 << 20;
+    return arch;
+  }
+
+  void issue_on(AiCore& core, int side, const Case& c, const VecRun& run,
+                std::int64_t src0_skip = 0, std::int64_t src1_skip = 0) {
+    Span<Float16>* const regs = regions_[side];
+    Span<Float16> dst = regs[c.dst_region].drop_front(c.dst_offset);
+    Span<Float16> src0 = regs[c.src0_region].drop_front(src0_skip);
+    Span<Float16> src1 = regs[c.src1_region].drop_front(src1_skip);
+    switch (c.instr) {
+      case Instr::kAdd:
+        core.vec().binary(VecOp::kAdd, dst, src0, src1, c.cfg, run);
+        return;
+      case Instr::kMax:
+        core.vec().binary(VecOp::kMax, dst, src0, src1, c.cfg, run);
+        return;
+      case Instr::kMul:
+        core.vec().binary(VecOp::kMul, dst, src0, src1, c.cfg, run);
+        return;
+      case Instr::kCmpvEq:
+        core.vec().cmpv_eq(dst, src0, src1, c.cfg, run);
+        return;
+    }
+  }
+
+  AiCore run_;
+  AiCore one_;
+  Span<Float16> regions_[2][3];
+};
+
+// A seeded run of the sweeps below: an op, 1..max_count issues of repeat
+// 1..8 over 1..128 prefix lanes, each operand stepping 0, below, at or
+// above the lane count, and a destination that is disjoint from the
+// sources, src0 itself, the stride-0 reduction accumulator, or aliasing a
+// source at an offset.
+RunOracle::Case random_case(std::mt19937& rng, int max_count) {
+  RunOracle::Case c;
+  c.instr = static_cast<RunOracle::Instr>(rng() % 4);
+  const int lanes = rng() % 4 == 0 ? 16 : 1 + static_cast<int>(rng() % 128);
+  c.cfg.mask = VecMask::first_n(lanes);
+  c.cfg.repeat = 1 + static_cast<int>(rng() % 8);
+  const std::int64_t strides[] = {0, 16, 128, 256, lanes};
+  c.cfg.dst_rep_stride = strides[rng() % 5];
+  c.cfg.src0_rep_stride = strides[rng() % 5];
+  c.cfg.src1_rep_stride = strides[rng() % 5];
+  const auto step = [&]() -> std::int64_t {
+    switch (rng() % 4) {
+      case 0: return 0;
+      case 1: return lanes / 2;  // issues overlap
+      case 2: return lanes;
+      default: return lanes + 16 * static_cast<int>(1 + rng() % 3);
+    }
+  };
+  c.run.count = rng() % 3 == 0 ? 1 + static_cast<int>(rng() % 4)
+                               : 1 + static_cast<int>(rng() % max_count);
+  c.run.dst_step = step();
+  c.run.src0_step = step();
+  c.run.src1_step = step();
+  c.run.scalar_iters = static_cast<int>(rng() % 3);
+  const std::int64_t offsets[] = {1, 9, 16, 128};
+  switch (rng() % 5) {
+    case 0:  // disjoint
+      break;
+    case 1:  // dst == src0
+      c.dst_region = c.src0_region;
+      c.cfg.dst_rep_stride = c.cfg.src0_rep_stride;
+      c.run.dst_step = c.run.src0_step;
+      break;
+    case 2:  // the stride-0 reduction idiom
+      c.dst_region = c.src0_region;
+      c.cfg.dst_rep_stride = c.cfg.src0_rep_stride = 0;
+      c.run.dst_step = c.run.src0_step;
+      break;
+    case 3:  // dst aliasing src0 at an offset
+      c.dst_region = c.src0_region;
+      c.dst_offset = offsets[rng() % 4];
+      break;
+    default:  // dst aliasing src1 at an offset
+      c.dst_region = c.src1_region;
+      c.dst_offset = offsets[rng() % 4];
+      break;
+  }
+  return c;
+}
+
+std::string describe(const RunOracle::Case& c, int index) {
+  return "case " + std::to_string(index) + ": instr " +
+         std::to_string(static_cast<int>(c.instr)) + " lanes " +
+         std::to_string(c.cfg.mask.count()) + " repeat " +
+         std::to_string(c.cfg.repeat) + " strides " +
+         std::to_string(c.cfg.dst_rep_stride) + "/" +
+         std::to_string(c.cfg.src0_rep_stride) + "/" +
+         std::to_string(c.cfg.src1_rep_stride) + " count " +
+         std::to_string(c.run.count) + " steps " +
+         std::to_string(c.run.dst_step) + "/" +
+         std::to_string(c.run.src0_step) + "/" +
+         std::to_string(c.run.src1_step) + " scalar " +
+         std::to_string(c.run.scalar_iters) + " dst region " +
+         std::to_string(c.dst_region) + "+" + std::to_string(c.dst_offset);
+}
+
+TEST_F(VectorUnitTest, RunsMatchIssuingOneByOne) {
+  // Each case also places the run differently on the timeline: at the
+  // serial frontier, behind another pipe's interval, or inside a stage on
+  // the Vector or another pipe with a dependency; every other case is
+  // traced.
+  RunOracle oracle;
+  std::mt19937 rng(2023);
+  for (int i = 0; i < 400; ++i) {
+    const RunOracle::Case c = random_case(rng, 200);
+    const std::string what = describe(c, i);
+    const int context = static_cast<int>(rng() % 4);
+    oracle.fill(rng);
+    for (AiCore* core : {&oracle.run_core(), &oracle.one_core()}) {
+      core->reset_stats();
+      core->trace().clear();
+      if (i % 2 == 0) {
+        core->trace().enable();
+      } else {
+        core->trace().disable();
+      }
+      if (context >= 1) core->sched().issue(Pipe::kMteIn, 37);
+      if (context == 2) core->begin_stage(Pipe::kVector, 50);
+      if (context == 3) core->begin_stage(Pipe::kScu, 20);
+    }
+    std::string run_fault, one_fault;
+    oracle.issue(c, &run_fault, &one_fault);
+    EXPECT_EQ(run_fault, "");
+    EXPECT_EQ(one_fault, "");
+    if (context >= 2) {
+      EXPECT_EQ(oracle.run_core().end_stage(), oracle.one_core().end_stage())
+          << what;
+    }
+    oracle.expect_same(what);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST_F(VectorUnitTest, FaultedRunsMatchIssuingOneByOne) {
+  // Under a vec_fault plan each issue draws once, in order: a run that is
+  // hit books the issues up to and including the hit one (not its scalar
+  // iterations) and raises the same TransientFault one-at-a-time issue
+  // raises, leaving the same bytes, cycles and fault counts.
+  const FaultPlan plan = FaultPlan::parse("vec_fault:0.01", 5);
+  CoreFaultState run_faults(plan, 0), one_faults(plan, 0);
+  RunOracle oracle;
+  oracle.run_core().set_fault_state(&run_faults);
+  oracle.one_core().set_fault_state(&one_faults);
+  run_faults.begin_execution(0, false);
+  one_faults.begin_execution(0, false);
+  oracle.run_core().trace().enable();
+  oracle.one_core().trace().enable();
+  std::mt19937 rng(2024);
+  oracle.fill(rng);
+  int faults = 0;
+  for (int i = 0; i < 300; ++i) {
+    const RunOracle::Case c = random_case(rng, 60);
+    const std::string what = describe(c, i);
+    std::string run_fault, one_fault;
+    oracle.issue(c, &run_fault, &one_fault);
+    EXPECT_EQ(run_fault, one_fault) << what;
+    faults += !run_fault.empty();
+    EXPECT_TRUE(run_faults.stats() == one_faults.stats()) << what;
+    oracle.expect_same(what);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GE(faults, 5);
+  EXPECT_EQ(run_faults.stats().faults_injected, faults);
 }
 
 }  // namespace
