@@ -1,6 +1,7 @@
 #include "kernels/lower.h"
 
 #include "common/check.h"
+#include "kernels/detail.h"
 #include "kernels/pool_fwd_driver.h"
 
 namespace davinci::akg {
@@ -98,13 +99,22 @@ LoweredPoolResult lower_and_run(Device& dev, const dsl::Compute& c,
   // whatever the reduction (kAvgFwd only narrows the lowerings).
   const kernels::PoolOp as_max{.kind = kernels::PoolOpKind::kMaxFwd,
                                .window = p.window, .fwd = impl};
+  // The input check and output construction land in the validate and
+  // alloc buckets, as in kernels::run_pool.
   const kernels::PoolInputs in{.in = &input};
+  std::int64_t t0 = kernels::detail::host_now_ns();
   kernels::check_inputs(as_max, in);
+  const std::int64_t validate_ns = kernels::detail::host_now_ns() - t0;
+  t0 = kernels::detail::host_now_ns();
   kernels::PoolResult r =
       kernels::make_outputs(as_max, in, dev.resilience().has_value());
+  const std::int64_t alloc_ns = kernels::detail::host_now_ns() - t0;
   r.run = kernels::pooling_forward_impl(
       dev, kernels::SliceMap::whole(&input), kernels::SliceMap::whole(&r.out),
       p.window, impl, op, init, Float16(1.0f), nullptr);
+  r.run.host_validate_ns += validate_ns;
+  r.run.host_alloc_ns += alloc_ns;
+  r.run.host_ns += validate_ns + alloc_ns;
   return LoweredPoolResult{std::move(r.out), r.run, impl};
 }
 

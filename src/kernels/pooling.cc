@@ -209,23 +209,10 @@ PoolResult make_outputs(const PoolOp& op, const PoolInputs& in,
 }
 
 Device::RunResult run_pool_maps(Device& dev, const PoolOp& op,
-                                const PoolMaps& maps,
-                                std::span<const PoolInputs> reads) {
+                                const PoolMaps& maps) {
   // With an instruction-stream VM attached (serve::Session), stage the
-  // launch's identity before dispatch: the display label and the input
-  // buffers it reads, which the stream's dependency tracker uses for
-  // RAW/WAR hazards. The annotation is free when no stream is attached.
-  if (dev.vm_stream() != nullptr) {
-    std::vector<vm::BufferId> ids;
-    for (const PoolInputs& r : reads) {
-      for (const TensorF16* t : {r.in, r.mask, r.grad}) {
-        if (t != nullptr) {
-          ids.push_back(reinterpret_cast<vm::BufferId>(t->data()));
-        }
-      }
-    }
-    dev.annotate_vm_launch(op.to_string(), std::move(ids));
-  }
+  // launch's display label before dispatch.
+  if (dev.vm_stream() != nullptr) dev.annotate_vm_launch(op.to_string());
   return dispatch(dev, op, maps);
 }
 
@@ -248,7 +235,7 @@ PoolResult run_pool(Device& dev, const PoolOp& op, const PoolInputs& in) {
                       .out = SliceMap::whole(&res.out),
                       .out_mask = SliceMap::whole(&res.mask),
                       .grad_in = SliceMap::whole(&res.grad_in)};
-  res.run = run_pool_maps(dev, op, maps, {&in, 1});
+  res.run = run_pool_maps(dev, op, maps);
   res.run.host_validate_ns += validate_ns;
   res.run.host_alloc_ns += alloc_ns;
   res.run.host_ns += validate_ns + alloc_ns;

@@ -207,12 +207,9 @@ struct PoolMaps {
 // slice b of each input alone, and touches global memory only as
 // slice(b).sub(offset, len). The maps are trusted: the tensors behind
 // them passed check_inputs, and the output maps cover make_outputs'
-// tensors for the same geometry. `reads` are the requests whose tensors
-// the input maps point into; an attached VM stream records them as the
-// launch's read set. Charges host_plan_ns (when op.plan is unset) and
-// host_execute_ns; no alloc or validate time.
+// tensors for the same geometry. Charges host_plan_ns (when op.plan is
+// unset) and host_execute_ns; no alloc or validate time.
 Device::RunResult run_pool_maps(Device& dev, const PoolOp& op,
-                                const PoolMaps& maps,
-                                std::span<const PoolInputs> reads);
+                                const PoolMaps& maps);
 
 }  // namespace davinci::kernels

@@ -14,7 +14,7 @@
 // exceed the launch caps: `max_requests` members or `max_blocks` total
 // (N, C1) blocks -- the UB-budget cap, since every resident block pins
 // its plan's ub_slots tile slots (serve::Session derives max_blocks from
-// cores x ub_waves).
+// cores x kUbWaves).
 #pragma once
 
 #include <cstdint>

@@ -37,15 +37,14 @@ const char* to_string(Placement p) {
   return "?";
 }
 
-Cluster::Cluster(ClusterOptions opts) : opts_(opts), link_cost_(opts.cost) {
+Cluster::Cluster(ClusterOptions opts)
+    : opts_(opts), link_cost_(CostModel::calibrated()) {
   DV_CHECK_GE(opts_.devices, 1);
-  DV_CHECK_GE(opts_.link_bytes_per_cycle, 1);
-  DV_CHECK_GE(opts_.link_latency_cycles, 0);
   for (int d = 0; d < opts_.devices; ++d) {
-    devices_.push_back(std::make_unique<Device>(opts_.arch, opts_.cost));
+    devices_.push_back(std::make_unique<Device>());
   }
-  link_cost_.mte_bytes_per_cycle = opts_.link_bytes_per_cycle;
-  link_cost_.mte_startup_cycles = opts_.link_latency_cycles;
+  link_cost_.mte_bytes_per_cycle = kLinkBytesPerCycle;
+  link_cost_.mte_startup_cycles = kLinkLatencyCycles;
   stats_.devices.resize(static_cast<std::size_t>(opts_.devices));
   stats_.links.resize(
       static_cast<std::size_t>(opts_.devices) *
@@ -231,9 +230,7 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
             1;
       }
     } scope{this, shard.device};
-    ShardRun r{shard,
-               kernels::run_pool_maps(device(shard.device), op, maps,
-                                      members.subspan(lo, hi - lo))};
+    ShardRun r{shard, kernels::run_pool_maps(device(shard.device), op, maps)};
     // Each tensor crosses the link as the shard's blocks of it.
     for (const kernels::SliceMap* m : {&maps.in, &maps.mask, &maps.grad}) {
       r.in_bytes += map_bytes(*m);

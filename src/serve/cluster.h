@@ -55,7 +55,6 @@
 #include <utility>
 #include <vector>
 
-#include "arch/arch_config.h"
 #include "arch/cost_model.h"
 #include "kernels/pooling.h"
 #include "sim/device.h"
@@ -70,19 +69,19 @@ enum class Placement : std::uint8_t {
 
 const char* to_string(Placement p);
 
+// Inter-device link model, charged through CostModel::mte_copy with
+// these parameters in place of the core-local MTE path: one transfer of
+// B bytes costs kLinkLatencyCycles + ceil(B / kLinkBytesPerCycle) + 1
+// cycles -- an HCCS-like interconnect at 8x a single core's 128 B/cycle
+// GM path.
+inline constexpr std::int64_t kLinkBytesPerCycle = 1024;
+inline constexpr std::int64_t kLinkLatencyCycles = 512;
+
+// Every device is an Ascend 910 (ArchConfig::ascend910()) under the
+// calibrated cost model (CostModel::calibrated()).
 struct ClusterOptions {
   int devices = 1;
   Placement placement = Placement::kData;
-  // Every device is built from the same architecture and cost model.
-  ArchConfig arch = ArchConfig::ascend910();
-  CostModel cost = CostModel::calibrated();
-  // Inter-device link model, charged through CostModel::mte_copy with
-  // these parameters in place of the core-local MTE path: one transfer
-  // of B bytes costs link_latency_cycles + ceil(B / link_bytes_per_cycle)
-  // + 1 cycles. The default models an HCCS-like interconnect at 8x a
-  // single core's 128 B/cycle GM path.
-  std::int64_t link_bytes_per_cycle = 1024;
-  std::int64_t link_latency_cycles = 512;
 };
 
 class Cluster {
@@ -136,7 +135,6 @@ class Cluster {
   const Device& device(int i) const {
     return *devices_.at(static_cast<std::size_t>(i));
   }
-  const ClusterOptions& options() const { return opts_; }
   Placement placement() const { return opts_.placement; }
   // Total AI cores across the cluster (devices are identical).
   int total_cores() const;
@@ -190,8 +188,8 @@ class Cluster {
 
   ClusterOptions opts_;
   std::vector<std::unique_ptr<Device>> devices_;
-  // The link's MTE-shaped cost model: opts_.cost with the interconnect
-  // bandwidth/latency substituted in.
+  // The link's MTE-shaped cost model: the calibrated model with the
+  // interconnect bandwidth/latency substituted in.
   CostModel link_cost_;
 
   // Stats have their own leaf mutex: run_pool is single-threaded (the

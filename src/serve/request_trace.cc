@@ -155,8 +155,8 @@ std::vector<HostSpan> build_request_spans(
   // launch, so anchoring there lines the queued/batching phases up with
   // the device tracks they precede. One anchor fixes the offset with a
   // 1 cycle/us scale; two or more fix the scale from the extreme
-  // anchors. No anchor (VM off or nothing launched): identity, the
-  // trace is host-only but still self-consistent.
+  // anchors. No anchor (nothing launched): identity, the trace is
+  // host-only but still self-consistent.
   double a0_us = 0.0, a0_cy = 0.0, scale = 1.0;
   {
     const Req* lo = nullptr;

@@ -35,7 +35,7 @@
 //    with retry and quarantine (Device::set_resilience); a launch that
 //    still fails after retry/quarantine is bisected so a poisoned request
 //    fails alone instead of failing its batchmates, and observed core
-//    quarantine shrinks the cores x ub_waves batch cap;
+//    quarantine shrinks the cores x kUbWaves batch cap;
 //  * input tensors are borrowed: they must stay alive and unmodified
 //    until the request's future resolves.
 //
@@ -100,24 +100,38 @@ enum class OverloadPolicy : std::uint8_t {
 
 const char* to_string(OverloadPolicy policy);
 
+// Launch block cap, in waves: a launch holds at most healthy_cores x
+// kUbWaves (N, C1) blocks. Each resident block pins its plan's ub_slots
+// UB tile slots, so kUbWaves bounds how many waves of blocks a launch may
+// queue per core before it is split. healthy_cores starts at the core
+// count the launch runs on (the whole cluster; one device for a pinned
+// launch) and shrinks as the resilient launch path observes quarantined
+// cores.
+inline constexpr int kUbWaves = 4;
+// LRU plan-cache entries (serve/plan_cache.h).
+inline constexpr std::size_t kPlanCacheCapacity = 64;
+// Request lifecycle tracing (serve/request_trace.h): every request gets
+// a trace id and its transitions land in a bounded event ring of this
+// capacity; when the ring fills, the oldest events are overwritten and
+// counted (never unbounded growth).
+inline constexpr std::size_t kRequestTraceCapacity = 16384;
+// Exact-sample retention cap for latency / queue-wait cross-checks: the
+// first this-many samples are kept verbatim next to the bounded
+// histograms, so tests and the CI gate can compare histogram percentiles
+// against exact ones. Past the cap only the histograms keep counting
+// (constant memory for million-request replays).
+inline constexpr std::size_t kLatencySampleCap = 8192;
+
 struct SessionOptions {
   // Admission-queue bound: once this many requests are waiting the
   // overload policy applies to submit() and try_submit() refuses
   // (in-flight work does not count).
   std::size_t queue_depth = 64;
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  // Launch caps: at most this many requests per coalesced launch (1 =
+  // Launch cap: at most this many requests per coalesced launch (1 =
   // every request launches alone, in submission order: the sequential
-  // baseline in bench_serve), and at most healthy_cores x ub_waves
-  // (N, C1) blocks -- each resident block pins its plan's ub_slots UB
-  // tile slots, so ub_waves bounds how many waves of blocks a launch may
-  // queue per core before it is split. healthy_cores starts at the core
-  // count the launch runs on (the whole cluster; one device for a pinned
-  // launch) and shrinks as the resilient launch path observes
-  // quarantined cores.
+  // baseline in bench_serve), besides the kUbWaves block cap.
   std::size_t max_batch = 16;
-  int ub_waves = 4;
-  std::size_t plan_cache_capacity = 64;
   // Device double-buffer policy (feeds the plan-cache key).
   bool double_buffer = true;
   // When set, every launch runs under this device resilience policy
@@ -129,31 +143,18 @@ struct SessionOptions {
   // cannot preempt a launch, so the watchdog observes and reports -- the
   // signal an operator (or a test) alarms on. 0 disables the watchdog.
   std::int64_t watchdog_timeout_us = 0;
-  // Async instruction-stream VM (sim/vm/, docs/ASYNC_VM.md): on (the
-  // default), every launch's captured pipe timeline is enqueued on the
-  // session's VmStream, which pipelines launches across batch boundaries
-  // under a bounded in-flight window; stats().vm.makespan then models
-  // the whole trace's device time. Off, launches are modeled strictly
-  // back to back (the pre-VM serial behavior). Outputs, launch order and
-  // device_cycles_total are identical either way -- the VM only re-times.
-  bool vm = true;
+  // Async instruction-stream VM (sim/vm/, docs/ASYNC_VM.md): every
+  // launch's captured pipe timeline is enqueued on its device's
+  // VmStream, which pipelines launches across batch boundaries with at
+  // most this many launches in flight; stats().vm.makespan then models
+  // the whole trace's device time. 1 places launches strictly back to
+  // back (vm.makespan == device_cycles_total). Outputs, launch order and
+  // device_cycles_total do not depend on it -- the VM only re-times.
   int vm_in_flight = 2;
   // Retain per-launch placed intervals for the device tracks of the
   // unified Chrome trace (write_unified_chrome_trace); bounded, off by
   // default.
   bool vm_capture = false;
-  // Request lifecycle tracing (serve/request_trace.h): every request
-  // gets a trace id and its transitions land in a bounded event ring of
-  // this capacity; when the ring fills, the oldest events are
-  // overwritten and counted (never unbounded growth). 0 disables
-  // recording (ids are still assigned).
-  std::size_t request_trace_capacity = 16384;
-  // Exact-sample retention cap for latency / queue-wait cross-checks:
-  // the first this-many samples are kept verbatim next to the bounded
-  // histograms, so tests and the CI gate can compare histogram
-  // percentiles against exact ones. Past the cap only the histograms
-  // keep counting (constant memory for million-request replays).
-  std::size_t latency_sample_cap = 8192;
 };
 
 // Per-request submission options.
@@ -199,11 +200,11 @@ struct SessionStats {
   std::int64_t peak_queue_depth = 0;
   std::int64_t backpressure_waits = 0;   // submit() calls that blocked
   std::int64_t device_cycles_total = 0;  // sum of per-launch makespans
-  // Cross-launch VM schedule (all-zero with SessionOptions::vm off). On
-  // one device, vm.makespan is the overlapped device time of everything
-  // served so far, vm.serial_sum equals device_cycles_total, and the
-  // per-pipe streams carry busy/wait/flag/idle with
-  // busy+wait+flag+idle == makespan * tracks exactly (docs/ASYNC_VM.md).
+  // Cross-launch VM schedule. On one device, vm.makespan is the
+  // overlapped device time of everything served so far, vm.serial_sum
+  // equals device_cycles_total, and the per-pipe streams carry
+  // busy/wait/flag/idle with busy+wait+flag+idle == makespan * tracks
+  // exactly (docs/ASYNC_VM.md).
   // On a multi-device cluster the session runs one stream per device
   // and this aggregates them: makespan is the max over devices, sums
   // are summed, and the per-device bucket invariant holds per stream
@@ -231,9 +232,9 @@ struct SessionStats {
   // Latency distributions come from the bounded log-linear histograms
   // (common/histogram.h): count / mean / max are exact, percentiles are
   // bucket-quantized within ~3.1%. The *_exact twins summarize the
-  // first SessionOptions::latency_sample_cap samples verbatim -- when
-  // their count matches, the histogram percentiles can be cross-checked
-  // against the exact ones (the CI 5%-tolerance gate).
+  // first kLatencySampleCap samples verbatim -- when their count
+  // matches, the histogram percentiles can be cross-checked against the
+  // exact ones (the CI 5%-tolerance gate).
   LatencySummary latency;     // submit -> future completed
   LatencySummary queue_wait;  // submit -> dequeued by the worker
   LatencySummary latency_exact;
@@ -255,10 +256,10 @@ class Session {
   //
   //   serve::Session session(serve::Cluster(), opts);
   //
-  // and a sharded one builds ClusterOptions first (devices, placement,
-  // link model). The session applies its own double-buffer/resilience/VM
-  // options to every device; per-device state installed on the cluster
-  // beforehand (e.g. fault plans on one device) is preserved unless the
+  // and a sharded one builds ClusterOptions first (devices, placement).
+  // The session applies its own double-buffer/resilience/VM options to
+  // every device; per-device state installed on the cluster beforehand
+  // (e.g. fault plans on one device) is preserved unless the
   // corresponding SessionOptions field overrides it.
   explicit Session(Cluster cluster, SessionOptions opts = {});
 
@@ -305,8 +306,8 @@ class Session {
   const Cluster& cluster() const { return cluster_; }
   const SessionOptions& options() const { return opts_; }
   // Device `device`'s instruction-stream VM (valid for the session's
-  // lifetime; a no-op empty stream when SessionOptions::vm is off). The
-  // unified Chrome trace shows the ingress device's stream, vm_stream(0).
+  // lifetime). The unified Chrome trace shows the ingress device's
+  // stream, vm_stream(0).
   const vm::VmStream& vm_stream(int device) const {
     return *vm_streams_.at(static_cast<std::size_t>(device));
   }
@@ -353,6 +354,12 @@ class Session {
     std::int64_t id = 0;  // session-assigned trace id
   };
 
+  // The request submit() and try_submit() queue: everything but its
+  // trace id, which each assigns under its own rule (assign_id_locked).
+  static Pending make_pending(kernels::PoolOp op, kernels::PoolInputs in,
+                              const SubmitOptions& sub);
+  // Gives `p` the next trace id and hands it back through sub.trace_id.
+  void assign_id_locked(Pending& p, const SubmitOptions& sub);
   void worker_loop();
   void watchdog_loop();
   void process(std::vector<Pending> taken);
@@ -365,7 +372,9 @@ class Session {
   // success, throws on failure.
   void launch_members(std::vector<Pending>& taken,
                       const std::vector<std::size_t>& members, int shard);
-  void enqueue_locked(Pending p, std::unique_lock<std::mutex>& lock);
+  // Queues `p` and records its kSubmitted event.
+  void enqueue_locked(Pending p, const SubmitOptions& sub,
+                      std::unique_lock<std::mutex>& lock);
   // The block cap for form_batches of hint group `shard` given the
   // quarantines observed so far.
   std::int64_t max_blocks_locked(int shard) const;
@@ -373,7 +382,7 @@ class Session {
   SessionOptions opts_;
   Cluster cluster_;
   PlanCache plans_;
-  // One cross-launch VM stream per device; attached when opts_.vm. Each
+  // One cross-launch VM stream per device, attached to it. Each
   // stream has its own mutex (enqueues come from the worker inside
   // launches, which run outside mu_). unique_ptr keeps the streams'
   // addresses stable across vector growth -- devices hold raw pointers.
@@ -398,7 +407,7 @@ class Session {
 
   // Stats, guarded by mu_. The latency distributions live in bounded
   // log-linear histograms (constant memory however long the session
-  // runs); the *_exact vectors retain the first latency_sample_cap
+  // runs); the *_exact vectors retain the first kLatencySampleCap
   // samples verbatim for percentile cross-checks and are mutable
   // because stats() (const) summarizes them with an in-place sort --
   // order is irrelevant to their only other use (appending).

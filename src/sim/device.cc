@@ -362,18 +362,13 @@ Device::RunResult Device::collect_result(int cores_used) {
 
   // Hand the captured launch timeline to the attached instruction-stream
   // VM: the stream shifts the whole launch onto its cross-launch tracks
-  // and returns the scheduled start. Writes get a fresh tagged id per
-  // launch -- serving outputs are never re-read by a later launch, and a
-  // recycled arena address must not alias a retired buffer.
+  // and returns the scheduled start. The launch names no buffers: it
+  // reads only its requests' inputs and writes only fresh outputs that no
+  // later launch reads, so no hazard can floor it.
   if (vm_stream_ != nullptr) {
     vm::VmLaunch launch;
     launch.label = std::move(vm_label_);
     vm_label_.clear();
-    launch.reads = std::move(vm_reads_);
-    vm_reads_.clear();
-    launch.writes.push_back(
-        (std::uint64_t{1} << 63) +
-        static_cast<std::uint64_t>(vm_write_seq_++));
     launch.makespan = result.device_cycles;
     const bool capture = vm_stream_->options().capture;
     launch.cores.reserve(static_cast<std::size_t>(cores_used));

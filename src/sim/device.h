@@ -182,14 +182,10 @@ class Device {
   void set_vm_stream(vm::VmStream* stream) { vm_stream_ = stream; }
   vm::VmStream* vm_stream() const { return vm_stream_; }
 
-  // Stages the next launch's identity for the stream: a display label and
-  // the input buffers it reads (dependency tracking). Consumed by the
-  // next collect_result; kernels::run_pool_maps stages this automatically
-  // when a stream is attached.
-  void annotate_vm_launch(std::string label, std::vector<vm::BufferId> reads) {
-    vm_label_ = std::move(label);
-    vm_reads_ = std::move(reads);
-  }
+  // Stages the next launch's display label for the stream. Consumed by
+  // the next collect_result; kernels::run_pool_maps stages it
+  // automatically when a stream is attached.
+  void annotate_vm_launch(std::string label) { vm_label_ = std::move(label); }
 
  private:
   struct Sched;  // shared scheduling state of one run (device.cc)
@@ -210,8 +206,6 @@ class Device {
   bool parallel_ = true;
   vm::VmStream* vm_stream_ = nullptr;
   std::string vm_label_;
-  std::vector<vm::BufferId> vm_reads_;
-  std::int64_t vm_write_seq_ = 0;
   std::int64_t launches_ = 0;  // runs so far: the next trace ordinal
   // Lazily started on the first parallel run; workers persist for the
   // Device's lifetime (see sim/executor.h).

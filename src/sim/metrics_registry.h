@@ -33,7 +33,7 @@
 // "host_queue_wait_us") gain "p999", a "hist" sub-object (sparse
 // log-linear buckets from common/histogram.h plus a dropped-sample
 // counter -- offline-mergeable, any percentile re-derivable) and an
-// "exact" sub-object (the first latency_sample_cap samples' percentiles
+// "exact" sub-object (the first kLatencySampleCap samples' percentiles
 // with a "complete" flag for cross-checking the histogram), and the
 // top-level "serve" adds "queue_depth" plus a "request_trace" object
 // (lifecycle ring capacity / recorded / dropped / by_kind counters;

@@ -74,8 +74,8 @@ constexpr int kHostTrackPid = 1000000;
 // carries the stream-global "ub tiles in flight" counter, closed with a
 // zero sample at the cross-batch makespan; its samples stay the final
 // "C" events (the CI invariant). The host spans ride alongside: with
-// none the document is the device-only view, and with an empty stream
-// (VM off) it is host-only but still valid.
+// none the document is the device-only view, and with no captured
+// placements it is host-only but still valid.
 std::string unified_chrome_trace_json(const vm::VmStream& stream,
                                       const std::vector<HostSpan>& spans);
 

@@ -19,8 +19,8 @@
 //  * UB slots, via the bounded in-flight window -- launch k may not
 //    start before launch k-W completed (W = in_flight), so at most W
 //    launches hold UB tile slots at once;
-//  * scratch/output buffers, via read/write BufferIds -- RAW, WAR and
-//    WAW hazards each floor the dependent launch's start at the
+//  * the buffers a launch names, via read/write BufferIds -- RAW, WAR
+//    and WAW hazards each floor the dependent launch's start at the
 //    conflicting launch's completion.
 #pragma once
 
@@ -32,10 +32,9 @@
 
 namespace davinci::vm {
 
-// Opaque buffer identity for dependency tracking. Kernel drivers use the
-// input tensors' data addresses for reads; launch outputs get a fresh
-// unique id (serving results are never re-read by a later launch, and a
-// recycled arena address must not alias a retired buffer).
+// Opaque buffer identity for dependency tracking. A served launch names
+// no buffers: it reads only its requests' inputs and writes only fresh
+// outputs that no later launch reads, so it can never hazard.
 using BufferId = std::uint64_t;
 
 // One pipe's share of a captured launch on one core, in launch-local
@@ -69,18 +68,6 @@ struct VmLaunch {
   std::vector<BufferId> writes;  // output buffers (WAR/WAW tracking)
   std::vector<CoreWork> cores;   // used cores only
   std::int64_t makespan = 0;     // max over cores of CoreWork::makespan
-};
-
-// One issued op in the stream's issue log: where a (core, pipe) lane of
-// a launch actually landed on the shared timeline. The deterministic-
-// replay regression test compares these logs run to run.
-struct IssueRecord {
-  std::int64_t launch = 0;  // stream-assigned launch sequence number
-  int core = 0;
-  Pipe pipe = Pipe::kSync;
-  std::int64_t start = 0;  // stream cycles (scheduled, not launch-local)
-  std::int64_t end = 0;
-  std::int64_t busy = 0;
 };
 
 }  // namespace davinci::vm

@@ -71,7 +71,7 @@ std::int64_t VmStream::enqueue(VmLaunch launch) {
   const std::int64_t end = delta + launch.makespan;
   seq_ += 1;
 
-  // Commit: shift every op onto its track and log the issue.
+  // Commit: shift every op onto its track.
   for (const CoreWork& cw : launch.cores) {
     for (int pi = 0; pi < PipeScheduler::kNumPipes; ++pi) {
       const PipeWork& pw = cw.pipes[pi];
@@ -84,13 +84,6 @@ std::int64_t VmStream::enqueue(VmLaunch launch) {
       t.busy += pw.busy;
       t.flag += pw.flag;
       t.end = std::max(t.end, delta + pw.last_busy);
-      if (issue_log_.size() < kMaxIssueRecords) {
-        issue_log_.push_back({seq_, cw.core, static_cast<Pipe>(pi),
-                              delta + pw.first_busy, delta + pw.last_busy,
-                              pw.busy});
-      } else {
-        issue_log_truncated_ = true;
-      }
     }
   }
 
@@ -161,28 +154,6 @@ VmStream::Stats VmStream::stats() const {
   return s;
 }
 
-std::vector<IssueRecord> VmStream::issue_log() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return issue_log_;
-}
-
-bool VmStream::issue_log_truncated() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return issue_log_truncated_;
-}
-
-std::string VmStream::issue_signature() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string sig;
-  sig.reserve(issue_log_.size() * 24);
-  for (const IssueRecord& r : issue_log_) {
-    sig += std::to_string(r.launch) + ":" + std::to_string(r.core) + ":" +
-           std::to_string(static_cast<int>(r.pipe)) + ":" +
-           std::to_string(r.start) + ":" + std::to_string(r.end) + "\n";
-  }
-  return sig;
-}
-
 std::vector<PlacedLaunch> VmStream::placements() const {
   std::lock_guard<std::mutex> lock(mu_);
   return placed_;
@@ -199,8 +170,6 @@ void VmStream::reset() {
   serial_sum_ = 0;
   window_stalls_ = 0;
   hazard_stalls_ = 0;
-  issue_log_.clear();
-  issue_log_truncated_ = false;
   placed_.clear();
 }
 

@@ -28,7 +28,7 @@
 // the pipe was genuinely occupied, not stalled.
 //
 // Thread safety: every public method takes the internal mutex; the
-// serving worker enqueues while stats()/issue_log() scrape from other
+// serving worker enqueues while stats()/placements() scrape from other
 // threads.
 #pragma once
 
@@ -89,34 +89,23 @@ class VmStream {
   explicit VmStream(VmStreamOptions opts = {});
 
   // Places `launch` at the earliest dependency-respecting cycle and
-  // returns its scheduled start. The issue log gains one record per
-  // (core, pipe) op with busy work.
+  // returns its scheduled start.
   std::int64_t enqueue(VmLaunch launch);
 
   Stats stats() const;
 
-  // The per-op issue log, in issue order (launch order, then core, then
-  // pipe). Bounded by kMaxIssueRecords; issue_log_truncated() reports an
-  // overflow (records past the cap are dropped, placement stays exact).
-  std::vector<IssueRecord> issue_log() const;
-  bool issue_log_truncated() const;
-
-  // Compact fingerprint of the issue log ("launch:core:pipe:start:end"
-  // lines) for the deterministic-replay regression test.
-  std::string issue_signature() const;
-
   // Placed launches for the trace exporter; empty unless capture is on.
   std::vector<PlacedLaunch> placements() const;
 
-  // Forgets the whole timeline (tracks, window, buffer table, logs,
-  // stats) -- the warmup path re-zeroes the stream clock with this.
+  // Forgets the whole timeline (tracks, window, buffer table, captured
+  // placements, stats) -- the warmup path re-zeroes the stream clock
+  // with this.
   void reset();
 
   const VmStreamOptions& options() const { return opts_; }
 
-  // Bounds: the issue log and capture list stop growing past these (the
-  // schedule itself stays exact).
-  static constexpr std::size_t kMaxIssueRecords = 1 << 18;
+  // Bound: the capture list stops growing past this (the schedule itself
+  // stays exact).
   static constexpr std::size_t kMaxPlacedLaunches = 256;
 
  private:
@@ -148,8 +137,6 @@ class VmStream {
   std::int64_t serial_sum_ = 0;
   std::int64_t window_stalls_ = 0;
   std::int64_t hazard_stalls_ = 0;
-  std::vector<IssueRecord> issue_log_;
-  bool issue_log_truncated_ = false;
   std::vector<PlacedLaunch> placed_;
 };
 

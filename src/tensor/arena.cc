@@ -34,19 +34,17 @@ void* TensorArena::acquire(std::size_t bytes, std::size_t* capacity) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     poison = poison_;
-    if (enabled_) {
-      // Best fit, but never hand out a buffer more than 2x the request:
-      // parking a tiny tensor in a huge buffer would slowly bloat every
-      // bucket's effective footprint.
-      auto it = pool_.lower_bound(want);
-      if (it != pool_.end() && it->first <= want * 2) {
-        p = it->second;
-        *capacity = it->first;
-        stats_.reuses += 1;
-        stats_.pooled_buffers -= 1;
-        stats_.pooled_bytes -= static_cast<std::int64_t>(it->first);
-        pool_.erase(it);
-      }
+    // Best fit, but never hand out a buffer more than 2x the request:
+    // parking a tiny tensor in a huge buffer would slowly bloat every
+    // bucket's effective footprint.
+    auto it = pool_.lower_bound(want);
+    if (it != pool_.end() && it->first <= want * 2) {
+      p = it->second;
+      *capacity = it->first;
+      stats_.reuses += 1;
+      stats_.pooled_buffers -= 1;
+      stats_.pooled_bytes -= static_cast<std::int64_t>(it->first);
+      pool_.erase(it);
     }
     if (p == nullptr) stats_.allocs += 1;
   }
@@ -62,9 +60,8 @@ void TensorArena::release(void* p, std::size_t capacity) noexcept {
   if (p == nullptr) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (enabled_ &&
-        stats_.pooled_bytes + static_cast<std::int64_t>(capacity) <=
-            static_cast<std::int64_t>(max_pooled_bytes_)) {
+    if (stats_.pooled_bytes + static_cast<std::int64_t>(capacity) <=
+        static_cast<std::int64_t>(max_pooled_bytes_)) {
       pool_.emplace(capacity, p);
       stats_.releases += 1;
       stats_.pooled_buffers += 1;
@@ -77,17 +74,6 @@ void TensorArena::release(void* p, std::size_t capacity) noexcept {
     stats_.discards += 1;
   }
   ::operator delete(p, std::align_val_t{kAlign});
-}
-
-void TensorArena::set_enabled(bool on) {
-  if (!on) trim();
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = on;
-}
-
-bool TensorArena::enabled() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return enabled_;
 }
 
 void TensorArena::set_poison(bool on) {

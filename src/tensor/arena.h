@@ -25,9 +25,6 @@
 //  * set_poison(true) scribbles 0xA5 over every acquired buffer -- a test
 //    mode that makes any consumer silently relying on zero-fill fail
 //    loudly (tests/test_arena.cc runs the kernels under it).
-//  * set_enabled(false) degrades to plain new/delete per acquire/release
-//    (nothing pools); results must be bit-identical either way, which the
-//    arena on/off chaos test asserts.
 //
 // Thread safety: all methods are safe to call concurrently (one mutex;
 // the serving layer acquires on the worker thread and releases on
@@ -47,7 +44,7 @@ class TensorArena {
     std::int64_t allocs = 0;    // acquires served by the system allocator
     std::int64_t reuses = 0;    // acquires served from the free list
     std::int64_t releases = 0;  // buffers parked in the free list
-    std::int64_t discards = 0;  // buffers freed instead (disabled / full)
+    std::int64_t discards = 0;  // buffers freed instead (pool full)
     std::int64_t pooled_buffers = 0;  // currently parked
     std::int64_t pooled_bytes = 0;    // capacity currently parked
     std::int64_t peak_pooled_bytes = 0;
@@ -69,19 +66,14 @@ class TensorArena {
   void* acquire(std::size_t bytes, std::size_t* capacity);
 
   // Returns a buffer obtained from acquire(). Pools it for reuse, or
-  // frees it when pooling is disabled or the pooled-byte cap is reached.
+  // frees it when the pooled-byte cap is reached.
   void release(void* p, std::size_t capacity) noexcept;
-
-  // Pooling switch. Disabling also drops everything currently pooled, so
-  // an arena-off run measures the true allocate-per-request baseline.
-  void set_enabled(bool on);
-  bool enabled() const;
 
   // Test mode: scribble 0xA5 over every acquired buffer (see above).
   void set_poison(bool on);
   bool poison() const;
 
-  // Frees every pooled buffer (keeps the enabled/poison switches).
+  // Frees every pooled buffer (keeps the poison switch).
   void trim();
 
   Stats stats() const;
@@ -91,7 +83,6 @@ class TensorArena {
   void* allocate_raw(std::size_t bytes);
 
   mutable std::mutex mu_;
-  bool enabled_ = true;
   bool poison_ = false;
   // capacity -> buffer; multimap so equal-size buffers (the common case:
   // repeated request geometries) all pool.

@@ -1,9 +1,9 @@
 // TensorArena -- the process-wide tensor-pool allocator behind Tensor<T>
 // storage (tensor/arena.h). The load-bearing properties: buffers recycle
 // across equal-size acquires, results are bit-identical with the arena
-// enabled, disabled, or poisoning every acquire (nothing may rely on a
-// freshly zeroed allocation except Tensor's own zero-fill constructor),
-// and the kUninitialized construction mode is storage-only.
+// pooling dirty buffers or poisoning every acquire (nothing may rely on
+// a freshly zeroed allocation except Tensor's own zero-fill
+// constructor), and the kUninitialized construction mode is storage-only.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -21,12 +21,9 @@ namespace davinci {
 namespace {
 
 // RAII guard: every test restores the global arena to its default
-// enabled / unpoisoned state, whatever it does in between.
+// unpoisoned state, whatever it does in between.
 struct ArenaGuard {
-  ~ArenaGuard() {
-    TensorArena::global().set_poison(false);
-    TensorArena::global().set_enabled(true);
-  }
+  ~ArenaGuard() { TensorArena::global().set_poison(false); }
 };
 
 std::vector<std::uint16_t> bits_of(const TensorF16& t) {
@@ -61,21 +58,6 @@ TEST(TensorArena, ReusesReleasedBuffers) {
       << "equal-size reacquire must come from the free list";
 }
 
-TEST(TensorArena, DisabledDegradesToPlainAllocation) {
-  ArenaGuard guard;
-  TensorArena& arena = TensorArena::global();
-  arena.set_enabled(false);
-  arena.reset_stats();
-  { TensorF16 t(Shape{1, 1, 8, 8, kC0}); }
-  { TensorF16 t(Shape{1, 1, 8, 8, kC0}); }
-  const auto s = arena.stats();
-  EXPECT_EQ(s.reuses, 0);
-  EXPECT_EQ(s.releases, 0);
-  EXPECT_EQ(s.allocs, 2);
-  EXPECT_EQ(s.discards, 2);
-  EXPECT_EQ(s.pooled_buffers, 0);
-}
-
 TEST(TensorArena, ZeroFillConstructionIsZeroEvenUnderPoison) {
   ArenaGuard guard;
   TensorArena::global().set_poison(true);
@@ -96,9 +78,9 @@ TEST(TensorArena, UninitializedConstructionIsStorageOnly) {
   }
 }
 
-// The chaos gate: one pooling launch with the arena pooling buffers, one
-// with it disabled, one with poisoned acquires. Any kernel (or staging
-// path) silently relying on recycled-buffer contents or fresh zero-fill
+// The chaos gate: one pooling launch with the arena pooling dirty
+// buffers, one with poisoned acquires. Any kernel (or staging path)
+// silently relying on recycled-buffer contents or fresh zero-fill
 // diverges here.
 TEST(TensorArena, KernelOutputsBitIdenticalAcrossArenaModes) {
   ArenaGuard guard;
@@ -106,26 +88,19 @@ TEST(TensorArena, KernelOutputsBitIdenticalAcrossArenaModes) {
   TensorF16 in(Shape{1, 2, 23, 23, kC0});
   in.fill_random_ints(7);
 
-  arena.set_enabled(true);
   // Warm the free list so the second run reuses dirty buffers.
   {
     Device warm_dev;
     run_maxpool(warm_dev, in);
   }
-  Device dev_on;
-  const auto on = bits_of(run_maxpool(dev_on, in).out);
+  Device dev_pooled;
+  const auto pooled = bits_of(run_maxpool(dev_pooled, in).out);
 
-  arena.set_enabled(false);
-  Device dev_off;
-  const auto off = bits_of(run_maxpool(dev_off, in).out);
-
-  arena.set_enabled(true);
   arena.set_poison(true);
   Device dev_poison;
   const auto poisoned = bits_of(run_maxpool(dev_poison, in).out);
 
-  EXPECT_EQ(on, off);
-  EXPECT_EQ(on, poisoned);
+  EXPECT_EQ(pooled, poisoned);
 }
 
 // make_outputs leaves the mask uninitialized except its fractal tail rows

@@ -298,31 +298,25 @@ TEST(ClusterServe, TraceReplayBitIdenticalAcrossDeviceCounts) {
   SessionOptions opts;
   const std::vector<PoolResult> want = replay(Cluster{}, entries, opts);
   for (const Placement p : {Placement::kData, Placement::kModel}) {
-    for (const bool vm : {true, false}) {
-      SCOPED_TRACE(std::string(to_string(p)) + (vm ? " vm" : " no-vm"));
-      SessionOptions o = opts;
-      o.vm = vm;
-      SessionStats stats;
-      const std::vector<PoolResult> got = replay(
-          Cluster(ClusterOptions{.devices = 3, .placement = p}), entries, o,
-          &stats);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        SCOPED_TRACE("request " + std::to_string(i));
-        expect_same_result(got[i], want[i]);
-      }
-      EXPECT_EQ(stats.devices, 3);
-      EXPECT_EQ(stats.placement, p);
-      EXPECT_GT(stats.cluster.sharded_launches, 0);
-      EXPECT_GT(stats.cluster.redistribution_bytes, 0);
-      // The roofline never reports less than the busiest link.
-      EXPECT_GE(stats.cluster_makespan, stats.cluster.link_busy_cycles);
-      if (vm) {
-        ASSERT_EQ(stats.vm_makespan_per_device.size(), 3u);
-        for (const std::int64_t m : stats.vm_makespan_per_device) {
-          EXPECT_GE(stats.cluster_makespan, m);
-        }
-      }
+    SCOPED_TRACE(to_string(p));
+    SessionStats stats;
+    const std::vector<PoolResult> got = replay(
+        Cluster(ClusterOptions{.devices = 3, .placement = p}), entries, opts,
+        &stats);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE("request " + std::to_string(i));
+      expect_same_result(got[i], want[i]);
+    }
+    EXPECT_EQ(stats.devices, 3);
+    EXPECT_EQ(stats.placement, p);
+    EXPECT_GT(stats.cluster.sharded_launches, 0);
+    EXPECT_GT(stats.cluster.redistribution_bytes, 0);
+    // The roofline never reports less than the busiest link or device.
+    EXPECT_GE(stats.cluster_makespan, stats.cluster.link_busy_cycles);
+    ASSERT_EQ(stats.vm_makespan_per_device.size(), 3u);
+    for (const std::int64_t m : stats.vm_makespan_per_device) {
+      EXPECT_GE(stats.cluster_makespan, m);
     }
   }
 }
@@ -652,7 +646,7 @@ TEST(Cluster, MembersOfDifferentGeometryThrowBeforeRunning) {
 
 TEST(ClusterServe, PinnedGroupGetsOneDeviceBlockCap) {
   // A pinned launch runs whole on one device, so its block cap is that
-  // device's cores x ub_waves (32 x 4 = 128 blocks), not the cluster's:
+  // device's cores x kUbWaves (32 x 4 = 128 blocks), not the cluster's:
   // sixteen 32-block requests pinned to device 1 launch four at a time,
   // as they would on a lone device.
   SessionOptions opts;

@@ -61,6 +61,19 @@ TEST(Lowering, LoweredMaxpoolEqualsInterpreter) {
   EXPECT_GT(lowered.run.device_cycles, 0);
 }
 
+TEST(Lowering, HostBucketsChargeTheInputCheckAndOutputConstruction) {
+  Device dev;
+  const TensorF16 in = testutil::random_int_nc1hwc0(1, 2, 11, 11, 75);
+  const dsl::Compute c = pooling_compute(in.shape(), Window2d::pool(3, 2),
+                                         dsl::ReduceKind::kMax);
+  const Device::RunResult run = lower_and_run(dev, c, in).run;
+  EXPECT_GT(run.host_validate_ns, 0);
+  EXPECT_GT(run.host_alloc_ns, 0);
+  EXPECT_EQ(run.host_alloc_ns + run.host_plan_ns + run.host_validate_ns +
+                run.host_execute_ns,
+            run.host_ns);
+}
+
 TEST(Lowering, SchedulerPicksDirectAtStrideWidth1) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 72);

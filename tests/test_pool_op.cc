@@ -258,7 +258,7 @@ TEST(PoolOpMaps, ScatteredSlicesMatchTheContiguousLaunch) {
       if (const kernels::SliceMap* sm = scatter(t)) *m = *sm;
     }
     const Device::RunResult run =
-        kernels::run_pool_maps(dev, c.op, maps, {&inputs, 1});
+        kernels::run_pool_maps(dev, c.op, maps);
     EXPECT_EQ(run.device_cycles, want.run.device_cycles);
     EXPECT_EQ(run.device_cycles_serial, want.run.device_cycles_serial);
 

@@ -147,7 +147,7 @@ TEST(RequestTraceSession, CompletedRequestRecordsTheFullLifecycle) {
     if (at < std::size(want) && e.kind == want[at]) at += 1;
   }
   EXPECT_EQ(at, std::size(want)) << "missing lifecycle transition";
-  // With the VM on (the default), the launch also lands on the stream.
+  // The launch also lands on the VM stream.
   EXPECT_TRUE(has_kind(evs, ReqEventKind::kVmScheduled));
   // Payloads: kSubmitted carries the prio; the first launch is batch 0.
   for (const ReqEvent& e : evs) {
@@ -397,7 +397,7 @@ TEST(UnifiedTrace, HostOnlyTraceIsValidWithVmCaptureOff) {
 
 TEST(RequestTraceSession, HistogramPercentilesCrossCheckAgainstExact) {
   // The in-session version of the CI gate: with every sample retained
-  // (count <= latency_sample_cap), histogram p50/p99 must land within 5%
+  // (count <= kLatencySampleCap), histogram p50/p99 must land within 5%
   // of the exact-sample percentiles.
   Session session(Cluster{});
   const TensorF16 in = make_input(1, 15, 15, 11);

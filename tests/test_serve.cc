@@ -416,7 +416,7 @@ TEST(ServeResilience, BisectionIsolatesThePoisonedRequest) {
     res.plan.core_failures.push_back(CoreFailTrigger{c, 4});
   }
   opts.resilience = res;
-  Session session(Cluster(ClusterOptions{.arch = ArchConfig::ascend910()}), opts);
+  Session session(Cluster{}, opts);
   ASSERT_EQ(session.cluster().device(0).num_cores(), 32);
 
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
@@ -460,7 +460,7 @@ TEST(ServeResilience, QuarantineShrinksTheBatchCapAndCountsDegraded) {
   ResilienceOptions res;
   res.plan = FaultPlan::parse("core_fail@2", 7);  // core 2 dies on block 2
   opts.resilience = res;
-  Session session(Cluster(ClusterOptions{.arch = ArchConfig::ascend910()}), opts);
+  Session session(Cluster{}, opts);
 
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
                   .window = Window2d::pool(3, 2),

@@ -10,8 +10,6 @@
 //   --queue=N            admission-queue depth           (default 64)
 //   --max-batch=N        requests per coalesced launch   (default 16;
 //                        1 = every request launches alone)
-//   --ub-waves=N         launch block cap, in waves      (default 4)
-//   --plan-cache=N       plan-cache capacity             (default 64)
 //   --no-double-buffer   single-buffered device schedule
 //   --policy=P           overload policy: block | reject | shed
 //   --deadline-us=N      default completion budget for trace lines that
@@ -22,12 +20,9 @@
 //   --seed=N             fault-plan seed                 (default 1)
 //   --retries=N          per-block retry budget          (default 3)
 //   --verify             CRC-verify stores (catches silent corruption)
-//   --no-arena           disable the tensor arena (allocate-per-request
-//                        baseline; results must be bit-identical)
-//   --no-vm              disable the instruction-stream VM (per-batch
-//                        serial device timing; outputs are bit-identical
-//                        either way, only the cycle model changes)
-//   --in-flight=N        VM in-flight launch window        (default 2)
+//   --in-flight=N        VM in-flight launch window        (default 2;
+//                        1 = launches strictly back to back, so the
+//                        gated cycles equal the per-launch sum)
 //   --warmup=N           replay the first N requests once before the
 //                        measured run (warm plan cache / arena), then
 //                        reset the statistics and the wall clock
@@ -68,6 +63,7 @@
 // Exit codes: 0 success, 2 usage, 3 trace error (unreadable or malformed,
 // or a line whose tensors cannot be materialized), 4 any request failed
 // (launch failure, expired deadline, or shed by the overload policy).
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -87,7 +83,6 @@
 #include "sim/metrics_registry.h"
 #include "sim/prof_report.h"
 #include "sim/trace_export.h"
-#include "tensor/arena.h"
 
 using namespace davinci;
 
@@ -126,11 +121,11 @@ int usage() {
   std::fprintf(stderr,
                "usage: davinci_serve <trace-file> "
                "[--devices=N] [--placement=data|model] "
-               "[--queue=N] [--max-batch=N] [--ub-waves=N] [--plan-cache=N] "
-               "[--no-double-buffer] [--policy=block|reject|shed] "
+               "[--queue=N] [--max-batch=N] [--no-double-buffer] "
+               "[--policy=block|reject|shed] "
                "[--deadline-us=N] [--watchdog-us=N] [--inject=SPEC] "
-               "[--seed=N] [--retries=N] [--verify] [--no-arena] "
-               "[--no-vm] [--in-flight=N] [--warmup=N] "
+               "[--seed=N] [--retries=N] [--verify] "
+               "[--in-flight=N] [--warmup=N] "
                "[--chrome-trace=path] [--stats-every-ms=N] "
                "[--stats-out=path] [--json=path] [--metrics=path]\n");
   return 2;
@@ -226,9 +221,6 @@ class StatsStream {
 int main(int argc, char** argv) {
   if (argc < 2 || argv[1][0] == '-') return usage();
   const std::string trace_path = argv[1];
-  if (has_flag(argc, argv, "--no-arena")) {
-    TensorArena::global().set_enabled(false);
-  }
 
   serve::ClusterOptions cluster_opts;
   cluster_opts.devices =
@@ -251,9 +243,6 @@ int main(int argc, char** argv) {
       int_arg(argc, argv, "--queue=", 64));
   opts.max_batch = static_cast<std::size_t>(
       int_arg(argc, argv, "--max-batch=", 16));
-  opts.ub_waves = static_cast<int>(int_arg(argc, argv, "--ub-waves=", 4));
-  opts.plan_cache_capacity = static_cast<std::size_t>(
-      int_arg(argc, argv, "--plan-cache=", 64));
   opts.double_buffer = !has_flag(argc, argv, "--no-double-buffer");
   opts.watchdog_timeout_us = int_arg(argc, argv, "--watchdog-us=", 0);
   const std::string policy = arg_value(argc, argv, "--policy=");
@@ -291,7 +280,6 @@ int main(int argc, char** argv) {
   const std::int64_t stats_every_ms =
       int_arg(argc, argv, "--stats-every-ms=", 0);
   const std::string stats_out = arg_value(argc, argv, "--stats-out=");
-  opts.vm = !has_flag(argc, argv, "--no-vm");
   opts.vm_in_flight = static_cast<int>(int_arg(argc, argv, "--in-flight=", 2));
   opts.vm_capture = !chrome_trace_path.empty();
 
@@ -338,6 +326,42 @@ int main(int argc, char** argv) {
   std::vector<LineRuns> lines(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) lines[i].entry = i;
 
+  // One replay of requests [0, count) in paused admission windows of at
+  // most queue_depth requests each, so submit never blocks on a paused
+  // queue: the worker sees each window all at once, which makes
+  // coalescing -- and therefore the launch count and cycle totals --
+  // deterministic run to run. The CI host gate diffs cycles at zero
+  // tolerance on top of this. Returns each request's future and trace
+  // id, in submission order.
+  struct Submitted {
+    std::future<kernels::PoolResult> future;
+    std::int64_t trace_id = -1;
+  };
+  auto replay = [&](std::size_t count) {
+    std::vector<Submitted> sent;
+    session.pause();
+    for (std::size_t r = 0; r < count; ++r) {
+      const serve::TraceEntry& e = entries[request_line[r]];
+      serve::SubmitOptions sub;
+      sub.deadline_us =
+          e.deadline_us > 0 ? e.deadline_us : default_deadline_us;
+      sub.prio = e.prio;
+      sub.shard = e.shard;
+      Submitted s;
+      sub.trace_id = &s.trace_id;
+      s.future = session.submit(e.op, requests[r].inputs(), sub);
+      sent.push_back(std::move(s));
+      if ((r + 1) % opts.queue_depth == 0) {
+        session.resume();
+        session.drain();
+        session.pause();
+      }
+    }
+    session.resume();
+    session.drain();
+    return sent;
+  };
+
   // Warmup: replay the first --warmup requests once so the measured run
   // starts with a warm plan cache and arena, then discard every counter
   // (including the VM stream clock) so the measured cycles are those of
@@ -345,30 +369,10 @@ int main(int argc, char** argv) {
   // they would double-count against the measured run's exit code.
   if (warmup > 0) {
     try {
-      std::size_t window = 0;
-      std::vector<std::future<kernels::PoolResult>> warm;
-      session.pause();
-      for (std::size_t r = 0;
-           r < requests.size() && r < static_cast<std::size_t>(warmup); ++r) {
-        const serve::TraceEntry& e = entries[request_line[r]];
-        serve::SubmitOptions sub;
-        sub.deadline_us =
-            e.deadline_us > 0 ? e.deadline_us : default_deadline_us;
-        sub.prio = e.prio;
-        sub.shard = e.shard;
-        warm.push_back(session.submit(e.op, requests[r].inputs(), sub));
-        if (++window == static_cast<std::size_t>(opts.queue_depth)) {
-          session.resume();
-          session.drain();
-          session.pause();
-          window = 0;
-        }
-      }
-      session.resume();
-      session.drain();
-      for (auto& f : warm) {
+      for (Submitted& s : replay(std::min(
+               requests.size(), static_cast<std::size_t>(warmup)))) {
         try {
-          f.get();
+          s.future.get();
         } catch (const Error&) {
         }
       }
@@ -379,11 +383,6 @@ int main(int argc, char** argv) {
     session.reset_stats();
   }
 
-  // Replay in paused admission windows (at most queue_depth requests
-  // each, so submit never blocks on a paused queue): the worker sees
-  // each window all at once, which makes coalescing -- and therefore
-  // the launch count and cycle totals -- deterministic run to run. The
-  // CI host gate diffs cycles at zero tolerance on top of this.
   StatsStream stats_stream;
   if (stats_every_ms > 0) {
     stats_stream.start(&session, stats_every_ms, stats_out);
@@ -391,30 +390,12 @@ int main(int argc, char** argv) {
   std::int64_t first_trace_id = -1, last_trace_id = -1;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    std::size_t window = 0;
-    session.pause();
-    for (std::size_t r = 0; r < requests.size(); ++r) {
-      const serve::TraceEntry& e = entries[request_line[r]];
-      serve::SubmitOptions sub;
-      sub.deadline_us =
-          e.deadline_us > 0 ? e.deadline_us : default_deadline_us;
-      sub.prio = e.prio;
-      sub.shard = e.shard;
-      std::int64_t trace_id = -1;
-      sub.trace_id = &trace_id;
-      lines[request_line[r]].futures.push_back(
-          session.submit(e.op, requests[r].inputs(), sub));
-      if (first_trace_id < 0) first_trace_id = trace_id;
-      last_trace_id = trace_id;
-      if (++window == static_cast<std::size_t>(opts.queue_depth)) {
-        session.resume();
-        session.drain();
-        session.pause();
-        window = 0;
-      }
+    std::vector<Submitted> sent = replay(requests.size());
+    first_trace_id = sent.front().trace_id;
+    last_trace_id = sent.back().trace_id;
+    for (std::size_t r = 0; r < sent.size(); ++r) {
+      lines[request_line[r]].futures.push_back(std::move(sent[r].future));
     }
-    session.resume();
-    session.drain();
   } catch (const Error& e) {
     std::fprintf(stderr, "davinci_serve: submit failed: %s\n", e.what());
     return 4;
@@ -506,18 +487,14 @@ int main(int argc, char** argv) {
     }
     // json::number, not snprintf("%.4f"): the latter consults LC_NUMERIC
     // and writes ',' decimals under comma-decimal locales -- invalid JSON.
-    // With the VM on, the gated "cycles" metric IS the cluster makespan:
-    // the max of the busiest device's cross-batch overlapped makespan
-    // and the busiest link's busy time -- the quantity the serving path
-    // actually spends on the cluster (identical to the single VM
-    // makespan at --devices=1, so the 1-device baselines are unchanged);
-    // the plain per-launch sum stays visible as the non-gated
-    // "cycles_sum".
+    // The gated "cycles" metric is the cluster makespan: the max of the
+    // busiest device's cross-batch overlapped makespan and the busiest
+    // link's busy time -- the quantity the serving path actually spends
+    // on the cluster (the single VM makespan at --devices=1); the plain
+    // per-launch sum stays visible as the non-gated "cycles_sum".
     const serve::SessionStats s = session.stats();
-    const std::int64_t gated_cycles =
-        opts.vm ? s.cluster_makespan : s.device_cycles_total;
     j += "{\"name\":\"total\",\"requests\":" + std::to_string(s.completed) +
-         ",\"cycles\":" + std::to_string(gated_cycles) +
+         ",\"cycles\":" + std::to_string(s.cluster_makespan) +
          ",\"cycles_sum\":" + std::to_string(s.device_cycles_total) +
          ",\"devices\":" + std::to_string(s.devices) +
          ",\"placement\":\"" + serve::to_string(s.placement) + "\"" +
@@ -529,7 +506,6 @@ int main(int argc, char** argv) {
          std::to_string(s.cluster.redistribution_cycles) +
          ",\"link_busy_cycles\":" +
          std::to_string(s.cluster.link_busy_cycles) +
-         ",\"vm\":" + (opts.vm ? std::string("true") : std::string("false")) +
          ",\"in_flight\":" + std::to_string(s.vm.in_flight) +
          ",\"overlap_cycles\":" + std::to_string(s.vm.overlap_cycles) +
          ",\"window_stalls\":" + std::to_string(s.vm.window_stalls) +
