@@ -14,9 +14,9 @@
 //   --json-seq=<path>      sequential totals only  } identical row keys,
 //   --json-batched=<path>  batched totals only     } for davinci_prof --diff
 //
-// Knob: --in-flight=N sets the session's instruction-stream VM launch
-// window (docs/ASYNC_VM.md). The gated "cycles" rows are the per-launch
-// sums; the VM cross-batch makespan rides along as the non-gated
+// The sessions keep the default instruction-stream VM launch window
+// (docs/ASYNC_VM.md). The gated "cycles" rows are the per-launch sums;
+// the VM cross-batch makespan rides along as the non-gated
 // vm_makespan / vm_overlap_cycles.
 #include <chrono>
 #include <cstdio>
@@ -56,11 +56,10 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const nets::PoolLayer& layer, bool batching, bool db,
-                    int requests, int in_flight) {
+                    int requests) {
   serve::SessionOptions opts;
   if (!batching) opts.max_batch = 1;
   opts.double_buffer = db;
-  opts.vm_in_flight = in_flight;
   serve::Session session(serve::Cluster{}, opts);
 
   const std::int64_t c1 = c1_of(layer.c);
@@ -120,9 +119,6 @@ int main(int argc, char** argv) {
       "InceptionV3 pooling layers",
       "Table I / Figure 7a (IPDPSW 2021), served");
   const bool db = !bench::no_double_buffer_arg(argc, argv);
-  int in_flight = 2;
-  const std::string in_flight_arg = named_arg(argc, argv, "--in-flight=");
-  if (!in_flight_arg.empty()) in_flight = std::stoi(in_flight_arg);
   const int kRequests = 8;
 
   const std::string json_path = bench::json_arg(argc, argv);
@@ -142,10 +138,8 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   bool all_faster = true;
   for (const auto& layer : nets::inception_v3_fig7_layers()) {
-    const ModeResult seq =
-        run_mode(layer, /*batching=*/false, db, kRequests, in_flight);
-    const ModeResult bat =
-        run_mode(layer, /*batching=*/true, db, kRequests, in_flight);
+    const ModeResult seq = run_mode(layer, /*batching=*/false, db, kRequests);
+    const ModeResult bat = run_mode(layer, /*batching=*/true, db, kRequests);
 
     bool ok = seq.outputs.size() == bat.outputs.size();
     for (std::size_t r = 0; ok && r < seq.outputs.size(); ++r) {

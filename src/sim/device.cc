@@ -383,7 +383,7 @@ Device::RunResult Device::collect_result(int cores_used) {
                         sched.last_busy(p)};
       }
       if (capture) {
-        cw.intervals = sched.intervals();
+        cw.runs = sched.runs();
         cw.tile_marks = sched.tile_marks();
       }
       launch.cores.push_back(std::move(cw));

@@ -100,8 +100,9 @@ class Device {
     int cores_used = 0;
     FaultStats faults;                    // all-zero without a policy
     // Per-pipe busy/wait/flag/idle buckets, each used core's makespan and
-    // the critical core's bounding chain (sim/metrics.h);
-    // attribution.horizon == device_cycles.
+    // the critical core's run log, from which attribution.critical_path()
+    // computes the bounding chain when read (sim/metrics.h); the launch
+    // itself never walks it. attribution.horizon == device_cycles.
     DeviceAttribution attribution;
     // When a VmStream is attached (set_vm_stream), the launch's scheduled
     // span on the cross-launch stream timeline; vm_end == 0 means the

@@ -28,8 +28,8 @@ DeviceAttribution attribute_cores(
   if (out.critical_core >= 0) {
     const PipeScheduler* crit =
         scheds[static_cast<std::size_t>(out.critical_core)];
+    out.critical_runs = crit->runs();
     out.path_truncated = crit->interval_log_truncated();
-    out.critical_path = crit->critical_path();
   }
   return out;
 }

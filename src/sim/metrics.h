@@ -6,9 +6,10 @@
 //
 //  1. *Where did the makespan go?* attribute_cores() decomposes every
 //     pipe of every core's timeline into busy / wait / flag / idle
-//     buckets that sum exactly to the device horizon, and extracts the
-//     critical core's bounding interval chain (PipeScheduler's
-//     attribution() and critical_path()).
+//     buckets that sum exactly to the device horizon
+//     (PipeScheduler::attribution()), and keeps the critical core's run
+//     log, from which DeviceAttribution::critical_path() computes the
+//     bounding interval chain when a reader asks for it.
 //  2. *Is the kernel compute- or transfer-bound?* compute_roofline()
 //     compares achieved global-memory bytes/cycle against the
 //     arch_config.h peak and classifies by arithmetic intensity
@@ -40,13 +41,21 @@ struct CoreAttribution {
 struct DeviceAttribution {
   std::int64_t horizon = 0;  // device_cycles: max makespan over used cores
   std::vector<CoreAttribution> cores;
-  // The core whose makespan equals the horizon (lowest id on ties) and
-  // its bounding chain; segment lengths sum exactly to `horizon` unless
-  // `path_truncated` (interval log overflow -- path empty, buckets still
-  // exact).
+  // The core whose makespan equals the horizon (lowest id on ties) and a
+  // copy of its scheduler's run log (PipeScheduler::runs()), so the
+  // attribution answers for its own launch after the device runs others.
+  // `path_truncated` marks a log that hit its cap.
   int critical_core = -1;
-  std::vector<CritSegment> critical_path;
+  std::vector<PipeScheduler::LoggedRun> critical_runs;
   bool path_truncated = false;
+
+  // The critical core's bounding chain, computed from critical_runs on
+  // each call: segment lengths sum exactly to `horizon`. Empty when
+  // `path_truncated` (buckets still exact) or no core ran.
+  std::vector<CritSegment> critical_path() const {
+    if (path_truncated) return {};
+    return PipeScheduler::critical_path(critical_runs, horizon);
+  }
 };
 
 // Decomposes the timelines of the used cores (scheds[i] is core i's

@@ -1,5 +1,6 @@
 #include "sim/metrics_registry.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -83,25 +84,24 @@ std::string attribution_json(const DeviceAttribution& a) {
   s += "]";
   // Head of the path verbatim, exact totals in the summary regardless of
   // how long it really is.
+  const std::vector<CritSegment> path = a.critical_path();
   std::int64_t busy_total = 0, stall_total = 0;
-  for (const CritSegment& seg : a.critical_path) {
+  for (const CritSegment& seg : path) {
     (seg.kind == CritSegment::Kind::kBusy ? busy_total : stall_total) +=
         seg.length();
   }
   s += ",\"critical_path\":[";
-  const std::size_t emit = a.critical_path.size() <
-                                   MetricsRegistry::kMaxPathSegments
-                               ? a.critical_path.size()
-                               : MetricsRegistry::kMaxPathSegments;
+  const std::size_t emit =
+      std::min(path.size(), MetricsRegistry::kMaxPathSegments);
   for (std::size_t i = 0; i < emit; ++i) {
-    const CritSegment& seg = a.critical_path[i];
+    const CritSegment& seg = path[i];
     if (i > 0) s += ",";
     s += "{\"pipe\":" + json::escape(to_string(seg.pipe)) +
          ",\"kind\":" + json::escape(kind_name(seg.kind)) +
          ",\"start\":" + num(seg.start) + ",\"end\":" + num(seg.end) + "}";
   }
   s += "],\"critical_path_summary\":{";
-  s += "\"segments\":" + num(static_cast<std::int64_t>(a.critical_path.size()));
+  s += "\"segments\":" + num(static_cast<std::int64_t>(path.size()));
   s += ",\"emitted\":" + num(static_cast<std::int64_t>(emit));
   s += ",\"busy_cycles\":" + num(busy_total);
   s += ",\"stall_cycles\":" + num(stall_total);

@@ -38,12 +38,13 @@
 // dependency event or the serial frontier), flag (a flag-wait or
 // pipe_barrier stall), and the idle tail up to a query horizon. The
 // invariant busy + wait + flag + idle == horizon holds exactly per pipe by
-// construction. A bounded interval log additionally supports
-// critical_path(): the backward chain of intervals (with explicit stall
-// segments) whose lengths sum exactly to the makespan.
+// construction. A bounded run log -- one record per issue() or barrier()
+// call -- additionally supports critical_path(): the backward chain of
+// intervals (with explicit stall segments) whose lengths sum exactly to
+// the makespan. The path is computed from the log when read; scheduling
+// never walks it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -108,16 +109,27 @@ class PipeScheduler {
 
   static constexpr int kNumPipes = static_cast<int>(Pipe::kCount);
 
-  // One logged busy interval (bounded; see kMaxLoggedIntervals). Public
-  // so the async VM (sim/vm/) can replay a captured launch timeline onto
-  // its cross-launch stream tracks and the trace exporter can render the
-  // shifted intervals.
+  // One logged issue() or barrier() call that occupied its pipe:
+  // `count` back-to-back issues of `cycles` from `start`, each followed
+  // by `then` cycles of scalar-loop work. Public so a launch's result
+  // (DeviceAttribution) and the async VM's capture (sim/vm/) can keep a
+  // core's log past the scheduler's next reset().
+  struct LoggedRun {
+    std::int64_t start = 0;
+    std::int64_t cycles = 0;
+    std::int64_t then = 0;
+    std::int64_t count = 1;
+    Pipe pipe = Pipe::kSync;
+  };
+
+  // One busy interval of an expanded run log (expand()).
   struct LoggedInterval {
     std::int64_t start = 0;
     std::int64_t end = 0;
     Pipe pipe = Pipe::kSync;
-    // Log index of the same pipe's previous logged interval, -1 for its
-    // first (fits the struct's padding; the log holds < 2^31 entries).
+    // Index of the same pipe's previous interval, -1 for its first (fits
+    // the struct's padding; an expanded log holds at most
+    // kMaxLoggedIntervals entries).
     std::int32_t prev = -1;
 
     friend bool operator==(const LoggedInterval&,
@@ -178,9 +190,10 @@ class PipeScheduler {
   // followed by `then` cycles of scalar-loop work on the same pipe. Only
   // the first issue can wait: it leaves its pipe at the frontier (outside
   // a stage) or past the stage dependency (inside one), so every later
-  // interval starts where the previous one ended. The log, buckets and
-  // frontier are exactly those of 2 * count single issues (the zero-length
-  // ones logging nothing). Returns the first issue's interval.
+  // interval starts where the previous one ended. The buckets and
+  // frontier are exactly those of 2 * count single issues, and the one
+  // run it logs expands to exactly their intervals (the zero-length ones
+  // logging nothing). Returns the first issue's interval.
   Interval issue(Pipe natural_pipe, std::int64_t cycles,
                  std::int64_t count = 1, std::int64_t then = 0) {
     DV_CHECK_GE(cycles, 0);
@@ -202,16 +215,10 @@ class PipeScheduler {
       start = frontier();
       wait_[pi] += start - ready_[pi];
     }
-    // Each issue's interval, then its scalar iterations'.
-    std::int64_t at = start;
-    for (std::int64_t i = 0; i < count; ++i) {
-      log_interval(pipe, {at, at + cycles});
-      at += cycles;
-      log_interval(pipe, {at, at + then});
-      at += then;
-    }
-    ready_[pi] = at;
-    busy_[pi] += at - start;
+    const std::int64_t end = start + count * (cycles + then);
+    log_run({start, cycles, then, count, pipe}, end);
+    ready_[pi] = end;
+    busy_[pi] += end - start;
     return {start, start + cycles};
   }
 
@@ -231,7 +238,7 @@ class PipeScheduler {
       ready_[i] = iv.end;
     }
     busy_[pipe_index(Pipe::kSync)] += cycles;
-    log_interval(Pipe::kSync, iv);
+    log_run({start, cycles, 0, 1, Pipe::kSync}, iv.end);
     return iv;
   }
 
@@ -262,12 +269,20 @@ class PipeScheduler {
   // it never ran anything). The async VM shifts a whole launch timeline
   // by one delta; these bounds are the per-pipe contact points that
   // decide how far two launches may overlap, and they stay exact even
-  // when the interval log truncates.
+  // when the run log truncates.
   std::int64_t first_busy(Pipe p) const { return first_busy_[pipe_index(p)]; }
   std::int64_t last_busy(Pipe p) const { return last_busy_[pipe_index(p)]; }
 
-  // The bounded interval log (start/end/pipe per scheduled interval).
-  const std::vector<LoggedInterval>& intervals() const { return log_; }
+  // The bounded run log, in issue order.
+  const std::vector<LoggedRun>& runs() const { return runs_; }
+
+  // The intervals the logged runs scheduled (expand(runs())).
+  std::vector<LoggedInterval> intervals() const { return expand(runs_); }
+
+  // Expands a run log into its intervals, in order: each issue's
+  // interval, then its scalar iterations', zero-length ones skipped.
+  // Each pipe's intervals are disjoint and in time order.
+  static std::vector<LoggedInterval> expand(const std::vector<LoggedRun>& runs);
 
   // Busy time of the busiest real execution unit (Sync excluded) -- the
   // lower half of the sandwich bound.
@@ -298,60 +313,26 @@ class PipeScheduler {
     return b;
   }
 
-  // True when the interval log hit its cap; critical_path() is then empty
+  // True when the run log hit its cap; critical_path() is then empty
   // (the buckets from attribution() stay exact regardless).
   bool interval_log_truncated() const { return log_truncated_; }
 
-  // The backward chain of intervals that bounds the makespan: starting at
-  // the makespan, repeatedly hop to an interval ending at the current
-  // cycle (earliest start wins, ties broken by pipe order, so the result
-  // is deterministic); where no interval ends exactly at the current
-  // cycle, a kStall segment bridges down to the latest interval end below
-  // it. Segment lengths always sum exactly to the makespan.
+  // The backward chain of intervals that bounds the makespan; empty when
+  // the log truncated. See the static overload.
   std::vector<CritSegment> critical_path() const {
-    std::vector<CritSegment> path;
-    if (log_truncated_) return path;
-    std::int64_t cur = makespan();
-    if (cur == 0) return path;
-    // Every busy link is a logged interval; a serial schedule's path is
-    // all of them and no stall, so this is that path's exact size.
-    path.reserve(log_.size() + 1);
-    // Each pipe's logged intervals are disjoint and in time order, so a
-    // backward walk needs one cursor per pipe: at[p] is the log index of
-    // pipe p's latest interval ending at or below cur (-1 once none is
-    // left). The cursors only move backward, one prev link at a time, so
-    // the walk is linear in the path it visits.
-    std::int32_t at[kNumPipes];
-    for (int p = 0; p < kNumPipes; ++p) at[p] = last_logged_[p];
-    while (cur > 0) {
-      // The latest end at or below cur, and among intervals ending
-      // exactly at cur the earliest start (then lowest pipe index) -- the
-      // longest link, deterministically.
-      std::int64_t best_end = 0;
-      const LoggedInterval* pick = nullptr;
-      for (int p = 0; p < kNumPipes; ++p) {
-        while (at[p] >= 0 && log_[at[p]].end > cur) at[p] = log_[at[p]].prev;
-        if (at[p] < 0) continue;
-        const LoggedInterval& iv = log_[at[p]];
-        best_end = std::max(best_end, iv.end);
-        if (iv.end == cur && (pick == nullptr || iv.start < pick->start)) {
-          pick = &iv;
-        }
-      }
-      if (pick == nullptr) {
-        // Gap: the bounding chain waited from best_end (0 when nothing is
-        // scheduled below cur) up to cur.
-        path.push_back(
-            {Pipe::kSync, CritSegment::Kind::kStall, best_end, cur});
-        cur = best_end;
-        continue;
-      }
-      path.push_back({pick->pipe, CritSegment::Kind::kBusy, pick->start, cur});
-      cur = pick->start;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
+    if (log_truncated_) return {};
+    return critical_path(runs_, makespan());
   }
+
+  // The backward chain of the schedule that logged `runs` (a whole,
+  // untruncated log) and ended at `makespan`: starting at the makespan,
+  // repeatedly hop to an interval ending at the current cycle (earliest
+  // start wins, ties broken by pipe order, so the result is
+  // deterministic); where no interval ends exactly at the current cycle,
+  // a kStall segment bridges down to the latest interval end below it.
+  // Segment lengths always sum exactly to the makespan.
+  static std::vector<CritSegment> critical_path(
+      const std::vector<LoggedRun>& runs, std::int64_t makespan);
 
   // --- Ping-pong observability -------------------------------------------
   // The double-buffered drivers mark tiles entering (+1, at the load's
@@ -377,40 +358,44 @@ class PipeScheduler {
       flag_[i] = 0;
       first_busy_[i] = -1;
       last_busy_[i] = 0;
-      last_logged_[i] = -1;
     }
     flags_charged_ = 0;
     stage_open_ = false;
     stage_dep_ = 0;
     stage_flag_ = 0;
     tile_marks_.clear();
-    log_.clear();
+    runs_.clear();
+    logged_intervals_ = 0;
     log_truncated_ = false;
   }
 
  private:
-  // Bound on the interval log -- big enough for every kernel in the test
-  // and bench suites, small enough that a pathological run cannot grow
+  // Bound on the log, counted in the intervals its runs expand to -- big
+  // enough for every kernel in the test and bench suites, small enough
+  // that neither the log nor an expansion or path read from it can grow
   // without limit. Attribution buckets stay exact past the cap; only
   // critical_path() degrades (to empty, flagged via
   // interval_log_truncated()).
-  static constexpr std::size_t kMaxLoggedIntervals = 1 << 18;
-  static_assert(kMaxLoggedIntervals <= std::size_t{INT32_MAX},
-                "LoggedInterval::prev is an int32 log index");
+  static constexpr std::int64_t kMaxLoggedIntervals = 1 << 18;
+  static_assert(kMaxLoggedIntervals <= INT32_MAX,
+                "LoggedInterval::prev is an int32 index");
 
   static int pipe_index(Pipe p) { return static_cast<int>(p); }
 
-  void log_interval(Pipe p, Interval iv) {
-    if (iv.end == iv.start) return;  // zero-length: nothing to attribute
-    const int pi = pipe_index(p);
-    if (first_busy_[pi] < 0) first_busy_[pi] = iv.start;
-    if (iv.end > last_busy_[pi]) last_busy_[pi] = iv.end;
-    if (log_.size() >= kMaxLoggedIntervals) {
+  // Logs `run`, which ends at `end`, unless it occupies nothing.
+  void log_run(const LoggedRun& run, std::int64_t end) {
+    const std::int64_t parts =
+        run.count * ((run.cycles > 0 ? 1 : 0) + (run.then > 0 ? 1 : 0));
+    if (parts == 0) return;  // zero-length: nothing to attribute
+    const int pi = pipe_index(run.pipe);
+    if (first_busy_[pi] < 0) first_busy_[pi] = run.start;
+    if (end > last_busy_[pi]) last_busy_[pi] = end;
+    if (log_truncated_ || logged_intervals_ + parts > kMaxLoggedIntervals) {
       log_truncated_ = true;
       return;
     }
-    log_.push_back({iv.start, iv.end, p, last_logged_[pi]});
-    last_logged_[pi] = static_cast<std::int32_t>(log_.size() - 1);
+    runs_.push_back(run);
+    logged_intervals_ += parts;
   }
 
   std::int64_t frontier() const {
@@ -427,15 +412,14 @@ class PipeScheduler {
   std::int64_t flag_[kNumPipes] = {};
   std::int64_t first_busy_[kNumPipes] = {-1, -1, -1, -1, -1, -1};
   std::int64_t last_busy_[kNumPipes] = {};
-  // Log index of each pipe's latest logged interval (-1: none yet).
-  std::int32_t last_logged_[kNumPipes] = {-1, -1, -1, -1, -1, -1};
   std::int64_t flags_charged_ = 0;  // stage flag-waits, absorbed or not
   bool stage_open_ = false;
   Pipe stage_pipe_ = Pipe::kVector;
   std::int64_t stage_dep_ = 0;
   std::int64_t stage_flag_ = 0;
   std::vector<std::pair<Event, int>> tile_marks_;
-  std::vector<LoggedInterval> log_;
+  std::vector<LoggedRun> runs_;
+  std::int64_t logged_intervals_ = 0;  // the intervals runs_ expands to
   bool log_truncated_ = false;
 };
 

@@ -66,7 +66,8 @@ void append_vm_launch_tracks(
                 "launch " + std::to_string(p.seq) + ": " + p.label);
     for (const vm::CoreWork& cw : p.cores) {
       bool named[PipeScheduler::kNumPipes] = {};
-      for (const PipeScheduler::LoggedInterval& iv : cw.intervals) {
+      for (const PipeScheduler::LoggedInterval& iv :
+           PipeScheduler::expand(cw.runs)) {
         const int pi = static_cast<int>(iv.pipe);
         const int tid = cw.core * PipeScheduler::kNumPipes + pi;
         if (!named[pi]) {

@@ -47,13 +47,14 @@ struct PipeWork {
 };
 
 // One core's captured timeline: the per-pipe totals and contact points,
-// plus (only when the stream captures for trace export) the full
-// interval list and the UB tile marks.
+// plus (only when the stream captures for trace export) the scheduler's
+// run log, which PipeScheduler::expand turns into intervals, and the UB
+// tile marks.
 struct CoreWork {
   int core = 0;
   std::int64_t makespan = 0;  // the core's launch-local makespan
   PipeWork pipes[PipeScheduler::kNumPipes];
-  std::vector<PipeScheduler::LoggedInterval> intervals;
+  std::vector<PipeScheduler::LoggedRun> runs;
   std::vector<std::pair<std::int64_t, int>> tile_marks;
 };
 

@@ -48,7 +48,7 @@ struct VmStreamOptions {
   // tile slots) at once. 1 = strictly serial launches; the serving
   // default is 2 (classic double buffering at launch granularity).
   int in_flight = 2;
-  // Retain per-launch placed intervals and tile marks for the Chrome
+  // Retain per-launch placed run logs and tile marks for the Chrome
   // trace exporter (bounded; off by default to keep long streams cheap).
   bool capture = false;
 };
@@ -59,7 +59,7 @@ struct PlacedLaunch {
   std::string label;
   std::int64_t start = 0;     // stream cycles
   std::int64_t end = 0;
-  std::vector<CoreWork> cores;  // intervals/tile marks still launch-local
+  std::vector<CoreWork> cores;  // runs/tile marks still launch-local
 };
 
 class VmStream {

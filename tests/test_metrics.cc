@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "kernels/pooling.h"
@@ -26,6 +27,17 @@ TensorF16 inception_input() {
   TensorF16 in(Shape{1, c1_of(288), 35, 35, kC0});
   in.fill_random_ints(1);
   return in;
+}
+
+void expect_same_path(const std::vector<CritSegment>& got,
+                      const std::vector<CritSegment>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pipe, want[i].pipe) << "segment " << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << "segment " << i;
+    EXPECT_EQ(got[i].start, want[i].start) << "segment " << i;
+    EXPECT_EQ(got[i].end, want[i].end) << "segment " << i;
+  }
 }
 
 // Every pipe of every used core decomposes into busy/wait/flag/idle
@@ -50,15 +62,17 @@ void check_attribution(const DeviceAttribution& a) {
   ASSERT_LT(static_cast<std::size_t>(a.critical_core), a.cores.size());
   EXPECT_EQ(a.cores[a.critical_core].makespan, a.horizon);
   if (!a.path_truncated) {
-    std::int64_t covered = 0;
+    std::int64_t covered = 0, busy = 0;
     std::int64_t prev_end = 0;
-    for (const CritSegment& s : a.critical_path) {
+    for (const CritSegment& s : a.critical_path()) {
       EXPECT_EQ(s.start, prev_end) << "chain must be gapless";
       EXPECT_GT(s.length(), 0);
       covered += s.length();
+      if (s.kind == CritSegment::Kind::kBusy) busy += s.length();
       prev_end = s.end;
     }
     EXPECT_EQ(covered, a.horizon);
+    EXPECT_GT(busy, 0) << "the chain names the intervals that bound it";
   }
 }
 
@@ -132,14 +146,49 @@ TEST(Attribution, CriticalPathIsDeterministic) {
   const DeviceAttribution b = run_once();
   EXPECT_EQ(a.horizon, b.horizon);
   EXPECT_EQ(a.critical_core, b.critical_core);
-  ASSERT_EQ(a.critical_path.size(), b.critical_path.size());
-  ASSERT_FALSE(a.critical_path.empty());
-  for (std::size_t i = 0; i < a.critical_path.size(); ++i) {
-    EXPECT_EQ(a.critical_path[i].pipe, b.critical_path[i].pipe);
-    EXPECT_EQ(a.critical_path[i].kind, b.critical_path[i].kind);
-    EXPECT_EQ(a.critical_path[i].start, b.critical_path[i].start);
-    EXPECT_EQ(a.critical_path[i].end, b.critical_path[i].end);
-  }
+  ASSERT_FALSE(a.critical_path().empty());
+  expect_same_path(a.critical_path(), b.critical_path());
+}
+
+// A RunResult answers for its own launch: its path, read after the same
+// Device ran a different launch, and a metrics entry added that late,
+// match those of the launch run on a fresh Device.
+TEST(Attribution, RunResultOwnsItsPath) {
+  const TensorF16 in = inception_input();
+  const PoolOp a_op{.kind = PoolOpKind::kMaxFwd,
+                    .window = Window2d::pool(3, 2),
+                    .fwd = akg::PoolImpl::kIm2col};
+  const PoolOp b_op{.kind = PoolOpKind::kMaxFwd,
+                    .window = Window2d::pool(2, 2),
+                    .fwd = akg::PoolImpl::kDirect};
+  Device fresh;
+  const Device::RunResult want =
+      kernels::run_pool(fresh, a_op, PoolInputs{.in = &in}).run;
+
+  Device dev;
+  const Device::RunResult a =
+      kernels::run_pool(dev, a_op, PoolInputs{.in = &in}).run;
+  const Device::RunResult b =
+      kernels::run_pool(dev, b_op, PoolInputs{.in = &in}).run;
+  ASSERT_NE(b.device_cycles, a.device_cycles);
+  ASSERT_FALSE(a.attribution.path_truncated);
+  ASSERT_FALSE(want.attribution.critical_path().empty());
+  expect_same_path(a.attribution.critical_path(),
+                   want.attribution.critical_path());
+
+  const auto summary = [&](const Device::RunResult& run) {
+    MetricsRegistry reg;
+    reg.add("a", run, dev.arch());
+    const json::Value doc = json::parse(reg.to_json());
+    const json::Value& attr =
+        doc.at("entries").as_array().at(0).at("attribution");
+    const json::Value& sum = attr.at("critical_path_summary");
+    return std::vector<std::int64_t>{
+        sum.at("segments").as_int(), sum.at("emitted").as_int(),
+        sum.at("busy_cycles").as_int(), sum.at("stall_cycles").as_int(),
+        static_cast<std::int64_t>(attr.at("critical_path").as_array().size())};
+  };
+  EXPECT_EQ(summary(a), summary(want));
 }
 
 // Both forward implementations move the same GM footprint; im2col

@@ -26,7 +26,7 @@ std::vector<CritSegment> critical_path_oracle(const PipeScheduler& s) {
   if (s.interval_log_truncated()) return path;
   std::int64_t cur = s.makespan();
   if (cur == 0) return path;
-  std::vector<Logged> by_end(s.intervals().begin(), s.intervals().end());
+  std::vector<Logged> by_end = s.intervals();
   std::stable_sort(by_end.begin(), by_end.end(),
                    [](const Logged& a, const Logged& b) { return a.end < b.end; });
   while (cur > 0) {
@@ -59,13 +59,34 @@ std::vector<CritSegment> critical_path_oracle(const PipeScheduler& s) {
   return path;
 }
 
-// A seeded random schedule: unstaged issues, stages on random pipes after
-// earlier completion events (with flag cycles), barriers and zero-length
-// issues. Cycle counts are tiny, so intervals on different pipes often
-// end on the same cycle.
-void random_schedule(PipeScheduler& s, std::uint64_t seed, int ops) {
+// A seeded random schedule: unstaged issues and instruction runs, stages
+// on random pipes after earlier completion events (with flag cycles)
+// holding both, barriers and zero-length issues. Cycle counts are tiny,
+// so intervals on different pipes often end on the same cycle. With
+// `split`, each run is issued as its 2 * count single issues instead.
+void random_schedule(PipeScheduler& s, std::uint64_t seed, int ops,
+                     bool split = false) {
   Xoshiro256 rng(seed);
   const auto cycles = [&] { return static_cast<std::int64_t>(rng.next_below(5)); };
+  // One issue, or one time in three a run: 1-4 issues, each followed by
+  // 0-2 scalar cycles.
+  const auto issue = [&](Pipe pipe) {
+    const std::int64_t c = cycles();
+    if (rng.next_below(3) != 0) {
+      s.issue(pipe, c);
+      return;
+    }
+    const auto count = static_cast<std::int64_t>(1 + rng.next_below(4));
+    const auto then = static_cast<std::int64_t>(rng.next_below(3));
+    if (!split) {
+      s.issue(pipe, c, count, then);
+      return;
+    }
+    for (std::int64_t k = 0; k < count; ++k) {
+      s.issue(pipe, c);
+      s.issue(pipe, then);
+    }
+  };
   std::vector<Event> events{0};
   for (int i = 0; i < ops; ++i) {
     const auto pipe =
@@ -74,12 +95,12 @@ void random_schedule(PipeScheduler& s, std::uint64_t seed, int ops) {
     if (kind == 0) {
       s.barrier(cycles());
     } else if (kind <= 2) {
-      s.issue(pipe, cycles());
+      issue(pipe);
     } else {
       s.begin_stage(pipe, events[rng.next_below(events.size())],
                     static_cast<std::int64_t>(rng.next_below(3)));
       for (std::uint64_t k = 0, n = 1 + rng.next_below(3); k < n; ++k) {
-        s.issue(pipe, cycles());
+        issue(pipe);
       }
       events.push_back(s.end_stage());
     }
@@ -233,6 +254,36 @@ TEST(PipeSchedule, ResetClearsReadyTimes) {
   EXPECT_EQ(op.start, 0);
 }
 
+TEST(PipeSchedule, OneLogRecordPerCall) {
+  PipeScheduler s;
+  s.issue(Pipe::kVector, 3, /*count=*/4, /*then=*/2);
+  s.issue(Pipe::kVector, 0, /*count=*/3, /*then=*/1);
+  s.issue(Pipe::kMteIn, 0);  // occupies nothing: not logged
+  s.barrier(2);
+  ASSERT_EQ(s.runs().size(), 3u);
+  const std::vector<Logged> log = s.intervals();
+  ASSERT_EQ(log.size(), 4u * 2 + 3 + 1);
+  EXPECT_TRUE((log[0] == Logged{0, 3, Pipe::kVector, -1}));
+  EXPECT_TRUE((log[1] == Logged{3, 5, Pipe::kVector, 0}));
+  EXPECT_TRUE((log[8] == Logged{20, 21, Pipe::kVector, 7}));
+  EXPECT_TRUE((log[11] == Logged{23, 25, Pipe::kSync, -1}));
+}
+
+TEST(PipeSchedule, LogCapCountsIntervals) {
+  // The cap bounds the intervals the log expands to: a run that would
+  // cross it truncates the log and is not logged, while the contact
+  // points stay exact.
+  constexpr int kCap = 1 << 18;
+  PipeScheduler s;
+  for (int i = 0; i + 1 < kCap; ++i) s.issue(Pipe::kVector, 1);
+  ASSERT_FALSE(s.interval_log_truncated());
+  s.issue(Pipe::kMteIn, 1, /*count=*/2);
+  EXPECT_TRUE(s.interval_log_truncated());
+  EXPECT_EQ(s.intervals().size(), static_cast<std::size_t>(kCap - 1));
+  EXPECT_EQ(s.first_busy(Pipe::kMteIn), kCap - 1);
+  EXPECT_EQ(s.last_busy(Pipe::kMteIn), s.makespan());
+}
+
 TEST(PipeSchedule, CriticalPathMatchesSortingOracle) {
   int ties = 0;  // intervals on different pipes ending on the same cycle
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
@@ -248,7 +299,13 @@ TEST(PipeSchedule, CriticalPathMatchesSortingOracle) {
       at = seg.end;
     }
     EXPECT_EQ(at, s.makespan()) << "seed " << seed;
-    const auto& log = s.intervals();
+    // Each run logs exactly the intervals of its single issues.
+    PipeScheduler split;
+    random_schedule(split, seed, 5 + static_cast<int>(seed % 120),
+                    /*split=*/true);
+    EXPECT_EQ(split.makespan(), s.makespan()) << "seed " << seed;
+    const std::vector<Logged> log = s.intervals();
+    EXPECT_TRUE(split.intervals() == log) << "seed " << seed;
     for (std::size_t i = 0; i < log.size(); ++i) {
       for (std::size_t j = i + 1; j < log.size(); ++j) {
         ties += log[i].end == log[j].end && log[i].pipe != log[j].pipe;

@@ -41,8 +41,8 @@ struct Timeline {
 Timeline timeline_of(const Device::RunResult& run) {
   EXPECT_FALSE(run.attribution.path_truncated);
   Timeline t{run.device_cycles, run.device_cycles_serial,
-             static_cast<std::int64_t>(run.attribution.critical_path.size())};
-  for (const CritSegment& s : run.attribution.critical_path) {
+             static_cast<std::int64_t>(run.attribution.critical_path().size())};
+  for (const CritSegment& s : run.attribution.critical_path()) {
     (s.kind == CritSegment::Kind::kBusy ? t.busy : t.stall) += s.length();
   }
   return t;
