@@ -12,10 +12,13 @@
 using namespace davinci;
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  flags::Parser cli("bench_ablation_avgpool");
+  cli.flag("json", &json_path, "write the rows as bench JSON here");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble("AvgPool forward and backward on Figure 7 shapes",
                         "Ablation A2 (Section V-C of the paper)");
   Device dev;
-  const std::string json_path = bench::json_arg(argc, argv);
   bench::JsonReport report("ablation_avgpool");
   // One row per (shape, impl); forward rows are direct / im2col, backward
   // rows vadd / col2im.

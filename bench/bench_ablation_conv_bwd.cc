@@ -11,7 +11,9 @@
 
 using namespace davinci;
 
-int main() {
+int main(int argc, char** argv) {
+  flags::Parser cli("bench_ablation_conv_bwd");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Convolution backward-input: vadd merge vs Col2Im merge",
       "Ablation A7 (Section II-B: Col2im's original role)");

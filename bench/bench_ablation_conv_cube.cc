@@ -11,7 +11,9 @@
 
 using namespace davinci;
 
-int main() {
+int main(int argc, char** argv) {
+  flags::Parser cli("bench_ablation_conv_cube");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Convolution on the Cube Unit: Im2Col-load vs vector expansion",
       "Ablation A3 (Sections II-A / III of the paper)");

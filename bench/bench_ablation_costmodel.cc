@@ -79,7 +79,9 @@ void report(bench::Table& table, const char* what, const CostModel& cost) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  flags::Parser cli("bench_ablation_costmodel");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Cost-model sensitivity of the reproduced conclusions",
       "Ablation A1 (this reproduction; see DESIGN.md section 5)");

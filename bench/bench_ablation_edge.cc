@@ -14,7 +14,9 @@
 
 using namespace davinci;
 
-int main() {
+int main(int argc, char** argv) {
+  flags::Parser cli("bench_ablation_edge");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Figure 7 comparisons on an Ascend-310-like edge device (2 cores)",
       "Ablation A6 (Section VIII: 'other architectures'; Section VII: "

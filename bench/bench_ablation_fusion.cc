@@ -10,7 +10,9 @@
 
 using namespace davinci;
 
-int main() {
+int main(int argc, char** argv) {
+  flags::Parser cli("bench_ablation_fusion");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Conv + AvgPool: two-stage (Cube conv + Vector pooling) vs fused "
       "composite-kernel Cube pass",

@@ -5,9 +5,9 @@
 // This bench reports the paper's key comparisons under both models and
 // shows the winners are the same -- i.e. the reproduction's conclusions
 // do not rest on the timing model chosen. It also writes the
-// machine-readable perf trajectory (BENCH_pipeline.json by default,
-// --json=<path> to override) so CI can track overlapped vs serial cycles
-// and host wall-clock across PRs.
+// machine-readable perf trajectory (BENCH_pipeline.json unless --json
+// names another path) so CI can track overlapped vs serial cycles and
+// host wall-clock across PRs.
 #include <cstdio>
 #include <string>
 
@@ -20,15 +20,19 @@
 using namespace davinci;
 
 int main(int argc, char** argv) {
+  std::string json_path = "BENCH_pipeline.json", metrics_path;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_ablation_pipeline");
+  cli.flag("json", &json_path, "write the rows as bench JSON here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule")
+      .flag("metrics", &metrics_path, "write the metrics JSON here");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Overlapped vs serial device time for the key comparisons",
       "Ablation A5 (this reproduction; see DESIGN.md section 5)");
   Device dev;
-  dev.set_double_buffer(!bench::no_double_buffer_arg(argc, argv));
-  std::string json_path = bench::json_arg(argc, argv);
-  if (json_path.empty()) json_path = "BENCH_pipeline.json";
+  dev.set_double_buffer(!no_double_buffer);
   bench::JsonReport report("ablation_pipeline");
-  const std::string metrics_path = bench::metrics_arg(argc, argv);
   MetricsRegistry metrics;
 
   bench::Table table(

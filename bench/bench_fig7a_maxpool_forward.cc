@@ -3,9 +3,9 @@
 // with K(3,3), S(2,2), no padding, NC1HWC0, 32-core device.
 //
 // Cycles are the pipe-overlap makespan (double-buffered schedule); the
-// serial column is the same instruction stream charged in order. Pass
-// --no-double-buffer to run the legacy single-buffer schedule (the two
-// cycle columns then agree) and --json=<path> for machine-readable rows.
+// serial column is the same instruction stream charged in order. Under
+// --no-double-buffer (the legacy single-buffer schedule) the two cycle
+// columns agree.
 #include <cstdio>
 
 #include "harness.h"
@@ -16,14 +16,18 @@
 using namespace davinci;
 
 int main(int argc, char** argv) {
+  std::string json_path, profile;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_fig7a_maxpool_forward");
+  cli.flag("json", &json_path, "write the rows as bench JSON here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule")
+      .flag("profile", &profile, "write every core's Chrome trace here");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble("MaxPool forward: standard vs Im2col-based",
                         "Figure 7a (IPDPSW 2021)");
   Device dev;
-  const std::string profile = bench::profile_arg(argc, argv);
   if (!profile.empty()) bench::enable_profiling(dev);
-  const bool db = !bench::no_double_buffer_arg(argc, argv);
-  dev.set_double_buffer(db);
-  const std::string json_path = bench::json_arg(argc, argv);
+  dev.set_double_buffer(!no_double_buffer);
   bench::JsonReport report("fig7a_maxpool_forward");
 
   bench::Table table("Figure 7a -- cycle count by input size",
@@ -59,14 +63,14 @@ int main(int argc, char** argv) {
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("direct"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(direct.run)
         .traffic_fields(direct.run, dev.arch());
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("im2col"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(im2col.run)
         .traffic_fields(im2col.run, dev.arch());

@@ -11,13 +11,17 @@
 using namespace davinci;
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_fig7b_maxpool_mask");
+  cli.flag("json", &json_path, "write the rows as bench JSON here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "MaxPool forward + Argmax mask: standard vs Im2col-based",
       "Figure 7b (IPDPSW 2021)");
   Device dev;
-  const bool db = !bench::no_double_buffer_arg(argc, argv);
-  dev.set_double_buffer(db);
-  const std::string json_path = bench::json_arg(argc, argv);
+  dev.set_double_buffer(!no_double_buffer);
   bench::JsonReport report("fig7b_maxpool_mask");
   bench::Table table("Figure 7b -- cycle count by input size",
                      {"input (HWC)", "Maxpool+mask", "Im2col+mask", "speedup",
@@ -62,14 +66,14 @@ int main(int argc, char** argv) {
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("direct"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(direct.run)
         .traffic_fields(direct.run, dev.arch());
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("im2col"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(im2col.run)
         .traffic_fields(im2col.run, dev.arch());

@@ -12,12 +12,16 @@
 using namespace davinci;
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_fig7c_maxpool_backward");
+  cli.flag("json", &json_path, "write the rows as bench JSON here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble("MaxPool backward: vadd merge vs Col2Im merge",
                         "Figure 7c (IPDPSW 2021)");
   Device dev;
-  const bool db = !bench::no_double_buffer_arg(argc, argv);
-  dev.set_double_buffer(db);
-  const std::string json_path = bench::json_arg(argc, argv);
+  dev.set_double_buffer(!no_double_buffer);
   bench::JsonReport report("fig7c_maxpool_backward");
   bench::Table table("Figure 7c -- cycle count by input size",
                      {"input (HWC)", "Maxpool backward", "with Col2im",
@@ -57,14 +61,14 @@ int main(int argc, char** argv) {
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("vadd"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(vadd.run)
         .traffic_fields(vadd.run, dev.arch());
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("col2im"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(col2im.run)
         .traffic_fields(col2im.run, dev.arch());

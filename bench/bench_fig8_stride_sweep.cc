@@ -10,10 +10,7 @@
 // As in the paper, N = C1 = 1 (one AI Core), K = (3,3), no padding, and
 // the input height/width grows in steps of two up to the tiling threshold
 // (the largest size every implementation can process without H-tiling).
-//
-// Usage: bench_fig8_stride_sweep [--stride=1|2|3]   (default: all three)
 #include <cstdio>
-#include <cstring>
 
 #include "akg/tiling.h"
 #include "harness.h"
@@ -101,19 +98,21 @@ void sweep(std::int64_t stride, bool db, bench::JsonReport* report) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string json_path, only;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_fig8_stride_sweep");
+  cli.flag("json", &json_path, "write the rows as bench JSON here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule")
+      .flag("stride", &only, "sweep only this stride (none = all three)",
+            {"1", "2", "3"});
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "MaxPool forward implementations across strides and input sizes",
       "Figure 8 (IPDPSW 2021)");
-  std::int64_t only = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--stride=", 9) == 0) only = argv[i][9] - '0';
-  }
-  const bool db = !bench::no_double_buffer_arg(argc, argv);
-  const std::string json_path = bench::json_arg(argc, argv);
   bench::JsonReport report("fig8_stride_sweep");
   for (std::int64_t s : {1, 2, 3}) {
-    if (only == 0 || only == s) {
-      sweep(s, db, json_path.empty() ? nullptr : &report);
+    if (only.empty() || only == std::to_string(s)) {
+      sweep(s, !no_double_buffer, json_path.empty() ? nullptr : &report);
     }
   }
   std::printf(

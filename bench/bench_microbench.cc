@@ -5,8 +5,8 @@
 // visible.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arch/arch_config.h"
@@ -124,14 +124,15 @@ BENCHMARK(BM_DeviceRunDispatch);
 // Custom main so the harness-wide --json=<path> flag works here too: it
 // maps onto google-benchmark's own JSON reporter (--benchmark_out), which
 // already records wall-clock per benchmark -- the host-side equivalent of
-// the cycle rows the figure benches emit.
+// the cycle rows the figure benches emit. google-benchmark's own flag
+// table handles the rest; a flag it does not know is a usage error (2).
 int main(int argc, char** argv) {
   std::vector<std::string> args_storage;
   std::vector<char*> args;
   args_storage.reserve(static_cast<std::size_t>(argc) + 2);
   for (int i = 0; i < argc; ++i) {
     static constexpr char kFlag[] = "--json=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
+    if (std::string_view(argv[i]).starts_with(kFlag)) {
       args_storage.push_back(std::string("--benchmark_out=") +
                              (argv[i] + sizeof(kFlag) - 1));
       args_storage.push_back("--benchmark_out_format=json");
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
   for (auto& s : args_storage) args.push_back(s.data());
   int fake_argc = static_cast<int>(args.size());
   benchmark::Initialize(&fake_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(fake_argc, args.data())) return 1;
+  if (benchmark::ReportUnrecognizedArguments(fake_argc, args.data())) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

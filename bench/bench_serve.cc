@@ -7,12 +7,8 @@
 // and once with the batcher coalescing same-geometry requests into
 // multi-N launches. Requests arrive in two waves so the second wave
 // exercises the plan cache. Outputs are compared bit-for-bit across the
-// two modes.
-//
-// JSON outputs:
-//   --json=<path>          combined rows (mode column, speedup, hit rate)
-//   --json-seq=<path>      sequential totals only  } identical row keys,
-//   --json-batched=<path>  batched totals only     } for davinci_prof --diff
+// two modes. --json-seq and --json-batched write the sequential and the
+// batched totals with identical row keys, for davinci_prof --diff.
 //
 // The sessions keep the default instruction-stream VM launch window
 // (docs/ASYNC_VM.md). The gated "cycles" rows are the per-launch sums;
@@ -20,7 +16,6 @@
 // vm_makespan / vm_overlap_cycles.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <vector>
 
@@ -33,14 +28,6 @@
 using namespace davinci;
 
 namespace {
-
-std::string named_arg(int argc, char** argv, const char* prefix) {
-  const std::size_t n = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
-  }
-  return "";
-}
 
 struct ModeResult {
   std::int64_t cycles_total = 0;
@@ -114,17 +101,21 @@ ModeResult run_mode(const nets::PoolLayer& layer, bool batching, bool db,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::string json_path, json_seq, json_batched, metrics_path;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_serve");
+  cli.flag("json", &json_path, "write the rows of both modes here")
+      .flag("json-seq", &json_seq, "write the sequential totals here")
+      .flag("json-batched", &json_batched, "write the batched totals here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule")
+      .flag("metrics", &metrics_path, "write the metrics JSON here");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Serving throughput: batched vs sequential sessions on the "
       "InceptionV3 pooling layers",
       "Table I / Figure 7a (IPDPSW 2021), served");
-  const bool db = !bench::no_double_buffer_arg(argc, argv);
+  const bool db = !no_double_buffer;
   const int kRequests = 8;
-
-  const std::string json_path = bench::json_arg(argc, argv);
-  const std::string json_seq = named_arg(argc, argv, "--json-seq=");
-  const std::string json_batched = named_arg(argc, argv, "--json-batched=");
-  const std::string metrics_path = bench::metrics_arg(argc, argv);
 
   bench::JsonReport report("serve");
   bench::JsonReport report_seq("serve_sequential");

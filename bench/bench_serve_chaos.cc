@@ -13,14 +13,11 @@
 // so the soak covers distinct fault placements run after run while
 // staying fully replayable.
 //
-//   bench_serve_chaos [--seeds=N] [--trace=path] [--retries=N]
-//                     [--json=path]
-//
-// Exit code 0 iff zero unresolved futures and zero mismatches; CI gates
-// on it plus the JSON totals (BENCH_serve_chaos.json).
+// Exit code 0 iff zero unresolved futures and zero mismatches, 2 on a
+// usage error or an unreadable trace; CI gates on it plus the JSON
+// totals (BENCH_serve_chaos.json).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <string>
 #include <vector>
@@ -61,20 +58,6 @@ const char* kDefaultTrace =
     "op=avgpool_bwd n=1 c1=4 ih=56 iw=56 k=3 s=2 merge=vadd x=2\n"
     "op=global_avgpool n=1 c1=64 ih=8 iw=8 x=2\n";
 
-std::string named_arg(int argc, char** argv, const char* prefix) {
-  const std::size_t n = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
-  }
-  return "";
-}
-
-std::int64_t int_arg(int argc, char** argv, const char* prefix,
-                     std::int64_t fallback) {
-  const std::string v = named_arg(argc, argv, prefix);
-  return v.empty() ? fallback : std::stoll(v);
-}
-
 bool same_tensor(const TensorF16& a, const TensorF16& b) {
   // A rank-0 tensor is an absent result slot (size() reports 1, the
   // empty product, but owns no data) -- equal iff both are absent.
@@ -106,23 +89,25 @@ struct SeedOutcome {
 }  // namespace
 
 int main(int argc, char** argv) {
+  int seeds = 8, retries = 4;
+  std::string trace_path, json_path;
+  flags::Parser cli("bench_serve_chaos");
+  cli.flag("seeds", &seeds, "fault-plan seeds, one fault mix each")
+      .flag("retries", &retries, "per-block retry budget")
+      .flag("trace", &trace_path, "replay this trace (none = built-in)")
+      .flag("json", &json_path, "write the per-seed rows here");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "Chaos soak: trace replay through serve::Session under seeded "
       "fault plans (every future resolves; successes bit-exact)",
       "robustness harness for the serving layer, not a paper figure");
-
-  const int seeds = static_cast<int>(int_arg(argc, argv, "--seeds=", 8));
-  const int retries = static_cast<int>(int_arg(argc, argv, "--retries=", 4));
-  const std::string trace_path = named_arg(argc, argv, "--trace=");
-  const std::string json_path = bench::json_arg(argc, argv);
 
   std::vector<serve::TraceEntry> entries;
   try {
     entries = trace_path.empty() ? serve::parse_trace(kDefaultTrace)
                                  : serve::load_trace(trace_path);
   } catch (const Error& e) {
-    std::fprintf(stderr, "bench_serve_chaos: %s\n", e.what());
-    return 2;
+    return cli.fail(e.what());
   }
 
   std::vector<serve::MaterializedRequest> requests;

@@ -13,13 +13,17 @@
 using namespace davinci;
 
 int main(int argc, char** argv) {
+  std::string json_path;
+  bool no_double_buffer = false;
+  flags::Parser cli("bench_table1_networks");
+  cli.flag("json", &json_path, "write the rows as bench JSON here")
+      .flag("no-double-buffer", &no_double_buffer, "single-buffer schedule");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   bench::print_preamble(
       "All Table-I CNN pooling layers: standard vs Im2col-based forward",
       "Table I (IPDPSW 2021)");
   Device dev;
-  const bool db = !bench::no_double_buffer_arg(argc, argv);
-  dev.set_double_buffer(db);
-  const std::string json_path = bench::json_arg(argc, argv);
+  dev.set_double_buffer(!no_double_buffer);
   bench::JsonReport report("table1_networks");
   bench::Table table("Table I workloads",
                      {"network", "input (HWC)", "K/S", "Maxpool",
@@ -64,7 +68,7 @@ int main(int argc, char** argv) {
         .field("shape", std::string(shape))
         .field("window", std::string(ks))
         .field("impl", std::string("direct"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(direct.run)
         .traffic_fields(direct.run, dev.arch());
@@ -73,7 +77,7 @@ int main(int argc, char** argv) {
         .field("shape", std::string(shape))
         .field("window", std::string(ks))
         .field("impl", std::string("im2col"))
-        .field("double_buffer", db)
+        .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
         .run_fields(im2col.run)
         .traffic_fields(im2col.run, dev.arch());

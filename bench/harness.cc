@@ -1,7 +1,6 @@
 #include "harness.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 
 #include "common/check.h"
@@ -157,43 +156,6 @@ void JsonReport::write(const std::string& path) const {
   f.write(json.data(), static_cast<std::streamsize>(json.size()));
   DV_CHECK(f.good()) << "failed writing bench JSON output file " << path;
   std::printf("\njson: wrote bench results to %s\n", path.c_str());
-}
-
-std::string json_arg(int argc, char** argv) {
-  static constexpr char kFlag[] = "--json=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return argv[i] + sizeof(kFlag) - 1;
-    }
-  }
-  return "";
-}
-
-bool no_double_buffer_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-double-buffer") == 0) return true;
-  }
-  return false;
-}
-
-std::string metrics_arg(int argc, char** argv) {
-  static constexpr char kFlag[] = "--metrics=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return argv[i] + sizeof(kFlag) - 1;
-    }
-  }
-  return "";
-}
-
-std::string profile_arg(int argc, char** argv) {
-  static constexpr char kFlag[] = "--profile=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      return argv[i] + sizeof(kFlag) - 1;
-    }
-  }
-  return "";
 }
 
 void enable_profiling(Device& dev) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"  // every bench declares its flags on a Parser
 #include "common/percentile.h"
 #include "sim/device.h"
 #include "tensor/fractal.h"
@@ -86,25 +87,9 @@ class JsonReport {
   std::vector<std::string> rows_;  // serialized "k":v pairs per row
 };
 
-// Returns the path of a --json=<path> argument, or "" when absent.
-std::string json_arg(int argc, char** argv);
-
-// Returns the path of a --metrics=<path> argument, or "" when absent.
-// Benches that support it collect each run in a MetricsRegistry and write
-// the full attribution/roofline JSON there (see sim/metrics_registry.h).
-std::string metrics_arg(int argc, char** argv);
-
-// True when --no-double-buffer was passed; benches then call
-// Device::set_double_buffer(false) and report the serial schedule.
-bool no_double_buffer_arg(int argc, char** argv);
-
 // --- Profiling support (see docs/PROFILING.md) ---
-// Benches that take (argc, argv) accept --profile=<out.json>: the device
-// records every core's instruction timeline and the bench writes it as
-// Chrome trace_event JSON on exit.
-
-// Returns the path of a --profile=<path> argument, or "" when absent.
-std::string profile_arg(int argc, char** argv);
+// Benches that accept --profile=<out.json> record every core's
+// instruction timeline and write it as Chrome trace_event JSON on exit.
 
 // Enables the per-core instruction trace on every core of `dev`.
 void enable_profiling(Device& dev);

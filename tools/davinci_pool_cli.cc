@@ -4,51 +4,26 @@
 // trace.
 //
 //   davinci_pool_cli --op=maxpool --impl=im2col --h=71 --w=71 --c=192
-//                    --k=3 --s=2 [--pad=1] [--trace] [--compare]
-//                    [--no-double-buffer] [--profile=<out.json>]
-//                    [--metrics=<out.json>]
-//                    [--inject=<spec>] [--retries=N] [--seed=S]
+//                    --k=3 --s=2 [--compare] [--inject=<spec>] ...
 //
-//   --op       maxpool | maxpool_mask | maxpool_bwd | avgpool |
-//              avgpool_bwd | minpool | global_avgpool
-//   --impl     direct | im2col | expansion | xysplit   (forward ops)
-//              vadd | col2im                           (backward ops)
-//   --compare  also run the baseline implementation and print the speedup
-//   --trace    print the first instructions executed on core 0
-//   --no-double-buffer  run the legacy serial single-buffer schedule
-//              (device cycles then equal the serial cycle count)
-//   --profile  record the instruction timeline of every core and write it
-//              as Chrome trace_event JSON, viewable in chrome://tracing or
-//              https://ui.perfetto.dev (see docs/PROFILING.md); with
-//              --compare the file contains both runs back to back, each
-//              event tagged with its run's launch ordinal
-//   --metrics  write the versioned cycle-attribution / roofline metrics
-//              JSON (davinci.metrics schema, one entry per reported run;
-//              render or diff it with davinci_prof -- see
-//              docs/OBSERVABILITY.md)
-//
-// Fault injection (see docs/RESILIENCE.md for the full grammar):
-//   --inject   comma-separated fault spec, e.g.
-//              core_fail@2,bitflip:ub:1e-6 -- runs every kernel under
-//              that resilience policy and prints a fault report. Output
-//              verification by redundant execution is enabled
-//              automatically when the plan contains silent-corruption
-//              sites.
-//   --retries  per-block retry allowance (default 3)
-//   --seed     fault-stream seed (default 0); same spec + seed replays
-//              the same faults
+// --help prints the declared flags with their defaults. --impl names a
+// lowering of the op's direction: direct, im2col, expansion or xysplit
+// for a forward op, vadd or col2im for a backward op (maxpool_bwd,
+// avgpool_bwd). docs/RESILIENCE.md gives the --inject grammar,
+// docs/PROFILING.md the --profile trace and docs/OBSERVABILITY.md the
+// --metrics file.
 //
 // Exit codes:
 //   0  success (device output bit-exact against the reference)
-//   2  usage error (unknown flag/op/impl, malformed --inject spec)
+//   2  usage error (unknown or malformed flag, an --impl that is not a
+//      lowering of the op, a malformed --inject spec, negative retries)
 //   3  verification mismatch (device output differs from the reference)
 //   4  execution error (unschedulable tiling, kernel failure, ...)
 //   5  retry budget exhausted under fault injection (RetryExhausted)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "kernels/pooling.h"
 #include "ref/pooling_ref.h"
 #include "sim/fault.h"
@@ -63,40 +38,12 @@ namespace {
 
 struct Options {
   std::string op = "maxpool";
-  std::string impl = "im2col";
+  std::string impl;  // none: im2col forward, col2im backward
   std::int64_t h = 35, w = 35, c = 288, k = 3, s = 2, pad = 0;
-  std::string inject;
-  std::string profile;
-  std::string metrics;
-  std::int64_t retries = 3;
-  std::int64_t seed = 0;
-  bool trace = false;
-  bool compare = false;
-  bool no_double_buffer = false;
+  std::string inject, profile, metrics;
+  std::uint64_t seed = 0;
+  bool trace = false, compare = false, no_double_buffer = false;
 };
-
-bool parse_int(const char* arg, const char* name, std::int64_t* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0) return false;
-  *out = std::atoll(arg + n);
-  return true;
-}
-
-bool parse_str(const char* arg, const char* name, std::string* out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0) return false;
-  *out = arg + n;
-  return true;
-}
-
-akg::PoolImpl parse_impl(const std::string& s) {
-  if (s == "direct") return akg::PoolImpl::kDirect;
-  if (s == "im2col") return akg::PoolImpl::kIm2col;
-  if (s == "expansion") return akg::PoolImpl::kExpansion;
-  if (s == "xysplit") return akg::PoolImpl::kXYSplit;
-  std::fprintf(stderr, "unknown --impl=%s\n", s.c_str());
-  std::exit(2);
-}
 
 void report(const char* what, const Device::RunResult& run, bool show_faults,
             const ArchConfig& arch) {
@@ -138,30 +85,44 @@ void report(const char* what, const Device::RunResult& run, bool show_faults,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (parse_str(a, "--op=", &opt.op) || parse_str(a, "--impl=", &opt.impl) ||
-        parse_int(a, "--h=", &opt.h) || parse_int(a, "--w=", &opt.w) ||
-        parse_int(a, "--c=", &opt.c) || parse_int(a, "--k=", &opt.k) ||
-        parse_int(a, "--s=", &opt.s) || parse_int(a, "--pad=", &opt.pad) ||
-        parse_str(a, "--inject=", &opt.inject) ||
-        parse_str(a, "--profile=", &opt.profile) ||
-        parse_str(a, "--metrics=", &opt.metrics) ||
-        parse_int(a, "--retries=", &opt.retries) ||
-        parse_int(a, "--seed=", &opt.seed)) {
-      continue;
-    }
-    if (std::strcmp(a, "--trace") == 0) {
-      opt.trace = true;
-    } else if (std::strcmp(a, "--compare") == 0) {
-      opt.compare = true;
-    } else if (std::strcmp(a, "--no-double-buffer") == 0) {
-      opt.no_double_buffer = true;
-    } else {
-      std::fprintf(stderr, "unknown argument %s (see header comment)\n", a);
-      return 2;
-    }
+  ResilienceOptions ropts;
+  flags::Parser cli("davinci_pool_cli");
+  cli.flag("op", &opt.op, "pooling operator",
+           {"maxpool", "maxpool_mask", "maxpool_bwd", "avgpool", "avgpool_bwd",
+            "minpool", "global_avgpool"})
+      .flag("impl", &opt.impl,
+            "lowering (none = im2col forward, col2im backward)",
+            {"direct", "im2col", "expansion", "xysplit", "vadd", "col2im"})
+      .flag("h", &opt.h, "input height")
+      .flag("w", &opt.w, "input width")
+      .flag("c", &opt.c, "input channels")
+      .flag("k", &opt.k, "square window size")
+      .flag("s", &opt.s, "stride")
+      .flag("pad", &opt.pad, "padding on every side")
+      .flag("compare", &opt.compare, "also run the baseline, print speedup")
+      .flag("trace", &opt.trace, "print core 0's first instructions")
+      .flag("no-double-buffer", &opt.no_double_buffer, "single-buffer schedule")
+      .flag("profile", &opt.profile, "write the Chrome trace JSON here")
+      .flag("metrics", &opt.metrics, "write the metrics JSON here")
+      .flag("inject", &opt.inject, "fault spec every kernel runs under")
+      .flag("retries", &ropts.max_retries, "per-block retry allowance")
+      .flag("seed", &opt.seed, "fault-stream seed");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
+  // --impl names a lowering of the op's direction.
+  const bool backward = opt.op == "maxpool_bwd" || opt.op == "avgpool_bwd";
+  if (opt.impl.empty()) opt.impl = backward ? "col2im" : "im2col";
+  if ((opt.impl == "vadd" || opt.impl == "col2im") != backward) {
+    return cli.fail("--impl=" + opt.impl + " is not a lowering of --op=" +
+                    opt.op);
   }
+  const akg::PoolImpl fwd =
+      opt.impl == "direct"      ? akg::PoolImpl::kDirect
+      : opt.impl == "expansion" ? akg::PoolImpl::kExpansion
+      : opt.impl == "xysplit"   ? akg::PoolImpl::kXYSplit
+                                : akg::PoolImpl::kIm2col;
+  const kernels::MergeImpl merge = opt.impl == "vadd"
+                                       ? kernels::MergeImpl::kVadd
+                                       : kernels::MergeImpl::kCol2im;
 
   Window2d window = Window2d::pool(opt.k, opt.s);
   window.pt = window.pb = window.pl = window.pr = opt.pad;
@@ -179,24 +140,16 @@ int main(int argc, char** argv) {
 
   const bool injecting = !opt.inject.empty();
   if (injecting) {
-    ResilienceOptions ropts;
+    if (ropts.max_retries < 0) return cli.fail("--retries must be >= 0");
     try {
-      ropts.plan = FaultPlan::parse(
-          opt.inject, static_cast<std::uint64_t>(opt.seed));
+      ropts.plan = FaultPlan::parse(opt.inject, opt.seed);
     } catch (const Error& e) {
-      std::fprintf(stderr, "bad --inject spec: %s\n", e.what());
-      return 2;
+      return cli.fail(std::string("bad --inject spec: ") + e.what());
     }
-    if (opt.retries < 0) {
-      std::fprintf(stderr, "--retries must be >= 0\n");
-      return 2;
-    }
-    ropts.max_retries = static_cast<int>(opt.retries);
     ropts.verify = ropts.plan.has_silent_sites();
     dev.set_resilience(ropts);
-    std::printf("fault injection: %s  (retries=%lld, verify=%s)\n",
-                ropts.plan.to_string().c_str(),
-                static_cast<long long>(opt.retries),
+    std::printf("fault injection: %s  (retries=%d, verify=%s)\n",
+                ropts.plan.to_string().c_str(), ropts.max_retries,
                 ropts.verify ? "on" : "off");
   }
 
@@ -215,7 +168,6 @@ int main(int argc, char** argv) {
   bool ok = true;
   try {
     if (opt.op == "maxpool" || opt.op == "avgpool" || opt.op == "minpool") {
-      const akg::PoolImpl impl = parse_impl(opt.impl);
       auto run_op = [&](akg::PoolImpl i) {
         const kernels::PoolOpKind kind =
             opt.op == "avgpool"
@@ -225,7 +177,7 @@ int main(int argc, char** argv) {
         return kernels::run_pool(
             dev, {.kind = kind, .window = window, .fwd = i}, {.in = &in});
       };
-      auto r = run_op(impl);
+      auto r = run_op(fwd);
       const TensorF16 want = opt.op == "avgpool"
                                  ? ref::avgpool_fwd(in, window)
                                  : (opt.op == "minpool"
@@ -246,17 +198,14 @@ int main(int argc, char** argv) {
       auto r = kernels::run_pool(dev,
                                  {.kind = kernels::PoolOpKind::kMaxMaskFwd,
                                   .window = window,
-                                  .fwd = parse_impl(opt.impl)},
+                                  .fwd = fwd},
                                  {.in = &in});
       const TensorF16 want = ref::maxpool_fwd(in, window);
       for (std::int64_t i = 0; i < want.size(); ++i) {
         ok &= r.out.flat(i) == want.flat(i);
       }
       note(opt.impl.c_str(), r.run);
-    } else if (opt.op == "maxpool_bwd" || opt.op == "avgpool_bwd") {
-      const kernels::MergeImpl merge = opt.impl == "vadd"
-                                           ? kernels::MergeImpl::kVadd
-                                           : kernels::MergeImpl::kCol2im;
+    } else if (backward) {
       TensorF16 grad(
           Shape{1, c1, window.out_h(opt.h), window.out_w(opt.w), kC0});
       grad.fill_random_ints(2, 0, 5);
@@ -300,7 +249,7 @@ int main(int argc, char** argv) {
         }
         note(kernels::to_string(merge), r.run);
       }
-    } else if (opt.op == "global_avgpool") {
+    } else {
       auto r = kernels::run_pool(
           dev, {.kind = kernels::PoolOpKind::kGlobalAvg}, {.in = &in});
       const TensorF16 want = ref::global_avgpool(in);
@@ -308,9 +257,6 @@ int main(int argc, char** argv) {
         ok &= r.out.flat(i) == want.flat(i);
       }
       note("global", r.run);
-    } else {
-      std::fprintf(stderr, "unknown --op=%s\n", opt.op.c_str());
-      return 2;
     }
   } catch (const RetryExhausted& e) {
     std::fprintf(stderr, "%s\n", e.what());

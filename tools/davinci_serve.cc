@@ -1,81 +1,30 @@
 // davinci_serve: replays a pooling request trace through a serving
 // session and reports throughput and latency (docs/SERVING.md).
 //
-//   davinci_serve <trace-file> [options]
+//   davinci_serve <trace-file> [flags]
 //
-// Options:
-//   --devices=N          simulated devices behind the placement router
-//                        (default 1; see docs/CLUSTER.md)
-//   --placement=P        sharding axis: data (batch N) | model (C1)
-//   --queue=N            admission-queue depth           (default 64)
-//   --max-batch=N        requests per coalesced launch   (default 16;
-//                        1 = every request launches alone)
-//   --no-double-buffer   single-buffered device schedule
-//   --policy=P           overload policy: block | reject | shed
-//   --deadline-us=N      default completion budget for trace lines that
-//                        carry no deadline_us= field (0 = none)
-//   --watchdog-us=N      hung-launch watchdog budget (0 = off)
-//   --inject=SPEC        fault-plan spec (sim/fault.h grammar); every
-//                        launch runs under it (Device::set_resilience)
-//   --seed=N             fault-plan seed                 (default 1)
-//   --retries=N          per-block retry budget          (default 3)
-//   --verify             CRC-verify stores (catches silent corruption)
-//   --in-flight=N        VM in-flight launch window        (default 2;
-//                        1 = launches strictly back to back, so the
-//                        gated cycles equal the per-launch sum)
-//   --warmup=N           replay the first N requests once before the
-//                        measured run (warm plan cache / arena), then
-//                        reset the statistics and the wall clock
-//   --chrome-trace=path  write the unified host+device Chrome trace
-//                        (enables stream capture): the VM cross-batch
-//                        launch tracks plus one "serve requests" row per
-//                        traced request (queued / batching / execute) on
-//                        the same cycle timeline
-//   --stats-every-ms=N   live telemetry: while the measured replay runs,
-//                        emit one JSON line every N ms -- the session's
-//                        "serve" object (Session::serve_json) with the
-//                        sample time "t_ms" and the interval completion
-//                        rate "qps" in front; a final line always
-//                        flushes at the end of the replay
-//   --stats-out=path     write the telemetry lines to a file (default
-//                        stdout)
-//   --json=<path>        machine-readable report ({"bench","rows"}); the
-//                        per-trace-line rows carry non-gated fields, the
-//                        final "total" row carries the gated cycles sum
-//                        so `davinci_prof --diff seq.json batched.json`
-//                        (seq.json from --max-batch=1) gates
-//                        batched-vs-sequential regressions; the
-//                        total row also reports failed/expired/shed plus
-//                        host_ms and the host-phase sums (host_alloc_ms /
-//                        host_plan_ms / host_validate_ms /
-//                        host_execute_ms), which only gate a diff under
-//                        davinci_prof --include-host
-//   --metrics=<path>     schema-v8 davinci.metrics JSON: one entry per
-//                        trace line plus the session's "serve" object
-//                        (the same object the console summary renders)
+// --help prints the declared flags with their defaults; docs/SERVING.md
+// explains the replay, the console report, the live stats stream and
+// what the --json total row gates.
 //
-// The console prints one row per trace line, then the "serve" object
-// through davinci_prof's renderer (render_object), then one "host" line
-// with what only this tool measures: wall time, requests/s, the fp16 lane
-// implementation this CPU runs (sim/fp16_lanes.h), the per-request
-// host-phase sums and the measured replay's trace-id range.
-//
-// Exit codes: 0 success, 2 usage, 3 trace error (unreadable or malformed,
+// Exit codes: 0 success, 2 usage (an unknown or malformed flag, or a
+// setting the session rejects), 3 trace error (unreadable or malformed,
 // or a line whose tensors cannot be materialized), 4 any request failed
 // (launch failure, expired deadline, or shed by the overload policy).
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/json.h"
 #include "serve/session.h"
 #include "serve/trace.h"
@@ -88,47 +37,12 @@ using namespace davinci;
 
 namespace {
 
-std::string arg_value(int argc, char** argv, const char* prefix) {
-  const std::size_t n = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
-  }
-  return "";
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-std::int64_t int_arg(int argc, char** argv, const char* prefix,
-                     std::int64_t fallback) {
-  const std::string v = arg_value(argc, argv, prefix);
-  return v.empty() ? fallback : std::stoll(v);
-}
-
 std::string geom_string(const serve::TraceEntry& e) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%lldx%lldx%lldx%lldx16",
                 static_cast<long long>(e.n), static_cast<long long>(e.c1),
                 static_cast<long long>(e.ih), static_cast<long long>(e.iw));
   return buf;
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: davinci_serve <trace-file> "
-               "[--devices=N] [--placement=data|model] "
-               "[--queue=N] [--max-batch=N] [--no-double-buffer] "
-               "[--policy=block|reject|shed] "
-               "[--deadline-us=N] [--watchdog-us=N] [--inject=SPEC] "
-               "[--seed=N] [--retries=N] [--verify] "
-               "[--in-flight=N] [--warmup=N] "
-               "[--chrome-trace=path] [--stats-every-ms=N] "
-               "[--stats-out=path] [--json=path] [--metrics=path]\n");
-  return 2;
 }
 
 // The live telemetry stream (--stats-every-ms): a sampler thread takes
@@ -219,69 +133,58 @@ class StatsStream {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2 || argv[1][0] == '-') return usage();
-  const std::string trace_path = argv[1];
-
   serve::ClusterOptions cluster_opts;
-  cluster_opts.devices =
-      static_cast<int>(int_arg(argc, argv, "--devices=", 1));
-  if (cluster_opts.devices < 1) {
-    std::fprintf(stderr, "davinci_serve: --devices must be >= 1\n");
-    return usage();
-  }
-  const std::string placement = arg_value(argc, argv, "--placement=");
-  if (placement == "model") {
-    cluster_opts.placement = serve::Placement::kModel;
-  } else if (!placement.empty() && placement != "data") {
-    std::fprintf(stderr, "davinci_serve: unknown --placement '%s'\n",
-                 placement.c_str());
-    return usage();
-  }
-
   serve::SessionOptions opts;
-  opts.queue_depth = static_cast<std::size_t>(
-      int_arg(argc, argv, "--queue=", 64));
-  opts.max_batch = static_cast<std::size_t>(
-      int_arg(argc, argv, "--max-batch=", 16));
-  opts.double_buffer = !has_flag(argc, argv, "--no-double-buffer");
-  opts.watchdog_timeout_us = int_arg(argc, argv, "--watchdog-us=", 0);
-  const std::string policy = arg_value(argc, argv, "--policy=");
-  if (policy == "reject") {
-    opts.overload = serve::OverloadPolicy::kRejectNew;
-  } else if (policy == "shed") {
-    opts.overload = serve::OverloadPolicy::kShedOldest;
-  } else if (!policy.empty() && policy != "block") {
-    std::fprintf(stderr, "davinci_serve: unknown --policy '%s'\n",
-                 policy.c_str());
-    return usage();
-  }
-  const std::string inject = arg_value(argc, argv, "--inject=");
-  if (!inject.empty() || has_flag(argc, argv, "--verify")) {
-    ResilienceOptions res;
-    try {
-      res.plan = FaultPlan::parse(
-          inject, static_cast<std::uint64_t>(
-                      int_arg(argc, argv, "--seed=", 1)));
-    } catch (const Error& e) {
-      std::fprintf(stderr, "davinci_serve: bad --inject: %s\n", e.what());
-      return usage();
-    }
-    res.max_retries = static_cast<int>(int_arg(argc, argv, "--retries=", 3));
-    res.verify = has_flag(argc, argv, "--verify");
-    opts.resilience = res;
-  }
-  const std::int64_t default_deadline_us =
-      int_arg(argc, argv, "--deadline-us=", 0);
-  const std::string json_path = arg_value(argc, argv, "--json=");
-  const std::string metrics_path = arg_value(argc, argv, "--metrics=");
-  const std::string chrome_trace_path =
-      arg_value(argc, argv, "--chrome-trace=");
-  const std::int64_t warmup = int_arg(argc, argv, "--warmup=", 0);
-  const std::int64_t stats_every_ms =
-      int_arg(argc, argv, "--stats-every-ms=", 0);
-  const std::string stats_out = arg_value(argc, argv, "--stats-out=");
-  opts.vm_in_flight = static_cast<int>(int_arg(argc, argv, "--in-flight=", 2));
+  std::vector<std::string> trace_arg;
+  std::string placement = "data", policy = "block", inject, json_path,
+              metrics_path, chrome_trace_path, stats_out;
+  bool serial = false;
+  std::uint64_t seed = 1;
+  ResilienceOptions res;
+  std::int64_t default_deadline_us = 0, warmup = 0, stats_every_ms = 0;
+  flags::Parser cli("davinci_serve", "<trace-file>");
+  cli.flag("devices", &cluster_opts.devices, "devices behind the router")
+      .flag("placement", &placement, "shard batch N or C1", {"data", "model"})
+      .flag("queue", &opts.queue_depth, "admission-queue depth")
+      .flag("max-batch", &opts.max_batch, "requests per launch, 1 = alone")
+      .flag("no-double-buffer", &serial, "single-buffer schedule")
+      .flag("policy", &policy, "overload policy", {"block", "reject", "shed"})
+      .flag("deadline-us", &default_deadline_us, "default deadline, 0 = none")
+      .flag("watchdog-us", &opts.watchdog_timeout_us, "watchdog, 0 = off")
+      .flag("inject", &inject, "fault-plan spec every launch runs under")
+      .flag("seed", &seed, "fault-plan seed")
+      .flag("retries", &res.max_retries, "per-block retry budget")
+      .flag("verify", &res.verify, "CRC-verify stores")
+      .flag("in-flight", &opts.vm_in_flight, "VM launch window, 1 = serial")
+      .flag("warmup", &warmup, "requests replayed once before measuring")
+      .flag("chrome-trace", &chrome_trace_path, "write the Chrome trace here")
+      .flag("stats-every-ms", &stats_every_ms, "live stats period, 0 = off")
+      .flag("stats-out", &stats_out, "write the stats lines here, not stdout")
+      .flag("json", &json_path, "write the per-line and total rows here")
+      .flag("metrics", &metrics_path, "write the metrics JSON here")
+      .positional(&trace_arg, 1, 1);
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
+  const std::string& trace_path = trace_arg[0];
+  cluster_opts.placement = placement == "model" ? serve::Placement::kModel
+                                                : serve::Placement::kData;
+  opts.overload = policy == "reject" ? serve::OverloadPolicy::kRejectNew
+                  : policy == "shed" ? serve::OverloadPolicy::kShedOldest
+                                     : serve::OverloadPolicy::kBlock;
+  opts.double_buffer = !serial;
   opts.vm_capture = !chrome_trace_path.empty();
+  // The fault plan, the cluster and the session own their settings'
+  // rules; a setting they reject is a usage error.
+  std::optional<serve::Session> owned_session;
+  try {
+    if (!inject.empty() || res.verify) {
+      res.plan = FaultPlan::parse(inject, seed);
+      opts.resilience = res;
+    }
+    owned_session.emplace(serve::Cluster(cluster_opts), opts);
+  } catch (const Error& e) {
+    return cli.fail(e.what());
+  }
+  serve::Session& session = *owned_session;
 
   std::vector<serve::TraceEntry> entries;
   try {
@@ -322,7 +225,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  serve::Session session(serve::Cluster(cluster_opts), opts);
   std::vector<LineRuns> lines(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) lines[i].entry = i;
 

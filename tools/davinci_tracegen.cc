@@ -1,93 +1,42 @@
 // davinci_tracegen: emits a seeded synthetic serving trace
 // (serve/tracegen.h) in the davinci_serve line format.
 //
-//   davinci_tracegen [options]
+//   davinci_tracegen [flags]
 //
-// Options:
-//   --requests=N           expanded request total        (default 256)
-//   --seed=N               PRNG seed                     (default 1)
-//   --hot-fraction=F       hot-set draw probability      (default 0.8)
-//   --hot-shapes=N         hot-set size                  (default 3)
-//   --burst=F              mean Poisson burst length     (default 3.0)
-//   --backward-fraction=F  backward-op burst fraction    (default 0.2)
-//   --deadline-us=N        deadline budget, 0 = none     (default 0)
-//   --deadline-fraction=F  fraction carrying a deadline  (default 0)
-//   --max-n=N              batch-axis size per request, uniform [1, N]
-//                          (default 4)
-//   --out=path             write the trace to a file (default stdout)
+// --help prints the declared flags with their defaults; docs/CLUSTER.md
+// explains the load they shape. The same flags and seed always produce
+// byte-identical output, so a generated trace can be replayed at several
+// --devices counts and the runs compared request-for-request (the CI
+// cluster smoke gate).
 //
-// The same flags and seed always produce byte-identical output, so a
-// generated trace can be replayed at several --devices counts and the
-// runs compared request-for-request (the CI cluster smoke gate).
-//
-// Exit codes: 0 success, 2 usage/bad flag.
+// Exit codes: 0 success, 2 usage (an unknown or malformed flag, or
+// options the generator rejects) or an unwritable --out.
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <string>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "serve/tracegen.h"
 
 using namespace davinci;
 
-namespace {
-
-std::string arg_value(int argc, char** argv, const char* prefix) {
-  const std::size_t n = std::strlen(prefix);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix, n) == 0) return argv[i] + n;
-  }
-  return "";
-}
-
-std::int64_t int_arg(int argc, char** argv, const char* prefix,
-                     std::int64_t fallback) {
-  const std::string v = arg_value(argc, argv, prefix);
-  return v.empty() ? fallback : std::stoll(v);
-}
-
-double double_arg(int argc, char** argv, const char* prefix,
-                  double fallback) {
-  const std::string v = arg_value(argc, argv, prefix);
-  return v.empty() ? fallback : std::stod(v);
-}
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: davinci_tracegen [--requests=N] [--seed=N] "
-               "[--hot-fraction=F] [--hot-shapes=N] [--burst=F] "
-               "[--backward-fraction=F] [--deadline-us=N] "
-               "[--deadline-fraction=F] [--max-n=N] [--out=path]\n");
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-  }
   serve::TracegenOptions opts;
   std::string out_path;
+  flags::Parser cli("davinci_tracegen");
+  cli.flag("requests", &opts.requests, "expanded request total")
+      .flag("seed", &opts.seed, "PRNG seed")
+      .flag("hot-fraction", &opts.hot_fraction, "hot-set draw probability")
+      .flag("hot-shapes", &opts.hot_shapes, "hot-set size")
+      .flag("burst", &opts.burst_mean, "mean Poisson burst length")
+      .flag("backward-fraction", &opts.backward_fraction, "backward-op share")
+      .flag("deadline-us", &opts.deadline_us, "deadline budget (0 = none)")
+      .flag("deadline-fraction", &opts.deadline_fraction, "share with deadline")
+      .flag("max-n", &opts.max_n, "batch-axis size per request: 1 to N")
+      .flag("out", &out_path, "write the trace here, not stdout");
+  if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
   try {
-    opts.requests = static_cast<int>(int_arg(argc, argv, "--requests=",
-                                             opts.requests));
-    opts.seed = static_cast<std::uint64_t>(
-        int_arg(argc, argv, "--seed=", static_cast<std::int64_t>(opts.seed)));
-    opts.hot_fraction =
-        double_arg(argc, argv, "--hot-fraction=", opts.hot_fraction);
-    opts.hot_shapes = static_cast<int>(
-        int_arg(argc, argv, "--hot-shapes=", opts.hot_shapes));
-    opts.burst_mean = double_arg(argc, argv, "--burst=", opts.burst_mean);
-    opts.backward_fraction = double_arg(argc, argv, "--backward-fraction=",
-                                        opts.backward_fraction);
-    opts.deadline_us = int_arg(argc, argv, "--deadline-us=", opts.deadline_us);
-    opts.deadline_fraction = double_arg(argc, argv, "--deadline-fraction=",
-                                        opts.deadline_fraction);
-    opts.max_n = int_arg(argc, argv, "--max-n=", opts.max_n);
-    out_path = arg_value(argc, argv, "--out=");
-
     const std::string text = serve::trace_text(serve::generate_trace(opts));
     if (out_path.empty()) {
       std::fwrite(text.data(), 1, text.size(), stdout);
@@ -98,8 +47,7 @@ int main(int argc, char** argv) {
       std::fclose(f);
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "davinci_tracegen: %s\n", e.what());
-    return 2;
+    return cli.fail(e.what());
   }
   return 0;
 }
