@@ -26,8 +26,7 @@ void sweep(std::int64_t stride, bool db, bench::JsonReport* report) {
   dev.set_double_buffer(db);
   const Window2d w = Window2d::pool(3, stride);
   const bool with_xysplit = stride == 2;  // as in Figure 8b
-  const std::int64_t threshold =
-      akg::tiling_threshold(dev.arch(), w, false, false);
+  const std::int64_t threshold = akg::tiling_threshold(dev.arch(), w);
 
   std::vector<std::string> cols = {"H=W", "Maxpool", "with Im2col",
                                    "with expansion"};

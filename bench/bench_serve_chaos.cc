@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,7 @@ int main(int argc, char** argv) {
       .flag("trace", &trace_path, "replay this trace (none = built-in)")
       .flag("json", &json_path, "write the per-seed rows here");
   if (cli.parse(argc, argv) != flags::Status::kOk) return cli.report();
+  if (seeds < 1) return cli.fail("--seeds must be at least 1");
   bench::print_preamble(
       "Chaos soak: trace replay through serve::Session under seeded "
       "fault plans (every future resolves; successes bit-exact)",
@@ -156,7 +158,15 @@ int main(int argc, char** argv) {
     opts.resilience = res;
 
     {
-      serve::Session session(serve::Cluster{}, opts);
+      // The session owns its settings' rules (a negative --retries); a
+      // setting it rejects is a usage error.
+      std::optional<serve::Session> owned;
+      try {
+        owned.emplace(serve::Cluster{}, opts);
+      } catch (const Error& e) {
+        return cli.fail(e.what());
+      }
+      serve::Session& session = *owned;
       std::vector<std::future<kernels::PoolResult>> futures;
       futures.reserve(requests.size());
       for (std::size_t r = 0; r < requests.size(); ++r) {

@@ -191,7 +191,7 @@ HTile h_tile(const Window2d& w, std::int64_t ih, std::int64_t oh,
 }
 
 std::int64_t tiling_threshold(const ArchConfig& arch, const Window2d& w,
-                              bool with_mask, bool with_xysplit) {
+                              bool with_xysplit) {
   w.validate();
   // Paper (Section VI-B): "The input's height and width increase in steps
   // of two until the tiling threshold is reached, where this threshold is
@@ -199,17 +199,13 @@ std::int64_t tiling_threshold(const ArchConfig& arch, const Window2d& w,
   std::int64_t best = 0;
   for (std::int64_t h = w.kh + w.kw; ; h += 2) {
     const std::int64_t oh = w.out_h(h);
-    bool ok = ub_bytes_fwd(PoolImpl::kDirect, w, oh, h, with_mask) <=
-                  arch.ub_bytes &&
-              ub_bytes_fwd(PoolImpl::kIm2col, w, oh, h, with_mask) <=
-                  arch.ub_bytes &&
-              ub_bytes_fwd(PoolImpl::kExpansion, w, oh, h, with_mask) <=
-                  arch.ub_bytes &&
-              h * h * kC0 * 2 <= arch.l1_bytes;
-    if (ok && with_xysplit) {
-      ok = ub_bytes_fwd(PoolImpl::kXYSplit, w, oh, h, with_mask) <=
-           arch.ub_bytes;
-    }
+    auto fits = [&](PoolImpl impl) {
+      return ub_bytes_fwd(impl, w, oh, h, /*with_mask=*/false) <=
+             arch.ub_bytes;
+    };
+    bool ok = fits(PoolImpl::kDirect) && fits(PoolImpl::kIm2col) &&
+              fits(PoolImpl::kExpansion) && h * h * kC0 * 2 <= arch.l1_bytes;
+    if (ok && with_xysplit) ok = fits(PoolImpl::kXYSplit);
     if (!ok) break;
     best = h;
   }

@@ -95,7 +95,6 @@ HTile h_tile(const Window2d& w, std::int64_t ih, std::int64_t oh,
 // can process without H-tiling. `with_xysplit` includes the X-Y split's
 // temporary buffer in the constraint (Figure 8b).
 std::int64_t tiling_threshold(const ArchConfig& arch, const Window2d& w,
-                              bool with_mask = false,
                               bool with_xysplit = false);
 
 // The auto-scheduler decision the paper's evaluation dictates: the

@@ -111,7 +111,7 @@ LoweredPoolResult lower_and_run(Device& dev, const dsl::Compute& c,
   const std::int64_t alloc_ns = kernels::detail::host_now_ns() - t0;
   r.run = kernels::pooling_forward_impl(
       dev, kernels::SliceMap::whole(&input), kernels::SliceMap::whole(&r.out),
-      p.window, impl, op, init, Float16(1.0f), nullptr);
+      nullptr, p.window, impl, op, init, Float16(1.0f), nullptr);
   r.run.host_validate_ns += validate_ns;
   r.run.host_alloc_ns += alloc_ns;
   r.run.host_ns += validate_ns + alloc_ns;

@@ -1,4 +1,4 @@
-// MaxPool forward kernels (Section V-A, Figures 7a and 8).
+// MaxPool forward kernels (Section V-A, Figures 7a, 7b and 8).
 //
 // Every implementation is written as a sequence of *phases* (load,
 // transform, reduce, store) issued through detail::staged. With the
@@ -9,6 +9,14 @@
 // and Im2Col overlap tile t's Vector reduction. Outputs are bit-identical
 // either way -- only the placement of the charged cycles on the per-unit
 // timeline (sim/pipe_schedule.h) changes.
+//
+// Training needs the Argmax mask: the position of the maximum of each
+// patch, obtained "by comparing each patch of the input with its maximum
+// value". A mask launch adds that comparison to the Vector phase of the
+// kDirect or kIm2col tile and stores the mask after the output, in the
+// Im2Col output shape (N, C1, Kh, Kw, PP, C0) that keeps overlapping
+// patches separated and feeds the Col2Im-based backward directly. It
+// runs serially whatever the policy (stages_tiles, pooling.h).
 #include <algorithm>
 #include <vector>
 
@@ -33,6 +41,15 @@ struct TileGeom {
   std::int64_t tile_patches() const { return oh_t * ow; }
 };
 
+// One tile's global memory: its input rows, its output patches and, in a
+// mask launch, the mask's Kh*Kw planes from the tile's first patch on,
+// `mask_plane` elements apart (empty otherwise).
+struct TileGm {
+  Span<Float16> in, out, mask;
+  std::int64_t mask_plane = 0;
+  bool with_mask() const { return !mask.empty(); }
+};
+
 // One ping-pong slot: the buffers a tile occupies and the completion
 // events after which each may be overwritten (WAR dependencies between
 // tile t and tile t+ub_slots, which reuses the slot).
@@ -40,6 +57,7 @@ struct FwdSlot {
   Span<Float16> stage_in;  // input tile (L1 for kIm2col, UB otherwise)
   Span<Float16> work;      // cols (kIm2col/kExpansion) / tmp (kXYSplit)
   Span<Float16> out;       // output tile in UB
+  Span<Float16> mask;      // Argmax mask planes in UB (mask launches)
   Event in_free = 0;       // stage_in fully consumed
   Event work_free = 0;     // work fully consumed
   Event out_free = 0;      // out stored to GM
@@ -48,10 +66,11 @@ struct FwdSlot {
 // Standard TVM lowering (Listing 1). Requires no padding. At Sw == 1 the
 // lowering vectorizes over whole (Ow, C0) rows with a full mask; otherwise
 // the reduction instruction handles one patch row at a time with only the
-// C0 lanes active, repeating over Kw -- issued Oh*Ow*Kh times.
+// C0 lanes active, repeating over Kw -- issued Oh*Ow*Kh times. A mask
+// launch reduces in the 16-lane form at every stride, like its compare.
 void direct_reduce(AiCore& core, VecOp op, Span<Float16> out,
-                   Span<Float16> in, const TileGeom& g) {
-  if (g.w.sw == 1) {
+                   Span<Float16> in, const TileGeom& g, bool with_mask) {
+  if (g.w.sw == 1 && !with_mask) {
     // Fast case (Figure 8a): consecutive patches are consecutive in
     // memory, so the lowering saturates the 128-lane mask over (Ow, C0)
     // rows and lets the repeat parameter walk the output rows -- only
@@ -81,28 +100,73 @@ void maybe_scale(AiCore& core, Span<Float16> out, Float16 scale,
   }
 }
 
+// The direct mask against the original layout: one comparison per
+// (oh, ow, kh) with repeat over Kw, 16 active lanes; the destinations of
+// the Kw repeats are strided across whole (kh, kw) planes of `plane`
+// elements. The comparisons of one (oh, kh) are one run over ow, as in
+// the reduction.
+void direct_compare(AiCore& core, Span<Float16> msk, Span<Float16> in,
+                    Span<Float16> out, std::int64_t plane,
+                    const TileGeom& g) {
+  VecConfig cfg;
+  cfg.mask = VecMask::first_n(static_cast<int>(kC0));
+  cfg.repeat = static_cast<int>(g.w.kw);
+  cfg.dst_rep_stride = plane;  // consecutive kw -> next plane
+  cfg.src0_rep_stride = kC0;
+  cfg.src1_rep_stride = 0;
+  const VecRun run{.count = static_cast<int>(g.ow),
+                   .dst_step = kC0,
+                   .src0_step = g.w.sw * kC0,
+                   .src1_step = kC0,
+                   .scalar_iters = 1};
+  for (std::int64_t i = 0; i < g.oh_t; ++i) {
+    auto maxv = out.drop_front(i * g.ow * kC0);
+    for (std::int64_t kh = 0; kh < g.w.kh; ++kh) {
+      core.vec().cmpv_eq(msk.drop_front(kh * g.w.kw * plane + i * g.ow * kC0),
+                         in.drop_front((i * g.w.sh + kh) * g.iw * kC0), maxv,
+                         cfg, run);
+    }
+  }
+}
+
+// Stores the output tile, then a mask launch's Kh*Kw mask planes
+// (`plane` elements apart in UB).
+void store_tile(AiCore& core, const TileGm& gm, Span<Float16> out,
+                Span<Float16> msk, std::int64_t plane, const TileGeom& g) {
+  const std::int64_t n_out = g.tile_patches() * kC0;
+  core.mte().copy(gm.out, out, n_out);
+  if (gm.with_mask()) {
+    core.mte().copy_2d(gm.mask, gm.mask_plane, msk, plane,
+                       g.w.kh * g.w.kw, n_out);
+  }
+}
+
 void direct_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
-                 Float16 scale, Span<Float16> gm_in, Span<Float16> gm_out,
-                 const TileGeom& g) {
+                 Float16 scale, const TileGm& gm, const TileGeom& g) {
   const std::int64_t n_in = g.in_rows * g.iw * kC0;
   const std::int64_t n_out = g.tile_patches() * kC0;
+  const std::int64_t plane = round_up(g.tile_patches(), kFractalRows) * kC0;
   auto in = sl.stage_in.sub(0, n_in);
   auto out = sl.out.sub(0, n_out);
   const Event load_done = staged(core, db, Pipe::kMteIn, sl.in_free,
-                                 [&] { core.mte().copy(in, gm_in, n_in); });
+                                 [&] { core.mte().copy(in, gm.in, n_in); });
   const Event init_done = staged(core, db, Pipe::kVector, sl.out_free,
                                  [&] { core.vdup_flat(out, init, n_out); });
   if (!db) core.pipe_barrier();
   const Event compute_done =
       staged(core, db, Pipe::kVector, std::max(load_done, init_done), [&] {
-        direct_reduce(core, op, out, in, g);
+        direct_reduce(core, op, out, in, g, gm.with_mask());
         maybe_scale(core, out, scale, n_out);
+        if (gm.with_mask()) {
+          core.pipe_barrier();
+          direct_compare(core, sl.mask, in, out, plane, g);
+        }
       });
   sl.in_free = compute_done;
   if (!db) core.pipe_barrier();
   const Event store_done =
       staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, n_out); });
+             [&] { store_tile(core, gm, out, sl.mask, plane, g); });
   sl.out_free = store_done;
   if (db) {
     core.note_tile(load_done, +1);
@@ -114,12 +178,11 @@ void direct_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
 // transposed (Kh, Kw, patches, C0) shape, then a full-mask reduction per
 // (kh, kw) plane -- Kh*Kw instruction sequences total.
 void im2col_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
-                 Float16 scale, Span<Float16> gm_in, Span<Float16> gm_out,
-                 const TileGeom& g) {
+                 Float16 scale, const TileGm& gm, const TileGeom& g) {
   const std::int64_t n_in = g.in_rows * g.iw * kC0;
   auto l1 = sl.stage_in.sub(0, n_in);
   const Event load_done = staged(core, db, Pipe::kMteIn, sl.in_free,
-                                 [&] { core.mte().copy(l1, gm_in, n_in); });
+                                 [&] { core.mte().copy(l1, gm.in, n_in); });
 
   Im2colArgs args;
   args.window = g.w;
@@ -142,12 +205,20 @@ void im2col_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
       staged(core, db, Pipe::kVector, std::max(scu_done, init_done), [&] {
         detail::reduce_planes(core, op, out, cols, g.w.kh * g.w.kw, plane);
         maybe_scale(core, out, scale, plane);
+        if (gm.with_mask()) {
+          // One saturated-mask comparison per (kh, kw) plane.
+          for (std::int64_t k = 0; k < g.w.kh * g.w.kw; ++k) {
+            core.vcmpv_eq_flat(sl.mask.sub(k * plane, plane),
+                               cols.sub(k * plane, plane), out, plane);
+            core.scalar_loop(1);
+          }
+        }
       });
   sl.work_free = compute_done;
   if (!db) core.pipe_barrier();
   const Event store_done =
       staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, g.tile_patches() * kC0); });
+             [&] { store_tile(core, gm, out, sl.mask, plane, g); });
   sl.out_free = store_done;
   if (db) {
     core.note_tile(load_done, +1);
@@ -194,8 +265,8 @@ void expansion_expand(AiCore& core, Span<Float16> cols, Span<Float16> in,
 }
 
 void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
-                    Float16 init, Float16 scale, Span<Float16> gm_in,
-                    Span<Float16> gm_out, const TileGeom& g) {
+                    Float16 init, Float16 scale, const TileGm& gm,
+                    const TileGeom& g) {
   const std::int64_t n_in = g.in_rows * g.iw * kC0;
   const std::int64_t pp = round_up(g.tile_patches(), kFractalRows);
   const std::int64_t plane = pp * kC0;
@@ -204,7 +275,7 @@ void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
   auto out = sl.out.sub(0, plane);
 
   const Event load_done = staged(core, db, Pipe::kMteIn, sl.in_free,
-                                 [&] { core.mte().copy(in, gm_in, n_in); });
+                                 [&] { core.mte().copy(in, gm.in, n_in); });
   if (!db) core.pipe_barrier();
   const Event expand_done =
       staged(core, db, Pipe::kVector, std::max(load_done, sl.work_free),
@@ -222,7 +293,7 @@ void expansion_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op,
   if (!db) core.pipe_barrier();
   const Event store_done =
       staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, g.tile_patches() * kC0); });
+             [&] { core.mte().copy(gm.out, out, g.tile_patches() * kC0); });
   sl.out_free = store_done;
   if (db) {
     core.note_tile(load_done, +1);
@@ -270,8 +341,7 @@ void xysplit_reduce(AiCore& core, VecOp op, Span<Float16> tmp,
 }
 
 void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
-                  Float16 scale, Span<Float16> gm_in, Span<Float16> gm_out,
-                  const TileGeom& g) {
+                  Float16 scale, const TileGm& gm, const TileGeom& g) {
   const std::int64_t n_in = g.in_rows * g.iw * kC0;
   const std::int64_t n_tmp = g.in_rows * g.ow * kC0;
   const std::int64_t n_out = g.tile_patches() * kC0;
@@ -280,7 +350,7 @@ void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
   auto out = sl.out.sub(0, n_out);
 
   const Event load_done = staged(core, db, Pipe::kMteIn, sl.in_free,
-                                 [&] { core.mte().copy(in, gm_in, n_in); });
+                                 [&] { core.mte().copy(in, gm.in, n_in); });
   const Event init_done =
       staged(core, db, Pipe::kVector, std::max(sl.work_free, sl.out_free),
              [&] {
@@ -298,7 +368,7 @@ void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
   if (!db) core.pipe_barrier();
   const Event store_done =
       staged(core, db, Pipe::kMteOut, compute_done,
-             [&] { core.mte().copy(gm_out, out, n_out); });
+             [&] { core.mte().copy(gm.out, out, n_out); });
   sl.out_free = store_done;
   if (db) {
     core.note_tile(load_done, +1);
@@ -306,12 +376,12 @@ void xysplit_tile(AiCore& core, bool db, FwdSlot& sl, VecOp op, Float16 init,
   }
 }
 
-// Allocates one slot's worst-case buffers for `impl`. `ih_t` / `tp_max` /
-// `pp_max` are the interior-tile (largest) dimensions; tail tiles use
-// prefixes of the same buffers.
-FwdSlot alloc_slot(AiCore& core, PoolImpl impl, const Window2d& w,
-                   std::int64_t ih_t, std::int64_t iw, std::int64_t ow,
-                   std::int64_t tp_max, std::int64_t pp_max) {
+// Allocates one slot's worst-case buffers for `impl` (and the mask).
+// `ih_t` / `tp_max` / `pp_max` are the interior-tile (largest) dimensions;
+// tail tiles use prefixes of the same buffers.
+FwdSlot alloc_slot(AiCore& core, PoolImpl impl, bool with_mask,
+                   const Window2d& w, std::int64_t ih_t, std::int64_t iw,
+                   std::int64_t ow, std::int64_t tp_max, std::int64_t pp_max) {
   FwdSlot sl;
   switch (impl) {
     case PoolImpl::kDirect:
@@ -334,29 +404,40 @@ FwdSlot alloc_slot(AiCore& core, PoolImpl impl, const Window2d& w,
       sl.out = core.ub().alloc<Float16>(tp_max * kC0);
       break;
   }
+  if (with_mask) {
+    sl.mask = core.ub().alloc<Float16>(w.kh * w.kw * pp_max * kC0);
+  }
   return sl;
 }
 
 }  // namespace
 
-// Shared forward driver for MaxPool and AvgPool-style reductions; `op`
-// and `init` select the reduction, `scale` (if not 1) is applied to the
-// output tile before the store (AvgPool's 1/(Kh*Kw)).
+// The one forward driver: MaxPool, MinPool and AvgPool-style reductions
+// and the Argmax mask. `op` and `init` select the reduction, `scale` (if
+// not 1) is applied to the output tile before the store (AvgPool's
+// 1/(Kh*Kw)), and a non-null `mask` adds the compare phase.
 Device::RunResult pooling_forward_impl(Device& dev, const SliceMap& in,
-                                       const SliceMap& out, const Window2d& w,
-                                       akg::PoolImpl impl, VecOp op,
-                                       Float16 init, Float16 scale,
+                                       const SliceMap& out,
+                                       const SliceMap* mask,
+                                       const Window2d& w, akg::PoolImpl impl,
+                                       VecOp op, Float16 init, Float16 scale,
                                        const akg::PoolPlan* plan_in) {
   const std::int64_t ih = in.shape[2], iw = in.shape[3];
   const std::int64_t oh = w.out_h(ih), ow = w.out_w(iw);
+  const bool with_mask = mask != nullptr;
+  // A planned launch skips check_inputs, and only these two tiles write a
+  // mask.
+  DV_CHECK(!with_mask || impl == PoolImpl::kDirect ||
+           impl == PoolImpl::kIm2col)
+      << "the Argmax mask supports only kDirect and kIm2col, not "
+      << akg::to_string(impl);
 
-  const bool db = dev.double_buffer();
+  const bool db = stages_tiles(with_mask, dev.double_buffer());
   const std::int64_t t_p0 = detail::host_now_ns();
   const akg::PoolPlan plan =
       plan_in != nullptr
           ? *plan_in
-          : akg::plan_fwd(impl, dev.arch(), w, ih, iw, /*with_mask=*/false,
-                          db);
+          : akg::plan_fwd(impl, dev.arch(), w, ih, iw, with_mask, db);
   DV_CHECK_GE(plan.oh_tile, 1) << "invalid precomputed plan";
 
   // Worst-case (interior) tile dimensions; every tile fits in a prefix.
@@ -375,9 +456,11 @@ Device::RunResult pooling_forward_impl(Device& dev, const SliceMap& in,
     std::vector<FwdSlot> slots;
     slots.reserve(static_cast<std::size_t>(plan.ub_slots));
     for (int s = 0; s < plan.ub_slots; ++s) {
-      slots.push_back(alloc_slot(core, impl, w, ih_t, iw, ow, tp_max, pp_max));
+      slots.push_back(
+          alloc_slot(core, impl, with_mask, w, ih_t, iw, ow, tp_max, pp_max));
     }
     const Span<Float16> in_b = in.slice(b), out_b = out.slice(b);
+    const Span<Float16> mask_b = with_mask ? mask->slice(b) : Span<Float16>();
 
     for (std::int64_t t = 0; t < plan.num_h_tiles; ++t) {
       FwdSlot& sl = slots[static_cast<std::size_t>(t) % slots.size()];
@@ -392,21 +475,28 @@ Device::RunResult pooling_forward_impl(Device& dev, const SliceMap& in,
       g.oh_t = ht.out_rows();
       g.ow = ow;
 
-      auto gm_in = in_b.sub(ht.y0 * iw * kC0, g.in_rows * iw * kC0);
-      auto gm_out = out_b.sub(ht.o0 * ow * kC0, g.tile_patches() * kC0);
+      const std::int64_t p0 = ht.o0 * ow * kC0;  // first patch's offset
+      TileGm gm;
+      gm.in = in_b.sub(ht.y0 * iw * kC0, g.in_rows * iw * kC0);
+      gm.out = out_b.sub(p0, g.tile_patches() * kC0);
+      if (with_mask) {
+        gm.mask_plane = round_up(oh * ow, kFractalRows) * kC0;
+        gm.mask = mask_b.sub(p0, (w.kh * w.kw - 1) * gm.mask_plane +
+                                     g.tile_patches() * kC0);
+      }
 
       switch (impl) {
         case PoolImpl::kDirect:
-          direct_tile(core, db, sl, op, init, scale, gm_in, gm_out, g);
+          direct_tile(core, db, sl, op, init, scale, gm, g);
           break;
         case PoolImpl::kIm2col:
-          im2col_tile(core, db, sl, op, init, scale, gm_in, gm_out, g);
+          im2col_tile(core, db, sl, op, init, scale, gm, g);
           break;
         case PoolImpl::kExpansion:
-          expansion_tile(core, db, sl, op, init, scale, gm_in, gm_out, g);
+          expansion_tile(core, db, sl, op, init, scale, gm, g);
           break;
         case PoolImpl::kXYSplit:
-          xysplit_tile(core, db, sl, op, init, scale, gm_in, gm_out, g);
+          xysplit_tile(core, db, sl, op, init, scale, gm, g);
           break;
       }
     }

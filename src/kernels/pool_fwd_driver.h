@@ -22,21 +22,17 @@
 
 namespace davinci::kernels {
 
-// Shared forward driver (maxpool_fwd.cc) used by the MaxPool, MinPool and
-// AvgPool forward kinds; `op`/`init` select the reduction, `scale` (if
-// not 1) is applied to the output tile before the store.
+// Shared forward driver (maxpool_fwd.cc) used by the MaxPool, MinPool,
+// AvgPool and MaxPool-with-mask forward kinds; `op`/`init` select the
+// reduction, `scale` (if not 1) is applied to the output tile before the
+// store. A non-null `mask` (kDirect or kIm2col only) also writes the
+// Argmax mask, and the launch then runs single-buffered (stages_tiles).
 Device::RunResult pooling_forward_impl(Device& dev, const SliceMap& in,
-                                       const SliceMap& out, const Window2d& w,
-                                       akg::PoolImpl impl, VecOp op,
-                                       Float16 init, Float16 scale,
+                                       const SliceMap& out,
+                                       const SliceMap* mask,
+                                       const Window2d& w, akg::PoolImpl impl,
+                                       VecOp op, Float16 init, Float16 scale,
                                        const akg::PoolPlan* plan);
-
-// MaxPool forward + Argmax mask (maxpool_mask.cc).
-Device::RunResult maxpool_mask_fwd_impl(Device& dev, const SliceMap& in,
-                                        const SliceMap& out,
-                                        const SliceMap& mask,
-                                        const Window2d& w, akg::PoolImpl impl,
-                                        const akg::PoolPlan* plan);
 
 // Shared backward driver (pool_bwd.cc): MaxPool backward with the Argmax
 // `mask`, AvgPool backward when `mask` is null. Ih/Iw are grad_in's.

@@ -72,26 +72,26 @@ Device::RunResult dispatch(Device& dev, const PoolOp& op,
   const akg::PoolPlan* plan = op.plan.has_value() ? &*op.plan : nullptr;
   switch (op.kind) {
     case PoolOpKind::kMaxFwd:
-      return pooling_forward_impl(dev, m.in, m.out, op.window, op.fwd,
-                                  VecOp::kMax, Float16::lowest(),
-                                  Float16(1.0f), plan);
+    case PoolOpKind::kMaxMaskFwd:
+      return pooling_forward_impl(
+          dev, m.in, m.out,
+          op.kind == PoolOpKind::kMaxMaskFwd ? &m.out_mask : nullptr,
+          op.window, op.fwd, VecOp::kMax, Float16::lowest(), Float16(1.0f),
+          plan);
     case PoolOpKind::kMinFwd:
       // Dual reduction: vmin and a +max-finite initializer. Zero padding
       // participates as 0, mirroring what the Im2Col instruction loads.
-      return pooling_forward_impl(dev, m.in, m.out, op.window, op.fwd,
-                                  VecOp::kMin, Float16::max_finite(),
+      return pooling_forward_impl(dev, m.in, m.out, nullptr, op.window,
+                                  op.fwd, VecOp::kMin, Float16::max_finite(),
                                   Float16(1.0f), plan);
     case PoolOpKind::kAvgFwd: {
       const Float16 inv(1.0f /
                         static_cast<float>(op.window.kh * op.window.kw));
-      return pooling_forward_impl(dev, m.in, m.out, op.window, op.fwd,
-                                  VecOp::kAdd, Float16(), inv, plan);
+      return pooling_forward_impl(dev, m.in, m.out, nullptr, op.window,
+                                  op.fwd, VecOp::kAdd, Float16(), inv, plan);
     }
     case PoolOpKind::kGlobalAvg:
       return global_avgpool_impl(dev, m.in, m.out);
-    case PoolOpKind::kMaxMaskFwd:
-      return maxpool_mask_fwd_impl(dev, m.in, m.out, m.out_mask, op.window,
-                                   op.fwd, plan);
     case PoolOpKind::kMaxBwd:
     case PoolOpKind::kAvgBwd:
       return pooling_backward_impl(

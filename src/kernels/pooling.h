@@ -86,6 +86,14 @@ bool is_forward(PoolOpKind kind);
 // True for the kinds that produce a gradient w.r.t. the input.
 bool is_backward(PoolOpKind kind);
 
+// Whether a forward launch plans two tile slots and issues its H-tiles as
+// overlapping stages on a device whose double-buffer policy is
+// `double_buffer`. A launch that writes the Argmax mask plans and runs
+// single-buffered either way.
+inline bool stages_tiles(bool with_mask, bool double_buffer) {
+  return double_buffer && !with_mask;
+}
+
 // The unified operator descriptor. A PoolOp fully determines *how* a
 // pooling computation is lowered; the tensors it runs on arrive separately
 // in PoolInputs. Two requests with equal PoolOp (ignoring `plan`) and

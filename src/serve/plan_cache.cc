@@ -44,9 +44,8 @@ std::optional<PlanKey> plan_key_for(const kernels::PoolOp& op,
   } else {
     key.impl = op.fwd;
     key.with_mask = op.kind == PoolOpKind::kMaxMaskFwd;
-    // The mask-producing forward always plans single-buffered
-    // (maxpool_mask.cc runs its tiles serially).
-    if (key.with_mask) key.double_buffer = false;
+    // The plan the forward driver would make for this launch.
+    key.double_buffer = kernels::stages_tiles(key.with_mask, double_buffer);
   }
   return key;
 }

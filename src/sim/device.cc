@@ -51,6 +51,16 @@ Device::Device(ArchConfig arch, CostModel cost)
   }
 }
 
+void Device::set_resilience(const ResilienceOptions& opts) {
+  DV_CHECK_GE(opts.max_retries, 0) << "a retry budget cannot be negative";
+  for (const CoreFailTrigger& t : opts.plan.core_failures) {
+    DV_CHECK(t.core >= 0 && t.core < num_cores())
+        << "core_fail trigger targets core " << t.core
+        << " but the device has " << num_cores() << " cores";
+  }
+  resilience_ = opts;
+}
+
 // Shared state of one run. Guarded by `m`; a core's fault stream is
 // touched only by the lane running that core.
 struct Device::Sched {
@@ -237,12 +247,6 @@ Device::RunResult Device::run(std::int64_t num_blocks, const BlockFn& fn) {
   } disarm{this};
   if (resilience_) {
     const ResilienceOptions& opts = *resilience_;
-    DV_CHECK_GE(opts.max_retries, 0);
-    for (const CoreFailTrigger& t : opts.plan.core_failures) {
-      DV_CHECK(t.core >= 0 && t.core < num_cores())
-          << "core_fail trigger targets core " << t.core
-          << " but the device has " << num_cores() << " cores";
-    }
     s.policy = &opts;
     s.execs.assign(static_cast<std::size_t>(num_blocks), 0);
     for (int c = 0; c < num_cores(); ++c) {

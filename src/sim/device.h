@@ -149,8 +149,10 @@ class Device {
   // Installs the resilience policy every subsequent run() (and therefore
   // every kernel executed on this device) runs under. This is how whole
   // pooling workloads, pipelines and serving sessions run under fault
-  // injection without changing kernel code.
-  void set_resilience(const ResilienceOptions& opts) { resilience_ = opts; }
+  // injection without changing kernel code. Throws, keeping the previous
+  // policy, for max_retries < 0 or a core_fail trigger naming a core the
+  // device does not have.
+  void set_resilience(const ResilienceOptions& opts);
   void clear_resilience() { resilience_.reset(); }
   const std::optional<ResilienceOptions>& resilience() const {
     return resilience_;

@@ -162,8 +162,8 @@ TEST(Tiling, ThresholdShrinksWithOverlap) {
 
 TEST(Tiling, XYSplitConstraintTightensThreshold) {
   const Window2d w = Window2d::pool(3, 2);
-  EXPECT_LE(tiling_threshold(kArch, w, false, true),
-            tiling_threshold(kArch, w, false, false));
+  EXPECT_LE(tiling_threshold(kArch, w, /*with_xysplit=*/true),
+            tiling_threshold(kArch, w));
 }
 
 TEST(Tiling, ImplNames) {

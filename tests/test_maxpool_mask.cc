@@ -178,5 +178,22 @@ TEST(MaxpoolMask, RejectsUnsupportedImpls) {
       Error);
 }
 
+// run_pool skips check_inputs for a launch that carries a plan, so the
+// forward driver itself refuses a lowering that cannot write the mask.
+TEST(MaxpoolMask, PlannedLaunchRejectsUnsupportedImpls) {
+  Device dev;
+  const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, 9, 9, 211);
+  const Window2d w = Window2d::pool(3, 2);
+  const akg::PoolPlan plan = akg::plan_fwd(PoolImpl::kExpansion, dev.arch(),
+                                           w, 9, 9, /*with_mask=*/true);
+  EXPECT_THROW(kernels::run_pool(dev,
+                                 PoolOp{.kind = PoolOpKind::kMaxMaskFwd,
+                                        .window = w,
+                                        .fwd = PoolImpl::kExpansion,
+                                        .plan = plan},
+                                 PoolInputs{.in = &in}),
+               Error);
+}
+
 }  // namespace
 }  // namespace davinci

@@ -353,6 +353,26 @@ TEST(Resilience, AllCoresQuarantinedFailsCleanly) {
                RetryExhausted);
 }
 
+// A bad setting fails when it is set, not at every launch.
+TEST(Resilience, SetResilienceRejectsBadSettingsAndKeepsThePolicy) {
+  Device dev(ArchConfig::ascend310());  // 2 cores
+  ResilienceOptions good;
+  good.plan = FaultPlan::parse("core_fail@1", 0);
+  good.max_retries = 2;
+  dev.set_resilience(good);
+
+  ResilienceOptions negative = good;
+  negative.max_retries = -1;
+  EXPECT_THROW(dev.set_resilience(negative), Error);
+  ResilienceOptions missing_core;
+  missing_core.plan = FaultPlan::parse("core_fail@2", 0);
+  EXPECT_THROW(dev.set_resilience(missing_core), Error);
+
+  ASSERT_TRUE(dev.resilience().has_value());
+  EXPECT_EQ(dev.resilience()->max_retries, 2);
+  EXPECT_EQ(dev.resilience()->plan.to_string(), good.plan.to_string());
+}
+
 // --- Retry budget ---
 
 TEST(Resilience, RetryBudgetExhaustionFailsCleanly) {

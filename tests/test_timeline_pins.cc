@@ -3,7 +3,8 @@
 // cycles and the critical path (segment count, busy and stall totals),
 // with double buffering on and off. The values were recorded when each
 // baseline issued its instructions one at a time; a run must cost exactly
-// its issues, so none may move.
+// its issues, so none may move. A mask launch runs serially whatever the
+// double-buffer policy, so its two timelines agree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,6 +103,39 @@ TEST(TimelinePins, DirectMaxPoolWithMask) {
       },
       {56984, 56984, 14724, 56984, 0},
       {56984, 56984, 14724, 56984, 0});
+}
+
+TEST(TimelinePins, TiledIm2colMaxPoolWithMask) {
+  const Timeline serial{56155, 56155, 646, 56155, 0};
+  expect_pinned(
+      [](Device& dev) {
+        return forward(dev, PoolOpKind::kMaxMaskFwd, PoolImpl::kIm2col,
+                       Window2d::pool(3, 2), 4, 147);
+      },
+      serial, serial);
+}
+
+// The direct mask reduces with the 16-lane form at Sw == 1 too.
+TEST(TimelinePins, DirectMaxPoolWithMaskStride1) {
+  const Timeline serial{6984, 6984, 1736, 6984, 0};
+  expect_pinned(
+      [](Device& dev) {
+        return forward(dev, PoolOpKind::kMaxMaskFwd, PoolImpl::kDirect,
+                       Window2d::pool(3, 1), 1, 14);
+      },
+      serial, serial);
+}
+
+TEST(TimelinePins, PaddedIm2colMaxPoolWithMask) {
+  Window2d w = Window2d::pool(3, 2);
+  w.pt = w.pb = w.pl = w.pr = 1;
+  const Timeline serial{3686, 3686, 44, 3686, 0};
+  expect_pinned(
+      [&](Device& dev) {
+        return forward(dev, PoolOpKind::kMaxMaskFwd, PoolImpl::kIm2col, w, 2,
+                       35);
+      },
+      serial, serial);
 }
 
 TEST(TimelinePins, XYSplitStride2) {

@@ -140,14 +140,14 @@ int main(int argc, char** argv) {
 
   const bool injecting = !opt.inject.empty();
   if (injecting) {
-    if (ropts.max_retries < 0) return cli.fail("--retries must be >= 0");
+    // The fault plan and the device own their settings' rules.
     try {
       ropts.plan = FaultPlan::parse(opt.inject, opt.seed);
+      ropts.verify = ropts.plan.has_silent_sites();
+      dev.set_resilience(ropts);
     } catch (const Error& e) {
-      return cli.fail(std::string("bad --inject spec: ") + e.what());
+      return cli.fail(std::string("bad --inject or --retries: ") + e.what());
     }
-    ropts.verify = ropts.plan.has_silent_sites();
-    dev.set_resilience(ropts);
     std::printf("fault injection: %s  (retries=%d, verify=%s)\n",
                 ropts.plan.to_string().c_str(), ropts.max_retries,
                 ropts.verify ? "on" : "off");
