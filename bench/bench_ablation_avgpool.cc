@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
         .field("impl", std::string(impl))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(run)
-        .traffic_fields(run, dev.arch());
+        .run_fields(run);
   };
   bench::Table fwd("AvgPool forward",
                    {"input (HWC)", "Avgpool", "with Im2col", "speedup",

@@ -53,16 +53,14 @@ int main(int argc, char** argv) {
     report.row()
         .field("experiment", std::string(name))
         .field("variant", std::string("base"))
-        .run_fields(base)
-        .traffic_fields(base, dev.arch());
+        .run_fields(base);
     report.row()
         .field("experiment", std::string(name))
         .field("variant", std::string("fast"))
-        .run_fields(fast)
-        .traffic_fields(fast, dev.arch());
+        .run_fields(fast);
     if (!metrics_path.empty()) {
-      metrics.add(std::string(name) + " [base]", base, dev.arch());
-      metrics.add(std::string(name) + " [fast]", fast, dev.arch());
+      metrics.add(std::string(name) + " [base]", base);
+      metrics.add(std::string(name) + " [fast]", fast);
     }
   };
 

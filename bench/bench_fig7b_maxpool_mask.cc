@@ -68,15 +68,13 @@ int main(int argc, char** argv) {
         .field("impl", std::string("direct"))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(direct.run)
-        .traffic_fields(direct.run, dev.arch());
+        .run_fields(direct.run);
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("im2col"))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(im2col.run)
-        .traffic_fields(im2col.run, dev.arch());
+        .run_fields(im2col.run);
   }
   table.print();
   std::printf(

@@ -63,15 +63,13 @@ int main(int argc, char** argv) {
         .field("impl", std::string("vadd"))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(vadd.run)
-        .traffic_fields(vadd.run, dev.arch());
+        .run_fields(vadd.run);
     report.row()
         .field("shape", std::string(shape))
         .field("impl", std::string("col2im"))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(col2im.run)
-        .traffic_fields(col2im.run, dev.arch());
+        .run_fields(col2im.run);
   }
   table.print();
   std::printf(

@@ -66,8 +66,7 @@ void sweep(std::int64_t stride, bool db, bench::JsonReport* report) {
             .field("impl", std::string(akg::to_string(impl)))
             .field("double_buffer", db)
             .field("verified", true)
-            .run_fields(r.run)
-            .traffic_fields(r.run, dev.arch());
+            .run_fields(r.run);
       }
       return r.cycles();
     };

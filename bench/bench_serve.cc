@@ -186,8 +186,7 @@ int main(int argc, char** argv) {
         .field("cycles", bat.cycles_total)
         .field("vm_makespan", bat.vm_makespan)
         .field("host_ns", bat.host_ns);
-    registry.add(name + " batched", bat.first_run,
-                 ArchConfig::ascend910());
+    registry.add(name + " batched", bat.first_run);
   }
 
   // The batched session's serve stats (plan-cache hit rate et al.) land

@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
         .field("impl", std::string("direct"))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(direct.run)
-        .traffic_fields(direct.run, dev.arch());
+        .run_fields(direct.run);
     report.row()
         .field("net", layer.network)
         .field("shape", std::string(shape))
@@ -79,8 +78,7 @@ int main(int argc, char** argv) {
         .field("impl", std::string("im2col"))
         .field("double_buffer", dev.double_buffer())
         .field("verified", ok)
-        .run_fields(im2col.run)
-        .traffic_fields(im2col.run, dev.arch());
+        .run_fields(im2col.run);
   }
   table.print();
 

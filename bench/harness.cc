@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/json.h"
-#include "sim/metrics.h"
 #include "sim/trace_export.h"
 
 namespace davinci::bench {
@@ -120,19 +119,10 @@ JsonReport& JsonReport::summary_fields(const std::string& prefix,
 JsonReport& JsonReport::run_fields(const Device::RunResult& run) {
   field("cycles", run.device_cycles);
   field("cycles_serial", run.device_cycles_serial);
-  field("busiest_unit_cycles", run.busiest_unit_cycles);
   field("host_ns", run.host_ns);
-  return *this;
-}
-
-JsonReport& JsonReport::traffic_fields(const Device::RunResult& run,
-                                       const ArchConfig& arch) {
-  const Roofline roof = compute_roofline(run.aggregate.traffic, run.profile,
-                                         arch, run.device_cycles,
-                                         run.cores_used);
-  field("gm_bytes", roof.gm_bytes);
-  field("mte_bytes", roof.mte_bytes);
-  field("roofline", std::string(roof.klass()));
+  field("gm_bytes", run.aggregate.traffic.gm_total());
+  field("mte_bytes", run.aggregate.traffic.mte_total());
+  field("bottleneck", std::string(run.attribution.bottleneck()));
   return *this;
 }
 

@@ -70,13 +70,10 @@ class JsonReport {
   JsonReport& summary_fields(const std::string& prefix,
                              const stats::Summary& s);
   // The standard per-run fields: cycles (overlapped makespan),
-  // cycles_serial, busiest_unit_cycles, host_ns.
+  // cycles_serial, host_ns, then the GM/MTE traffic bytes and the
+  // bottleneck pipe (docs/OBSERVABILITY.md), so the perf trajectory
+  // records *why* a row moved, not just that it did.
   JsonReport& run_fields(const Device::RunResult& run);
-  // Observability extras: GM/MTE traffic bytes and the roofline class
-  // (docs/OBSERVABILITY.md), so the perf trajectory records *why* a row
-  // moved, not just that it did.
-  JsonReport& traffic_fields(const Device::RunResult& run,
-                             const ArchConfig& arch);
 
   // Serializes the report; write() also prints where it went.
   std::string to_json() const;

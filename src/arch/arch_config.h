@@ -29,14 +29,6 @@ struct ArchConfig {
   // surrounding (scalar) loop to reissue the instruction.
   int max_repeat = 255;
 
-  // --- Memory system ---
-  // Peak sustained MTE bandwidth per core in bytes/cycle (the asymptotic
-  // rate of CostModel::mte_copy once startup and per-burst costs
-  // amortize). The roofline analysis (sim/metrics.h) measures achieved
-  // bytes/cycle against this: machine balance = vector_lanes /
-  // peak_mte_bytes_per_cycle = 1 fp16 lane-op per transferred byte.
-  std::int64_t peak_mte_bytes_per_cycle = 128;
-
   // --- Device ---
   int num_cores = 32;  // Ascend 910 has 32 AI Cores
 

@@ -138,6 +138,9 @@ void check_inputs(const PoolOp& op, const PoolInputs& in) {
 
   const Window2d& w = op.window;
   w.validate();
+  DV_CHECK(w.pt <= w.kh / 2 && w.pb <= w.kh / 2 && w.pl <= w.kw / 2 &&
+           w.pr <= w.kw / 2)
+      << op.to_string() << ": padding exceeds half the window";
   if (fwd) {
     if (op.kind == PoolOpKind::kAvgFwd || op.kind == PoolOpKind::kMaxMaskFwd) {
       DV_CHECK(op.fwd == akg::PoolImpl::kDirect ||

@@ -149,7 +149,9 @@ struct PoolResult {
 // checks: one function owns it and every entry point calls it. Throws
 // davinci::Error unless
 //  * `in` carries exactly the tensors the kind reads (see PoolInputs);
-//  * forward inputs are NC1HWC0 with C0 = 16, and the window is valid;
+//  * forward inputs are NC1HWC0 with C0 = 16, and the window is valid
+//    and padded by at most half its size on each side (ATen's
+//    pad <= k/2);
 //  * the lowering suits the kind (kAvgFwd and kMaxMaskFwd: kDirect or
 //    kIm2col) and the window (padding needs kIm2col);
 //  * a backward gradient is (N, C1, Oh, Ow, 16), Oh/Ow being Equation (1)

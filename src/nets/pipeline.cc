@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "kernels/conv2d.h"
-#include "sim/metrics_registry.h"
 #include "ref/conv_ref.h"
 #include "ref/pooling_ref.h"
 #include "tensor/fractal.h"
@@ -158,13 +157,6 @@ std::string Pipeline::Result::utilization_table() const {
   append_utilization_row(&out, "total", total_cycles, total_serial_cycles,
                          total_host_ns, profile);
   return out;
-}
-
-void Pipeline::Result::add_metrics(MetricsRegistry& registry,
-                                   const ArchConfig& arch) const {
-  for (const LayerRun& run : layers) {
-    registry.add(run.name, run.run, arch);
-  }
 }
 
 Pipeline::Result Pipeline::run_resilient(Device& dev, const TensorF16& input,

@@ -16,10 +16,6 @@
 #include "tensor/pool_geometry.h"
 #include "tensor/tensor.h"
 
-namespace davinci {
-class MetricsRegistry;
-}
-
 namespace davinci::nets {
 
 // How pooling layers are scheduled throughout a pipeline run.
@@ -67,11 +63,6 @@ class Pipeline {
     // MTE occupancy -- the quantities Section V of the paper reasons
     // about, per layer.
     std::string utilization_table() const;
-
-    // Appends one MetricsRegistry entry per layer (named after the
-    // layer), so a pipeline run lands in the same --metrics JSON schema
-    // as single-kernel runs (see sim/metrics_registry.h).
-    void add_metrics(MetricsRegistry& registry, const ArchConfig& arch) const;
   };
 
   // Runs the whole pipeline on `input` ((N=1, C1, H, W, C0) fp16). If a

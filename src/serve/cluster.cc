@@ -285,8 +285,6 @@ std::vector<PoolResult> Cluster::run_batch(const PoolOp& op,
     agg.host_validate_ns += rr.host_validate_ns;
     agg.host_execute_ns += rr.host_execute_ns;
     agg.cores_used += rr.cores_used;
-    agg.busiest_unit_cycles =
-        std::max(agg.busiest_unit_cycles, rr.busiest_unit_cycles);
     if (rr.vm_end > 0) {
       agg.vm_start = agg.vm_end > 0 ? std::min(agg.vm_start, rr.vm_start)
                                     : rr.vm_start;

@@ -321,7 +321,7 @@ class Session {
   // only while idle (after drain()); resetting mid-launch would tear
   // the accounting.
   void reset_stats();
-  // The schema-v8 "serve" JSON object -- the one serializer of
+  // The schema-v9 "serve" JSON object -- the one serializer of
   // SessionStats. MetricsRegistry::set_serve embeds it, davinci_prof and
   // the davinci_serve console render it (render_object), and each
   // davinci_serve --stats-every-ms line is this object.

@@ -68,11 +68,16 @@ struct Device::Sched {
   std::mutex m;
   std::vector<std::deque<std::int64_t>> queue;  // per core lane, FIFO
   std::vector<char> quarantined;                // per core lane
+  std::vector<char> spent;  // per core lane: a block exhausted its budget
   std::vector<int> execs;                       // per block, under a policy
   int rr = 0;  // round-robin cursor for redistribution
-  // Non-empty once the policy gave up (retry budget or healthy cores
-  // exhausted): every lane stops and the run throws RetryExhausted.
+  // Non-empty once the policy gave up; the run throws RetryExhausted with
+  // it after every lane has stopped. Either every core is quarantined, or
+  // it names the lowest block that exhausted its retry budget: such a
+  // block stops only its own lane, so every other lane runs to its own
+  // stop and the choice does not depend on which lane got there first.
   std::string exhausted;
+  std::int64_t exhausted_block = -1;
   struct Failure {
     int core;
     std::int64_t block;
@@ -86,10 +91,7 @@ struct Device::Sched {
   std::int64_t next(int c) {
     std::lock_guard<std::mutex> lk(m);
     auto& q = queue[static_cast<std::size_t>(c)];
-    if (!exhausted.empty() || quarantined[static_cast<std::size_t>(c)] ||
-        q.empty()) {
-      return -1;
-    }
+    if (quarantined[static_cast<std::size_t>(c)] || q.empty()) return -1;
     const std::int64_t b = q.front();
     q.pop_front();
     return b;
@@ -128,14 +130,18 @@ bool Device::run_block(int c, std::int64_t block, Sched& s,
     int exec_no = 0;
     {
       std::lock_guard<std::mutex> lk(s.m);
-      if (!s.exhausted.empty()) return false;
       int& execs = s.execs[static_cast<std::size_t>(block)];
       if (execs >= exec_budget) {
-        s.exhausted = "retry budget exhausted: block " +
-                      std::to_string(block) + " still unverified after " +
-                      std::to_string(execs) + " execution(s) (max_retries=" +
-                      std::to_string(opts.max_retries) + ", last core " +
-                      std::to_string(c) + ")";
+        s.spent[static_cast<std::size_t>(c)] = 1;
+        if (s.exhausted_block < 0 || block < s.exhausted_block) {
+          s.exhausted_block = block;
+          s.exhausted = "retry budget exhausted: block " +
+                        std::to_string(block) + " still unverified after " +
+                        std::to_string(execs) +
+                        " execution(s) (max_retries=" +
+                        std::to_string(opts.max_retries) + ", last core " +
+                        std::to_string(c) + ")";
+        }
         return false;
       }
       exec_no = ++execs;
@@ -177,7 +183,8 @@ bool Device::run_block(int c, std::int64_t block, Sched& s,
         }
         if (target < 0) {
           // No lane is running a block any more, so every unfinished
-          // block sits in `moved`.
+          // block sits in `moved`; no lane is spent either, or it would
+          // be a target.
           s.exhausted = "all " + std::to_string(lanes) +
                         " core(s) quarantined with " +
                         std::to_string(moved.size()) +
@@ -231,6 +238,7 @@ Device::RunResult Device::run(std::int64_t num_blocks, const BlockFn& fn) {
   Sched s;
   s.queue.resize(static_cast<std::size_t>(cores_used));
   s.quarantined.assign(static_cast<std::size_t>(cores_used), 0);
+  s.spent.assign(static_cast<std::size_t>(cores_used), 0);
   for (int c = 0; c < cores_used; ++c) {
     BlockOrder::for_core(c, num_blocks, num_cores(), [&](std::int64_t b) {
       s.queue[static_cast<std::size_t>(c)].push_back(b);
@@ -296,11 +304,13 @@ Device::RunResult Device::run(std::int64_t num_blocks, const BlockFn& fn) {
     } else {
       pool_.run(static_cast<int>(ready.size()), task);
     }
-    if (!s.failures.empty() || !s.exhausted.empty()) break;
+    if (!s.failures.empty()) break;
     ready.clear();
     for (int c = 0; c < cores_used; ++c) {
       const auto i = static_cast<std::size_t>(c);
-      if (!s.quarantined[i] && !s.queue[i].empty()) ready.push_back(c);
+      if (!s.quarantined[i] && !s.spent[i] && !s.queue[i].empty()) {
+        ready.push_back(c);
+      }
     }
   }
 
@@ -358,8 +368,6 @@ Device::RunResult Device::collect_result(int cores_used) {
     result.device_cycles = std::max(result.device_cycles, sched.makespan());
     result.device_cycles_serial =
         std::max(result.device_cycles_serial, sched.serial());
-    result.busiest_unit_cycles =
-        std::max(result.busiest_unit_cycles, sched.busiest_unit_busy());
     scheds.push_back(&sched);
   }
   result.attribution = attribute_cores(scheds);

@@ -79,9 +79,6 @@ class Device {
                                           // (== serial for unstaged code)
     std::int64_t device_cycles_serial = 0;  // max over used cores of
                                             // PipeScheduler::serial()
-    std::int64_t busiest_unit_cycles = 0;  // max over used cores of the
-                                           // busiest single unit's busy
-                                           // time (sandwich lower bound)
     // Host wall-clock of the whole launch, split into attribution
     // buckets. Device::run fills host_execute_ns (the simulation itself);
     // the kernel drivers (kernels/) add their tiling-plan computation and
@@ -137,9 +134,11 @@ class Device {
   //    agree (majority vote over attempts) -- silent corruption becomes a
   //    detected-and-retried fault;
   //  * every block has a bounded execution budget,
-  //    (max_retries + 1) * (verify ? 2 : 1); exhausting it, or running out
-  //    of healthy cores, throws RetryExhausted with the fault report in
-  //    the message.
+  //    (max_retries + 1) * (verify ? 2 : 1). A block that exhausts it
+  //    stops its own lane; the other lanes run on, and once every lane
+  //    has stopped the run throws RetryExhausted naming the lowest
+  //    exhausted block, with the fault report in the message. Running out
+  //    of healthy cores throws it too.
   // With an empty plan and verification off, the result (output bits,
   // per-core cycles, device_cycles) is identical to a run without a
   // policy. Fault injection is deterministic per core; see
@@ -195,7 +194,7 @@ class Device {
 
   // Runs one block on core `c` (with retries / verification under a
   // policy). Returns false when the core's lane must stop: the core was
-  // quarantined, the block failed, or the run was abandoned.
+  // quarantined, or the block failed or exhausted its budget.
   bool run_block(int c, std::int64_t block, Sched& s, const BlockFn& fn);
 
   // Collects per-core results into a RunResult.

@@ -34,34 +34,18 @@ DeviceAttribution attribute_cores(
   return out;
 }
 
-Roofline compute_roofline(const MemTraffic& traffic, const Profile& profile,
-                          const ArchConfig& arch, std::int64_t device_cycles,
-                          int cores_used) {
-  Roofline r;
-  r.gm_bytes = traffic.gm_total();
-  r.mte_bytes = traffic.mte_total();
-  r.vector_slots = profile.vec.slots_used;
-  r.peak_gm_bytes_per_cycle =
-      static_cast<double>(arch.peak_mte_bytes_per_cycle);
-  if (device_cycles > 0 && cores_used > 0) {
-    r.achieved_gm_bytes_per_cycle =
-        static_cast<double>(r.gm_bytes) /
-        (static_cast<double>(device_cycles) *
-         static_cast<double>(cores_used));
+const char* DeviceAttribution::bottleneck() const {
+  if (critical_core < 0) return "none";
+  const CoreAttribution& crit =
+      cores[static_cast<std::size_t>(critical_core)];
+  int best = 0;
+  for (int p = 1; p < PipeScheduler::kNumPipes; ++p) {
+    if (static_cast<Pipe>(p) != Pipe::kSync &&
+        crit.pipes[p].busy > crit.pipes[best].busy) {
+      best = p;
+    }
   }
-  if (arch.peak_mte_bytes_per_cycle > 0) {
-    r.machine_balance = static_cast<double>(arch.vector_lanes) /
-                        static_cast<double>(arch.peak_mte_bytes_per_cycle);
-  }
-  if (r.gm_bytes > 0) {
-    r.arithmetic_intensity = static_cast<double>(r.vector_slots) /
-                             static_cast<double>(r.gm_bytes);
-    // Below the machine balance the GM pipe saturates before the vector
-    // lanes can: the kernel is transfer-bound. A run that moved bytes but
-    // issued no vector work is transfer-bound by definition.
-    r.transfer_bound = r.arithmetic_intensity < r.machine_balance;
-  }
-  return r;
+  return to_string(static_cast<Pipe>(best));
 }
 
 }  // namespace davinci

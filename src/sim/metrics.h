@@ -1,32 +1,23 @@
-// Cycle attribution and roofline analysis over a finished run.
+// Cycle attribution over a finished run: *where did the makespan go?*
+// (the pipe-level characterization of Zhou et al., see
+// docs/OBSERVABILITY.md). attribute_cores() decomposes every pipe of
+// every core's timeline into busy / wait / flag / idle buckets that sum
+// exactly to the device horizon (PipeScheduler::attribution()), and
+// keeps the critical core's run log, from which
+// DeviceAttribution::critical_path() computes the bounding interval chain
+// when a reader asks for it. The run's one bottleneck verdict,
+// DeviceAttribution::bottleneck(), is read from the same buckets.
 //
-// Two questions the raw counters cannot answer (the pipe-level
-// characterization of Zhou et al. and the co-design roofline of Gupta et
-// al., see docs/OBSERVABILITY.md):
-//
-//  1. *Where did the makespan go?* attribute_cores() decomposes every
-//     pipe of every core's timeline into busy / wait / flag / idle
-//     buckets that sum exactly to the device horizon
-//     (PipeScheduler::attribution()), and keeps the critical core's run
-//     log, from which DeviceAttribution::critical_path() computes the
-//     bounding interval chain when a reader asks for it.
-//  2. *Is the kernel compute- or transfer-bound?* compute_roofline()
-//     compares achieved global-memory bytes/cycle against the
-//     arch_config.h peak and classifies by arithmetic intensity
-//     (vector lane-operations per GM byte) vs the machine balance.
-//
-// This header depends only on pipe_schedule/stats/arch so units and tests
-// can use it without pulling in Device; Device::RunResult carries a
-// DeviceAttribution, and sim/metrics_registry.h serializes both analyses
-// to the versioned metrics JSON.
+// This header depends only on pipe_schedule so units and tests can use
+// it without pulling in Device; Device::RunResult carries a
+// DeviceAttribution, and sim/metrics_registry.h serializes it to the
+// versioned metrics JSON.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "arch/arch_config.h"
 #include "sim/pipe_schedule.h"
-#include "sim/stats.h"
 
 namespace davinci {
 
@@ -56,6 +47,10 @@ struct DeviceAttribution {
     if (path_truncated) return {};
     return PipeScheduler::critical_path(critical_runs, horizon);
   }
+
+  // The execution unit (Sync excluded) with the most busy cycles on the
+  // critical core, ties to the lower pipe; "none" when no core ran.
+  const char* bottleneck() const;
 };
 
 // Decomposes the timelines of the used cores (scheds[i] is core i's
@@ -63,28 +58,5 @@ struct DeviceAttribution {
 // early show the shared wait as idle tail.
 DeviceAttribution attribute_cores(
     const std::vector<const PipeScheduler*>& scheds);
-
-// Roofline classification of one run from its aggregate counters.
-struct Roofline {
-  std::int64_t gm_bytes = 0;      // bytes crossing the GM boundary
-  std::int64_t mte_bytes = 0;     // bytes on all MTE routes
-  std::int64_t vector_slots = 0;  // active lane-operations issued
-  double achieved_gm_bytes_per_cycle = 0.0;  // per core, vs the peak
-  double peak_gm_bytes_per_cycle = 0.0;      // arch peak, per core
-  double arithmetic_intensity = 0.0;  // lane-ops per GM byte
-  double machine_balance = 0.0;       // lane-ops/cycle over peak bytes/cycle
-  bool transfer_bound = false;
-
-  const char* klass() const {
-    return transfer_bound ? "transfer-bound" : "vector-bound";
-  }
-};
-
-// `traffic` and `profile` are sums over used cores, `device_cycles` the
-// overlapped makespan; achieved bandwidth is normalized per core so it
-// compares directly against the per-core arch peak.
-Roofline compute_roofline(const MemTraffic& traffic, const Profile& profile,
-                          const ArchConfig& arch, std::int64_t device_cycles,
-                          int cores_used);
 
 }  // namespace davinci

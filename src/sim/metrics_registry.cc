@@ -16,8 +16,6 @@ namespace {
 // decimals under comma-decimal locales, breaking the JSON.
 std::string num(std::int64_t v) { return json::number(v); }
 
-std::string num(double v) { return json::number(v); }
-
 const char* kind_name(CritSegment::Kind k) {
   return k == CritSegment::Kind::kBusy ? "busy" : "stall";
 }
@@ -43,21 +41,6 @@ std::string traffic_json(const MemTraffic& t) {
   s += ",\"ub_vector_bytes\":" + num(t.ub_vector_bytes);
   s += ",\"mte_total\":" + num(t.mte_total());
   s += ",\"gm_total\":" + num(t.gm_total());
-  s += "}";
-  return s;
-}
-
-std::string roofline_json(const Roofline& r) {
-  std::string s = "{";
-  s += "\"gm_bytes\":" + num(r.gm_bytes);
-  s += ",\"mte_bytes\":" + num(r.mte_bytes);
-  s += ",\"vector_slots\":" + num(r.vector_slots);
-  s += ",\"achieved_gm_bytes_per_cycle\":" +
-       num(r.achieved_gm_bytes_per_cycle);
-  s += ",\"peak_gm_bytes_per_cycle\":" + num(r.peak_gm_bytes_per_cycle);
-  s += ",\"arithmetic_intensity\":" + num(r.arithmetic_intensity);
-  s += ",\"machine_balance\":" + num(r.machine_balance);
-  s += ",\"class\":" + json::escape(r.klass());
   s += "}";
   return s;
 }
@@ -112,9 +95,8 @@ std::string attribution_json(const DeviceAttribution& a) {
 }  // namespace
 
 void MetricsRegistry::add(const std::string& name,
-                          const Device::RunResult& run,
-                          const ArchConfig& arch) {
-  entries_.push_back({name, run, arch});
+                          const Device::RunResult& run) {
+  entries_.push_back({name, run});
 }
 
 std::string MetricsRegistry::to_json() const {
@@ -124,14 +106,10 @@ std::string MetricsRegistry::to_json() const {
   s += "\"entries\":[\n";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    const Roofline roof =
-        compute_roofline(e.run.aggregate.traffic, e.run.profile, e.arch,
-                         e.run.device_cycles, e.run.cores_used);
     if (i > 0) s += ",\n";
     s += "{\"name\":" + json::escape(e.name);
     s += ",\"cycles\":" + num(e.run.device_cycles);
     s += ",\"cycles_serial\":" + num(e.run.device_cycles_serial);
-    s += ",\"busiest_unit_cycles\":" + num(e.run.busiest_unit_cycles);
     s += ",\"host_ns\":" + num(e.run.host_ns);
     // Schema v4: where the host time went. Invariant:
     // alloc + plan + validate + execute == host_ns.
@@ -141,7 +119,7 @@ std::string MetricsRegistry::to_json() const {
     s += ",\"host_execute_ns\":" + num(e.run.host_execute_ns);
     s += ",\"cores_used\":" + num(static_cast<std::int64_t>(e.run.cores_used));
     s += ",\"traffic\":" + traffic_json(e.run.aggregate.traffic);
-    s += ",\"roofline\":" + roofline_json(roof);
+    s += ",\"bottleneck\":" + json::escape(e.run.attribution.bottleneck());
     s += ",\"attribution\":" + attribution_json(e.run.attribution);
     s += "}";
   }

@@ -1,13 +1,12 @@
 // Versioned metrics JSON: the stable machine-readable surface of the
 // observability layer (docs/OBSERVABILITY.md).
 //
-// A MetricsRegistry collects named runs (one per kernel invocation or
-// pipeline layer), derives the roofline from each run's aggregate
-// counters, and serializes everything under a schema marker:
+// A MetricsRegistry collects named runs (one per kernel invocation) and
+// serializes them under a schema marker:
 //
-//   { "schema": "davinci.metrics", "schema_version": 8, "entries": [
+//   { "schema": "davinci.metrics", "schema_version": 9, "entries": [
 //       { "name": ..., "cycles": ..., "cycles_serial": ...,
-//         "traffic": { per-route bytes }, "roofline": { ... },
+//         "traffic": { per-route bytes }, "bottleneck": pipe name,
 //         "attribution": { "horizon", "critical_core", "cores": [
 //             { "core", "makespan", "pipes": { per-pipe buckets } } ],
 //           "critical_path": [ head segments ],
@@ -45,16 +44,20 @@
 // top-level "makespan" roofline (max of busiest device VM makespan and
 // busiest link busy cycles; docs/CLUSTER.md). Version 8 drops each
 // entry's optimistic busiest-pipe bound, which the PipeScheduler makespan
-// ("cycles") superseded. Version-1..7 documents are still accepted by all
-// in-tree consumers; they simply lack the newer keys.
+// ("cycles") superseded. Version 9 replaces each entry's "roofline"
+// object with "bottleneck", the critical core's busiest execution unit
+// (DeviceAttribution::bottleneck), and drops the busiest-unit cycle count,
+// which the attribution buckets bound already. Version-1..8 documents are
+// still accepted by all in-tree consumers; they simply lack the newer
+// keys.
 //
 // Consumers (tools/davinci_prof.cc, CI) key on schema/schema_version;
 // any breaking field change must bump kSchemaVersion. The critical path
 // is emitted head-truncated at kMaxPathSegments with exact totals in the
 // summary, so files stay bounded for long runs.
 //
-// Surfaced as --metrics=<out.json> in davinci_pool_cli and the bench
-// harness, and per-layer by nets::Pipeline.
+// Surfaced as --metrics=<out.json> in davinci_pool_cli,
+// bench_ablation_pipeline, bench_serve and davinci_serve.
 #pragma once
 
 #include <string>
@@ -66,14 +69,12 @@ namespace davinci {
 
 class MetricsRegistry {
  public:
-  static constexpr int kSchemaVersion = 8;
+  static constexpr int kSchemaVersion = 9;
   // Critical-path segments serialized verbatim before head-truncation.
   static constexpr std::size_t kMaxPathSegments = 1024;
 
-  // Records one named run; the roofline is derived from run.aggregate and
-  // `arch` at serialization time.
-  void add(const std::string& name, const Device::RunResult& run,
-           const ArchConfig& arch);
+  // Records one named run.
+  void add(const std::string& name, const Device::RunResult& run);
 
   // Attaches the serving-session statistics as the document's top-level
   // "serve" object. `json_object` must be a serialized JSON object
@@ -93,7 +94,6 @@ class MetricsRegistry {
   struct Entry {
     std::string name;
     Device::RunResult run;
-    ArchConfig arch;
   };
   std::vector<Entry> entries_;
   std::string serve_;  // serialized "serve" object, empty = absent

@@ -29,8 +29,9 @@
 //
 // Because every start time is bounded by the sum of all charges issued so
 // far, makespan() <= serial() always holds; and since busy time
-// accumulates per pipe, makespan() >= the busiest pipe's busy time.
-// Tests assert this sandwich for every kernel.
+// accumulates per pipe, makespan() >= every pipe's busy bucket (the
+// attribution identity below). Tests assert this sandwich for every
+// kernel.
 //
 // Cycle attribution (docs/OBSERVABILITY.md): every cycle of every pipe's
 // timeline is charged to exactly one bucket as the schedule is built --
@@ -283,17 +284,6 @@ class PipeScheduler {
   // interval, then its scalar iterations', zero-length ones skipped.
   // Each pipe's intervals are disjoint and in time order.
   static std::vector<LoggedInterval> expand(const std::vector<LoggedRun>& runs);
-
-  // Busy time of the busiest real execution unit (Sync excluded) -- the
-  // lower half of the sandwich bound.
-  std::int64_t busiest_unit_busy() const {
-    std::int64_t best = 0;
-    for (int i = 0; i < kNumPipes; ++i) {
-      if (static_cast<Pipe>(i) == Pipe::kSync) continue;
-      if (busy_[i] > best) best = busy_[i];
-    }
-    return best;
-  }
 
   // --- Cycle attribution -------------------------------------------------
   // Decomposes each pipe's timeline up to `horizon` (>= makespan; pass the

@@ -156,8 +156,7 @@ void render_metrics_entry(const json::Value& e, std::string* out) {
 // diff (see header).
 bool gated_metric(const std::string& key) {
   static const std::set<std::string> kGated = {
-      "cycles", "cycles_serial", "busiest_unit_cycles", "horizon",
-      "makespan",
+      "cycles", "cycles_serial", "horizon", "makespan",
   };
   return kGated.count(key) > 0;
 }

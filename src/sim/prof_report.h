@@ -11,7 +11,7 @@
 //    by render_object as a whole.
 //
 // diff_reports() walks both documents recursively. Cycle-like metrics
-// (cycles, cycles_serial, busiest_unit_cycles, horizon, makespan) are
+// (cycles, cycles_serial, horizon, makespan) are
 // *gated*: if b exceeds a by more than the tolerance the diff reports a
 // regression and the tool exits nonzero. All other numeric fields are
 // informational -- drifts beyond tolerance are listed but do not fail the

@@ -144,9 +144,8 @@ struct Profile {
 // Bytes moved per architectural route, counted at the same sites that
 // book the cycle costs (Mte::charge by src/dst buffer kind, Scu for the
 // fractal payloads Im2Col produces / Col2Im consumes, VectorUnit for UB
-// operand traffic). Feeds the roofline classification in sim/metrics.h:
-// achieved bytes/cycle on each route vs the arch_config.h peak, and
-// arithmetic intensity = vector slots / bytes moved.
+// operand traffic). Each metrics entry and bench row reports them beside
+// the cycles, so a row that moved says which bytes moved with it.
 struct MemTraffic {
   std::int64_t gm_to_l1 = 0;   // MTE inbound, feature-map loads
   std::int64_t gm_to_ub = 0;   // MTE inbound, direct-to-UB loads
@@ -167,8 +166,7 @@ struct MemTraffic {
     return gm_to_l1 + gm_to_ub + l1_to_ub + l1_to_l0 + ub_to_l1 + ub_to_gm +
            l1_to_gm + l0c_to_ub + ub_to_l0c;
   }
-  // Bytes crossing the GM boundary in either direction -- the roofline's
-  // traffic denominator.
+  // Bytes crossing the GM boundary in either direction.
   std::int64_t gm_total() const {
     return gm_to_l1 + gm_to_ub + ub_to_gm + l1_to_gm;
   }

@@ -189,8 +189,7 @@ void VectorUnit::issue(const char* op, const VecConfig& cfg,
   const std::int64_t capacity =
       std::int64_t{arch_.vector_lanes} * cfg.repeat;
   const auto book = [&](std::int64_t issues, std::int64_t then) {
-    // UB operand traffic: two bytes per active lane per repeat iteration
-    // -- the roofline's compute-side byte count.
+    // UB operand traffic: two bytes per active lane per repeat iteration.
     ledger_->counts.traffic.ub_vector_bytes += used * 2 * issues;
     ledger_->book(TraceKind::kVector, Pipe::kVector,
                   cost_.vector_instr(cfg.repeat),

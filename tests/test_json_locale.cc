@@ -14,6 +14,7 @@
 
 #include "common/json.h"
 #include "kernels/pooling.h"
+#include "serve/session.h"
 #include "sim/metrics_registry.h"
 #include "tensor/fractal.h"
 #include "tensor/tensor.h"
@@ -76,25 +77,35 @@ TEST(JsonLocale, ParserReadsFractionsUnderCommaLocale) {
 }
 
 TEST(JsonLocale, MetricsReportRoundTripsUnderCommaLocale) {
-  Device dev;
   TensorF16 in(Shape{1, 2, 35, 35, kC0});
   in.fill_random_ints(1);
-  auto r = kernels::run_pool(
-      dev,
-      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = Window2d::pool(3, 2),
-             .fwd = akg::PoolImpl::kIm2col},
-      PoolInputs{.in = &in});
+  serve::Session session(serve::Cluster{});
+  auto r = session
+               .submit(PoolOp{.kind = PoolOpKind::kMaxFwd,
+                              .window = Window2d::pool(3, 2),
+                              .fwd = akg::PoolImpl::kIm2col},
+                       PoolInputs{.in = &in})
+               .get();
   MetricsRegistry reg;
-  reg.add("maxpool", r.run, dev.arch());
+  reg.add("maxpool", r.run);
+  reg.set_serve(session.serve_json());
   const std::string text = reg.to_json();
   // A comma-decimal writer would make this invalid JSON (or silently
   // truncate fractions); strict parsing catches both.
   const json::Value doc = json::parse(text);
   EXPECT_EQ(doc.at("schema_version").as_int(),
             MetricsRegistry::kSchemaVersion);
-  // A float-valued field survives the round trip with its fraction.
-  const json::Value& roof = doc.at("entries").as_array().at(0).at("roofline");
-  EXPECT_GT(roof.at("achieved_gm_bytes_per_cycle").as_double(), 0.0);
+  // A float-valued field survives the round trip with its fraction: the
+  // Vector stream's occupancy, busy over its four buckets.
+  const json::Value& vec = doc.at("serve").at("vm").at("streams").at("Vector");
+  const double busy = static_cast<double>(vec.at("busy").as_int());
+  const double total = busy + static_cast<double>(vec.at("wait").as_int() +
+                                                  vec.at("flag").as_int() +
+                                                  vec.at("idle").as_int());
+  const double occupancy = vec.at("occupancy").as_double();
+  EXPECT_GT(occupancy, 0.0);
+  EXPECT_LT(occupancy, 1.0);
+  EXPECT_DOUBLE_EQ(occupancy, busy / total);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // Property sweep over padded windows for the Im2col-based paths (the
 // direct kernels do not support padding; the Im2Col instruction applies
 // zero padding during the load). Parameterized over a grid of
-// (kernel, stride, padding, size) configurations.
+// (kernel, stride, padding, size) configurations. A grid window padded by
+// more than half its size breaks the pooling contract (ATen's pad <= k/2),
+// so each launch of it must be refused, by run_pool and by a session.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "akg/tiling.h"
 #include "kernels/pooling.h"
 #include "ref/im2col_ref.h"
 #include "ref/pooling_ref.h"
+#include "serve/session.h"
 #include "test_util.h"
 
 namespace davinci {
@@ -31,6 +36,8 @@ struct PadConfig {
     win.pr = pr;
     return win;
   }
+
+  bool over_padded() const { return std::max({pt, pb, pl, pr}) > k / 2; }
 
   friend std::ostream& operator<<(std::ostream& os, const PadConfig& c) {
     return os << "h" << c.h << "w" << c.w << "_k" << c.k << "s" << c.s
@@ -56,6 +63,16 @@ std::vector<PadConfig> make_grid() {
   return grid;
 }
 
+// The launch breaks the input contract: a bare run_pool throws, and a
+// session request fails through its future.
+void expect_refused(const PoolOp& op, const PoolInputs& in) {
+  Device dev;
+  EXPECT_THROW(kernels::run_pool(dev, op, in), Error) << op.to_string();
+  serve::Session session(serve::Cluster{});
+  auto f = session.submit(op, in);
+  EXPECT_THROW(f.get(), Error) << op.to_string();
+}
+
 class PaddedProperty : public ::testing::TestWithParam<PadConfig> {};
 
 TEST_P(PaddedProperty, ForwardMatchesReference) {
@@ -63,11 +80,13 @@ TEST_P(PaddedProperty, ForwardMatchesReference) {
   Device dev;
   const TensorF16 in = testutil::random_int_nc1hwc0(1, 1, c.h, c.w, c.seed);
   const Window2d w = c.window();
-  auto got = kernels::run_pool(
-      dev,
-      PoolOp{.kind = PoolOpKind::kMaxFwd, .window = w,
-             .fwd = PoolImpl::kIm2col},
-      PoolInputs{.in = &in});
+  const PoolOp op{.kind = PoolOpKind::kMaxFwd, .window = w,
+                  .fwd = PoolImpl::kIm2col};
+  if (c.over_padded()) {
+    expect_refused(op, PoolInputs{.in = &in});
+    return;
+  }
+  auto got = kernels::run_pool(dev, op, PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, ref::maxpool_fwd(in, w), "padded fwd");
 }
 
@@ -77,13 +96,21 @@ TEST_P(PaddedProperty, MaskAndBackwardRoundTrip) {
   const TensorF16 in =
       testutil::random_int_nc1hwc0(1, 1, c.h, c.w, c.seed + 1);
   const Window2d w = c.window();
-  auto fwd = kernels::run_pool(
-      dev,
-      PoolOp{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
-             .fwd = PoolImpl::kIm2col},
-      PoolInputs{.in = &in});
+  const PoolOp mask_op{.kind = PoolOpKind::kMaxMaskFwd, .window = w,
+                       .fwd = PoolImpl::kIm2col};
   TensorF16 grad(Shape{1, 1, w.out_h(c.h), w.out_w(c.w), kC0});
   grad.fill_random_ints(c.seed + 2, 0, 5);
+  if (c.over_padded()) {
+    expect_refused(mask_op, PoolInputs{.in = &in});
+    const TensorF16 mask = ref::maxpool_argmax_mask(in, w);
+    for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
+      expect_refused(
+          PoolOp{.kind = PoolOpKind::kMaxBwd, .window = w, .merge = m},
+          PoolInputs{.mask = &mask, .grad = &grad, .ih = c.h, .iw = c.w});
+    }
+    return;
+  }
+  auto fwd = kernels::run_pool(dev, mask_op, PoolInputs{.in = &in});
   const TensorF16 want = ref::maxpool_bwd(fwd.mask, grad, w, c.h, c.w);
   for (MergeImpl m : {MergeImpl::kVadd, MergeImpl::kCol2im}) {
     auto bwd = kernels::run_pool(
@@ -99,11 +126,13 @@ TEST_P(PaddedProperty, AvgpoolMatchesReference) {
   const TensorF16 in =
       testutil::random_int_nc1hwc0(1, 1, c.h, c.w, c.seed + 3);
   const Window2d w = c.window();
-  auto got = kernels::run_pool(
-      dev,
-      PoolOp{.kind = PoolOpKind::kAvgFwd, .window = w,
-             .fwd = PoolImpl::kIm2col},
-      PoolInputs{.in = &in});
+  const PoolOp op{.kind = PoolOpKind::kAvgFwd, .window = w,
+                  .fwd = PoolImpl::kIm2col};
+  if (c.over_padded()) {
+    expect_refused(op, PoolInputs{.in = &in});
+    return;
+  }
+  auto got = kernels::run_pool(dev, op, PoolInputs{.in = &in});
   testutil::expect_equal_f16(got.out, ref::avgpool_fwd(in, w), "padded avg");
 }
 

@@ -116,7 +116,7 @@ TEST(ProfDiff, RealMetricsJsonRoundTrip) {
              .fwd = akg::PoolImpl::kIm2col},
       PoolInputs{.in = &in});
   MetricsRegistry reg;
-  reg.add("maxpool", r.run, dev.arch());
+  reg.add("maxpool", r.run);
   const std::string text = reg.to_json();
   const json::Value doc = json::parse(text);
   EXPECT_FALSE(diff_reports(doc, doc, DiffOptions{}).regressed);
@@ -143,10 +143,10 @@ TEST(ProfRender, MetricsAndBenchShapesRender) {
              .fwd = akg::PoolImpl::kDirect},
       PoolInputs{.in = &in});
   MetricsRegistry reg;
-  reg.add("maxpool-direct", r.run, dev.arch());
+  reg.add("maxpool-direct", r.run);
   const std::string report = render_report(json::parse(reg.to_json()));
   EXPECT_NE(report.find("maxpool-direct"), std::string::npos);
-  EXPECT_NE(report.find("roofline"), std::string::npos);
+  EXPECT_NE(report.find("bottleneck Vector"), std::string::npos);
 
   const std::string bench = render_report(json::parse(
       "{\"bench\":\"b\",\"rows\":[{\"impl\":\"direct\",\"cycles\":7}]}"));

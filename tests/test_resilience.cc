@@ -412,6 +412,38 @@ TEST(Resilience, ExhaustionMessageCarriesContext) {
   }
 }
 
+// A block that exhausts its budget stops only its own lane, and the run
+// names the lowest exhausted block once every lane has stopped, so the
+// message and its fault stats do not depend on which lane gave up first:
+// a serial run and every parallel replay report the same failure.
+TEST(Resilience, ExhaustionReportsTheSameFailureOnEveryReplay) {
+  const TensorF16 in = make_input(71, 71, 192);
+  const auto failure = [&](bool parallel) {
+    Device dev;
+    ResilienceOptions opts;
+    opts.plan = FaultPlan::parse("vec_fault:0.0005", 5);
+    opts.max_retries = 10;
+    dev.set_resilience(opts);
+    dev.set_parallel(parallel);
+    try {
+      kernels::run_pool(dev,
+                        PoolOp{.kind = PoolOpKind::kMaxMaskFwd,
+                               .window = Window2d::pool(3, 2),
+                               .fwd = akg::PoolImpl::kDirect},
+                        PoolInputs{.in = &in});
+    } catch (const RetryExhausted& e) {
+      return std::string(e.what());
+    }
+    return std::string("no RetryExhausted");
+  };
+  const std::string serial = failure(false);
+  EXPECT_NE(serial.find("retry budget exhausted: block"), std::string::npos)
+      << serial;
+  for (int replay = 0; replay < 4; ++replay) {
+    EXPECT_EQ(failure(true), serial) << "parallel replay " << replay;
+  }
+}
+
 TEST(Resilience, TransientFaultsAreRetriedToCompletion) {
   const TensorF16 in = make_input(32, 32, 192);
   const Window2d w = Window2d::pool(3, 2);

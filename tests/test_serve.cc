@@ -235,7 +235,7 @@ TEST(ServeSession, RejectsWhatABareRunPoolRejects) {
   EXPECT_EQ(session.stats().launches, 0);
 }
 
-TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV8) {
+TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsCurrentSchema) {
   Session session(Cluster{});
   const PoolOp op{.kind = PoolOpKind::kMaxFwd,
                   .window = Window2d::pool(3, 2),
@@ -247,7 +247,9 @@ TEST(ServeSession, ServeJsonLandsInMetricsRegistryAsSchemaV8) {
   MetricsRegistry reg;
   reg.set_serve(session.serve_json());
   const std::string json = reg.to_json();
-  EXPECT_NE(json.find("\"schema_version\":8"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":" +
+                      std::to_string(MetricsRegistry::kSchemaVersion)),
+            std::string::npos);
   // The v4 host-phase buckets are per-entry fields; the host_ns bucket
   // invariant itself is covered in test_metrics.cc. The v5 "vm" object
   // and its stream buckets are covered in test_vm.cc.

@@ -1,7 +1,7 @@
 // Command-line driver: run any pooling configuration on the simulated
 // device, verify it against the reference, and print cycles, the
-// critical core's per-pipe breakdown and (optionally) the instruction
-// trace.
+// critical core's per-pipe breakdown, its bottleneck pipe and
+// (optionally) the instruction trace.
 //
 //   davinci_pool_cli --op=maxpool --impl=im2col --h=71 --w=71 --c=192
 //                    --k=3 --s=2 [--compare] [--inject=<spec>] ...
@@ -45,8 +45,7 @@ struct Options {
   bool trace = false, compare = false, no_double_buffer = false;
 };
 
-void report(const char* what, const Device::RunResult& run, bool show_faults,
-            const ArchConfig& arch) {
+void report(const char* what, const Device::RunResult& run, bool show_faults) {
   std::printf("%-14s %10lld cycles  (serial %lld)\n", what,
               static_cast<long long>(run.device_cycles),
               static_cast<long long>(run.device_cycles_serial));
@@ -67,14 +66,7 @@ void report(const char* what, const Device::RunResult& run, bool show_faults,
     std::printf("\n");
   }
   std::printf("  occupancy: %s\n", run.profile.summary().c_str());
-  const Roofline roof = compute_roofline(run.aggregate.traffic, run.profile,
-                                         arch, run.device_cycles,
-                                         run.cores_used);
-  std::printf("  roofline: %s (arith intensity %.3g vs balance %.3g; "
-              "%.3g of %lld GM bytes/cycle/core)\n",
-              roof.klass(), roof.arithmetic_intensity, roof.machine_balance,
-              roof.achieved_gm_bytes_per_cycle,
-              static_cast<long long>(arch.peak_mte_bytes_per_cycle));
+  std::printf("  bottleneck: %s\n", attr.bottleneck());
   std::printf("  cores used: %d\n", run.cores_used);
   if (show_faults) {
     std::printf("  fault report: %s\n", run.faults.summary().c_str());
@@ -161,8 +153,8 @@ int main(int argc, char** argv) {
   // --metrics=<path> was given (written after verification below).
   MetricsRegistry metrics;
   auto note = [&](const char* what, const Device::RunResult& run) {
-    report(what, run, injecting, dev.arch());
-    if (!opt.metrics.empty()) metrics.add(what, run, dev.arch());
+    report(what, run, injecting);
+    if (!opt.metrics.empty()) metrics.add(what, run);
   };
 
   bool ok = true;

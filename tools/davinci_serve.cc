@@ -326,8 +326,7 @@ int main(int argc, char** argv) {
         host_execute_ns += r.run.host_execute_ns;
         if (!added) {
           rep_cycles = r.cycles();
-          registry.add(e.op.to_string() + " " + geom_string(e), r.run,
-                       session.cluster().device(0).arch());
+          registry.add(e.op.to_string() + " " + geom_string(e), r.run);
           added = true;
         }
       } catch (const serve::DeadlineExceeded& err) {
